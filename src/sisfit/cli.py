@@ -5,7 +5,8 @@ regime and saves a model directory, ``verify`` re-checks a saved model
 against data, ``compare`` sweeps regimes and ranks and flags defects.
 Exit codes: 0 success, 1 verification failure or defect, 2 usage or
 input errors.  Reports are ``key: value`` lines; apart from the timing
-line they are byte-identical across reruns and thread counts.
+line they are byte-identical across reruns.  ``--threads`` is accepted by
+``fit`` and ``compare`` and has no effect.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .extra import ExtraInvariantModel, fit_extra_invariant, verify_extra_invari
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import make_dual_lattice, parse_basis
 from .multitile import MultiTileModel, fit_multitile, verify_multitile, weight
-from .sis import fit_sis, project_onto
+from .sis import _check_threads, fit_sis, project_onto
 from .spectral import (
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
@@ -43,6 +44,8 @@ from .spectral import (
 from . import storage
 
 OUT_ENV = "SISFIT_OUT"
+
+THREADS_HELP = "accepted for compatibility, must be at least 1; has no effect"
 
 _FAMILY_FLAGS = {"gaussian": "sigma", "bspline": "order", "boxcar": "halfwidth"}
 
@@ -126,11 +129,11 @@ def _fit_once(args, regime: str):
         ("energy", repr(energy)),
     ]
     if regime == "sis":
-        model = fit_sis(ds, args.rank, tol=args.eig_tol, threads=args.threads)
+        model = fit_sis(ds, args.rank, tol=args.eig_tol)
         pairs = [("regime", "sis")] + common + [("error", repr(model.error))]
     elif regime == "extra":
         lat = make_dual_lattice(parse_basis(_require(args, "dual-lattice", regime)))
-        model = fit_extra_invariant(ds, lat, args.rank, tol=args.eig_tol, threads=args.threads)
+        model = fit_extra_invariant(ds, lat, args.rank, tol=args.eig_tol)
         pairs = (
             [("regime", "extra")]
             + common
@@ -142,7 +145,7 @@ def _fit_once(args, regime: str):
         )
     elif regime == "pw":
         box = _require(args, "box", regime)
-        model = fit_multitile(ds, args.rank, box, threads=args.threads)
+        model = fit_multitile(ds, args.rank, box)
         pairs = (
             [("regime", "pw")]
             + common
@@ -169,6 +172,7 @@ def _check_fit_flags(args, regime: str) -> None:
 
 def cmd_fit(args) -> int:
     regime = args.regime
+    _check_threads(args.threads)
     _check_fit_flags(args, regime)
     model, part, pairs, elapsed = _fit_once(args, regime)
     out = _out_dir(args)
@@ -363,6 +367,7 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"unknown regime {r!r} (known: {', '.join(sorted(known))})")
     if "discrete" in regimes and len(regimes) > 1:
         raise ValidationError("discrete data cannot be compared with spectral regimes")
+    _check_threads(args.threads)
     ranks = _ranks(args.ranks)
     if any(r < 1 for r in ranks):
         raise ValidationError(f"ranks must be positive, got {ranks}")
@@ -389,14 +394,12 @@ def cmd_compare(args) -> int:
         by_regime: dict[str, list[float]] = {}
         for regime in regimes:
             if regime == "sis":
-                errs = [error_sis(ds, r, tol=args.eig_tol, threads=args.threads) for r in ranks]
+                errs = [error_sis(ds, r, tol=args.eig_tol) for r in ranks]
                 for r, e in zip(ranks, errs):
                     rows.append(("sis", r, "", e, "", e))
             elif regime == "extra":
                 lat = make_dual_lattice(parse_basis(_require(args, "dual-lattice", "extra")))
-                errs = [
-                    error_extra(ds, lat, r, tol=args.eig_tol, threads=args.threads) for r in ranks
-                ]
+                errs = [error_extra(ds, lat, r, tol=args.eig_tol) for r in ranks]
                 for r, e in zip(ranks, errs):
                     rows.append(("extra", r, "", e, "", e))
             else:
@@ -405,7 +408,7 @@ def cmd_compare(args) -> int:
                 for r in ranks:
                     totals = []
                     for b in boxes:
-                        mt = fit_multitile(ds, r, b, threads=args.threads)
+                        mt = fit_multitile(ds, r, b)
                         rows.append(("pw", r, b, mt.error, mt.tail, mt.error + mt.tail))
                         totals.append(mt.error + mt.tail)
                     for i in range(1, len(totals)):
@@ -487,15 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, help="pw regime: translation box radius")
     p.add_argument("--partition", help="discrete regime: partition file")
     p.add_argument("--eig-tol", type=float, default=EIG_TOL_DEFAULT)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help=f"model directory (default ${OUT_ENV} or .)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="re-check a saved model against data")
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--eig-tol", type=float, default=EIG_TOL_DEFAULT)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="sweep regimes and ranks, flag defects")
@@ -506,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", help="pw regime: comma-separated box radii")
     p.add_argument("--partition", help="discrete regime: partition file")
     p.add_argument("--eig-tol", type=float, default=EIG_TOL_DEFAULT)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help="also write the table as CSV to this file")
     p.set_defaults(func=cmd_compare)
     return parser

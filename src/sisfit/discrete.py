@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian
+from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
-from .sis import _check_rank
+from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -182,45 +182,8 @@ def block_gramian(ds: DiscreteDataset, part: DiscretePartition, label) -> np.nda
     return (gm + gm.conj().T) / 2.0
 
 
-def _block_eigensystems(ds: DiscreteDataset, part: DiscretePartition, tol: float, with_vectors: bool):
-    idx = _support_block_indices(ds, part)
-    cols, lams, vecs = [], [], []
-    for sigma in range(part.n_blocks):
-        c = np.flatnonzero(idx == sigma)
-        a = ds.values[:, c]
-        gm = a @ a.conj().T
-        gm = (gm + gm.conj().T) / 2.0
-        es = eig_hermitian(gm, tol)
-        cols.append(c)
-        lams.append(es.eigenvalues)
-        vecs.append(es.vectors if with_vectors else None)
-    return cols, lams, vecs
-
-
-def _allocation_error(block_lams, alloc) -> float:
-    """Energy left over when block sigma keeps its top alloc[sigma]
-    eigenvalues.  Sequential block-by-block accumulation; the greedy fit
-    and the brute-force oracle both total through here."""
-    acc = 0.0
-    for lam, a in zip(block_lams, alloc):
-        for v in lam[a:].tolist():
-            acc += v
-    return acc
-
-
-def _merged_selection(block_lams, rank: int):
-    """Global top-``rank`` records as (eigenvalue, block, in-block rank),
-    ties broken by block then rank; plus the per-block kept counts."""
-    records = []
-    for sigma, lam in enumerate(block_lams):
-        for j in range(lam.shape[0]):
-            records.append((float(lam[j]), sigma, j))
-    records.sort(key=lambda r: (-r[0], r[1], r[2]))
-    selected = records[: min(rank, len(records))]
-    alloc = [0] * len(block_lams)
-    for _, sigma, _ in selected:
-        alloc[sigma] += 1
-    return selected, alloc
+def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
+    return _column_blocks(_support_block_indices(ds, part), part.n_blocks)
 
 
 @dataclass(eq=False)
@@ -253,33 +216,26 @@ def fit_discrete(
     eigenvalues are kept (ties: smaller block, then smaller in-block
     rank).  Each kept eigenvector gives a generator scaled by
     eigenvalue^(-1/2), or the zero sequence when the eigenvalue is
-    numerically zero.  ``error`` is the sum of all discarded eigenvalues.
+    numerically zero.  ``error`` is the sum of all discarded eigenvalues,
+    added block by block, each block's in descending order.
     """
     rank = _check_rank(rank)
-    cols, lams, vecs = _block_eigensystems(ds, part, tol, with_vectors=True)
-    selected, alloc = _merged_selection(lams, rank)
-    error = _allocation_error(lams, alloc)
-
-    lmax = max((lam[0] for lam in lams if lam.shape[0]), default=0.0)
-    lmax = lmax if lmax > 0.0 else 0.0
+    core = block_eigen(ds.values, _block_columns(ds, part), rank, tol)
     generators = np.zeros((rank, ds.n_points), dtype=np.complex128)
-    sel_out = []
-    for s, (lam_s, sigma, j) in enumerate(selected):
-        sel_out.append((lam_s, part.labels[sigma], j))
-        if lam_s > RANK_REL_TOL * lmax and lam_s > 0.0:
-            theta = 1.0 / math.sqrt(lam_s)
-            c = cols[sigma]
-            generators[s, c] = theta * (vecs[sigma][:, j].conj() @ ds.values[:, c])
-
+    generators[: core.eigenvalues.shape[0]] = core.generators
+    selected = [
+        (lam, part.labels[sigma], j)
+        for lam, sigma, j in zip(core.eigenvalues.tolist(), core.blocks.tolist(), core.block_ranks.tolist())
+    ]
     return DiscreteModel(
         dim=ds.dim,
         rank=rank,
         support=ds.support.copy(),
         generators=generators,
-        selected=sel_out,
-        allocation=alloc,
+        selected=selected,
+        allocation=core.allocation.tolist(),
         labels=list(part.labels),
-        error=error,
+        error=core.residual,
     )
 
 
@@ -291,11 +247,10 @@ def error_discrete(
     tol: float = EIG_TOL_DEFAULT,
 ) -> float:
     """Distance (squared) to the nearest rank-``rank`` block-generated
-    subspace; ``rank`` 0 gives the total energy."""
+    subspace, equal to ``fit_discrete(...).error``; ``rank`` 0 gives the
+    total energy."""
     rank = _check_rank(rank, minimum=0)
-    _, lams, _ = _block_eigensystems(ds, part, tol, with_vectors=False)
-    _, alloc = _merged_selection(lams, rank)
-    return _allocation_error(lams, alloc)
+    return block_eigen(ds.values, _block_columns(ds, part), rank, tol, vectors=False).residual
 
 
 def brute_force_optimal(
@@ -309,8 +264,10 @@ def brute_force_optimal(
 
     Enumerates all per-block budgets 0 <= alloc[sigma] <= rank with total
     at most ``rank`` and returns (best error, best allocation); the first
-    minimizer in lexicographic enumeration order wins.  Refuses jobs with
-    more than 10^6 allocations.
+    minimizer in lexicographic enumeration order wins.  Each allocation is
+    totaled by ``allocation_residual``, the sum the greedy fit reports, so
+    an optimal greedy fit matches bit for bit.  Refuses jobs with more
+    than 10^6 allocations.
     """
     rank = _check_rank(rank, minimum=0)
     nb = part.n_blocks
@@ -319,13 +276,13 @@ def brute_force_optimal(
         raise ValidationError(
             f"{n_alloc} allocations exceed the enumeration guard of {BRUTE_FORCE_GUARD}"
         )
-    _, lams, _ = _block_eigensystems(ds, part, tol, with_vectors=False)
+    lams = block_eigen(ds.values, _block_columns(ds, part), 0, tol, vectors=False).block_eigenvalues
     best_err = None
     best_alloc = None
     for alloc in product(range(rank + 1), repeat=nb):
         if sum(alloc) > rank:
             continue
-        err = _allocation_error(lams, alloc)
+        err = allocation_residual(lams, alloc)
         if best_err is None or err < best_err:
             best_err = err
             best_alloc = alloc

@@ -9,17 +9,15 @@ fiber supported on a single coset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_chunked
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian
+from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of
 from .reports import VerificationReport, Violation
-from .sis import FittedModel, _check_rank
+from .sis import FittedModel, _check_rank, _check_threads, _column_blocks, _error_cells, _fit_cells
 from .spectral import SpectralDataset
 
 
@@ -59,23 +57,6 @@ def split_by_coset(ds: SpectralDataset, lat: DualLattice) -> list[SpectralDatase
     return parts
 
 
-def _merged_records(f: np.ndarray, cols_by_coset, tol: float, with_vectors: bool):
-    """Eigen-records of all coset blocks at one cell, sorted by descending
-    eigenvalue with ties broken by (coset label, in-block rank)."""
-    records = []
-    for sigma, cols in enumerate(cols_by_coset):
-        fs = f[:, cols]
-        gm = fs @ fs.conj().T
-        gm = (gm + gm.conj().T) / 2.0
-        es = eig_hermitian(gm, tol)
-        lam = es.eigenvalues
-        for j in range(lam.shape[0]):
-            vec = es.vectors[:, j] if with_vectors else None
-            records.append((float(lam[j]), sigma, j, vec))
-    records.sort(key=lambda r: (-r[0], r[1], r[2]))
-    return records
-
-
 def fit_extra_invariant(
     ds: SpectralDataset,
     lat: DualLattice,
@@ -91,54 +72,15 @@ def fit_extra_invariant(
     separately, the records of all blocks are merged, and the top
     ``rank`` eigenvalues are kept (ties: smaller coset label, then
     smaller in-block rank).  Generators are supported on their home
-    coset exactly.
+    coset exactly.  The residual at a cell adds the discarded
+    eigenvalues coset by coset, each coset's in descending order.
+    ``threads`` has no effect.
     """
     rank = _check_rank(rank)
-    m = ds.m
-    ncells = ds.grid.n_cells
-    nk = ds.grid.n_translations
-    labels = _coset_labels(ds.grid, lat)
-    cols_by_coset = [np.flatnonzero(labels == sigma) for sigma in range(lat.index)]
-    take = min(rank, m * lat.index)
-
-    eigenvalues = np.zeros((ncells, rank))
-    spectra = np.zeros((rank, ncells, nk), dtype=np.complex128)
-    residuals = np.zeros(ncells)
-    home_cosets = np.full((ncells, rank), -1, dtype=np.int64)
-    block_ranks = np.full((ncells, rank), -1, dtype=np.int64)
-
-    def work(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            f = np.ascontiguousarray(ds.samples[:, g, :])
-            records = _merged_records(f, cols_by_coset, tol, with_vectors=True)
-            acc = 0.0
-            for lam_s, _, _, _ in records[rank:]:
-                acc += lam_s
-            residuals[g] = acc
-            lmax = records[0][0] if records[0][0] > 0.0 else 0.0
-            for s in range(take):
-                lam_s, sigma, j, u = records[s]
-                eigenvalues[g, s] = lam_s
-                home_cosets[g, s] = sigma
-                block_ranks[g, s] = j
-                if lam_s > RANK_REL_TOL * lmax and lam_s > 0.0:
-                    theta = 1.0 / math.sqrt(lam_s)
-                    cols = cols_by_coset[sigma]
-                    spectra[s, g, cols] = theta * (u.conj() @ f[:, cols])
-
-    run_chunked(work, ncells, threads)
-    error = float(residuals.sum()) * ds.grid.cell_volume
-    return ExtraInvariantModel(
-        grid=ds.grid,
-        rank=rank,
-        eigenvalues=eigenvalues,
-        spectra=spectra,
-        residuals=residuals,
-        error=error,
-        lattice=lat,
-        home_cosets=home_cosets,
-        block_ranks=block_ranks,
-    )
+    _check_threads(threads)
+    blocks = _column_blocks(_coset_labels(ds.grid, lat), lat.index)
+    fields, home, block_ranks = _fit_cells(ds, blocks, rank, tol)
+    return ExtraInvariantModel(**fields, lattice=lat, home_cosets=home, block_ranks=block_ranks)
 
 
 def error_extra(
@@ -150,24 +92,12 @@ def error_extra(
     threads: int = 1,
 ) -> float:
     """Squared distance to the nearest extra-invariant space of length
-    ``rank`` (0 gives the total energy)."""
+    ``rank``, equal to ``fit_extra_invariant(...).error`` (0 gives the
+    total energy).  ``threads`` has no effect."""
     rank = _check_rank(rank, minimum=0)
-    labels = _coset_labels(ds.grid, lat)
-    cols_by_coset = [np.flatnonzero(labels == sigma) for sigma in range(lat.index)]
-    ncells = ds.grid.n_cells
-    residuals = np.zeros(ncells)
-
-    def work(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            f = np.ascontiguousarray(ds.samples[:, g, :])
-            records = _merged_records(f, cols_by_coset, tol, with_vectors=False)
-            acc = 0.0
-            for lam_s, _, _, _ in records[rank:]:
-                acc += lam_s
-            residuals[g] = acc
-
-    run_chunked(work, ncells, threads)
-    return float(residuals.sum()) * ds.grid.cell_volume
+    _check_threads(threads)
+    blocks = _column_blocks(_coset_labels(ds.grid, lat), lat.index)
+    return _error_cells(ds, blocks, rank, tol)
 
 
 MAX_REPORTED_VIOLATIONS = 64

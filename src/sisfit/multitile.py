@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_chunked
 from .errors import ValidationError
 from .reports import VerificationReport, Violation
-from .sis import _check_rank
+from .sis import _check_rank, _check_threads
 from .spectral import SpectralDataset, SpectralGrid
 
 
@@ -87,8 +86,10 @@ def fit_multitile(
     at a cell is the weight sum of the unchosen in-box translations;
     ``error`` is the quadrature sum of residuals and ``tail`` the
     quadrature energy at in-grid translations outside the box.
+    ``threads`` has no effect.
     """
     rank = _check_rank(rank)
+    _check_threads(threads)
     box = _check_box(ds.grid, rank, box_radius)
     kk = ds.grid.translations
     inbox = np.flatnonzero(np.abs(kk).max(axis=1) <= box)
@@ -97,24 +98,13 @@ def fit_multitile(
     w_all = _weights(ds)
     w_in = w_all[:, inbox]
     w_out = np.delete(w_all, inbox, axis=1)
-    ncells = ds.grid.n_cells
 
     # stable argsort on negated weights: ties keep lexicographic order,
+    # and sorting the picked indices sorts the picks lexicographically,
     # because in-box translations are already lexicographically sorted
     order = np.argsort(-w_in, axis=1, kind="stable")
-
-    chosen = np.zeros((ncells, rank, ds.grid.dim), dtype=np.int64)
-    residuals = np.zeros(ncells)
-
-    def work(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            top = order[g, :rank]
-            vecs = k_in[top]
-            lex = np.lexsort(vecs.T[::-1])
-            chosen[g] = vecs[lex]
-            residuals[g] = float(np.sum(w_in[g, order[g, rank:]]))
-
-    run_chunked(work, ncells, threads)
+    chosen = k_in[np.sort(order[:, :rank], axis=1)]
+    residuals = np.take_along_axis(w_in, order[:, rank:], axis=1).sum(axis=1)
     error = float(residuals.sum()) * ds.grid.cell_volume
     tail = float(w_out.sum()) * ds.grid.cell_volume
     return MultiTileModel(

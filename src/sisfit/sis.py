@@ -5,6 +5,11 @@ subspace; the best approximation of length ``rank`` keeps, cellwise, the
 dominant eigenvectors of the fiber Gramian.  The squared distance is the
 quadrature sum of the discarded eigenvalues, and the kept eigenvectors
 yield generator fibers that are orthonormal wherever they are nonzero.
+
+``block_eigen`` is that construction for a Gramian split into column
+blocks; the extra-invariant and discrete fits call it with one block per
+coset or partition cell, and the plain fit with the whole fiber as one
+block.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_chunked
 from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian
 from .spectral import SpectralDataset, SpectralGrid
@@ -45,6 +49,151 @@ def _check_rank(rank: int, minimum: int = 1) -> int:
     return r
 
 
+def _check_threads(threads: int) -> None:
+    """Validate a ``threads`` keyword.  Fits run on one thread whatever
+    its value; the keyword stays for compatibility."""
+    if int(threads) < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
+
+
+def allocation_residual(block_lams, alloc) -> float:
+    """Energy left over when block b keeps its top ``alloc[b]``
+    eigenvalues: each block's discarded tail is added in order, block
+    after block, to one running float.  Every fit, error and the
+    brute-force oracle total through here, so their residuals agree bit
+    for bit."""
+    acc = 0.0
+    for lam, a in zip(block_lams, alloc):
+        for v in lam[a:].tolist():
+            acc += v
+    return acc
+
+
+@dataclass(eq=False)
+class BlockEigen:
+    """Top-``rank`` eigen-records of the block Gramians of one cell.
+
+    Record s has eigenvalue ``eigenvalues[s]`` (descending; ties go to
+    the smaller block, then the smaller in-block rank), block
+    ``blocks[s]`` and in-block rank ``block_ranks[s]``.
+    ``generators[s]`` is its generator over the cell's columns, zero
+    outside its block (None when not requested).  ``allocation[b]``
+    counts the records kept from block b, ``block_eigenvalues[b]`` is
+    block b's whole spectrum and ``residual`` the discarded energy.
+    """
+
+    eigenvalues: np.ndarray
+    blocks: np.ndarray
+    block_ranks: np.ndarray
+    allocation: np.ndarray
+    block_eigenvalues: list
+    residual: float
+    generators: np.ndarray | None
+
+
+def block_eigen(f: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool = True) -> BlockEigen:
+    """Best ``rank`` block-supported generators for the rows of ``f``.
+
+    ``blocks`` lists the column index (array or slice) of each block.
+    Every block Gramian is eigendecomposed, the globally largest ``rank``
+    eigenvalues are kept, and each kept eigenvector u gives the generator
+    lambda^(-1/2) u^H f on its block, or zero when lambda is numerically
+    zero (at most 1e-10 of the largest eigenvalue of the cell).  The
+    residual sums the discarded eigenvalues by ``allocation_residual``.
+    """
+    lams, vecs = [], []
+    for cols in blocks:
+        a = f[:, cols]
+        gm = a @ a.conj().T
+        gm = (gm + gm.conj().T) / 2.0
+        es = eig_hermitian(gm, tol)
+        lams.append(es.eigenvalues)
+        vecs.append(es.vectors)
+    lam = np.concatenate(lams)
+    block = np.repeat(np.arange(len(lams)), [x.shape[0] for x in lams])
+    in_block = np.concatenate([np.arange(x.shape[0]) for x in lams])
+    kept = np.lexsort((in_block, block, -lam))[:rank]
+    allocation = np.bincount(block[kept], minlength=len(lams))
+
+    generators = None
+    if vectors:
+        generators = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
+        lmax = max(float(lam.max()), 0.0)
+        for s, i in enumerate(kept):
+            if lam[i] > RANK_REL_TOL * lmax and lam[i] > 0.0:
+                theta = 1.0 / math.sqrt(lam[i])
+                cols = blocks[block[i]]
+                generators[s, cols] = theta * (vecs[block[i]][:, in_block[i]].conj() @ f[:, cols])
+    return BlockEigen(
+        eigenvalues=lam[kept],
+        blocks=block[kept],
+        block_ranks=in_block[kept],
+        allocation=allocation,
+        block_eigenvalues=lams,
+        residual=allocation_residual(lams, allocation),
+        generators=generators,
+    )
+
+
+# all columns as one block; a slice, so that f[:, cols] is f itself and
+# the products round exactly as on the contiguous cell matrix
+_WHOLE_FIBER = (slice(None),)
+
+
+def _column_blocks(labels: np.ndarray, n_blocks: int):
+    """Column index of each block, from the block label of every column.
+    A single block is ``_WHOLE_FIBER``, so that one-block fits of every
+    regime round exactly as the plain fit does."""
+    if n_blocks == 1:
+        return _WHOLE_FIBER
+    return [np.flatnonzero(labels == b) for b in range(n_blocks)]
+
+
+def _cell(ds: SpectralDataset, g: int) -> np.ndarray:
+    return np.ascontiguousarray(ds.samples[:, g, :])
+
+
+def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float):
+    """Run ``block_eigen`` at every cell of ``ds``.
+
+    Returns the ``FittedModel`` fields as a dict, plus the block and
+    in-block rank of every kept record, shape (cells, rank), -1 on
+    zero-padded slots.  ``error`` is the quadrature sum of the cell
+    residuals.
+    """
+    ncells = ds.grid.n_cells
+    eigenvalues = np.zeros((ncells, rank))
+    spectra = np.zeros((rank, ncells, ds.grid.n_translations), dtype=np.complex128)
+    residuals = np.zeros(ncells)
+    home = np.full((ncells, rank), -1, dtype=np.int64)
+    block_ranks = np.full((ncells, rank), -1, dtype=np.int64)
+    for g in range(ncells):
+        cell = block_eigen(_cell(ds, g), blocks, rank, tol)
+        t = cell.eigenvalues.shape[0]
+        eigenvalues[g, :t] = cell.eigenvalues
+        spectra[:t, g, :] = cell.generators
+        residuals[g] = cell.residual
+        home[g, :t] = cell.blocks
+        block_ranks[g, :t] = cell.block_ranks
+    fields = dict(
+        grid=ds.grid,
+        rank=rank,
+        eigenvalues=eigenvalues,
+        spectra=spectra,
+        residuals=residuals,
+        error=float(residuals.sum()) * ds.grid.cell_volume,
+    )
+    return fields, home, block_ranks
+
+
+def _error_cells(ds: SpectralDataset, blocks, rank: int, tol: float) -> float:
+    """Quadrature sum of the ``block_eigen`` residuals of every cell."""
+    residuals = np.array(
+        [block_eigen(_cell(ds, g), blocks, rank, tol, vectors=False).residual for g in range(ds.grid.n_cells)]
+    )
+    return float(residuals.sum()) * ds.grid.cell_volume
+
+
 def fit_sis(
     ds: SpectralDataset,
     rank: int,
@@ -58,43 +207,13 @@ def fit_sis(
     min(rank, m) eigenpairs, scale each eigenvector combination by
     eigenvalue^(-1/2) (zero when the eigenvalue is numerically zero, i.e.
     at most 1e-10 of the cell's largest).  The residual at a cell is the
-    sum of the discarded eigenvalues; ``error`` is their quadrature sum.
+    sum of the discarded eigenvalues, added in descending order;
+    ``error`` is their quadrature sum.  ``threads`` has no effect.
     """
     rank = _check_rank(rank)
-    m = ds.m
-    ncells = ds.grid.n_cells
-    nk = ds.grid.n_translations
-    take = min(rank, m)
-
-    eigenvalues = np.zeros((ncells, rank))
-    spectra = np.zeros((rank, ncells, nk), dtype=np.complex128)
-    residuals = np.zeros(ncells)
-
-    def work(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            f = np.ascontiguousarray(ds.samples[:, g, :])
-            gm = f @ f.conj().T
-            gm = (gm + gm.conj().T) / 2.0
-            es = eig_hermitian(gm, tol)
-            lam = es.eigenvalues
-            eigenvalues[g, :take] = lam[:take]
-            residuals[g] = float(np.sum(lam[rank:]))
-            lmax = lam[0] if lam[0] > 0.0 else 0.0
-            for s in range(take):
-                if lam[s] > RANK_REL_TOL * lmax and lam[s] > 0.0:
-                    theta = 1.0 / math.sqrt(lam[s])
-                    spectra[s, g, :] = theta * (es.vectors[:, s].conj() @ f)
-
-    run_chunked(work, ncells, threads)
-    error = float(residuals.sum()) * ds.grid.cell_volume
-    return FittedModel(
-        grid=ds.grid,
-        rank=rank,
-        eigenvalues=eigenvalues,
-        spectra=spectra,
-        residuals=residuals,
-        error=error,
-    )
+    _check_threads(threads)
+    fields, _, _ = _fit_cells(ds, _WHOLE_FIBER, rank, tol)
+    return FittedModel(**fields)
 
 
 def error_sis(
@@ -105,22 +224,11 @@ def error_sis(
     threads: int = 1,
 ) -> float:
     """Squared distance to the nearest length-``rank`` shift-invariant
-    space, without materializing generators.  ``rank`` 0 gives the total
-    energy."""
+    space, without materializing generators; equal to ``fit_sis(...).error``.
+    ``rank`` 0 gives the total energy.  ``threads`` has no effect."""
     rank = _check_rank(rank, minimum=0)
-    ncells = ds.grid.n_cells
-    residuals = np.zeros(ncells)
-
-    def work(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            f = np.ascontiguousarray(ds.samples[:, g, :])
-            gm = f @ f.conj().T
-            gm = (gm + gm.conj().T) / 2.0
-            lam = eig_hermitian(gm, tol).eigenvalues
-            residuals[g] = float(np.sum(lam[rank:]))
-
-    run_chunked(work, ncells, threads)
-    return float(residuals.sum()) * ds.grid.cell_volume
+    _check_threads(threads)
+    return _error_cells(ds, _WHOLE_FIBER, rank, tol)
 
 
 def project_onto(model: FittedModel, ds: SpectralDataset):

@@ -159,7 +159,8 @@ def load_model(model_dir):
 
     Returns the reconstructed model object.  Unsaved diagnostic fields
     (full eigenvalue rows beyond what the curve table holds) come back
-    zero-padded.
+    zero-padded.  A missing or malformed file raises ValidationError
+    naming the file (and the line, for table files).
     """
     mdir = Path(model_dir)
     jpath = mdir / MODEL_JSON
@@ -169,7 +170,10 @@ def load_model(model_dir):
         meta = json.loads(jpath.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{jpath} is not valid JSON: {exc}") from None
-    regime = meta.get("regime")
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{jpath}: expected a JSON object")
+    meta = _Meta(jpath, meta)
+    regime = meta.get("regime", str, None)
     if regime in ("sis", "extra"):
         return _load_spectral(mdir, meta, regime)
     if regime == "pw":
@@ -179,30 +183,85 @@ def load_model(model_dir):
     raise ValidationError(f"{jpath}: unknown regime {regime!r}")
 
 
-def _load_grid(meta: dict) -> SpectralGrid:
-    g = meta.get("grid")
-    if not isinstance(g, dict):
-        raise ValidationError("model.json is missing the grid description")
-    return SpectralGrid(
-        dim=int(g["dim"]),
-        cells_per_dim=int(g["cells_per_dim"]),
-        trunc_radius=int(g["trunc_radius"]),
-    )
+_REQUIRED = object()
+
+
+class _Meta:
+    """The fields of one ``model.json``; a missing or mistyped field
+    raises ValidationError naming the file and the field."""
+
+    def __init__(self, path: Path, fields: dict):
+        self.path = path
+        self.fields = fields
+
+    def get(self, key: str, convert, default=_REQUIRED):
+        if key not in self.fields:
+            if default is _REQUIRED:
+                raise ValidationError(f"{self.path}: missing field {key!r}")
+            return default
+        try:
+            return convert(self.fields[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{self.path}: malformed field {key!r}: {exc!r}") from None
+
+
+def _read_rows(path: Path, convert) -> list:
+    """``convert`` applied to the comma-separated fields of every
+    non-blank line of ``path``.  A missing file, or a line that does not
+    convert, raises ValidationError naming the file and the line."""
+    if not path.is_file():
+        raise ValidationError(f"model file not found: {path}")
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append(convert(line.split(",")))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from None
+    return rows
+
+
+def _index(text: str, n: int) -> int:
+    i = int(text)
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} outside 0..{n - 1}")
+    return i
+
+
+def _positive(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    return n
+
+
+def _fields(parts: list, n: int) -> list:
+    if len(parts) != n:
+        raise ValueError(f"expected {n} columns, got {len(parts)}")
+    return parts
+
+
+def _load_grid(meta: _Meta) -> SpectralGrid:
+    def grid(g):
+        return SpectralGrid(
+            dim=int(g["dim"]),
+            cells_per_dim=int(g["cells_per_dim"]),
+            trunc_radius=int(g["trunc_radius"]),
+        )
+
+    return meta.get("grid", grid)
 
 
 def _load_residuals(mdir: Path, ncells: int) -> np.ndarray:
+    path = mdir / RESIDUALS_CSV
+    rows = _read_rows(path, lambda p: (_index(_fields(p, 2)[0], ncells), float(p[1])))
+    if sorted(g for g, _ in rows) != list(range(ncells)):
+        raise ValidationError(f"{path}: expected one row for each cell 0..{ncells - 1}, got {len(rows)} rows")
     residuals = np.zeros(ncells)
-    seen = 0
-    with open(mdir / RESIDUALS_CSV) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            g_str, val = line.split(",")
-            residuals[int(g_str)] = float(val)
-            seen += 1
-    if seen != ncells:
-        raise ValidationError(f"{mdir / RESIDUALS_CSV}: {seen} rows, expected {ncells}")
+    for g, r in rows:
+        residuals[g] = r
     return residuals
 
 
@@ -211,41 +270,39 @@ def _load_eigencurves(mdir: Path, grid: SpectralGrid, rank: int) -> np.ndarray:
     path = mdir / EIGENCURVES_CSV
     if not path.is_file():
         return eigenvalues
-    with open(path) as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 1 + grid.dim + rank:
-                raise ValidationError(f"{path}: malformed row {line.strip()!r}")
-            g = int(parts[0])
-            eigenvalues[g] = [float(x) for x in parts[1 + grid.dim :]]
+    width = 1 + grid.dim + rank
+    rows = _read_rows(
+        path, lambda p: (_index(_fields(p, width)[0], grid.n_cells), [float(x) for x in p[1 + grid.dim :]])
+    )
+    for g, vals in rows:
+        eigenvalues[g] = vals
     return eigenvalues
 
 
-def _load_spectral(mdir: Path, meta: dict, regime: str):
+def _load_spectral(mdir: Path, meta: _Meta, regime: str):
     grid = _load_grid(meta)
-    rank = int(meta["rank"])
-    n_gen = int(meta.get("n_generators", rank))
-    spectra = _read_spectra(mdir / meta.get("payload_generators", GENERATORS_BIN),
+    rank = meta.get("rank", _positive)
+    n_gen = meta.get("n_generators", _positive, rank)
+    spectra = _read_spectra(mdir / meta.get("payload_generators", str, GENERATORS_BIN),
                             (n_gen, grid.n_cells, grid.n_translations))
     residuals = _load_residuals(mdir, grid.n_cells)
     eigenvalues = _load_eigencurves(mdir, grid, rank)
-    error = float(meta["error"])
+    error = meta.get("error", float)
     if regime == "sis":
         return FittedModel(
             grid=grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra,
             residuals=residuals, error=error,
         )
-    lat = make_dual_lattice(parse_basis(meta["dual_lattice"]))
+    lat = make_dual_lattice(parse_basis(meta.get("dual_lattice", str)))
     home = np.full((grid.n_cells, rank), -1, dtype=np.int64)
     branks = np.full((grid.n_cells, rank), -1, dtype=np.int64)
-    with open(mdir / HOME_COSETS_CSV) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            g_str, s_str, c_str, r_str = line.split(",")
-            home[int(g_str), int(s_str)] = int(c_str)
-            branks[int(g_str), int(s_str)] = int(r_str)
+    rows = _read_rows(
+        mdir / HOME_COSETS_CSV,
+        lambda p: (_index(_fields(p, 4)[0], grid.n_cells), _index(p[1], rank), int(p[2]), int(p[3])),
+    )
+    for g, s, c, r in rows:
+        home[g, s] = c
+        branks[g, s] = r
     return ExtraInvariantModel(
         grid=grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra,
         residuals=residuals, error=error, lattice=lat, home_cosets=home,
@@ -253,36 +310,34 @@ def _load_spectral(mdir: Path, meta: dict, regime: str):
     )
 
 
-def _load_pw(mdir: Path, meta: dict) -> MultiTileModel:
+def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
     grid = _load_grid(meta)
-    rank = int(meta["rank"])
+    rank = meta.get("rank", _positive)
+    width = 1 + rank * grid.dim
     chosen = np.zeros((grid.n_cells, rank, grid.dim), dtype=np.int64)
-    with open(mdir / meta.get("payload_chosen", CHOSEN_CSV)) as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 1 + rank * grid.dim:
-                raise ValidationError(
-                    f"{mdir / CHOSEN_CSV}: expected {1 + rank * grid.dim} columns, got {len(parts)}"
-                )
-            g = int(parts[0])
-            chosen[g] = np.array([int(x) for x in parts[1:]]).reshape(rank, grid.dim)
+    rows = _read_rows(
+        mdir / meta.get("payload_chosen", str, CHOSEN_CSV),
+        lambda p: (_index(_fields(p, width)[0], grid.n_cells), [int(x) for x in p[1:]]),
+    )
+    for g, flat in rows:
+        chosen[g] = np.array(flat).reshape(rank, grid.dim)
     return MultiTileModel(
         grid=grid,
         rank=rank,
-        box_radius=int(meta["box_radius"]),
+        box_radius=meta.get("box_radius", _positive),
         chosen=chosen,
         residuals=_load_residuals(mdir, grid.n_cells),
-        error=float(meta["error"]),
-        tail=float(meta["tail"]),
+        error=meta.get("error", float),
+        tail=meta.get("tail", float),
     )
 
 
-def _load_discrete(mdir: Path, meta: dict):
+def _load_discrete(mdir: Path, meta: _Meta):
     from .discrete import DiscreteDataset, parse_discrete_dataset
 
-    rank = int(meta["rank"])
-    dim = int(meta["dim"])
-    gpath = mdir / meta.get("payload_generators", GENERATORS_TXT)
+    rank = meta.get("rank", _positive)
+    dim = meta.get("dim", _positive)
+    gpath = mdir / meta.get("payload_generators", str, GENERATORS_TXT)
     has_rows = gpath.is_file() and any(
         ln.strip() and not ln.strip().startswith("#") for ln in gpath.read_text().splitlines()
     )
@@ -295,27 +350,23 @@ def _load_discrete(mdir: Path, meta: dict):
     selected = []
     spath = mdir / SELECTED_CSV
     if spath.is_file():
-        with open(spath) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                _, label, j, lam = line.split(",")
-                selected.append((float(lam), label, int(j)))
+        selected = _read_rows(spath, lambda p: (float(_fields(p, 4)[3]), p[1], int(p[2])))
     # sequences parse back densely over their own support; pad the
     # generator matrix out to the declared rank (zero rows are dropped by
     # the text format)
+    if gen_ds.m > rank:
+        raise ValidationError(f"{gpath}: {gen_ds.m} generators, more than rank {rank}")
     generators = np.zeros((rank, gen_ds.n_points), dtype=np.complex128)
     generators[: gen_ds.m] = gen_ds.values
     return DiscreteModel(
-        dim=int(meta["dim"]),
+        dim=dim,
         rank=rank,
         support=gen_ds.support,
         generators=generators,
         selected=selected,
-        allocation=[int(a) for a in meta.get("allocation", [])],
-        labels=list(meta.get("labels", [])),
-        error=float(meta["error"]),
+        allocation=meta.get("allocation", lambda a: [int(x) for x in a], []),
+        labels=meta.get("labels", list, []),
+        error=meta.get("error", float),
     )
 
 

@@ -254,3 +254,77 @@ def test_out_env_default(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert (outdir / "dataset.json").is_file()
+
+
+def _fitted_sis_model(tmp_path):
+    data = tmp_path / "data"
+    run_cli(
+        "synth", "--family", "gaussian", "--sigma", 1, "--dim", 1,
+        "--cells", 4, "--trunc", 1, "--out", data,
+    )
+    model = tmp_path / "model"
+    res = run_cli(
+        "fit", "--regime", "sis", "--data", data / "dataset.json",
+        "--rank", 1, "--out", model,
+    )
+    assert res.returncode == 0, res.stderr
+    return model, data / "dataset.json"
+
+
+def test_model_json_without_rank_is_usage_error(tmp_path):
+    import json
+
+    model, manifest = _fitted_sis_model(tmp_path)
+    meta = json.loads((model / "model.json").read_text())
+    del meta["rank"]
+    (model / "model.json").write_text(json.dumps(meta))
+    res = run_cli("verify", "--model", model, "--data", manifest)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "model.json" in res.stderr and "'rank'" in res.stderr
+
+
+@pytest.mark.parametrize("row", ["0,abc", "0", "0,1.0,2.0", "9,1.0", "-1,1.0"])
+def test_garbled_residuals_row_is_usage_error(tmp_path, row):
+    model, manifest = _fitted_sis_model(tmp_path)
+    (model / "residuals.csv").write_text(f"{row}\n1,0.0\n2,0.0\n3,0.0\n")
+    res = run_cli("verify", "--model", model, "--data", manifest)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "residuals.csv:1:" in res.stderr
+
+
+def test_residuals_need_one_row_per_cell(tmp_path):
+    model, manifest = _fitted_sis_model(tmp_path)
+    (model / "residuals.csv").write_text("0,0.0\n0,0.0\n2,0.0\n3,0.0\n")
+    res = run_cli("verify", "--model", model, "--data", manifest)
+    assert res.returncode == 2
+    assert "residuals.csv: expected one row for each cell" in res.stderr
+
+
+def test_threads_flag_has_no_effect_but_is_checked(tmp_path):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
+    part = tmp_path / "part.txt"
+    part.write_text("lattice: 2\n")
+    fit = ("fit", "--regime", "discrete", "--data", seqs, "--rank", 1, "--partition", part)
+    res = run_cli(*fit, "--threads", 0, "--out", tmp_path / "m0")
+    assert res.returncode == 2 and "threads" in res.stderr
+    res = run_cli(
+        "compare", "--data", seqs, "--regimes", "discrete", "--ranks", "1",
+        "--partition", part, "--threads", 0,
+    )
+    assert res.returncode == 2 and "threads" in res.stderr
+    for threads in (1, 3):
+        res = run_cli(*fit, "--threads", threads, "--out", tmp_path / f"m{threads}")
+        assert res.returncode == 0, res.stderr
+    for name in ("model.json", "generators.txt", "selected.csv"):
+        assert (tmp_path / "m1" / name).read_bytes() == (tmp_path / "m3" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--eig-tol"])
+def test_verify_takes_no_solver_flags(tmp_path, flag):
+    model, manifest = _fitted_sis_model(tmp_path)
+    res = run_cli("verify", "--model", model, "--data", manifest, flag, "1")
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr

@@ -295,3 +295,17 @@ def test_two_dimensional_instance(rng):
     assert err == best_err or abs(err - best_err) <= 1e-12
     model = fit_discrete(ds, part, rank)
     assert model.error == err
+
+
+def test_greedy_equals_oracle_bit_for_bit(rng):
+    # both total through the same block-by-block sum, so an optimal
+    # greedy allocation reports the oracle's error exactly
+    for trial in range(30):
+        ds = random_instance(rng, m=int(rng.integers(2, 6)), npts=int(rng.integers(6, 16)))
+        part = DiscretePartition.from_lattice(make_dual_lattice([[int(rng.integers(2, 5))]]))
+        rank = int(rng.integers(1, 5))
+        model = fit_discrete(ds, part, rank)
+        best_err, best_alloc = brute_force_optimal(ds, part, rank)
+        assert model.error == best_err, trial
+        assert error_discrete(ds, part, rank) == best_err, trial
+        assert tuple(model.allocation) == best_alloc, trial

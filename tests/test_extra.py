@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
 from sisfit.errors import ValidationError
 from sisfit.extra import (
     ExtraInvariantModel,
@@ -241,3 +242,78 @@ def test_two_dimensional_lattice(rng):
     assert report.passed
     energy = total_energy(ds)
     assert model.error >= error_sis(ds, 2) - 1e-12 * energy
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim,trunc,basis",
+    [(1, 3, [[2]]), (1, 4, [[3]]), (2, 2, [[1, 1], [-1, 1]]), (2, 2, [[2, 0], [0, 2]])],
+)
+def test_discrete_fit_of_one_cell_equals_extra_fit(rng, dim, trunc, basis):
+    ds = random_dataset(rng, dim=dim, cells=4, trunc=trunc, m=5)
+    # a repeated function makes ties and numerically zero eigenvalues
+    ds = SpectralDataset(grid=ds.grid, samples=np.concatenate([ds.samples, ds.samples[:1]]))
+    lat = make_dual_lattice(basis)
+    kk = ds.grid.translations
+    part = DiscretePartition.from_mapping(dim, {tuple(k): coset_of(k, lat) for k in kk})
+    rank = 4
+    em = fit_extra_invariant(ds, lat, rank)
+    for g in range(ds.grid.n_cells):
+        cell = DiscreteDataset(dim=dim, support=kk, values=ds.samples[:, g, :].copy())
+        dm = fit_discrete(cell, part, rank)
+        lam, labels, j = (np.array(col) for col in zip(*dm.selected))
+        t = lam.shape[0]
+        assert _bits(lam) == _bits(em.eigenvalues[g, :t])
+        assert labels.tolist() == em.home_cosets[g, :t].tolist()
+        assert j.tolist() == em.block_ranks[g, :t].tolist()
+        assert _bits(np.float64(dm.error)) == _bits(em.residuals[g])
+        assert _bits(dm.generators) == _bits(em.spectra[:, g, :])
+
+
+@pytest.mark.parametrize("dim,trunc,m", [(1, 6, 16), (2, 2, 5)])
+def test_identity_lattice_fit_equals_plain_fit_bitwise(rng, dim, trunc, m):
+    ds = random_dataset(rng, dim=dim, cells=4, trunc=trunc, m=m)
+    lat = make_dual_lattice(np.eye(dim, dtype=np.int64))
+    plain = fit_sis(ds, 3)
+    constrained = fit_extra_invariant(ds, lat, 3)
+    for name in ("eigenvalues", "spectra", "residuals", "error"):
+        assert _bits(getattr(plain, name)) == _bits(getattr(constrained, name)), name
+    assert np.all(constrained.home_cosets == 0)
+    assert constrained.block_ranks[0].tolist() == [0, 1, 2]
+
+
+def test_threads_keyword_validated_and_without_effect(rng):
+    ds = random_dataset(rng, m=3)
+    lat = make_dual_lattice([[2]])
+    a = fit_extra_invariant(ds, lat, 2)
+    b = fit_extra_invariant(ds, lat, 2, threads=3)
+    assert _bits(a.spectra) == _bits(b.spectra) and _bits(a.residuals) == _bits(b.residuals)
+    for call in (
+        lambda: fit_sis(ds, 1, threads=0),
+        lambda: error_sis(ds, 1, threads=0),
+        lambda: fit_extra_invariant(ds, lat, 1, threads=0),
+        lambda: error_extra(ds, lat, 1, threads=0),
+    ):
+        with pytest.raises(ValidationError, match="threads"):
+            call()
+
+
+def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
+    from sisfit.sis import block_eigen
+
+    ds = random_dataset(rng, dim=1, cells=6, trunc=4, m=6)
+    lat = make_dual_lattice([[3]])
+    labels = np.array([coset_of(k, lat) for k in ds.grid.translations])
+    blocks = [np.flatnonzero(labels == sigma) for sigma in range(3)]
+    model = fit_extra_invariant(ds, lat, 4)
+    for g in range(ds.grid.n_cells):
+        f = np.ascontiguousarray(ds.samples[:, g, :])
+        spectra = block_eigen(f, blocks, 0, 1e-13, vectors=False).block_eigenvalues
+        expect = 0.0
+        for sigma, lam in enumerate(spectra):
+            for v in lam[int(np.sum(model.home_cosets[g] == sigma)):]:
+                expect += float(v)
+        assert model.residuals[g] == expect
