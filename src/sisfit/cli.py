@@ -94,11 +94,6 @@ def _require(args, flag: str, regime: str):
     return val
 
 
-def _forbid(args, flag: str, regime: str):
-    if getattr(args, flag.replace("-", "_")) is not None:
-        raise ValidationError(f"--{flag} does not apply to regime {regime!r}")
-
-
 def _fit_once(args, regime: str):
     """Run one fit; returns (model, report_pairs, elapsed_seconds)."""
     t0 = time.perf_counter()
@@ -161,19 +156,22 @@ def _fit_once(args, regime: str):
     return model, None, pairs, time.perf_counter() - t0
 
 
-def _check_fit_flags(args, regime: str) -> None:
-    if regime != "extra":
-        _forbid(args, "dual-lattice", regime)
-    if regime != "pw":
-        _forbid(args, "box", regime)
-    if regime != "discrete":
-        _forbid(args, "partition", regime)
+# regime-specific flags of ``fit`` and ``compare``, and their regime
+_FLAG_REGIMES = (("dual-lattice", "extra"), ("box", "pw"), ("boxes", "pw"), ("partition", "discrete"))
+
+
+def _check_fit_flags(args, regimes) -> None:
+    """Reject a regime-specific flag given without its regime."""
+    for flag, regime in _FLAG_REGIMES:
+        if regime not in regimes and getattr(args, flag.replace("-", "_"), None) is not None:
+            names = ", ".join(repr(r) for r in regimes)
+            raise ValidationError(f"--{flag} only applies to regime {regime!r}, not to {names}")
 
 
 def cmd_fit(args) -> int:
     regime = args.regime
     _check_threads(args.threads)
-    _check_fit_flags(args, regime)
+    _check_fit_flags(args, [regime])
     model, part, pairs, elapsed = _fit_once(args, regime)
     out = _out_dir(args)
     storage.save_model(model, out)
@@ -206,6 +204,17 @@ def _parseval_check(spectra: np.ndarray, tol: float = 1e-8):
     return bad
 
 
+def _cell_check(name: str, got, want, tol, what: str, failures: list) -> None:
+    """Print the per-cell check ``name``: at every cell g, ``got[g]`` (the
+    model's ``what``) must be within ``tol[g]`` of ``want[g]``; NaN fails."""
+    bad = np.flatnonzero(~(np.abs(got - want) <= tol))
+    print(f"{name}: {'ok' if bad.size == 0 else 'FAIL'}")
+    for g in bad[:8]:
+        print(f"violation: [{name}] cell {g}: {what} {float(got[g])!r}, expected {float(want[g])!r}")
+    if bad.size:
+        failures.append(name)
+
+
 def _verify_spectral(model, ds, args) -> list[str]:
     failures = []
     if model.grid != ds.grid:
@@ -223,7 +232,7 @@ def _verify_spectral(model, ds, args) -> list[str]:
     if bad:
         failures.append("parseval")
 
-    _, presid = project_onto(model, ds)
+    _, presid, cell_resid = project_onto(model, ds)
     diff = abs(float(presid.sum()) - model.error)
     ok = diff <= 1e-8 * (1.0 + energy)
     print(f"residual-identity: {'ok' if ok else 'FAIL'}")
@@ -233,6 +242,18 @@ def _verify_spectral(model, ds, args) -> list[str]:
             f"vs stored error {model.error!r}"
         )
         failures.append("residual-identity")
+
+    s = ds.samples
+    cell_energy = (s.real**2 + s.imag**2).sum(axis=(0, 2))
+    tol = 1e-8 * (1.0 + cell_energy)
+    _cell_check("cell-residuals", model.residuals, cell_resid, tol, "stored residual", failures)
+    # kept plus discarded eigenvalues add up to the Gramian trace; the
+    # discarded part is taken from the projection, not from residuals.csv,
+    # so that a wrong residual fails cell-residuals alone
+    _cell_check(
+        "eigencurves", model.eigenvalues.sum(axis=1) + cell_resid, cell_energy, tol,
+        "eigenvalue sum plus projection residual", failures,
+    )
 
     if isinstance(model, ExtraInvariantModel):
         report = verify_extra_invariance(model, model.lattice)
@@ -261,12 +282,12 @@ def _verify_pw(model: MultiTileModel, ds, args) -> list[str]:
     inbox = np.flatnonzero(np.abs(kk).max(axis=1) <= model.box_radius)
     s = ds.samples
     w_all = (s.real**2 + s.imag**2).sum(axis=0)
-    err = 0.0
+    cell_resid = np.zeros(ds.grid.n_cells)
     for g in range(ds.grid.n_cells):
         total = float(w_all[g, inbox].sum())
         kept = sum(weight(ds, g, model.chosen[g, s_]) for s_ in range(model.rank))
-        err += total - kept
-    err *= ds.grid.cell_volume
+        cell_resid[g] = total - kept
+    err = float(cell_resid.sum()) * ds.grid.cell_volume
     tail = float(np.delete(w_all, inbox, axis=1).sum()) * ds.grid.cell_volume
     ok_err = abs(err - model.error) <= 1e-8 * (1.0 + energy)
     ok_tail = abs(tail - model.tail) <= 1e-8 * (1.0 + energy)
@@ -274,6 +295,8 @@ def _verify_pw(model: MultiTileModel, ds, args) -> list[str]:
     if not ok_err:
         print(f"violation: [residual-identity] recomputed error {err!r} vs stored {model.error!r}")
         failures.append("residual-identity")
+    tol = 1e-8 * (1.0 + w_all.sum(axis=1))
+    _cell_check("cell-residuals", model.residuals, cell_resid, tol, "stored residual", failures)
     print(f"tail: {'ok' if ok_tail else 'FAIL'}")
     if not ok_tail:
         print(f"violation: [tail] recomputed tail {tail!r} vs stored {model.tail!r}")
@@ -367,6 +390,7 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"unknown regime {r!r} (known: {', '.join(sorted(known))})")
     if "discrete" in regimes and len(regimes) > 1:
         raise ValidationError("discrete data cannot be compared with spectral regimes")
+    _check_fit_flags(args, regimes)
     _check_threads(args.threads)
     ranks = _ranks(args.ranks)
     if any(r < 1 for r in ranks):

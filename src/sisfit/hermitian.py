@@ -1,10 +1,11 @@
 """Deterministic eigendecomposition of complex Hermitian matrices.
 
-Wraps the Jacobi kernel (compiled or NumPy twin, see ``kernels``), whose
-sweeps follow the parallel round-robin ordering of Brent & Luk, with
-validation, stable descending eigenvalue order, clamping of tiny negative
-eigenvalues, and a fixed eigenvector phase convention.  Given the
-same input bits the same output bits come back, on either backend.
+Wraps the NumPy Jacobi kernel (``kernels.jacobi_cycle``), whose sweeps
+follow the parallel round-robin ordering of Brent & Luk, with validation,
+stable descending eigenvalue order, clamping of tiny negative eigenvalues,
+and a fixed eigenvector phase convention.  The kernel uses only correctly
+rounded elementwise operations and decides convergence on a sum added in
+sequential order, so the same input bits give the same output bits.
 """
 
 from __future__ import annotations

@@ -235,8 +235,10 @@ def project_onto(model: FittedModel, ds: SpectralDataset):
     """Orthogonal projection of every function onto the fitted space.
 
     Generator fibers are assumed orthonormal-or-zero per cell, which
-    holds for fitted models.  Returns the projected dataset and the
-    squared projection residual of each function.
+    holds for fitted models.  Returns the projected dataset, the squared
+    projection residual of each function, and that of each cell summed
+    over the functions without the cell volume (comparable with
+    ``model.residuals``).
     """
     if model.grid != ds.grid:
         raise ValidationError(
@@ -248,6 +250,7 @@ def project_onto(model: FittedModel, ds: SpectralDataset):
     ncells = ds.grid.n_cells
     proj = np.zeros_like(ds.samples)
     residuals = np.zeros(m)
+    cell_residuals = np.zeros(ncells)
     for g in range(ncells):
         x = ds.samples[:, g, :]
         e = model.spectra[:, g, :]
@@ -255,6 +258,8 @@ def project_onto(model: FittedModel, ds: SpectralDataset):
         p = coef @ e
         proj[:, g, :] = p
         r = x - p
-        residuals += (r.real**2 + r.imag**2).sum(axis=1)
+        rr = (r.real**2 + r.imag**2).sum(axis=1)
+        residuals += rr
+        cell_residuals[g] = rr.sum()
     residuals *= ds.grid.cell_volume
-    return SpectralDataset(grid=ds.grid, samples=proj), residuals
+    return SpectralDataset(grid=ds.grid, samples=proj), residuals, cell_residuals

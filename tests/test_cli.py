@@ -328,3 +328,97 @@ def test_verify_takes_no_solver_flags(tmp_path, flag):
     res = run_cli("verify", "--model", model, "--data", manifest, flag, "1")
     assert res.returncode == 2
     assert "unrecognized arguments" in res.stderr
+
+
+def _fitted_model(tmp_path, regime):
+    data = tmp_path / "data"
+    run_cli(
+        "synth", "--family", "gaussian", "--sigma", 1, "--dim", 1,
+        "--cells", 4, "--trunc", 1, "--out", data,
+    )
+    flags = {"sis": (), "extra": ("--dual-lattice", "2"), "pw": ("--box", "1")}[regime]
+    model = tmp_path / "model"
+    res = run_cli(
+        "fit", "--regime", regime, "--data", data / "dataset.json",
+        "--rank", 1, *flags, "--out", model,
+    )
+    assert res.returncode == 0, res.stderr
+    return model, data / "dataset.json"
+
+
+def _tamper_csv(path, row, col, value):
+    lines = path.read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[col] = value
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "regime,name,col,value,check",
+    [
+        ("sis", "residuals.csv", 1, "999.0", "cell-residuals"),
+        ("extra", "residuals.csv", 1, "999.0", "cell-residuals"),
+        ("pw", "residuals.csv", 1, "999.0", "cell-residuals"),
+        # column 2 is the first eigenvalue, after cell index and center
+        ("sis", "eigencurves.csv", 2, "5.0", "eigencurves"),
+        ("extra", "eigencurves.csv", 2, "5.0", "eigencurves"),
+    ],
+)
+def test_verify_detects_tampered_cell_files(tmp_path, regime, name, col, value, check):
+    model, manifest = _fitted_model(tmp_path, regime)
+    res = run_cli("verify", "--model", model, "--data", manifest)
+    assert res.returncode == 0 and f"{check}: ok" in res.stdout, res.stdout
+    _tamper_csv(model / name, 2, col, value)
+    res = run_cli("verify", "--model", model, "--data", manifest)
+    assert res.returncode == 1, res.stdout
+    assert f"result: FAIL ({check})" in res.stdout
+    assert f"violation: [{check}] cell 2:" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "regimes,flag,value",
+    [
+        ("sis", "--dual-lattice", "2"),
+        ("sis,pw", "--dual-lattice", "2"),
+        ("sis,extra", "--boxes", "1"),
+        ("sis,extra,pw", "--partition", "part.txt"),
+    ],
+)
+def test_compare_rejects_flags_of_unrequested_regimes(tmp_path, regimes, flag, value):
+    data = tmp_path / "data"
+    run_cli(
+        "synth", "--family", "gaussian", "--sigma", 1, "--dim", 1,
+        "--cells", 4, "--trunc", 1, "--out", data,
+    )
+    lattice = () if "extra" not in regimes else ("--dual-lattice", "2")
+    res = run_cli(
+        "compare", "--data", data / "dataset.json", "--regimes", regimes,
+        "--ranks", "1", *lattice, flag, value,
+    )
+    assert res.returncode == 2, res.stdout
+    assert f"error: {flag} only applies to regime" in res.stderr
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra"])
+def test_verify_passes_rank_deficient_random_models(tmp_path, regime):
+    from sisfit import storage
+    from sisfit.extra import fit_extra_invariant
+    from sisfit.lattice import make_dual_lattice
+    from sisfit.sis import fit_sis
+
+    from conftest import random_dataset
+
+    ds = random_dataset(np.random.default_rng(5), m=3, cells=6, trunc=2)
+    ds.samples[2] = ds.samples[0] - 2.0 * ds.samples[1]  # Gramians of rank 2
+    manifest = write_dataset(ds, tmp_path / "data")
+    for rank in (1, 2, 4):
+        if regime == "sis":
+            model = fit_sis(ds, rank)
+        else:
+            model = fit_extra_invariant(ds, make_dual_lattice([[2]]), rank)
+        out = tmp_path / f"model{rank}"
+        storage.save_model(model, out)
+        res = run_cli("verify", "--model", out, "--data", manifest)
+        assert res.returncode == 0, res.stdout
+        assert "cell-residuals: ok" in res.stdout and "eigencurves: ok" in res.stdout

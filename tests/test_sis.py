@@ -86,9 +86,11 @@ def test_rank_above_m_pads_with_zero_generators(rng):
 def test_project_onto_training_data(rng):
     ds = random_dataset(rng, m=4, cells=6)
     model = fit_sis(ds, 2)
-    proj, resid = project_onto(model, ds)
+    proj, resid, cell_resid = project_onto(model, ds)
     energy = total_energy(ds)
     assert abs(float(resid.sum()) - model.error) <= 1e-8 * (1.0 + energy)
+    trace = (ds.samples.real**2 + ds.samples.imag**2).sum(axis=(0, 2))
+    assert np.all(np.abs(cell_resid - model.residuals) <= 1e-8 * (1.0 + trace))
     # projections never grow the energy
     assert total_energy(proj) <= energy * (1.0 + 1e-12)
 
@@ -97,10 +99,10 @@ def test_project_zero_and_own_generators(rng):
     ds = random_dataset(rng, m=3)
     model = fit_sis(ds, 2)
     zero = SpectralDataset(grid=ds.grid, samples=np.zeros_like(ds.samples))
-    _, resid = project_onto(model, zero)
+    _, resid, _ = project_onto(model, zero)
     assert np.all(resid == 0.0)
     gens = SpectralDataset(grid=ds.grid, samples=model.spectra.copy())
-    _, resid = project_onto(model, gens)
+    _, resid, _ = project_onto(model, gens)
     assert np.all(resid <= 1e-10)
 
 
