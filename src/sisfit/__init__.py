@@ -21,7 +21,6 @@ from .extra import (
     error_extra,
     fit_extra_invariant,
     split_by_coset,
-    verify_extra_invariance,
 )
 from .hermitian import EigenSystem, eig_hermitian, normalize_phase, rank_by_threshold
 from .lattice import DualLattice, coset_of, make_dual_lattice, primal_description
@@ -31,7 +30,6 @@ from .multitile import (
     decompose_layers,
     error_multitile_series,
     fit_multitile,
-    verify_multitile,
     weight,
 )
 from .sis import FittedModel, error_sis, fit_sis, project_onto
@@ -45,6 +43,7 @@ from .spectral import (
     synthesize,
     write_dataset,
 )
+from .verify import verify_extra_invariance, verify_model, verify_multitile
 
 __version__ = "0.1.0"
 
@@ -88,6 +87,7 @@ __all__ = [
     "split_by_coset",
     "synthesize",
     "verify_extra_invariance",
+    "verify_model",
     "verify_multitile",
     "weight",
 ]

@@ -19,20 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import (
-    DiscreteDataset,
-    DiscreteModel,
-    DiscretePartition,
-    fit_discrete,
-    parse_discrete_dataset,
-    parse_partition,
-)
+from .discrete import DiscreteModel, fit_discrete, parse_discrete_dataset, parse_partition
 from .errors import SisfitError, ValidationError
-from .extra import ExtraInvariantModel, fit_extra_invariant, verify_extra_invariance
+from .extra import ExtraInvariantModel, fit_extra_invariant
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import make_dual_lattice, parse_basis
-from .multitile import MultiTileModel, fit_multitile, verify_multitile, weight
-from .sis import _check_threads, fit_sis, project_onto
+from .multitile import MultiTileModel, fit_multitile
+from .sis import _check_threads, fit_sis
 from .spectral import (
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
@@ -41,6 +34,7 @@ from .spectral import (
     total_energy,
     write_dataset,
 )
+from .verify import verify_model
 from . import storage
 
 OUT_ENV = "SISFIT_OUT"
@@ -186,197 +180,22 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parseval_check(spectra: np.ndarray, tol: float = 1e-8):
-    """Worst deviation from orthonormality of the nonzero fibers, per
-    cell; returns list of (cell, deviation) violations."""
-    bad = []
-    ncells = spectra.shape[1]
-    for g in range(ncells):
-        e = spectra[:, g, :]
-        nz = np.flatnonzero(np.any(e != 0, axis=1))
-        if nz.size == 0:
-            continue
-        sub = e[nz]
-        gram = sub @ sub.conj().T
-        dev = float(np.abs(gram - np.eye(nz.size)).max())
-        if dev > tol:
-            bad.append((g, dev))
-    return bad
-
-
-def _cell_check(name: str, got, want, tol, what: str, failures: list) -> None:
-    """Print the per-cell check ``name``: at every cell g, ``got[g]`` (the
-    model's ``what``) must be within ``tol[g]`` of ``want[g]``; NaN fails."""
-    bad = np.flatnonzero(~(np.abs(got - want) <= tol))
-    print(f"{name}: {'ok' if bad.size == 0 else 'FAIL'}")
-    for g in bad[:8]:
-        print(f"violation: [{name}] cell {g}: {what} {float(got[g])!r}, expected {float(want[g])!r}")
-    if bad.size:
-        failures.append(name)
-
-
-def _verify_spectral(model, ds, args) -> list[str]:
-    failures = []
-    if model.grid != ds.grid:
-        raise ValidationError(
-            "model and dataset grids differ: "
-            f"model ({model.grid.dim}, {model.grid.cells_per_dim}, {model.grid.trunc_radius}) "
-            f"vs data ({ds.grid.dim}, {ds.grid.cells_per_dim}, {ds.grid.trunc_radius})"
-        )
-    energy = total_energy(ds)
-
-    bad = _parseval_check(model.spectra)
-    print(f"parseval: {'ok' if not bad else 'FAIL'}")
-    for g, dev in bad[:8]:
-        print(f"violation: [parseval] cell {g}: orthonormality deviation {dev:.3e}")
-    if bad:
-        failures.append("parseval")
-
-    _, presid, cell_resid = project_onto(model, ds)
-    diff = abs(float(presid.sum()) - model.error)
-    ok = diff <= 1e-8 * (1.0 + energy)
-    print(f"residual-identity: {'ok' if ok else 'FAIL'}")
-    if not ok:
-        print(
-            f"violation: [residual-identity] projection residual {float(presid.sum())!r} "
-            f"vs stored error {model.error!r}"
-        )
-        failures.append("residual-identity")
-
-    s = ds.samples
-    cell_energy = (s.real**2 + s.imag**2).sum(axis=(0, 2))
-    tol = 1e-8 * (1.0 + cell_energy)
-    _cell_check("cell-residuals", model.residuals, cell_resid, tol, "stored residual", failures)
-    # kept plus discarded eigenvalues add up to the Gramian trace; the
-    # discarded part is taken from the projection, not from residuals.csv,
-    # so that a wrong residual fails cell-residuals alone
-    _cell_check(
-        "eigencurves", model.eigenvalues.sum(axis=1) + cell_resid, cell_energy, tol,
-        "eigenvalue sum plus projection residual", failures,
-    )
-
-    if isinstance(model, ExtraInvariantModel):
-        report = verify_extra_invariance(model, model.lattice)
-        print(f"coset-support: {'ok' if report.passed else 'FAIL'}")
-        for v in report.violations[:8]:
-            print(f"violation: {v}")
-        if not report.passed:
-            failures.append("coset-support")
-    return failures
-
-
-def _verify_pw(model: MultiTileModel, ds, args) -> list[str]:
-    failures = []
-    if model.grid != ds.grid:
-        raise ValidationError("model and dataset grids differ")
-    energy = total_energy(ds)
-
-    report = verify_multitile(model)
-    print(f"tiles: {'ok' if report.passed else 'FAIL'}")
-    for v in report.violations[:8]:
-        print(f"violation: {v}")
-    if not report.passed:
-        failures.append("tiles")
-
-    kk = ds.grid.translations
-    inbox = np.flatnonzero(np.abs(kk).max(axis=1) <= model.box_radius)
-    s = ds.samples
-    w_all = (s.real**2 + s.imag**2).sum(axis=0)
-    cell_resid = np.zeros(ds.grid.n_cells)
-    for g in range(ds.grid.n_cells):
-        total = float(w_all[g, inbox].sum())
-        kept = sum(weight(ds, g, model.chosen[g, s_]) for s_ in range(model.rank))
-        cell_resid[g] = total - kept
-    err = float(cell_resid.sum()) * ds.grid.cell_volume
-    tail = float(np.delete(w_all, inbox, axis=1).sum()) * ds.grid.cell_volume
-    ok_err = abs(err - model.error) <= 1e-8 * (1.0 + energy)
-    ok_tail = abs(tail - model.tail) <= 1e-8 * (1.0 + energy)
-    print(f"residual-identity: {'ok' if ok_err else 'FAIL'}")
-    if not ok_err:
-        print(f"violation: [residual-identity] recomputed error {err!r} vs stored {model.error!r}")
-        failures.append("residual-identity")
-    tol = 1e-8 * (1.0 + w_all.sum(axis=1))
-    _cell_check("cell-residuals", model.residuals, cell_resid, tol, "stored residual", failures)
-    print(f"tail: {'ok' if ok_tail else 'FAIL'}")
-    if not ok_tail:
-        print(f"violation: [tail] recomputed tail {tail!r} vs stored {model.tail!r}")
-        failures.append("tail")
-    return failures
-
-
-def _verify_discrete(model: DiscreteModel, args) -> list[str]:
-    failures = []
-    ds = parse_discrete_dataset(args.data)
-    if ds.dim != model.dim:
-        raise ValidationError(f"data dimension {ds.dim} does not match model dimension {model.dim}")
-    part = storage.load_partition_file(Path(args.model), ds.dim)
-    energy = float(ds.energies().sum())
-
-    gens = model.generators
-    nzrows = np.flatnonzero(np.any(gens != 0, axis=1))
-    dev = 0.0
-    if nzrows.size:
-        sub = gens[nzrows]
-        gram = sub @ sub.conj().T
-        dev = float(np.abs(gram - np.eye(nzrows.size)).max())
-    ok = dev <= 1e-8
-    print(f"orthonormal: {'ok' if ok else 'FAIL'}")
-    if not ok:
-        print(f"violation: [orthonormal] generator Gramian deviates by {dev:.3e}")
-        failures.append("orthonormal")
-
-    ok_support = True
-    for s in nzrows:
-        pos_idx = np.flatnonzero(gens[s] != 0)
-        try:
-            blocks = {part.label_index(model.support[i]) for i in pos_idx}
-        except ValidationError as exc:
-            print(f"violation: [block-support] generator {s}: {exc}")
-            ok_support = False
-            continue
-        if len(blocks) > 1:
-            print(f"violation: [block-support] generator {s} touches blocks {sorted(blocks)}")
-            ok_support = False
-    print(f"block-support: {'ok' if ok_support else 'FAIL'}")
-    if not ok_support:
-        failures.append("block-support")
-
-    # explicit projection residual over the union of supports
-    union = sorted(
-        {tuple(int(x) for x in p) for p in ds.support}
-        | {tuple(int(x) for x in p) for p in model.support}
-    )
-    col = {p: i for i, p in enumerate(union)}
-    a = np.zeros((ds.m, len(union)), dtype=np.complex128)
-    for i, p in enumerate(ds.support):
-        a[:, col[tuple(int(x) for x in p)]] = ds.values[:, i]
-    q = np.zeros((gens.shape[0], len(union)), dtype=np.complex128)
-    for i, p in enumerate(model.support):
-        q[:, col[tuple(int(x) for x in p)]] = gens[:, i]
-    coef = a @ q.conj().T
-    resid = a - coef @ q
-    total = float((resid.real**2 + resid.imag**2).sum())
-    ok = abs(total - model.error) <= 1e-8 * (1.0 + energy)
-    print(f"residual-identity: {'ok' if ok else 'FAIL'}")
-    if not ok:
-        print(f"violation: [residual-identity] projection residual {total!r} vs stored {model.error!r}")
-        failures.append("residual-identity")
-    return failures
-
-
 def cmd_verify(args) -> int:
     model = storage.load_model(args.model)
-    if isinstance(model, MultiTileModel):
-        print("regime: pw")
-        failures = _verify_pw(model, ingest(args.data), args)
-    elif isinstance(model, DiscreteModel):
-        print("regime: discrete")
-        failures = _verify_discrete(model, args)
+    regimes = {MultiTileModel: "pw", DiscreteModel: "discrete", ExtraInvariantModel: "extra"}
+    regime = regimes.get(type(model), "sis")
+    print(f"regime: {regime}")
+    if regime == "discrete":
+        data = parse_discrete_dataset(args.data)
+        report = verify_model(model, data, storage.load_partition_file(args.model, model.dim))
     else:
-        print(f"regime: {'extra' if isinstance(model, ExtraInvariantModel) else 'sis'}")
-        failures = _verify_spectral(model, ingest(args.data), args)
-    if failures:
-        print(f"result: FAIL ({', '.join(failures)})")
+        report = verify_model(model, ingest(args.data))
+    for check in report.checks:
+        print(f"{check}: {'FAIL' if check in report.failed else 'ok'}")
+        for v in report.violations_of(check)[:8]:
+            print(f"violation: {v}")
+    if report.failed:
+        print(f"result: FAIL ({', '.join(report.failed)})")
         return 1
     print("result: pass")
     return 0

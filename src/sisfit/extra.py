@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of
-from .reports import VerificationReport, Violation
 from .sis import FittedModel, _check_rank, _check_threads, _column_blocks, _error_cells, _fit_cells
 from .spectral import SpectralDataset
 
@@ -99,90 +98,3 @@ def error_extra(
     blocks = _column_blocks(_coset_labels(ds.grid, lat), lat.index)
     return _error_cells(ds, blocks, rank, tol)
 
-
-MAX_REPORTED_VIOLATIONS = 64
-
-
-def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> VerificationReport:
-    """Check that a model's generators respect the coset structure.
-
-    Models carrying a home-coset table are held to exact zeros outside
-    each generator's home coset.  Other models pass if, at every cell,
-    the restriction of each generator fiber to any single coset stays in
-    the span of that cell's generator fibers within 1e-8 relative
-    residual.
-    """
-    labels = _coset_labels(model.grid, lat)
-    spectra = np.asarray(model.spectra)
-    if spectra.ndim != 3 or spectra.shape[1] != model.grid.n_cells or spectra.shape[2] != model.grid.n_translations:
-        raise ValidationError(f"generator array shape {spectra.shape} does not match the grid")
-    violations: list[Violation] = []
-    total = 0
-
-    if isinstance(model, ExtraInvariantModel) or hasattr(model, "home_cosets"):
-        checks = ["coset-support"]
-        home = np.asarray(model.home_cosets)
-        for s in range(spectra.shape[0]):
-            allowed = labels[None, :] == home[:, s][:, None]
-            bad = (spectra[s] != 0) & ~allowed
-            for g in np.flatnonzero(bad.any(axis=1)):
-                total += 1
-                if len(violations) < MAX_REPORTED_VIOLATIONS:
-                    ki = int(np.flatnonzero(bad[g])[0])
-                    violations.append(
-                        Violation(
-                            check="coset-support",
-                            cell=int(g),
-                            generator=s,
-                            detail=(
-                                f"nonzero sample at translation {tuple(int(x) for x in model.grid.translations[ki])} "
-                                f"(coset {int(labels[ki])}) outside home coset {int(home[g, s])}"
-                            ),
-                        )
-                    )
-    else:
-        checks = ["coset-support", "coset-span"]
-        for g in range(model.grid.n_cells):
-            e_all = spectra[:, g, :]
-            for s in range(spectra.shape[0]):
-                e = spectra[s, g, :]
-                nz = e != 0
-                touched = np.unique(labels[nz])
-                if touched.size > 1:
-                    total += 1
-                    if len(violations) < MAX_REPORTED_VIOLATIONS:
-                        violations.append(
-                            Violation(
-                                check="coset-support",
-                                cell=g,
-                                generator=s,
-                                detail=f"support touches cosets {[int(t) for t in touched]}",
-                            )
-                        )
-                norm_e = float(np.linalg.norm(e))
-                if norm_e == 0.0:
-                    continue
-                for sigma in range(lat.index):
-                    cut = np.where(labels == sigma, e, 0.0)
-                    norm_cut = float(np.linalg.norm(cut))
-                    if norm_cut == 0.0:
-                        continue
-                    coef, *_ = np.linalg.lstsq(e_all.T, cut, rcond=None)
-                    resid = float(np.linalg.norm(cut - e_all.T @ coef))
-                    if resid > 1e-8 * norm_cut:
-                        total += 1
-                        if len(violations) < MAX_REPORTED_VIOLATIONS:
-                            violations.append(
-                                Violation(
-                                    check="coset-span",
-                                    cell=g,
-                                    generator=s,
-                                    detail=(
-                                        f"coset {sigma} cut leaves the generator span "
-                                        f"(relative residual {resid / norm_cut:.3e})"
-                                    ),
-                                )
-                            )
-    return VerificationReport(
-        passed=total == 0, checks=checks, violations=violations, n_violations=total
-    )

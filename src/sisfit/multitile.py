@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .reports import VerificationReport, Violation
 from .sis import _check_rank, _check_threads
 from .spectral import SpectralDataset, SpectralGrid
 
@@ -131,54 +130,10 @@ def multitile_spectra(model: MultiTileModel) -> np.ndarray:
     """One-hot generator fibers of the layers, shape (rank, cells,
     translations).  Exactly orthonormal per cell."""
     ncells = model.grid.n_cells
-    nk = model.grid.n_translations
-    spectra = np.zeros((model.rank, ncells, nk), dtype=np.complex128)
-    for s in range(model.rank):
-        for g in range(ncells):
-            ki = model.grid.translation_index(model.chosen[g, s])
-            spectra[s, g, ki] = 1.0
+    spectra = np.zeros((model.rank, ncells, model.grid.n_translations), dtype=np.complex128)
+    ki = model.grid.translation_indices(model.chosen)
+    spectra[np.arange(model.rank)[None, :], np.arange(ncells)[:, None], ki] = 1.0
     return spectra
-
-
-def verify_multitile(model: MultiTileModel) -> VerificationReport:
-    """Check the chosen sets: right count, inside the box, pairwise
-    distinct, and one-hot generators exactly orthonormal per cell."""
-    checks = ["tile-count", "tile-box", "tile-distinct", "orthonormal"]
-    violations: list[Violation] = []
-    total = 0
-
-    def add(check, cell, gen, detail):
-        nonlocal total
-        total += 1
-        if len(violations) < 64:
-            violations.append(Violation(check=check, cell=cell, generator=gen, detail=detail))
-
-    chosen = np.asarray(model.chosen)
-    if chosen.ndim != 3 or chosen.shape[0] != model.grid.n_cells or chosen.shape[2] != model.grid.dim:
-        raise ValidationError(f"chosen array shape {chosen.shape} does not match the grid")
-    for g in range(model.grid.n_cells):
-        rows = [tuple(int(x) for x in v) for v in chosen[g]]
-        if len(rows) != model.rank:
-            add("tile-count", g, -1, f"{len(rows)} translations, expected {model.rank}")
-        for s, v in enumerate(rows):
-            if max(abs(c) for c in v) > model.box_radius:
-                add("tile-box", g, s, f"translation {v} outside box radius {model.box_radius}")
-        if len(set(rows)) != len(rows):
-            dup = next(v for v in rows if rows.count(v) > 1)
-            add("tile-distinct", g, -1, f"translation {dup} chosen more than once")
-
-    if total == 0:
-        spectra = multitile_spectra(model)
-        eye = np.eye(model.rank, dtype=np.complex128)
-        for g in range(model.grid.n_cells):
-            e = spectra[:, g, :]
-            gram = e @ e.conj().T
-            if not np.array_equal(gram, eye):
-                add("orthonormal", g, -1, "layer fibers are not exactly orthonormal")
-
-    return VerificationReport(
-        passed=total == 0, checks=checks, violations=violations, n_violations=total
-    )
 
 
 def error_multitile_series(

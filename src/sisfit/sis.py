@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian
-from .spectral import SpectralDataset, SpectralGrid
+from .spectral import SpectralDataset, SpectralGrid, check_same_grid
 
 
 @dataclass(eq=False)
@@ -240,12 +240,7 @@ def project_onto(model: FittedModel, ds: SpectralDataset):
     over the functions without the cell volume (comparable with
     ``model.residuals``).
     """
-    if model.grid != ds.grid:
-        raise ValidationError(
-            "model and dataset grids differ: "
-            f"model ({model.grid.dim}, {model.grid.cells_per_dim}, {model.grid.trunc_radius}) "
-            f"vs data ({ds.grid.dim}, {ds.grid.cells_per_dim}, {ds.grid.trunc_radius})"
-        )
+    check_same_grid(model.grid, ds.grid)
     m = ds.m
     ncells = ds.grid.n_cells
     proj = np.zeros_like(ds.samples)

@@ -79,6 +79,29 @@ class SpectralGrid:
                 f"translation {key} outside the truncation box (radius {self.trunc_radius})"
             ) from None
 
+    def translation_indices(self, ks) -> np.ndarray:
+        """``translation_index`` of every vector along the last axis of
+        ``ks``; rejects vectors outside the truncation box."""
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.shape[-1:] != (self.dim,):
+            raise ValidationError(f"expected translations of length {self.dim}, got shape {ks.shape}")
+        n = self.trunc_radius
+        outside = np.abs(ks).max(axis=-1) > n
+        if outside.any():
+            key = tuple(int(x) for x in ks[outside][0])
+            raise ValidationError(f"translation {key} outside the truncation box (radius {n})")
+        return np.ravel_multi_index(tuple(np.moveaxis(ks + n, -1, 0)), (2 * n + 1,) * self.dim)
+
+
+def check_same_grid(model_grid: SpectralGrid, data_grid: SpectralGrid) -> None:
+    """Reject data sampled on another grid than the model's."""
+    if model_grid != data_grid:
+        raise ValidationError(
+            "model and dataset grids differ: "
+            f"model ({model_grid.dim}, {model_grid.cells_per_dim}, {model_grid.trunc_radius}) "
+            f"vs data ({data_grid.dim}, {data_grid.cells_per_dim}, {data_grid.trunc_radius})"
+        )
+
 
 @dataclass(eq=False)
 class SpectralDataset:

@@ -157,10 +157,11 @@ def _save_discrete(model: DiscreteModel, out: Path) -> None:
 def load_model(model_dir):
     """Load a model directory written by ``save_model``.
 
-    Returns the reconstructed model object.  Unsaved diagnostic fields
-    (full eigenvalue rows beyond what the curve table holds) come back
-    zero-padded.  A missing or malformed file raises ValidationError
-    naming the file (and the line, for table files).
+    Returns the reconstructed model object.  Every file the regime
+    writes must be there, and every per-cell table must hold one row per
+    cell (``home_cosets.csv``: one per cell and slot).  A missing or
+    malformed file raises ValidationError naming the file (and the line,
+    for a malformed row).
     """
     mdir = Path(model_dir)
     jpath = mdir / MODEL_JSON
@@ -254,29 +255,36 @@ def _load_grid(meta: _Meta) -> SpectralGrid:
     return meta.get("grid", grid)
 
 
+def _read_table(path: Path, convert, keys: list, what: str) -> np.ndarray:
+    """The rows of ``path`` as an array in the order of ``keys``:
+    ``convert`` maps a row's fields to (key, value), and the file must
+    hold exactly one row for each key (``what`` names them in the
+    error)."""
+    rows = _read_rows(path, convert)
+    if sorted(k for k, _ in rows) != keys:
+        raise ValidationError(f"{path}: expected one row for each {what}, got {len(rows)} rows")
+    by_key = dict(rows)
+    return np.array([by_key[k] for k in keys])
+
+
+def _read_cell_table(path: Path, ncells: int, width: int, convert) -> np.ndarray:
+    """A table of one ``g,<fields>`` row per cell g, ``width`` columns in
+    all; ``convert`` maps the fields after the cell index."""
+    return _read_table(
+        path, lambda p: (_index(_fields(p, width)[0], ncells), convert(p[1:])),
+        list(range(ncells)), f"cell 0..{ncells - 1}",
+    )
+
+
 def _load_residuals(mdir: Path, ncells: int) -> np.ndarray:
-    path = mdir / RESIDUALS_CSV
-    rows = _read_rows(path, lambda p: (_index(_fields(p, 2)[0], ncells), float(p[1])))
-    if sorted(g for g, _ in rows) != list(range(ncells)):
-        raise ValidationError(f"{path}: expected one row for each cell 0..{ncells - 1}, got {len(rows)} rows")
-    residuals = np.zeros(ncells)
-    for g, r in rows:
-        residuals[g] = r
-    return residuals
+    return _read_cell_table(mdir / RESIDUALS_CSV, ncells, 2, lambda p: float(p[0]))
 
 
 def _load_eigencurves(mdir: Path, grid: SpectralGrid, rank: int) -> np.ndarray:
-    eigenvalues = np.zeros((grid.n_cells, rank))
-    path = mdir / EIGENCURVES_CSV
-    if not path.is_file():
-        return eigenvalues
-    width = 1 + grid.dim + rank
-    rows = _read_rows(
-        path, lambda p: (_index(_fields(p, width)[0], grid.n_cells), [float(x) for x in p[1 + grid.dim :]])
-    )
-    for g, vals in rows:
-        eigenvalues[g] = vals
-    return eigenvalues
+    return _read_cell_table(
+        mdir / EIGENCURVES_CSV, grid.n_cells, 1 + grid.dim + rank,
+        lambda p: [float(x) for x in p[grid.dim :]],
+    ).reshape(grid.n_cells, rank)
 
 
 def _load_spectral(mdir: Path, meta: _Meta, regime: str):
@@ -294,15 +302,14 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str):
             residuals=residuals, error=error,
         )
     lat = make_dual_lattice(parse_basis(meta.get("dual_lattice", str)))
-    home = np.full((grid.n_cells, rank), -1, dtype=np.int64)
-    branks = np.full((grid.n_cells, rank), -1, dtype=np.int64)
-    rows = _read_rows(
+    table = _read_table(
         mdir / HOME_COSETS_CSV,
-        lambda p: (_index(_fields(p, 4)[0], grid.n_cells), _index(p[1], rank), int(p[2]), int(p[3])),
-    )
-    for g, s, c, r in rows:
-        home[g, s] = c
-        branks[g, s] = r
+        lambda p: ((_index(_fields(p, 4)[0], grid.n_cells), _index(p[1], rank)),
+                   (int(p[2]), int(p[3]))),
+        [(g, s) for g in range(grid.n_cells) for s in range(rank)],
+        f"(cell, slot) in 0..{grid.n_cells - 1} x 0..{rank - 1}",
+    ).reshape(grid.n_cells, rank, 2)
+    home, branks = table[..., 0], table[..., 1]
     return ExtraInvariantModel(
         grid=grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra,
         residuals=residuals, error=error, lattice=lat, home_cosets=home,
@@ -313,14 +320,10 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str):
 def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
     grid = _load_grid(meta)
     rank = meta.get("rank", _positive)
-    width = 1 + rank * grid.dim
-    chosen = np.zeros((grid.n_cells, rank, grid.dim), dtype=np.int64)
-    rows = _read_rows(
-        mdir / meta.get("payload_chosen", str, CHOSEN_CSV),
-        lambda p: (_index(_fields(p, width)[0], grid.n_cells), [int(x) for x in p[1:]]),
-    )
-    for g, flat in rows:
-        chosen[g] = np.array(flat).reshape(rank, grid.dim)
+    chosen = _read_cell_table(
+        mdir / meta.get("payload_chosen", str, CHOSEN_CSV), grid.n_cells, 1 + rank * grid.dim,
+        lambda p: [int(x) for x in p],
+    ).reshape(grid.n_cells, rank, grid.dim)
     return MultiTileModel(
         grid=grid,
         rank=rank,
@@ -338,7 +341,9 @@ def _load_discrete(mdir: Path, meta: _Meta):
     rank = meta.get("rank", _positive)
     dim = meta.get("dim", _positive)
     gpath = mdir / meta.get("payload_generators", str, GENERATORS_TXT)
-    has_rows = gpath.is_file() and any(
+    if not gpath.is_file():
+        raise ValidationError(f"model file not found: {gpath}")
+    has_rows = any(
         ln.strip() and not ln.strip().startswith("#") for ln in gpath.read_text().splitlines()
     )
     if has_rows:
@@ -347,10 +352,7 @@ def _load_discrete(mdir: Path, meta: _Meta):
         # every generator was the zero sequence; the text format drops
         # exact zeros, leaving nothing to parse
         gen_ds = DiscreteDataset.from_sequences(dim, [{} for _ in range(rank)])
-    selected = []
-    spath = mdir / SELECTED_CSV
-    if spath.is_file():
-        selected = _read_rows(spath, lambda p: (float(_fields(p, 4)[3]), p[1], int(p[2])))
+    selected = _read_rows(mdir / SELECTED_CSV, lambda p: (float(_fields(p, 4)[3]), p[1], int(p[2])))
     # sequences parse back densely over their own support; pad the
     # generator matrix out to the declared rank (zero rows are dropped by
     # the text format)

@@ -1,0 +1,328 @@
+"""Re-checking a fitted model against its data.
+
+Every check of ``sisfit verify`` lives here.  ``verify_model`` runs the
+checks of a model's regime and returns one ``VerificationReport``:
+
+- ``sis``: ``parseval``, ``residual-identity``, ``cell-residuals``,
+  ``eigencurves``; ``extra`` adds ``coset-support``;
+- ``pw``: ``tile-count``, ``tile-box``, ``tile-distinct``,
+  ``orthonormal``, ``residual-identity``, ``cell-residuals``, ``tail``;
+- ``discrete``: ``orthonormal``, ``block-support``, ``residual-identity``.
+
+Tolerances are 1e-8 relative: to 1 + the total energy for totals, to
+1 + the cell energy (without the cell volume) for per-cell values.  A
+NaN fails every check it enters.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition
+from .errors import ValidationError
+from .extra import ExtraInvariantModel, _coset_labels
+from .lattice import DualLattice
+from .multitile import MultiTileModel, _weights, multitile_spectra
+from .sis import FittedModel, project_onto
+from .spectral import SpectralDataset, check_same_grid, total_energy
+
+MAX_REPORTED_VIOLATIONS = 64
+
+TOL = 1e-8
+
+
+@dataclass
+class Violation:
+    """One failed instance of a check, at a cell and/or generator when
+    the check has them."""
+
+    check: str
+    detail: str
+    cell: int | None = None
+    generator: int | None = None
+
+    def __str__(self):
+        where = [
+            f"{name} {i}"
+            for name, i in (("cell", self.cell), ("generator", self.generator))
+            if i is not None
+        ]
+        if not where:
+            return f"[{self.check}] {self.detail}"
+        return f"[{self.check}] {', '.join(where)}: {self.detail}"
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of a model check: which checks ran and what failed.
+
+    ``violations`` keeps at most ``MAX_REPORTED_VIOLATIONS`` per check;
+    ``n_violations`` is the full count.
+    """
+
+    checks: list[str] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
+    n_violations: int = 0
+    counts: dict[str, int] = field(default_factory=dict)
+
+    def add(self, check: str, detail: str, cell: int | None = None,
+            generator: int | None = None) -> None:
+        """Record one violation of ``check``."""
+        n = self.counts.get(check, 0)
+        self.counts[check] = n + 1
+        self.n_violations += 1
+        if n < MAX_REPORTED_VIOLATIONS:
+            self.violations.append(Violation(check, detail, cell, generator))
+
+    @property
+    def passed(self) -> bool:
+        return self.n_violations == 0
+
+    @property
+    def failed(self) -> list[str]:
+        """The checks with violations, in the order they ran."""
+        return [c for c in self.checks if self.counts.get(c)]
+
+    def violations_of(self, check: str) -> list[Violation]:
+        return [v for v in self.violations if v.check == check]
+
+    def __str__(self):
+        head = "passed" if self.passed else f"FAILED ({self.n_violations} violations)"
+        lines = [f"verification {head}; checks: {', '.join(self.checks)}"]
+        lines += [str(v) for v in self.violations]
+        if self.n_violations > len(self.violations):
+            lines.append(f"... and {self.n_violations - len(self.violations)} more")
+        return "\n".join(lines)
+
+
+def verify_model(model, data, partition: DiscretePartition | None = None) -> VerificationReport:
+    """Run every check of the model's regime against ``data`` (a
+    ``SpectralDataset``, or a ``DiscreteDataset`` with the model's
+    ``partition``).  Data that do not fit the model (another grid or
+    dimension) raise ValidationError."""
+    report = VerificationReport()
+    if isinstance(model, DiscreteModel):
+        if partition is None:
+            raise ValidationError("verifying a discrete model needs its partition")
+        _check_discrete(report, model, data, partition)
+    elif isinstance(model, MultiTileModel):
+        _check_pw(report, model, data)
+    else:
+        _check_spectral(report, model, data)
+    return report
+
+
+def _deviation(rows: np.ndarray) -> float:
+    """Largest entry of the Gramian of the nonzero rows minus the
+    identity; 0 without nonzero rows."""
+    sub = rows[np.any(rows != 0, axis=1)]
+    if sub.shape[0] == 0:
+        return 0.0
+    return float(np.abs(sub @ sub.conj().T - np.eye(sub.shape[0])).max())
+
+
+def _close(report: VerificationReport, check: str, got: float, want: float, tol: float,
+           detail: str) -> None:
+    """The total check ``check``: ``got`` within ``tol`` of ``want``."""
+    report.checks.append(check)
+    if not abs(got - want) <= tol:
+        report.add(check, detail)
+
+
+def _cells_close(report: VerificationReport, check: str, got, want, tol, what: str) -> None:
+    """The per-cell check ``check``: at every cell g, ``got[g]`` (the
+    model's ``what``) within ``tol[g]`` of ``want[g]``."""
+    report.checks.append(check)
+    for g in np.flatnonzero(~(np.abs(got - want) <= tol)):
+        report.add(check, f"{what} {float(got[g])!r}, expected {float(want[g])!r}", cell=int(g))
+
+
+def _check_spectral(report: VerificationReport, model: FittedModel, ds: SpectralDataset) -> None:
+    check_same_grid(model.grid, ds.grid)
+    energy = total_energy(ds)
+
+    report.checks.append("parseval")
+    for g in range(model.grid.n_cells):
+        dev = _deviation(model.spectra[:, g, :])
+        if not dev <= TOL:
+            report.add("parseval", f"orthonormality deviation {dev:.3e}", cell=g)
+
+    _, presid, cell_resid = project_onto(model, ds)
+    total = float(presid.sum())
+    _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
+           f"projection residual {total!r} vs stored error {model.error!r}")
+
+    cell_energy = _weights(ds).sum(axis=1)
+    tol = TOL * (1.0 + cell_energy)
+    _cells_close(report, "cell-residuals", model.residuals, cell_resid, tol, "stored residual")
+    # kept plus discarded eigenvalues add up to the Gramian trace; the
+    # discarded part is taken from the projection, not from residuals.csv,
+    # so that a wrong residual fails cell-residuals alone
+    _cells_close(
+        report, "eigencurves", model.eigenvalues.sum(axis=1) + cell_resid, cell_energy, tol,
+        "eigenvalue sum plus projection residual",
+    )
+
+    if isinstance(model, ExtraInvariantModel):
+        _check_cosets(report, model, model.lattice)
+
+
+def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLattice) -> None:
+    grid = model.grid
+    labels = _coset_labels(grid, lat)
+    spectra = np.asarray(model.spectra)
+    if spectra.ndim != 3 or spectra.shape[1] != grid.n_cells or spectra.shape[2] != grid.n_translations:
+        raise ValidationError(f"generator array shape {spectra.shape} does not match the grid")
+
+    if hasattr(model, "home_cosets"):
+        report.checks.append("coset-support")
+        home = np.asarray(model.home_cosets)
+        for s in range(spectra.shape[0]):
+            bad = (spectra[s] != 0) & (labels[None, :] != home[:, s][:, None])
+            for g in np.flatnonzero(bad.any(axis=1)):
+                ki = int(np.flatnonzero(bad[g])[0])
+                k = tuple(int(x) for x in grid.translations[ki])
+                report.add(
+                    "coset-support",
+                    f"nonzero sample at translation {k} (coset {int(labels[ki])}) "
+                    f"outside home coset {int(home[g, s])}",
+                    cell=int(g), generator=s,
+                )
+        return
+
+    report.checks += ["coset-support", "coset-span"]
+    for g in range(grid.n_cells):
+        e_all = spectra[:, g, :]
+        for s in range(spectra.shape[0]):
+            e = spectra[s, g, :]
+            touched = np.unique(labels[e != 0])
+            if touched.size > 1:
+                report.add(
+                    "coset-support", f"support touches cosets {[int(t) for t in touched]}",
+                    cell=g, generator=s,
+                )
+            if float(np.linalg.norm(e)) == 0.0:
+                continue
+            for sigma in range(lat.index):
+                cut = np.where(labels == sigma, e, 0.0)
+                norm_cut = float(np.linalg.norm(cut))
+                if norm_cut == 0.0:
+                    continue
+                coef, *_ = np.linalg.lstsq(e_all.T, cut, rcond=None)
+                resid = float(np.linalg.norm(cut - e_all.T @ coef))
+                if resid > TOL * norm_cut:
+                    report.add(
+                        "coset-span",
+                        f"coset {sigma} cut leaves the generator span "
+                        f"(relative residual {resid / norm_cut:.3e})",
+                        cell=g, generator=s,
+                    )
+
+
+def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> VerificationReport:
+    """Check that a model's generators respect the coset structure.
+
+    Models carrying a home-coset table are held to exact zeros outside
+    each generator's home coset (``coset-support``).  Other models pass
+    if no generator fiber touches two cosets (``coset-support``) and, at
+    every cell, the restriction of each generator fiber to any single
+    coset stays in the span of that cell's generator fibers within 1e-8
+    relative residual (``coset-span``).
+    """
+    report = VerificationReport()
+    _check_cosets(report, model, lat)
+    return report
+
+
+def _check_tiles(report: VerificationReport, model: MultiTileModel) -> None:
+    chosen = np.asarray(model.chosen)
+    ncells, box = model.grid.n_cells, model.box_radius
+    if chosen.ndim != 3 or chosen.shape[0] != ncells or chosen.shape[2] != model.grid.dim:
+        raise ValidationError(f"chosen array shape {chosen.shape} does not match the grid")
+    report.checks += ["tile-count", "tile-box", "tile-distinct", "orthonormal"]
+    before = report.n_violations
+    if chosen.shape[1] != model.rank:
+        for g in range(ncells):
+            report.add("tile-count", f"{chosen.shape[1]} translations, expected {model.rank}", cell=g)
+    for g, s in np.argwhere(np.abs(chosen).max(axis=2) > box):
+        v = tuple(int(x) for x in chosen[g, s])
+        report.add("tile-box", f"translation {v} outside box radius {box}", cell=int(g), generator=int(s))
+    # same[g, s, t]: cell g picks the same translation in slots s and t
+    same = (chosen[:, :, None, :] == chosen[:, None, :, :]).all(axis=3)
+    for g in np.flatnonzero(same.sum(axis=2).max(axis=1, initial=0) > 1):
+        v = tuple(int(x) for x in chosen[g, np.flatnonzero(same[g].sum(axis=1) > 1)[0]])
+        report.add("tile-distinct", f"translation {v} chosen more than once", cell=int(g))
+
+    # one-hot fibers of distinct in-grid picks; skipped when a pick failed
+    if report.n_violations == before:
+        e = multitile_spectra(model).transpose(1, 0, 2)
+        gram = e @ e.conj().transpose(0, 2, 1)
+        for g in np.flatnonzero(~(gram == np.eye(model.rank)).all(axis=(1, 2))):
+            report.add("orthonormal", "layer fibers are not exactly orthonormal", cell=int(g))
+
+
+def verify_multitile(model: MultiTileModel) -> VerificationReport:
+    """Check the chosen sets: right count (``tile-count``), inside the
+    box (``tile-box``), pairwise distinct (``tile-distinct``), and, when
+    those pass, one-hot generators exactly orthonormal per cell
+    (``orthonormal``)."""
+    report = VerificationReport()
+    _check_tiles(report, model)
+    return report
+
+
+def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDataset) -> None:
+    check_same_grid(model.grid, ds.grid)
+    energy = total_energy(ds)
+    _check_tiles(report, model)
+
+    w_all = _weights(ds)
+    inbox = np.abs(ds.grid.translations).max(axis=1) <= model.box_radius
+    kept = np.take_along_axis(w_all, ds.grid.translation_indices(model.chosen), axis=1).sum(axis=1)
+    cell_resid = w_all[:, inbox].sum(axis=1) - kept
+    err = float(cell_resid.sum()) * ds.grid.cell_volume
+    tail = float(w_all[:, ~inbox].sum()) * ds.grid.cell_volume
+    tol = TOL * (1.0 + energy)
+    _close(report, "residual-identity", err, model.error, tol,
+           f"recomputed error {err!r} vs stored {model.error!r}")
+    _cells_close(report, "cell-residuals", model.residuals, cell_resid,
+                 TOL * (1.0 + w_all.sum(axis=1)), "stored residual")
+    _close(report, "tail", tail, model.tail, tol, f"recomputed tail {tail!r} vs stored {model.tail!r}")
+
+
+def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: DiscreteDataset,
+                    part: DiscretePartition) -> None:
+    if ds.dim != model.dim:
+        raise ValidationError(f"data dimension {ds.dim} does not match model dimension {model.dim}")
+    energy = float(ds.energies().sum())
+    gens = model.generators
+
+    dev = _deviation(gens)
+    _close(report, "orthonormal", dev, 0.0, TOL, f"generator Gramian deviates by {dev:.3e}")
+
+    report.checks.append("block-support")
+    for s in np.flatnonzero(np.any(gens != 0, axis=1)):
+        try:
+            blocks = {part.label_index(model.support[i]) for i in np.flatnonzero(gens[s] != 0)}
+        except ValidationError as exc:
+            report.add("block-support", str(exc), generator=int(s))
+            continue
+        if len(blocks) > 1:
+            report.add("block-support", f"touches blocks {sorted(blocks)}", generator=int(s))
+
+    # explicit projection residual over the union of supports
+    union = sorted(
+        {tuple(int(x) for x in p) for p in ds.support}
+        | {tuple(int(x) for x in p) for p in model.support}
+    )
+    col = {p: i for i, p in enumerate(union)}
+    a = np.zeros((ds.m, len(union)), dtype=np.complex128)
+    a[:, [col[tuple(int(x) for x in p)] for p in ds.support]] = ds.values
+    q = np.zeros((gens.shape[0], len(union)), dtype=np.complex128)
+    q[:, [col[tuple(int(x) for x in p)] for p in model.support]] = gens
+    resid = a - (a @ q.conj().T) @ q
+    total = float((resid.real**2 + resid.imag**2).sum())
+    _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
+           f"projection residual {total!r} vs stored {model.error!r}")

@@ -1,17 +1,23 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sisfit
 from sisfit.spectral import write_dataset
 
 from test_extra import indicator_dataset
 
+# the source tree under test, for the subprocesses
+SRC = str(Path(sisfit.__file__).resolve().parents[1])
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -330,7 +336,7 @@ def test_verify_takes_no_solver_flags(tmp_path, flag):
     assert "unrecognized arguments" in res.stderr
 
 
-def _fitted_model(tmp_path, regime):
+def _fitted_model(tmp_path, regime, rank=1):
     data = tmp_path / "data"
     run_cli(
         "synth", "--family", "gaussian", "--sigma", 1, "--dim", 1,
@@ -340,7 +346,7 @@ def _fitted_model(tmp_path, regime):
     model = tmp_path / "model"
     res = run_cli(
         "fit", "--regime", regime, "--data", data / "dataset.json",
-        "--rank", 1, *flags, "--out", model,
+        "--rank", rank, *flags, "--out", model,
     )
     assert res.returncode == 0, res.stderr
     return model, data / "dataset.json"
@@ -422,3 +428,123 @@ def test_verify_passes_rank_deficient_random_models(tmp_path, regime):
         res = run_cli("verify", "--model", out, "--data", manifest)
         assert res.returncode == 0, res.stdout
         assert "cell-residuals: ok" in res.stdout and "eigencurves: ok" in res.stdout
+
+
+def _scale_first_nonzero(path):
+    raw = np.fromfile(path, dtype="<c16")
+    raw[np.flatnonzero(raw != 0)[0]] *= 1.5
+    raw.tofile(path)
+
+
+def _set_json(path, key, value):
+    import json
+
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+
+
+def _shift_home_coset(path):
+    lines = path.read_text().splitlines()
+    g, s, home, rank = lines[1].split(",")
+    lines[1] = f"{g},{s},{1 - int(home)},{rank}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _duplicate_pick(path):
+    lines = path.read_text().splitlines()
+    g, first, _ = lines[1].split(",")
+    lines[1] = f"{g},{first},{first}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _scale_generator_value(path):
+    lines = path.read_text().splitlines()
+    j, pos, re, im = lines[0].split(",")
+    lines[0] = f"{j},{pos},{float(re) * 1.5!r},{im}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _value_in_other_block(path):
+    # generator 0 lives on the even positions; a tiny value at an odd one
+    # leaves its Gramian and the projection within tolerance
+    with open(path, "a") as fh:
+        fh.write("0,1,1e-12,0.0\n")
+
+
+def _fitted_discrete_model(tmp_path):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n0,2,0.5,0.0\n")
+    part = tmp_path / "part.txt"
+    part.write_text("lattice: 2\n")
+    model = tmp_path / "model"
+    res = run_cli(
+        "fit", "--regime", "discrete", "--data", seqs,
+        "--rank", 1, "--partition", part, "--out", model,
+    )
+    assert res.returncode == 0, res.stderr
+    return model, seqs
+
+
+@pytest.mark.parametrize(
+    "regime,name,tamper,failed,violation",
+    [
+        ("sis", "generators.bin", _scale_first_nonzero,
+         "parseval, residual-identity, cell-residuals, eigencurves", "parseval"),
+        ("sis", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
+        ("extra", "generators.bin", _scale_first_nonzero,
+         "parseval, residual-identity, cell-residuals, eigencurves", "parseval"),
+        ("extra", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
+        ("extra", "home_cosets.csv", _shift_home_coset, "coset-support", "coset-support"),
+        ("pw", "chosen.csv", _duplicate_pick, "tile-distinct, residual-identity, cell-residuals", "tile-distinct"),
+        ("pw", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
+        ("pw", "model.json", lambda p: _set_json(p, "tail", 5.0), "tail", "tail"),
+        ("discrete", "generators.txt", _scale_generator_value,
+         "orthonormal, residual-identity", "orthonormal"),
+        ("discrete", "generators.txt", _value_in_other_block, "block-support", "block-support"),
+        ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
+    ],
+)
+def test_verify_names_each_failed_check(tmp_path, regime, name, tamper, failed, violation):
+    if regime == "discrete":
+        model, data = _fitted_discrete_model(tmp_path)
+    else:
+        model, data = _fitted_model(tmp_path, regime, rank=2)
+    res = run_cli("verify", "--model", model, "--data", data)
+    assert res.returncode == 0 and "result: pass" in res.stdout, res.stdout
+    tamper(model / name)
+    res = run_cli("verify", "--model", model, "--data", data)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f"result: FAIL ({failed})\n" in res.stdout
+    assert f"violation: [{violation}" in res.stdout
+
+
+def _drop_row(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+
+
+def _duplicate_row(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + lines[:1] + lines[2:]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "regime,name,edit",
+    [
+        (regime, name, edit)
+        for regime, name in (("sis", "eigencurves.csv"), ("extra", "home_cosets.csv"), ("pw", "chosen.csv"))
+        for edit in (Path.unlink, _drop_row, _duplicate_row)
+    ]
+    + [("discrete", "selected.csv", Path.unlink), ("discrete", "generators.txt", Path.unlink)],
+)
+def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
+    if regime == "discrete":
+        model, data = _fitted_discrete_model(tmp_path)
+    else:
+        model, data = _fitted_model(tmp_path, regime, rank=2)
+    edit(model / name)
+    res = run_cli("verify", "--model", model, "--data", data)
+    assert res.returncode == 2, res.stdout
+    assert "Traceback" not in res.stderr
+    assert str(model / name) in res.stderr

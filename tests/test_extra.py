@@ -10,11 +10,11 @@ from sisfit.extra import (
     error_extra,
     fit_extra_invariant,
     split_by_coset,
-    verify_extra_invariance,
 )
 from sisfit.lattice import coset_of, make_dual_lattice
 from sisfit.sis import FittedModel, error_sis, fit_sis
 from sisfit.spectral import SpectralDataset, SpectralGrid, gramian, total_energy
+from sisfit.verify import verify_extra_invariance
 
 from conftest import random_dataset
 

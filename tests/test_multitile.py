@@ -10,10 +10,10 @@ from sisfit.multitile import (
     error_multitile_series,
     fit_multitile,
     multitile_spectra,
-    verify_multitile,
     weight,
 )
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
+from sisfit.verify import verify_multitile
 
 from conftest import random_dataset
 
