@@ -25,7 +25,7 @@ from .extra import ExtraInvariantModel, fit_extra_invariant
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import make_dual_lattice, parse_basis
 from .multitile import MultiTileModel, fit_multitile
-from .sis import _check_threads, fit_sis
+from .sis import fit_sis
 from .spectral import (
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
@@ -164,7 +164,6 @@ def _check_fit_flags(args, regimes) -> None:
 
 def cmd_fit(args) -> int:
     regime = args.regime
-    _check_threads(args.threads)
     _check_fit_flags(args, [regime])
     model, part, pairs, elapsed = _fit_once(args, regime)
     out = _out_dir(args)
@@ -210,7 +209,6 @@ def cmd_compare(args) -> int:
     if "discrete" in regimes and len(regimes) > 1:
         raise ValidationError("discrete data cannot be compared with spectral regimes")
     _check_fit_flags(args, regimes)
-    _check_threads(args.threads)
     ranks = _ranks(args.ranks)
     if any(r < 1 for r in ranks):
         raise ValidationError(f"ranks must be positive, got {ranks}")
@@ -360,6 +358,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except SisfitError as exc:
         print(f"error: {exc}", file=sys.stderr)

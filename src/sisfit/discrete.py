@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT
-from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
+from .lattice import _INT64_MAX, DualLattice, coset_of, make_dual_lattice, parse_basis
 from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen
 
 BRUTE_FORCE_GUARD = 10**6
@@ -142,48 +142,42 @@ class DiscretePartition:
     def n_blocks(self) -> int:
         return len(self.labels)
 
-    def label_index(self, pos) -> int:
-        """Block index of a position; explicit partitions reject
-        uncovered positions."""
-        key = tuple(int(x) for x in np.atleast_1d(pos))
+    def label_index(self, pos):
+        """Block index of every position along the last axis of ``pos``,
+        shape (..., dim): an ``int`` for one position, an int64 array for
+        several.  Explicit partitions reject uncovered positions."""
+        pts = np.atleast_1d(np.asarray(pos, dtype=np.int64))
+        if pts.shape[-1] != self.dim:
+            raise ValidationError(f"expected positions of dimension {self.dim}, got shape {pts.shape}")
+        idx = self._block_indices(pts)
+        if (idx < 0).any():
+            raise ValidationError(f"position {tuple(pts[idx < 0][0].tolist())} is not covered by the partition")
+        return int(idx) if pts.ndim == 1 else idx
+
+    def _block_indices(self, pts: np.ndarray) -> np.ndarray:
+        """``label_index`` of int64 positions, shape (..., dim), with -1
+        for positions an explicit partition does not cover."""
         if self.lattice is not None:
-            return coset_of(np.array(key, dtype=np.int64), self.lattice)
-        try:
-            return self._label_pos[self.mapping[key]]
-        except KeyError:
-            raise ValidationError(f"position {key} is not covered by the partition") from None
-
-    @property
-    def _label_pos(self) -> dict:
-        d = self.__dict__.get("_label_pos_cache")
-        if d is None:
-            d = {lab: i for i, lab in enumerate(self.labels)}
-            self.__dict__["_label_pos_cache"] = d
-        return d
-
-
-def _support_block_indices(ds: DiscreteDataset, part: DiscretePartition) -> np.ndarray:
-    if part.dim != ds.dim:
-        raise ValidationError(
-            f"partition dimension {part.dim} does not match data dimension {ds.dim}"
-        )
-    return np.array([part.label_index(pos) for pos in ds.support], dtype=np.int64)
+            return np.asarray(coset_of(pts, self.lattice))
+        block = {lab: i for i, lab in enumerate(self.labels)}
+        where = {pos: block[lab] for pos, lab in self.mapping.items()}
+        idx = [where.get(key, -1) for key in map(tuple, pts.reshape(-1, self.dim).tolist())]
+        return np.array(idx, dtype=np.int64).reshape(pts.shape[:-1])
 
 
 def block_gramian(ds: DiscreteDataset, part: DiscretePartition, label) -> np.ndarray:
     """m x m Gramian of the sequences restricted to one block."""
-    try:
-        sigma = part._label_pos[label]
-    except KeyError:
-        raise ValidationError(f"unknown block label {label!r}") from None
-    idx = _support_block_indices(ds, part)
+    if label not in part.labels:
+        raise ValidationError(f"unknown block label {label!r}")
+    sigma = part.labels.index(label)
+    idx = part.label_index(ds.support)
     a = ds.values[:, idx == sigma]
     gm = a @ a.conj().T
     return (gm + gm.conj().T) / 2.0
 
 
 def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
-    return _column_blocks(_support_block_indices(ds, part), part.n_blocks)
+    return _column_blocks(part.label_index(ds.support), part.n_blocks)
 
 
 @dataclass(eq=False)
@@ -321,16 +315,18 @@ def parse_discrete_dataset(path) -> DiscreteDataset:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         if j < 0:
             raise ValidationError(f"{path}:{lineno}: sequence index must be nonnegative")
+        if not all(-_INT64_MAX - 1 <= x <= _INT64_MAX for x in pos):
+            raise ValidationError(f"{path}:{lineno}: position {pos} outside the int64 range")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValidationError(f"{path}:{lineno}: non-finite value for (j={j}, position {pos})")
-        rows.append((j, pos, complex(re, im)))
+        rows.append((lineno, j, pos, complex(re, im)))
     if not rows:
         raise ValidationError(f"{path}: no data lines")
-    m = max(r[0] for r in rows) + 1
+    m = max(r[1] for r in rows) + 1
     seqs = [{} for _ in range(m)]
-    for j, pos, val in rows:
+    for lineno, j, pos, val in rows:
         if pos in seqs[j]:
-            raise ValidationError(f"{path}: duplicate sample for (j={j}, position {pos})")
+            raise ValidationError(f"{path}:{lineno}: duplicate sample for (j={j}, position {pos})")
         seqs[j][pos] = val
     return DiscreteDataset.from_sequences(dim, seqs)
 
@@ -360,31 +356,31 @@ def parse_partition(path, dim: int) -> DiscretePartition:
     if not path.is_file():
         raise ValidationError(f"partition file not found: {path}")
     lines = [
-        ln.strip()
-        for ln in path.read_text().splitlines()
+        (lineno, ln.strip())
+        for lineno, ln in enumerate(path.read_text().splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines:
         raise ValidationError(f"{path}: empty partition description")
-    if lines[0].lower().startswith("lattice:"):
+    if lines[0][1].lower().startswith("lattice:"):
         if len(lines) > 1:
-            raise ValidationError(f"{path}: lattice partitions take a single line")
-        basis = parse_basis(lines[0].split(":", 1)[1])
+            raise ValidationError(f"{path}:{lines[1][0]}: lattice partitions take a single line")
+        basis = parse_basis(lines[0][1].split(":", 1)[1])
         if basis.shape[0] != dim:
             raise ValidationError(
                 f"{path}: lattice dimension {basis.shape[0]} does not match data dimension {dim}"
             )
         return DiscretePartition.from_lattice(make_dual_lattice(basis))
     mapping = {}
-    for ln in lines:
+    for lineno, ln in lines:
         parts = [tok.strip() for tok in ln.split(",")]
         if len(parts) != dim + 1:
-            raise ValidationError(f"{path}: expected {dim + 1} columns in line {ln!r}")
+            raise ValidationError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(parts)}")
         try:
             pos = tuple(int(tok) for tok in parts[:dim])
         except ValueError:
-            raise ValidationError(f"{path}: bad position in line {ln!r}") from None
+            raise ValidationError(f"{path}:{lineno}: bad position in line {ln!r}") from None
         if pos in mapping:
-            raise ValidationError(f"{path}: position {pos} labeled twice")
+            raise ValidationError(f"{path}:{lineno}: position {pos} labeled twice")
         mapping[pos] = parts[dim]
     return DiscretePartition.from_mapping(dim, mapping)

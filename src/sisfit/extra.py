@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of
-from .sis import FittedModel, _check_rank, _check_threads, _column_blocks, _error_cells, _fit_cells
+from .sis import FittedModel, _check_rank, _column_blocks, _error_cells, _fit_cells
 from .spectral import SpectralDataset
 
 
@@ -34,21 +33,13 @@ class ExtraInvariantModel(FittedModel):
     block_ranks: np.ndarray
 
 
-def _coset_labels(grid, lat: DualLattice) -> np.ndarray:
-    if lat.dim != grid.dim:
-        raise ValidationError(
-            f"lattice dimension {lat.dim} does not match grid dimension {grid.dim}"
-        )
-    return np.array([coset_of(k, lat) for k in grid.translations], dtype=np.int64)
-
-
 def split_by_coset(ds: SpectralDataset, lat: DualLattice) -> list[SpectralDataset]:
     """Split a dataset into per-coset parts.
 
     Part sigma keeps the samples at translations in coset sigma and is
     zero elsewhere; the parts sum to the original samples exactly.
     """
-    labels = _coset_labels(ds.grid, lat)
+    labels = coset_of(ds.grid.translations, lat)
     parts = []
     for sigma in range(lat.index):
         mask = labels == sigma
@@ -62,7 +53,6 @@ def fit_extra_invariant(
     rank: int,
     *,
     tol: float = EIG_TOL_DEFAULT,
-    threads: int = 1,
 ) -> ExtraInvariantModel:
     """Fit the nearest length-``rank`` shift-invariant space that is also
     invariant under the lattice dual to ``lat``.
@@ -73,11 +63,9 @@ def fit_extra_invariant(
     smaller in-block rank).  Generators are supported on their home
     coset exactly.  The residual at a cell adds the discarded
     eigenvalues coset by coset, each coset's in descending order.
-    ``threads`` has no effect.
     """
     rank = _check_rank(rank)
-    _check_threads(threads)
-    blocks = _column_blocks(_coset_labels(ds.grid, lat), lat.index)
+    blocks = _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
     fields, home, block_ranks = _fit_cells(ds, blocks, rank, tol)
     return ExtraInvariantModel(**fields, lattice=lat, home_cosets=home, block_ranks=block_ranks)
 
@@ -88,13 +76,11 @@ def error_extra(
     rank: int,
     *,
     tol: float = EIG_TOL_DEFAULT,
-    threads: int = 1,
 ) -> float:
     """Squared distance to the nearest extra-invariant space of length
     ``rank``, equal to ``fit_extra_invariant(...).error`` (0 gives the
-    total energy).  ``threads`` has no effect."""
+    total energy)."""
     rank = _check_rank(rank, minimum=0)
-    _check_threads(threads)
-    blocks = _column_blocks(_coset_labels(ds.grid, lat), lat.index)
+    blocks = _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
     return _error_cells(ds, blocks, rank, tol)
 

@@ -2,66 +2,67 @@
 
 A lattice M* = B Z^d (B an integer matrix with nonzero determinant)
 partitions Z^d into |det B| cosets.  Coset bookkeeping is exact: the
-section comes from a column-style Hermite normal form and membership
-tests run on rational arithmetic, so no float ever decides a coset.
+section comes from a column-style Hermite normal form H, and a vector's
+coset is found by reducing it into the box prod([0, H_ii)) with integer
+column operations, so no float ever decides a coset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import ValidationError
 
+_INT64_MAX = np.iinfo(np.int64).max
 
-def _as_int_matrix(basis) -> np.ndarray:
-    arr = np.asarray(basis)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"lattice basis must be square, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValidationError("lattice basis must have positive dimension")
+
+def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as int64; floats must hold integers, and nothing may lie
+    outside the int64 range."""
     if np.issubdtype(arr.dtype, np.floating):
         rounded = np.rint(arr)
         if not np.array_equal(arr, rounded):
-            raise ValidationError("lattice basis entries must be integers")
+            raise ValidationError(f"{what} must be integers")
+        if not (np.abs(arr) < 2.0**63).all():
+            raise ValidationError(f"{what} lie outside the int64 range")
         arr = rounded
     elif not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError("lattice basis entries must be integers")
+        raise ValidationError(f"{what} must be integers")
+    elif arr.dtype.kind == "u" and (arr > _INT64_MAX).any():
+        raise ValidationError(f"{what} lie outside the int64 range")
     return arr.astype(np.int64)
 
 
-def _hermite_diagonal(basis: np.ndarray) -> list[int]:
-    """Diagonal of the lower-triangular column Hermite form of ``basis``.
+def _hermite_form(basis: np.ndarray) -> np.ndarray:
+    """Lower-triangular column Hermite form H of ``basis``, H_ii > 0.
 
-    Column operations are unimodular, so the triangular matrix generates
-    the same lattice and the box prod([0, h_ii)) is a complete set of
-    coset representatives.
+    Column operations are unimodular, so H generates the same lattice and
+    the box prod([0, H_ii)) is a complete set of coset representatives.
     """
     d = basis.shape[0]
-    cols = [[int(basis[i, j]) for i in range(d)] for j in range(d)]
+    cols = [[int(x) for x in col] for col in basis.T]
     for i in range(d):
         while True:
             nz = [j for j in range(i, d) if cols[j][i] != 0]
             if not nz:
                 raise ValidationError("lattice basis is singular")
-            j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
             cols[i], cols[j0] = cols[j0], cols[i]
-            if cols[i][i] < 0:
-                cols[i] = [-x for x in cols[i]]
-            piv = cols[i][i]
-            done = True
-            for j in range(i + 1, d):
-                if cols[j][i] != 0:
-                    q = cols[j][i] // piv
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-                    if cols[j][i] != 0:
-                        done = False
-            if done:
+            if len(nz) == 1:
                 break
-    return [cols[i][i] for i in range(d)]
+            # Euclid on row i: every other column keeps a remainder
+            for j in range(i + 1, d):
+                q = cols[j][i] // cols[i][i]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+        if cols[i][i] < 0:
+            cols[i] = [-x for x in cols[i]]
+    if any(abs(x) > _INT64_MAX for col in cols for x in col):
+        raise ValidationError("lattice basis too large: its Hermite form leaves the int64 range")
+    return np.array(cols, dtype=np.int64).T
 
 
 def _fraction_inverse(basis: np.ndarray):
@@ -89,19 +90,17 @@ def _fraction_inverse(basis: np.ndarray):
 class DualLattice:
     """Sublattice B Z^d of Z^d with its coset section.
 
-    ``section`` holds one representative per coset, lexicographically
-    sorted; coset labels are the row indices into it.
+    ``hermite`` is the lower-triangular Hermite form H of the basis.
+    ``section`` holds one representative per coset, the points of the box
+    prod([0, H_ii)) in lexicographic order; coset labels are the row
+    indices into it.
     """
 
     dim: int
     basis: np.ndarray
     index: int
     section: np.ndarray
-    _binv: tuple = field(repr=False)
-    _lookup: dict = field(repr=False)
-
-    def coset_of(self, k) -> int:
-        return coset_of(k, self)
+    hermite: np.ndarray
 
     def __eq__(self, other):
         return (
@@ -111,52 +110,48 @@ class DualLattice:
         )
 
 
-def _frac_key(binv, k) -> tuple:
-    d = len(binv)
-    return tuple(
-        sum(binv[i][j] * int(k[j]) for j in range(d)) % 1 for i in range(d)
-    )
-
-
 def make_dual_lattice(basis) -> DualLattice:
     """Build a DualLattice from a square integer basis matrix.
 
     Rejects non-square or non-integer input and singular matrices.  The
     coset count equals |det(basis)|.
     """
-    b = _as_int_matrix(basis)
-    d = b.shape[0]
-    diag = _hermite_diagonal(b)
-    index = 1
-    for h in diag:
-        index *= h
-    section = np.array(list(product(*(range(h) for h in diag))), dtype=np.int64)
-    section = section.reshape(index, d)
-    binv = _fraction_inverse(b)
-    lookup = {}
-    for idx in range(index):
-        lookup[_frac_key(binv, section[idx])] = idx
-    if len(lookup) != index:
-        raise ValidationError("coset section construction failed")
-    return DualLattice(
-        dim=d, basis=b, index=index, section=section, _binv=binv, _lookup=lookup
-    )
+    b = np.asarray(basis)
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
+        raise ValidationError(f"lattice basis must be a nonempty square matrix, got shape {b.shape}")
+    b = _as_int64(b, "lattice basis entries")
+    h = _hermite_form(b)
+    diag = np.diag(h)
+    index = math.prod(int(x) for x in diag)
+    section = np.stack(np.unravel_index(np.arange(index), diag), axis=-1).astype(np.int64)
+    return DualLattice(dim=b.shape[0], basis=b, index=index, section=section, hermite=h)
 
 
-def coset_of(k, lat: DualLattice) -> int:
-    """Label of the coset of integer vector ``k``, as an index into
-    ``lat.section``."""
-    arr = np.asarray(k)
-    if arr.shape != (lat.dim,):
-        raise ValidationError(f"expected an integer vector of length {lat.dim}, got shape {arr.shape}")
-    if np.issubdtype(arr.dtype, np.floating):
-        rounded = np.rint(arr)
-        if not np.array_equal(arr, rounded):
-            raise ValidationError("coset_of needs integer coordinates")
-        arr = rounded
-    elif not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError("coset_of needs integer coordinates")
-    return lat._lookup[_frac_key(lat._binv, arr)]
+def coset_of(k, lat: DualLattice):
+    """Coset labels (indices into ``lat.section``) of the integer vectors
+    along the last axis of ``k``, shape (..., dim).  A single vector gives
+    an ``int``, an array of vectors an int64 array of shape ``k.shape[:-1]``.
+
+    Each vector is reduced into the section box one column of the Hermite
+    form at a time; a vector whose reduction could leave the int64 range
+    is rejected.
+    """
+    pts = np.asarray(k)
+    if pts.shape[-1:] != (lat.dim,):
+        raise ValidationError(f"expected integer vectors of dimension {lat.dim}, got shape {pts.shape}")
+    pts = _as_int64(pts, "coset_of coordinates")
+    h = lat.hermite
+    # step i adds at most |k|_max times column i, so |k|_max grows by at
+    # most the factor 1 + max|H[:, i]|
+    limit = _INT64_MAX // math.prod(1 + int(np.abs(h[:, i]).max()) for i in range(lat.dim))
+    big = ((pts > limit) | (pts < -limit)).any(axis=-1)
+    if big.any():
+        v = tuple(pts[big][0].tolist())
+        raise ValidationError(f"integer vector {v} too large to reduce in int64 (limit {limit})")
+    for i in range(lat.dim):
+        pts = pts - (pts[..., i] // h[i, i])[..., None] * h[:, i]
+    labels = np.ravel_multi_index(tuple(np.moveaxis(pts, -1, 0)), np.diag(h))
+    return int(labels) if pts.ndim == 1 else labels
 
 
 def primal_description(lat: DualLattice):
@@ -165,8 +160,8 @@ def primal_description(lat: DualLattice):
     Returns a dim x dim nested list of Fractions: the columns of
     inverse-transpose(basis).
     """
-    d = lat.dim
-    return [[lat._binv[j][i] for j in range(d)] for i in range(d)]
+    binv = _fraction_inverse(lat.basis)
+    return [[binv[j][i] for j in range(lat.dim)] for i in range(lat.dim)]
 
 
 def parse_basis(text: str) -> np.ndarray:

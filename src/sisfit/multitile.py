@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sis import _check_rank, _check_threads
+from .sis import _check_rank
 from .spectral import SpectralDataset, SpectralGrid
 
 
@@ -72,23 +72,15 @@ def weight(ds: SpectralDataset, g: int, k) -> float:
     return float(np.sum(col.real**2 + col.imag**2))
 
 
-def fit_multitile(
-    ds: SpectralDataset,
-    rank: int,
-    box_radius: int,
-    *,
-    threads: int = 1,
-) -> MultiTileModel:
+def fit_multitile(ds: SpectralDataset, rank: int, box_radius: int) -> MultiTileModel:
     """Pick, per cell, the ``rank`` heaviest translations in the box.
 
     Ties go to the lexicographically smallest translation.  The residual
     at a cell is the weight sum of the unchosen in-box translations;
     ``error`` is the quadrature sum of residuals and ``tail`` the
     quadrature energy at in-grid translations outside the box.
-    ``threads`` has no effect.
     """
     rank = _check_rank(rank)
-    _check_threads(threads)
     box = _check_box(ds.grid, rank, box_radius)
     kk = ds.grid.translations
     inbox = np.flatnonzero(np.abs(kk).max(axis=1) <= box)
@@ -136,13 +128,7 @@ def multitile_spectra(model: MultiTileModel) -> np.ndarray:
     return spectra
 
 
-def error_multitile_series(
-    ds: SpectralDataset,
-    rank: int,
-    box_radii,
-    *,
-    threads: int = 1,
-) -> list[float]:
+def error_multitile_series(ds: SpectralDataset, rank: int, box_radii) -> list[float]:
     """Total unreachable energy (error plus out-of-box tail) for an
     increasing sequence of box radii.  Non-increasing in the radius."""
     radii = [int(b) for b in box_radii]
@@ -152,6 +138,6 @@ def error_multitile_series(
         raise ValidationError(f"box radii must be strictly increasing, got {radii}")
     out = []
     for b in radii:
-        model = fit_multitile(ds, rank, b, threads=threads)
+        model = fit_multitile(ds, rank, b)
         out.append(model.error + model.tail)
     return out

@@ -49,13 +49,6 @@ def _check_rank(rank: int, minimum: int = 1) -> int:
     return r
 
 
-def _check_threads(threads: int) -> None:
-    """Validate a ``threads`` keyword.  Fits run on one thread whatever
-    its value; the keyword stays for compatibility."""
-    if int(threads) < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
-
-
 def allocation_residual(block_lams, alloc) -> float:
     """Energy left over when block b keeps its top ``alloc[b]``
     eigenvalues: each block's discarded tail is added in order, block
@@ -199,7 +192,6 @@ def fit_sis(
     rank: int,
     *,
     tol: float = EIG_TOL_DEFAULT,
-    threads: int = 1,
 ) -> FittedModel:
     """Fit the nearest shift-invariant space of length ``rank``.
 
@@ -208,10 +200,9 @@ def fit_sis(
     eigenvalue^(-1/2) (zero when the eigenvalue is numerically zero, i.e.
     at most 1e-10 of the cell's largest).  The residual at a cell is the
     sum of the discarded eigenvalues, added in descending order;
-    ``error`` is their quadrature sum.  ``threads`` has no effect.
+    ``error`` is their quadrature sum.
     """
     rank = _check_rank(rank)
-    _check_threads(threads)
     fields, _, _ = _fit_cells(ds, _WHOLE_FIBER, rank, tol)
     return FittedModel(**fields)
 
@@ -221,13 +212,11 @@ def error_sis(
     rank: int,
     *,
     tol: float = EIG_TOL_DEFAULT,
-    threads: int = 1,
 ) -> float:
     """Squared distance to the nearest length-``rank`` shift-invariant
     space, without materializing generators; equal to ``fit_sis(...).error``.
-    ``rank`` 0 gives the total energy.  ``threads`` has no effect."""
+    ``rank`` 0 gives the total energy."""
     rank = _check_rank(rank, minimum=0)
-    _check_threads(threads)
     return _error_cells(ds, _WHOLE_FIBER, rank, tol)
 
 

@@ -26,6 +26,41 @@ PAYLOAD_CSV = "csv"
 
 _MANIFEST_KEYS = ("dim", "m", "cells_per_dim", "trunc_radius", "payload_path", "payload_format")
 
+_REQUIRED = object()
+
+
+class _Meta:
+    """The fields of one JSON object read from ``path`` (a manifest or a
+    ``model.json``); a missing or mistyped field raises ValidationError
+    naming the file and the field."""
+
+    def __init__(self, path: Path, fields: dict):
+        self.path = path
+        self.fields = fields
+
+    def get(self, key: str, convert, default=_REQUIRED):
+        if key not in self.fields:
+            if default is _REQUIRED:
+                raise ValidationError(f"{self.path}: missing field {key!r}")
+            return default
+        try:
+            return convert(self.fields[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{self.path}: malformed field {key!r}: {exc!r}") from None
+
+
+def _json(kind):
+    """Converter that accepts only JSON values of type ``kind`` (int,
+    float, str or list): never a bool for a number, never a string for an
+    int.  An int is also a float."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return convert
+
 
 @dataclass
 class SpectralGrid:
@@ -56,7 +91,6 @@ class SpectralGrid:
         kmesh = np.meshgrid(*([kaxis] * self.dim), indexing="ij")
         self.translations = np.stack([m.ravel() for m in kmesh], axis=1).astype(np.int64)
         self.cell_volume = 1.0 / (g**self.dim)
-        self._k_index = {tuple(int(x) for x in k): i for i, k in enumerate(self.translations)}
 
     @property
     def n_cells(self) -> int:
@@ -69,26 +103,24 @@ class SpectralGrid:
     def translation_index(self, k) -> int:
         """Index of integer vector ``k`` in ``translations``; rejects
         vectors outside the truncation box."""
-        key = tuple(int(x) for x in np.asarray(k).ravel())
-        if len(key) != self.dim:
-            raise ValidationError(f"expected a translation of length {self.dim}, got {key}")
-        try:
-            return self._k_index[key]
-        except KeyError:
-            raise ValidationError(
-                f"translation {key} outside the truncation box (radius {self.trunc_radius})"
-            ) from None
+        return int(self.translation_indices(np.asarray(k).ravel()))
+
+    def _outside(self, ks) -> np.ndarray:
+        """Which integer vectors along the last axis of ``ks`` lie outside
+        the truncation box."""
+        n = self.trunc_radius
+        return ((ks < -n) | (ks > n)).any(axis=-1)
 
     def translation_indices(self, ks) -> np.ndarray:
-        """``translation_index`` of every vector along the last axis of
-        ``ks``; rejects vectors outside the truncation box."""
+        """Index in ``translations`` of every integer vector along the last
+        axis of ``ks``; rejects vectors outside the truncation box."""
         ks = np.asarray(ks, dtype=np.int64)
         if ks.shape[-1:] != (self.dim,):
             raise ValidationError(f"expected translations of length {self.dim}, got shape {ks.shape}")
         n = self.trunc_radius
-        outside = np.abs(ks).max(axis=-1) > n
+        outside = self._outside(ks)
         if outside.any():
-            key = tuple(int(x) for x in ks[outside][0])
+            key = tuple(ks[outside][0].tolist())
             raise ValidationError(f"translation {key} outside the truncation box (radius {n})")
         return np.ravel_multi_index(tuple(np.moveaxis(ks + n, -1, 0)), (2 * n + 1,) * self.dim)
 
@@ -237,23 +269,20 @@ def ingest(manifest_path) -> SpectralDataset:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest {path}: expected a JSON object")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValidationError(f"manifest {path} missing fields: {', '.join(missing)}")
 
-    try:
-        dim = int(manifest["dim"])
-        m = int(manifest["m"])
-        cells = int(manifest["cells_per_dim"])
-        trunc = int(manifest["trunc_radius"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"manifest {path} has non-integer shape fields") from None
+    fields = _Meta(path, manifest)
+    dim, m, cells, trunc = (fields.get(k, _json(int)) for k in _MANIFEST_KEYS[:4])
     if m < 1:
         raise ValidationError(f"manifest m must be at least 1, got {m}")
     grid = SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)
 
-    payload = path.parent / str(manifest["payload_path"])
-    fmt = manifest["payload_format"]
+    payload = path.parent / fields.get("payload_path", _json(str))
+    fmt = fields.get("payload_format", _json(str))
     if not payload.is_file():
         raise ValidationError(f"payload not found: {payload}")
     expected = m * grid.n_cells * grid.n_translations
@@ -273,42 +302,51 @@ def ingest(manifest_path) -> SpectralDataset:
 
 
 def _read_csv_payload(payload: Path, grid: SpectralGrid, m: int, expected: int) -> np.ndarray:
-    samples = np.zeros((m, grid.n_cells, grid.n_translations), dtype=np.complex128)
-    seen = np.zeros((m, grid.n_cells, grid.n_translations), dtype=bool)
-    d = grid.dim
+    d, nc, nt = grid.dim, grid.n_cells, grid.n_translations
+    # one row per sample line: line number, j, g, k_1..k_d, and its value;
+    # int32 suffices for every valid row and halves the buffer
+    ints = np.empty((max(expected, 1), 3 + d), dtype=np.int32)
+    vals = np.empty(ints.shape[0], dtype=np.complex128)
+    n = 0
     with open(payload) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [tok.strip() for tok in line.split(",")]
+            parts = line.split(",")
             if len(parts) != 2 + d + 2:
                 raise ValidationError(
                     f"{payload}:{lineno}: expected {2 + d + 2} columns, got {len(parts)}"
                 )
+            if n == ints.shape[0]:
+                ints, vals = np.concatenate([ints, ints]), np.concatenate([vals, vals])
             try:
-                j = int(parts[0])
-                g = int(parts[1])
-                kvec = [int(tok) for tok in parts[2 : 2 + d]]
-                re = float(parts[2 + d])
-                im = float(parts[3 + d])
-            except ValueError as exc:
+                ints[n] = [lineno, *map(int, parts[: 2 + d])]
+                vals[n] = complex(float(parts[2 + d]), float(parts[3 + d]))
+            except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"{payload}:{lineno}: {exc}") from None
-            if not (0 <= j < m):
-                raise ValidationError(f"{payload}:{lineno}: function index {j} out of range")
-            if not (0 <= g < grid.n_cells):
-                raise ValidationError(f"{payload}:{lineno}: cell index {g} out of range")
-            ki = grid.translation_index(kvec)
-            if seen[j, g, ki]:
-                raise ValidationError(
-                    f"{payload}:{lineno}: duplicate sample for (j={j}, g={g}, k={tuple(kvec)})"
-                )
-            seen[j, g, ki] = True
-            samples[j, g, ki] = complex(re, im)
-    n_seen = int(seen.sum())
-    if n_seen != expected:
-        raise ValidationError(f"payload {payload} has {n_seen} samples, expected {expected}")
-    return samples
+            n += 1
+    lines, j, g, k = ints[:n, 0], ints[:n, 1], ints[:n, 2], ints[:n, 3:]
+
+    def first(bad, what):
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise ValidationError(f"{payload}:{lines[r]}: {what(r)}")
+
+    first((j < 0) | (j >= m), lambda r: f"function index {j[r]} out of range")
+    first((g < 0) | (g >= nc), lambda r: f"cell index {g[r]} out of range")
+    first(grid._outside(k), lambda r: f"translation {tuple(k[r].tolist())} outside "
+                                      f"the truncation box (radius {grid.trunc_radius})")
+    flat = (j * np.int64(nc) + g) * nt + grid.translation_indices(k)
+    if n and np.bincount(flat).max() > 1:
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False  # first occurrences
+        first(repeat, lambda r: f"duplicate sample for (j={j[r]}, g={g[r]}, k={tuple(k[r].tolist())})")
+    if n != expected:
+        raise ValidationError(f"payload {payload} has {n} samples, expected {expected}")
+    samples = np.empty(expected, dtype=np.complex128)
+    samples[flat] = vals[:n]
+    return samples.reshape(m, nc, nt)
 
 
 def write_dataset(ds: SpectralDataset, out_dir, payload_format: str = PAYLOAD_BINARY, stem: str = "dataset") -> Path:

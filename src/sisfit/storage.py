@@ -21,9 +21,9 @@ from .discrete import (
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import format_basis, make_dual_lattice, parse_basis
-from .multitile import MultiTileModel, multitile_spectra
+from .multitile import MultiTileModel
 from .sis import FittedModel
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, _json, _Meta
 
 MODEL_JSON = "model.json"
 GENERATORS_BIN = "generators.bin"
@@ -125,11 +125,9 @@ def _save_pw(model: MultiTileModel, out: Path) -> None:
         "error": model.error,
         "tail": model.tail,
         "grid": _grid_json(model.grid),
-        "payload_generators": GENERATORS_BIN,
         "payload_chosen": CHOSEN_CSV,
     }
     _write_json(out, payload)
-    _write_spectra(out, multitile_spectra(model))
     _write_residuals(out, model.residuals)
     with open(out / CHOSEN_CSV, "w") as fh:
         for g in range(model.grid.n_cells):
@@ -174,7 +172,7 @@ def load_model(model_dir):
     if not isinstance(meta, dict):
         raise ValidationError(f"{jpath}: expected a JSON object")
     meta = _Meta(jpath, meta)
-    regime = meta.get("regime", str, None)
+    regime = meta.get("regime", _json(str), None)
     if regime in ("sis", "extra"):
         return _load_spectral(mdir, meta, regime)
     if regime == "pw":
@@ -182,28 +180,6 @@ def load_model(model_dir):
     if regime == "discrete":
         return _load_discrete(mdir, meta)
     raise ValidationError(f"{jpath}: unknown regime {regime!r}")
-
-
-_REQUIRED = object()
-
-
-class _Meta:
-    """The fields of one ``model.json``; a missing or mistyped field
-    raises ValidationError naming the file and the field."""
-
-    def __init__(self, path: Path, fields: dict):
-        self.path = path
-        self.fields = fields
-
-    def get(self, key: str, convert, default=_REQUIRED):
-        if key not in self.fields:
-            if default is _REQUIRED:
-                raise ValidationError(f"{self.path}: missing field {key!r}")
-            return default
-        try:
-            return convert(self.fields[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{self.path}: malformed field {key!r}: {exc!r}") from None
 
 
 def _read_rows(path: Path, convert) -> list:
@@ -232,7 +208,7 @@ def _index(text: str, n: int) -> int:
 
 
 def _positive(value) -> int:
-    n = int(value)
+    n = _json(int)(value)
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     return n
@@ -247,9 +223,9 @@ def _fields(parts: list, n: int) -> list:
 def _load_grid(meta: _Meta) -> SpectralGrid:
     def grid(g):
         return SpectralGrid(
-            dim=int(g["dim"]),
-            cells_per_dim=int(g["cells_per_dim"]),
-            trunc_radius=int(g["trunc_radius"]),
+            dim=_json(int)(g["dim"]),
+            cells_per_dim=_json(int)(g["cells_per_dim"]),
+            trunc_radius=_json(int)(g["trunc_radius"]),
         )
 
     return meta.get("grid", grid)
@@ -291,17 +267,17 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str):
     grid = _load_grid(meta)
     rank = meta.get("rank", _positive)
     n_gen = meta.get("n_generators", _positive, rank)
-    spectra = _read_spectra(mdir / meta.get("payload_generators", str, GENERATORS_BIN),
+    spectra = _read_spectra(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN),
                             (n_gen, grid.n_cells, grid.n_translations))
     residuals = _load_residuals(mdir, grid.n_cells)
     eigenvalues = _load_eigencurves(mdir, grid, rank)
-    error = meta.get("error", float)
+    error = meta.get("error", _json(float))
     if regime == "sis":
         return FittedModel(
             grid=grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra,
             residuals=residuals, error=error,
         )
-    lat = make_dual_lattice(parse_basis(meta.get("dual_lattice", str)))
+    lat = make_dual_lattice(parse_basis(meta.get("dual_lattice", _json(str))))
     table = _read_table(
         mdir / HOME_COSETS_CSV,
         lambda p: ((_index(_fields(p, 4)[0], grid.n_cells), _index(p[1], rank)),
@@ -321,7 +297,7 @@ def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
     grid = _load_grid(meta)
     rank = meta.get("rank", _positive)
     chosen = _read_cell_table(
-        mdir / meta.get("payload_chosen", str, CHOSEN_CSV), grid.n_cells, 1 + rank * grid.dim,
+        mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 1 + rank * grid.dim,
         lambda p: [int(x) for x in p],
     ).reshape(grid.n_cells, rank, grid.dim)
     return MultiTileModel(
@@ -330,8 +306,8 @@ def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
         box_radius=meta.get("box_radius", _positive),
         chosen=chosen,
         residuals=_load_residuals(mdir, grid.n_cells),
-        error=meta.get("error", float),
-        tail=meta.get("tail", float),
+        error=meta.get("error", _json(float)),
+        tail=meta.get("tail", _json(float)),
     )
 
 
@@ -340,7 +316,7 @@ def _load_discrete(mdir: Path, meta: _Meta):
 
     rank = meta.get("rank", _positive)
     dim = meta.get("dim", _positive)
-    gpath = mdir / meta.get("payload_generators", str, GENERATORS_TXT)
+    gpath = mdir / meta.get("payload_generators", _json(str), GENERATORS_TXT)
     if not gpath.is_file():
         raise ValidationError(f"model file not found: {gpath}")
     has_rows = any(
@@ -366,9 +342,9 @@ def _load_discrete(mdir: Path, meta: _Meta):
         support=gen_ds.support,
         generators=generators,
         selected=selected,
-        allocation=meta.get("allocation", lambda a: [int(x) for x in a], []),
-        labels=meta.get("labels", list, []),
-        error=meta.get("error", float),
+        allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)], []),
+        labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)], []),
+        error=meta.get("error", _json(float)),
     )
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition
 from .errors import ValidationError
-from .extra import ExtraInvariantModel, _coset_labels
-from .lattice import DualLattice
+from .extra import ExtraInvariantModel
+from .lattice import DualLattice, coset_of
 from .multitile import MultiTileModel, _weights, multitile_spectra
 from .sis import FittedModel, project_onto
 from .spectral import SpectralDataset, check_same_grid, total_energy
@@ -171,7 +171,7 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
 
 def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLattice) -> None:
     grid = model.grid
-    labels = _coset_labels(grid, lat)
+    labels = coset_of(grid.translations, lat)
     spectra = np.asarray(model.spectra)
     if spectra.ndim != 3 or spectra.shape[1] != grid.n_cells or spectra.shape[2] != grid.n_translations:
         raise ValidationError(f"generator array shape {spectra.shape} does not match the grid")
@@ -190,6 +190,17 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
                     f"outside home coset {int(home[g, s])}",
                     cell=int(g), generator=s,
                 )
+        # at a cell, the in-block ranks of each home coset run 0..count-1,
+        # and -1 marks exactly the slots without one; same[g, s, t]: slots
+        # s and t of cell g share a home coset
+        ranks = np.asarray(model.block_ranks)
+        same = home[:, :, None] == home[:, None, :]
+        twice = (same & (ranks[:, :, None] == ranks[:, None, :])).sum(axis=2) > 1
+        ok = np.where(home == -1, ranks == -1,
+                      (home >= 0) & (home < lat.index) & (ranks >= 0) & (ranks < same.sum(axis=2)) & ~twice)
+        for g in np.flatnonzero(~ok.all(axis=1)):
+            report.add("coset-support", f"in-block ranks {ranks[g].tolist()} of home cosets "
+                       f"{home[g].tolist()} do not run 0..count-1", cell=int(g))
         return
 
     report.checks += ["coset-support", "coset-span"]
@@ -225,7 +236,9 @@ def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> Verificatio
     """Check that a model's generators respect the coset structure.
 
     Models carrying a home-coset table are held to exact zeros outside
-    each generator's home coset (``coset-support``).  Other models pass
+    each generator's home coset, and to in-block ranks that run
+    0..count-1 within each home coset of a cell (``coset-support``).
+    Other models pass
     if no generator fiber touches two cosets (``coset-support``) and, at
     every cell, the restriction of each generator fiber to any single
     coset stays in the span of that cell's generator fibers within 1e-8
@@ -292,6 +305,25 @@ def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDat
     _close(report, "tail", tail, model.tail, tol, f"recomputed tail {tail!r} vs stored {model.tail!r}")
 
 
+def _check_selection(report: VerificationReport, model: DiscreteModel, part: DiscretePartition) -> None:
+    """``block-support`` of the kept records, by counting: the model's
+    labels are the partition's, there are at most ``rank`` records, the
+    in-block ranks of each label run 0..count-1, and ``allocation`` holds
+    the counts."""
+    labels = [str(lab) for lab in part.labels]
+    picked = sorted((str(lab), j) for _, lab, j in model.selected)
+    counts = [sum(lab == other for other, _ in picked) for lab in labels]
+    if [str(lab) for lab in model.labels] != labels:
+        report.add("block-support", f"labels {model.labels} differ from the partition's {labels}")
+    if len(picked) > model.rank:
+        report.add("block-support", f"{len(picked)} selected records, more than rank {model.rank}")
+    if picked != sorted((lab, j) for lab, n in zip(labels, counts) for j in range(n)):
+        report.add("block-support", f"selected (label, in-block rank) pairs {picked} do not number "
+                   f"the records of each partition label {labels} from 0")
+    if list(model.allocation) != counts:
+        report.add("block-support", f"allocation {list(model.allocation)} differs from the selected counts {counts}")
+
+
 def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: DiscreteDataset,
                     part: DiscretePartition) -> None:
     if ds.dim != model.dim:
@@ -303,25 +335,25 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
     _close(report, "orthonormal", dev, 0.0, TOL, f"generator Gramian deviates by {dev:.3e}")
 
     report.checks.append("block-support")
-    for s in np.flatnonzero(np.any(gens != 0, axis=1)):
-        try:
-            blocks = {part.label_index(model.support[i]) for i in np.flatnonzero(gens[s] != 0)}
-        except ValidationError as exc:
-            report.add("block-support", str(exc), generator=int(s))
-            continue
-        if len(blocks) > 1:
-            report.add("block-support", f"touches blocks {sorted(blocks)}", generator=int(s))
+    nonzero = gens != 0
+    blocks = part._block_indices(model.support)
+    for s in np.flatnonzero(nonzero.any(axis=1)):
+        b = blocks[nonzero[s]]
+        if (b < 0).any():
+            key = tuple(model.support[nonzero[s]][b < 0][0].tolist())
+            report.add("block-support", f"position {key} is not covered by the partition", generator=int(s))
+        elif (b != b[0]).any():
+            report.add("block-support", f"touches blocks {np.unique(b).tolist()}", generator=int(s))
+    _check_selection(report, model, part)
 
     # explicit projection residual over the union of supports
-    union = sorted(
-        {tuple(int(x) for x in p) for p in ds.support}
-        | {tuple(int(x) for x in p) for p in model.support}
-    )
-    col = {p: i for i, p in enumerate(union)}
+    # (columns in lexicographic order of the positions)
+    union, col = np.unique(np.concatenate([ds.support, model.support]), axis=0, return_inverse=True)
+    col = col.reshape(-1)
     a = np.zeros((ds.m, len(union)), dtype=np.complex128)
-    a[:, [col[tuple(int(x) for x in p)] for p in ds.support]] = ds.values
+    a[:, col[: ds.n_points]] = ds.values
     q = np.zeros((gens.shape[0], len(union)), dtype=np.complex128)
-    q[:, [col[tuple(int(x) for x in p)] for p in model.support]] = gens
+    q[:, col[ds.n_points :]] = gens
     resid = a - (a @ q.conj().T) @ q
     total = float((resid.real**2 + resid.imag**2).sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),

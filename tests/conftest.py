@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sisfit.spectral import SpectralDataset, SpectralGrid
+
+
+# property tests draw the same examples on every run and have no
+# per-example deadline, so they neither flake nor depend on host speed
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("tier1")
 
 
 def random_dataset(rng, dim=1, cells=8, trunc=1, m=3, scale=1.0):

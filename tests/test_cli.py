@@ -101,7 +101,16 @@ def test_pw_fit_and_verify(tmp_path):
     assert float(report_value(res.stdout, "error")) == 0.0
     rows = (model / "chosen.csv").read_text().strip().splitlines()
     assert all(row.split(",", 1)[1] == "-1,0,1" for row in rows)
+    # the one-hot generators follow from chosen.csv; none are written
+    assert not (model / "generators.bin").exists()
 
+    res = run_cli("verify", "--model", model, "--data", data / "dataset.json")
+    assert res.returncode == 0, res.stderr
+    assert "result: pass" in res.stdout
+
+    # an older pw directory that still holds generators.bin loads as before
+    np.full(3 * 8 * 3, 7.0, dtype="<c16").tofile(model / "generators.bin")
+    _set_json(model / "model.json", "payload_generators", "generators.bin")
     res = run_cli("verify", "--model", model, "--data", data / "dataset.json")
     assert res.returncode == 0, res.stderr
     assert "result: pass" in res.stdout
@@ -451,6 +460,17 @@ def _shift_home_coset(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _set_block_ranks(path, rank=5):
+    lines = [ln.rsplit(",", 1)[0] + f",{rank}" for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _foreign_selection(path):
+    path.write_text("0,zz,9,123.0\n")
+    _set_json(path.parent / "model.json", "allocation", [9, 9])
+    _set_json(path.parent / "model.json", "labels", ["q"])
+
+
 def _duplicate_pick(path):
     lines = path.read_text().splitlines()
     g, first, _ = lines[1].split(",")
@@ -496,12 +516,14 @@ def _fitted_discrete_model(tmp_path):
          "parseval, residual-identity, cell-residuals, eigencurves", "parseval"),
         ("extra", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
         ("extra", "home_cosets.csv", _shift_home_coset, "coset-support", "coset-support"),
+        ("extra", "home_cosets.csv", _set_block_ranks, "coset-support", "coset-support"),
         ("pw", "chosen.csv", _duplicate_pick, "tile-distinct, residual-identity, cell-residuals", "tile-distinct"),
         ("pw", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
         ("pw", "model.json", lambda p: _set_json(p, "tail", 5.0), "tail", "tail"),
         ("discrete", "generators.txt", _scale_generator_value,
          "orthonormal, residual-identity", "orthonormal"),
         ("discrete", "generators.txt", _value_in_other_block, "block-support", "block-support"),
+        ("discrete", "selected.csv", _foreign_selection, "block-support", "block-support"),
         ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
     ],
 )
@@ -548,3 +570,56 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
     assert res.returncode == 2, res.stdout
     assert "Traceback" not in res.stderr
     assert str(model / name) in res.stderr
+
+
+@pytest.mark.parametrize(
+    "name,edit,location",
+    [
+        ("dataset.json", lambda p: _set_json(p, "dim", "1"), "dataset.json: malformed field 'dim'"),
+        ("dataset.json", lambda p: _set_json(p, "m", True), "dataset.json: malformed field 'm'"),
+        ("dataset.json", lambda p: _set_json(p, "m", 2.5), "dataset.json: malformed field 'm'"),
+        ("dataset.json", lambda p: _set_json(p, "payload_path", None),
+         "dataset.json: malformed field 'payload_path'"),
+        # column 2 of a row is its translation; -5 lies outside the radius-1 box
+        ("dataset.csv", lambda p: _tamper_csv(p, 1, 2, "-5"), "dataset.csv:2: translation (-5,)"),
+        ("model.json", lambda p: _set_json(p, "rank", 2.5), "model.json: malformed field 'rank'"),
+        ("part.txt", "0, a, b\n1, b\n", "part.txt:1: expected 2 columns"),
+        ("part.txt", "0, a\nx, b\n", "part.txt:2: bad position"),
+        ("part.txt", "0, a\n1, b\n0, c\n", "part.txt:3: position (0,) labeled twice"),
+        ("seqs.txt", "0,0,1.0,0.0\n1,1,1.0,0.0\n0,0,2.0,0.0\n", "seqs.txt:3: duplicate sample"),
+        ("seqs.txt", "0,100000000000000000000,1.0,0.0\n", "seqs.txt:1: position (100000000000000000000,)"),
+    ],
+    ids=[
+        "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
+        "csv-translation-outside-box", "model-rank-float", "partition-columns", "partition-position",
+        "partition-labeled-twice", "seqs-duplicate", "seqs-int64-overflow",
+    ],
+)
+def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
+    data = tmp_path / "data"
+    run_cli(
+        "synth", "--family", "gaussian", "--sigma", 1, "--dim", 1, "--cells", 4,
+        "--trunc", 1, "--payload-format", "csv", "--out", data,
+    )
+    seqs, part = tmp_path / "seqs.txt", tmp_path / "part.txt"
+    seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
+    part.write_text("0, a\n1, b\n")
+    fit_sis = ("fit", "--regime", "sis", "--data", data / "dataset.json", "--rank", 1, "--out", tmp_path / "m")
+    if name == "model.json":
+        assert run_cli(*fit_sis).returncode == 0
+        cmd = ("verify", "--model", tmp_path / "m", "--data", data / "dataset.json")
+        path = tmp_path / "m" / name
+    elif name in ("seqs.txt", "part.txt"):
+        cmd = ("fit", "--regime", "discrete", "--data", seqs, "--rank", 1, "--partition", part,
+               "--out", tmp_path / "m")
+        path = tmp_path / name
+    else:
+        cmd, path = fit_sis, data / name
+    if callable(edit):
+        edit(path)
+    else:
+        path.write_text(edit)
+    res = run_cli(*cmd)
+    assert res.returncode == 2, res.stdout
+    assert "Traceback" not in res.stderr
+    assert location in res.stderr, res.stderr

@@ -285,22 +285,6 @@ def test_identity_lattice_fit_equals_plain_fit_bitwise(rng, dim, trunc, m):
     assert constrained.block_ranks[0].tolist() == [0, 1, 2]
 
 
-def test_threads_keyword_validated_and_without_effect(rng):
-    ds = random_dataset(rng, m=3)
-    lat = make_dual_lattice([[2]])
-    a = fit_extra_invariant(ds, lat, 2)
-    b = fit_extra_invariant(ds, lat, 2, threads=3)
-    assert _bits(a.spectra) == _bits(b.spectra) and _bits(a.residuals) == _bits(b.residuals)
-    for call in (
-        lambda: fit_sis(ds, 1, threads=0),
-        lambda: error_sis(ds, 1, threads=0),
-        lambda: fit_extra_invariant(ds, lat, 1, threads=0),
-        lambda: error_extra(ds, lat, 1, threads=0),
-    ):
-        with pytest.raises(ValidationError, match="threads"):
-            call()
-
-
 def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
     from sisfit.sis import block_eigen
 

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from sisfit.errors import ValidationError
 from sisfit.lattice import (
@@ -165,3 +167,38 @@ def test_lattice_equality():
     c = make_dual_lattice([[3]])
     assert a == b
     assert a != c
+
+
+@st.composite
+def _bases(draw):
+    """Nonsingular integer bases, d = 1..3, |det| <= 64."""
+    d = draw(st.integers(1, 3))
+    basis = np.array(draw(st.lists(st.integers(-4, 4), min_size=d * d, max_size=d * d))).reshape(d, d)
+    det = round(float(np.linalg.det(basis)))  # exact for entries this small
+    assume(det != 0 and abs(det) <= 64)
+    return basis
+
+
+@given(basis=_bases(), data=st.data())
+def test_coset_of_arrays_match_vectors_and_membership(basis, data):
+    lat = make_dual_lattice(basis)
+    d = lat.dim
+    vec = st.lists(st.integers(-40, 40), min_size=d, max_size=d)
+    pts = np.array(data.draw(st.lists(vec, min_size=1, max_size=12)), dtype=np.int64)
+    labels = coset_of(pts, lat)
+    assert labels.shape == pts.shape[:1] and labels.dtype == np.int64
+    singles = [coset_of(p, lat) for p in pts]
+    assert all(type(lab) is int for lab in singles)
+    assert labels.tolist() == singles
+    for p, lab in zip(pts, singles):
+        assert _in_lattice(basis, p - lat.section[lab])
+    # adding a lattice vector B z keeps every label
+    z = np.array(data.draw(vec))
+    shifted = pts + basis @ z
+    assert np.array_equal(coset_of(shifted, lat), labels)
+    stacked = coset_of(np.stack([pts, shifted]), lat)
+    assert stacked.shape == (2, len(pts)) and np.array_equal(stacked, [labels, labels])
+    assert coset_of(np.zeros((0, d), dtype=np.int64), lat).shape == (0,)
+    for extreme in (np.iinfo(np.int64).max, np.iinfo(np.int64).min):
+        with pytest.raises(ValidationError, match="too large"):
+            coset_of(np.full((2, d), extreme), lat)

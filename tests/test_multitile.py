@@ -192,14 +192,6 @@ def test_chosen_rows_sorted(rng):
         assert rows == sorted(rows)
 
 
-def test_threads_match_single(rng):
-    ds = random_dataset(rng, dim=2, cells=4, trunc=1, m=2)
-    m1 = fit_multitile(ds, 2, 1, threads=1)
-    m4 = fit_multitile(ds, 2, 1, threads=4)
-    assert np.array_equal(m1.chosen, m4.chosen)
-    assert m1.error == m4.error and m1.tail == m4.tail
-
-
 def _per_cell_reference(ds, rank, box):
     """The per-cell loop fit_multitile replaced: heaviest ``rank`` in-box
     translations, ties to the lexicographically smaller one."""

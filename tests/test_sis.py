@@ -182,13 +182,3 @@ def test_rank_validation(rng):
         fit_sis(ds, -1)
     with pytest.raises(ValidationError):
         error_sis(ds, -1)
-
-
-def test_threads_match_single(rng):
-    ds = random_dataset(rng, dim=2, cells=4, m=3)
-    m1 = fit_sis(ds, 2, threads=1)
-    m4 = fit_sis(ds, 2, threads=4)
-    assert m1.error == m4.error
-    assert np.array_equal(m1.spectra, m4.spectra)
-    assert np.array_equal(m1.residuals, m4.residuals)
-    assert np.array_equal(m1.eigenvalues, m4.eigenvalues)
