@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT
+from .hermitian import EIG_TOL_DEFAULT, MAX_ORDER
 from .lattice import _INT64_MAX, DualLattice, coset_of, make_dual_lattice, parse_basis
-from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen
+from .sis import _check_rank, _column_blocks, _gramians, allocation_residual, block_eigen
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -170,10 +170,7 @@ def block_gramian(ds: DiscreteDataset, part: DiscretePartition, label) -> np.nda
     if label not in part.labels:
         raise ValidationError(f"unknown block label {label!r}")
     sigma = part.labels.index(label)
-    idx = part.label_index(ds.support)
-    a = ds.values[:, idx == sigma]
-    gm = a @ a.conj().T
-    return (gm + gm.conj().T) / 2.0
+    return _gramians([ds.values], [np.flatnonzero(part.label_index(ds.support) == sigma)])[0]
 
 
 def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
@@ -286,7 +283,8 @@ def brute_force_optimal(
 def parse_discrete_dataset(path) -> DiscreteDataset:
     """Read sequences from a text table: ``j, p_1, ..., p_d, re, im`` per
     line, comments starting with '#'.  The dimension is inferred from the
-    column count and must be consistent."""
+    column count and must be consistent; sequence indices run from 0 to
+    ``MAX_ORDER - 1``."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"dataset file not found: {path}")
@@ -315,6 +313,12 @@ def parse_discrete_dataset(path) -> DiscreteDataset:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         if j < 0:
             raise ValidationError(f"{path}:{lineno}: sequence index must be nonnegative")
+        if j >= MAX_ORDER:
+            # the Gramian of m sequences has order m, at most MAX_ORDER
+            raise ValidationError(
+                f"{path}:{lineno}: sequence index {j} exceeds {MAX_ORDER - 1} "
+                f"(a fit takes at most {MAX_ORDER} sequences)"
+            )
         if not all(-_INT64_MAX - 1 <= x <= _INT64_MAX for x in pos):
             raise ValidationError(f"{path}:{lineno}: position {pos} outside the int64 range")
         if not (math.isfinite(re) and math.isfinite(im)):

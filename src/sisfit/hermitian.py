@@ -1,11 +1,17 @@
 """Deterministic eigendecomposition of complex Hermitian matrices.
 
-Wraps the NumPy Jacobi kernel (``kernels.jacobi_cycle``), whose sweeps
+Wraps the NumPy Jacobi kernel (``kernels.jacobi_batch``), whose sweeps
 follow the parallel round-robin ordering of Brent & Luk, with validation,
 stable descending eigenvalue order, clamping of tiny negative eigenvalues,
-and a fixed eigenvector phase convention.  The kernel uses only correctly
-rounded elementwise operations and decides convergence on a sum added in
-sequential order, so the same input bits give the same output bits.
+and a fixed eigenvector phase convention.  ``eig_hermitian_batch`` solves a
+whole stack of same-order matrices with one kernel call and does every
+other step by array operations over the stack; ``eig_hermitian`` is a
+batch of one.  The kernel uses only correctly rounded elementwise
+operations on each matrix's own entries and decides convergence on a sum
+added in sequential order, so the same input bits give the same output
+bits, whatever else is in the batch.  The values-only mode
+(``vectors=False``) carries no eigenvectors through the kernel and does
+no phase step; its eigenvalues are bit-identical to the full mode's.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .kernels import jacobi_cycle
+from .kernels import jacobi_batch
 
 EIG_TOL_DEFAULT = 1e-13
 MAX_SWEEPS = 64
@@ -34,15 +40,17 @@ PHASE_TOL = 1e-12
 
 @dataclass
 class EigenSystem:
-    """Eigenvalues in descending order; column s of ``vectors`` matches
-    ``eigenvalues[s]``."""
+    """Eigenvalues in descending order along the last axis; column s of
+    ``vectors`` matches ``eigenvalues[..., s]``.  A stacked solve puts one
+    leading matrix axis on both; the values-only mode leaves ``vectors``
+    None."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     @property
     def order(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvalues.shape[-1])
 
 
 def hermitian_part(g) -> np.ndarray:
@@ -55,41 +63,116 @@ def hermitian_part(g) -> np.ndarray:
     arr = np.asarray(g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
+    return _hermitian_stack(arr[None])[0]
+
+
+def _hermitian_stack(arr: np.ndarray) -> np.ndarray:
+    """``hermitian_part`` of every matrix of a (B, n, n) stack; the errors
+    of a stack of several name the first failing matrix."""
+    n = arr.shape[-1]
     if n < 1 or n > MAX_ORDER:
         raise ValidationError(f"matrix order must be in 1..{MAX_ORDER}, got {n}")
     arr = arr.astype(np.complex128, copy=False)
+
+    def which(b):
+        return f" (matrix {b} of the stack)" if arr.shape[0] > 1 else ""
+
     finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValidationError(f"non-finite entry at ({i}, {j})")
-    maxmag = float(np.abs(arr).max())
-    asym = float(np.abs(arr - arr.conj().T).max())
-    if asym > 1e-12 * maxmag:
+        b, i, j = np.argwhere(~finite)[0]
+        raise ValidationError(f"non-finite entry at ({i}, {j}){which(b)}")
+    adj = arr.conj().swapaxes(1, 2)
+    maxmag = np.abs(arr).max(axis=(1, 2))
+    asym = np.abs(arr - adj).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > 1e-12 * maxmag)
+    if bad.size:
+        b = bad[0]
         raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {asym:.6e} "
-            f"exceeds 1e-12 relative to max entry magnitude {maxmag:.6e}"
+            f"matrix is not Hermitian: max asymmetry {asym[b]:.6e} "
+            f"exceeds 1e-12 relative to max entry magnitude {maxmag[b]:.6e}{which(b)}"
         )
-    return (arr + arr.conj().T) / 2.0
+    return (arr + adj) / 2.0
+
+
+def _normalize_rows(w: np.ndarray) -> None:
+    """Rotate every row of a (k, n) complex array in place so that its
+    first component of magnitude above ``PHASE_TOL`` becomes real and
+    positive; rows without one stay as they are.  Each row is multiplied
+    by the conjugate pivot and divided by its magnitude as one vector on
+    its own, so a row's bits do not depend on the other rows."""
+    mags = np.abs(w)
+    big = mags > PHASE_TOL
+    rows = np.flatnonzero(big.any(axis=1))
+    piv = np.argmax(big[rows], axis=1)
+    mag = mags[rows, piv]
+    sub = w[rows]
+    sub *= sub[np.arange(rows.size), piv].conj()[:, None]
+    sub /= mag[:, None]
+    # the rotated pivot is |piv| up to one rounding, but FMA-contracted
+    # complex multiplies can leave a stray imaginary ulp; write it explicitly
+    # so the convention (real, positive, imag exactly 0.0) holds bit-for-bit
+    sub[np.arange(rows.size), piv] = mag
+    w[rows] = sub
 
 
 def normalize_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a complex vector so its first component of magnitude above
     1e-12 becomes real and positive.  All-small vectors come back as is."""
     out = np.array(v, dtype=np.complex128, copy=True)
-    mags = np.abs(out)
-    nz = np.flatnonzero(mags > PHASE_TOL)
-    if nz.size == 0:
-        return out
-    piv = out[nz[0]]
-    mag = mags[nz[0]]
-    out *= piv.conjugate()
-    out /= mag
-    # the rotated pivot is |piv| up to one rounding, but FMA-contracted
-    # complex multiplies can leave a stray imaginary ulp; write it explicitly
-    # so the convention (real, positive, imag exactly 0.0) holds bit-for-bit
-    out[nz[0]] = mag
+    _normalize_rows(out.reshape(1, -1))
     return out
+
+
+def eig_hermitian_batch(g, tol: float = EIG_TOL_DEFAULT, *, vectors: bool = True) -> EigenSystem:
+    """Eigendecomposition of every matrix of a (B, n, n) stack, with one
+    kernel call.
+
+    Each matrix gets exactly the bits ``eig_hermitian`` gives it alone:
+    the stack is validated and symmetrized as a whole (errors name the
+    first failing matrix), the convergence threshold ``tol * ||g_b||_F``
+    is per matrix, and sorting, clamping and the phase step are array
+    operations that treat every matrix by itself.  ``vectors=False``
+    returns eigenvalues only.  Raises ``ConvergenceError`` if any matrix
+    does not converge.
+    """
+    if not (0.0 < tol <= 1e-6):
+        raise ValidationError(f"tol must be in (0, 1e-6], got {tol}")
+    arr = np.asarray(g)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValidationError(f"expected a stack of square matrices, got shape {arr.shape}")
+    h = _hermitian_stack(arr)
+    n = h.shape[-1]
+    # np.linalg.norm per matrix: a stacked reduction may add in another
+    # order than its BLAS dot, and the threshold must not depend on the batch
+    normg = np.array([np.linalg.norm(x) for x in h], dtype=np.float64)
+
+    are = np.ascontiguousarray(h.real)
+    aim = np.ascontiguousarray(h.imag)
+    vre = vim = None
+    if vectors:
+        vre = np.broadcast_to(np.eye(n), h.shape).copy()
+        vim = np.zeros(h.shape)
+    sweeps = jacobi_batch(are, aim, vre, vim, tol * normg, MAX_SWEEPS)
+    if (sweeps < 0).any():
+        raise ConvergenceError(
+            f"eigensolver did not reach tol={tol:g} within {MAX_SWEEPS} sweeps "
+            f"(order {n})"
+        )
+
+    lam = np.diagonal(are, axis1=1, axis2=2)
+    order = np.argsort(-lam, axis=1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=1)
+    lam[(lam < 0.0) & (lam >= -NEG_CLAMP_REL * normg[:, None])] = 0.0
+    if not vectors:
+        return EigenSystem(eigenvalues=lam, vectors=None)
+
+    # row s of w is eigenvector s, so the phase step runs on contiguous rows
+    w = np.empty(h.shape, dtype=np.complex128)
+    w.real = vre.swapaxes(1, 2)
+    w.imag = vim.swapaxes(1, 2)
+    w = np.take_along_axis(w, order[:, :, None], axis=1)
+    _normalize_rows(w.reshape(-1, n))
+    return EigenSystem(eigenvalues=lam, vectors=np.ascontiguousarray(w.swapaxes(1, 2)))
 
 
 def eig_hermitian(g, tol: float = EIG_TOL_DEFAULT) -> EigenSystem:
@@ -111,35 +194,11 @@ def eig_hermitian(g, tol: float = EIG_TOL_DEFAULT) -> EigenSystem:
         eigenvalues in ``[-1e-10 * ||g||_F, 0)`` are clamped to zero.
         Eigenvector columns are unitary and phase-normalized.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValidationError(f"tol must be in (0, 1e-6], got {tol}")
-    h = hermitian_part(g)
-    n = h.shape[0]
-    normg = float(np.linalg.norm(h))
-
-    are = np.ascontiguousarray(h.real)
-    aim = np.ascontiguousarray(h.imag)
-    vre = np.eye(n)
-    vim = np.zeros((n, n))
-    sweeps = jacobi_cycle(are, aim, vre, vim, tol * normg, MAX_SWEEPS)
-    if sweeps < 0:
-        raise ConvergenceError(
-            f"eigensolver did not reach tol={tol:g} within {MAX_SWEEPS} sweeps "
-            f"(order {n})"
-        )
-
-    lam = np.diagonal(are).copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    lam[(lam < 0.0) & (lam >= -NEG_CLAMP_REL * normg)] = 0.0
-
-    vec = np.empty((n, n), dtype=np.complex128)
-    vec.real = vre
-    vec.imag = vim
-    vec = vec[:, order]
-    for s in range(n):
-        vec[:, s] = normalize_phase(vec[:, s])
-    return EigenSystem(eigenvalues=lam, vectors=vec)
+    arr = np.asarray(g)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    es = eig_hermitian_batch(arr[None], tol)
+    return EigenSystem(eigenvalues=es.eigenvalues[0], vectors=es.vectors[0])
 
 
 def rank_by_threshold(eigs, rel_tol: float = RANK_REL_TOL) -> int:

@@ -1,12 +1,14 @@
-"""The Jacobi eigensolver kernel for complex Hermitian matrices, in NumPy.
+"""The Jacobi eigensolver kernel for stacks of complex Hermitian matrices,
+in NumPy.
 
-``jacobi_cycle`` diagonalizes one matrix in place, given as its real and
-imaginary planes, and accumulates the rotations into V.  Its sweeps use
-the parallel round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
-Comput. 6, 1985).  With ``m = n + (n odd)`` indices, where the extra index
-``n`` of an odd order is an inert padding index, a sweep has ``m - 1``
-steps.  Step ``k`` pairs the fixed index ``m - 1`` with ``r(0)`` and
-``r(j)`` with ``r(m - 1 - j)`` for ``j = 1 .. m/2 - 1``, where
+``jacobi_batch`` diagonalizes a stack of B matrices of one order n in
+place, given as their real and imaginary planes, and accumulates the
+rotations into V (or, in the values-only mode, keeps no V at all).  Its
+sweeps use the parallel round-robin ordering of Brent & Luk (SIAM J. Sci.
+Stat. Comput. 6, 1985).  With ``m = n + (n odd)`` indices, where the extra
+index ``n`` of an odd order is an inert padding index, a sweep has
+``m - 1`` steps.  Step ``k`` pairs the fixed index ``m - 1`` with ``r(0)``
+and ``r(j)`` with ``r(m - 1 - j)`` for ``j = 1 .. m/2 - 1``, where
 ``r(j) = (j + k) mod (m - 1)``; each pair is oriented ``p < q`` and a pair
 holding the padding index is skipped.  The pairs of one step are disjoint,
 so all their rotations are applied together: every rotation's parameters
@@ -15,24 +17,30 @@ A and V are rotated, then all paired rows of A, and finally each pair's
 2x2 block is set to its rotated diagonal and exact zeros.  A pair whose
 ``a_pq`` is exactly zero gets the identity rotation (c = 1, s = 0, t = 0).
 
-A and V are stacked in one work array and kept permuted so that a step's
-p indices come first and its q indices next; the rotations of a step are
-then a few whole-array updates on views, and one gather moves the array to
-the next step's arrangement.  A sweep is ``m - 1`` Python-level steps
-instead of ``n(n-1)/2`` single rotations.
+Each matrix stacks A over V, and the whole batch is one ``(2, rows, n, B)``
+work array (re/im plane, row, column, matrix), kept permuted so that a
+step's p indices come first and its q indices next; the rotations of a step
+are then a few whole-array updates on views over every matrix at once, and
+one gather moves the array to the next step's arrangement.  A sweep is ``m - 1``
+Python-level steps for the whole batch, instead of ``n(n-1)/2`` single
+rotations per matrix.  At the start of every sweep the matrices that have
+converged leave the batch, so each matrix runs exactly the sweeps it would
+run alone.
 
-The results are bit-deterministic: rotation parameters are computed per
-pair in scalar floats, the updates use only correctly rounded elementwise
-operations (no BLAS, no ``abs``/``hypot`` of complex numbers), and the
-off-diagonal norm that decides convergence is accumulated in sequential
-row-major order of the upper triangle.  The same input bits therefore give
-the same output bits on every platform with IEEE doubles.
+The results are bit-deterministic and independent of the batch: every
+update is a correctly rounded elementwise operation on one matrix's own
+entries (no BLAS, no ``abs``/``hypot`` of complex numbers, no reduction
+across matrices), the rotation parameters are the scalar formulas applied
+elementwise, and the off-diagonal norm that decides convergence is
+accumulated in sequential row-major order of the upper triangle.  The same
+input bits therefore give the same output bits, whatever else is in the
+batch, on every platform with IEEE doubles.  A's updates never read V, so
+the values-only mode gives the same eigenvalue bits as the full mode.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -55,11 +63,13 @@ def round_robin_steps(n: int) -> list[list[tuple[int, int]]]:
 class _Layout(NamedTuple):
     """Index arrays for the permuted work array of one order ``n``.
 
-    The work array stacks A over V, shape ``(2, 2n, n)`` (re, im planes).
-    Layout k lists the indices held at each position during step k: the p
-    of every pair, then the q of every pair, then for odd n the idle index.
-    A gather is a ``(rows, cols)`` pair of index arrays: rows reorder A's
-    rows and leave V's alone, cols reorder the columns of both.
+    The work array of one matrix stacks A over V, shape ``(2, 2n, n)``
+    (re, im planes), or holds A alone, shape ``(2, n, n)``, in the
+    values-only mode.  Layout k lists the indices held at each position
+    during step k: the p of every pair, then the q of every pair, then for
+    odd n the idle index.  A gather is a ``(rows, cols)`` pair of index
+    arrays: rows reorder A's rows and leave V's alone, cols reorder the
+    columns of both.
     """
 
     enter: tuple  # original order -> layout 0
@@ -72,14 +82,14 @@ class _Layout(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _layout(n: int) -> _Layout:
+def _layout(n: int, vectors: bool) -> _Layout:
     layouts = []
     for pairs in round_robin_steps(n):
         ps = [p for p, _ in pairs]
         qs = [q for _, q in pairs]
         idle = sorted(set(range(n)) - set(ps) - set(qs))
         layouts.append(np.array(ps + qs + idle, dtype=np.intp))
-    vrows = np.arange(n, 2 * n, dtype=np.intp)
+    vrows = np.arange(n, 2 * n if vectors else n, dtype=np.intp)
 
     def gather(perm):
         return np.concatenate([perm, vrows]), perm
@@ -91,7 +101,7 @@ def _layout(n: int) -> _Layout:
     pos0 = np.argsort(layouts[0])
     iu, ju = np.triu_indices(n, 1)
     h = n // 2
-    im = 2 * n * n  # offset of the imaginary plane
+    im = (2 * n if vectors else n) * n  # offset of the imaginary plane
     a = np.arange(h, dtype=np.intp)
     b = a + h
     ia, ib, iab, iba = a * n + a, b * n + b, a * n + b, b * n + a
@@ -107,108 +117,134 @@ def _layout(n: int) -> _Layout:
 
 
 def _rotate(z, w, c, s1, s2):
-    """Rotate pairs in place: ``z`` is a re/im view of the p and q lines
-    of every pair and ``w`` the same view with p and q swapped.
+    """Rotate pairs in place: ``z`` is a re/im view (axis 0) of the p and
+    q lines of every pair of every matrix and ``w`` the same view with p
+    and q swapped.
 
     Each line x with partner line y becomes ``c*x + (s1 + i*s2)*y``,
     written out on the re/im planes in a fixed order:
     ``s1`` is ``sre`` for p and ``-sre`` for q, and ``s2`` is ``sim`` for
-    columns and ``-sim`` for rows.
+    columns and ``-sim`` for rows.  ``s2`` comes with a plane axis holding
+    ``(-s2, s2)``, so that one product gives ``-s2*y_im`` for the real
+    plane and ``s2*y_re`` for the imaginary one; adding the negated
+    product is the same IEEE operation as subtracting it.
     """
-    cz = c * z
-    a = s1 * w
-    b = s2 * w
-    re = a[0] - b[1]
-    im = a[1] + b[0]
-    np.add(cz[0], re, out=z[0])
-    np.add(cz[1], im, out=z[1])
+    np.add(c * z, s1 * w + s2 * w[::-1], out=z)
 
 
-def jacobi_cycle(are, aim, vre, vim, thr, max_sweeps):
-    """Diagonalize in place; return sweep count, or -1 if not converged.
+def _off2(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Twice the squared upper off-diagonal norm of every matrix, its
+    terms added one at a time in row-major order (``accumulate`` is
+    sequential, where ``sum`` would add pairwise)."""
+    if upper.size == 0:
+        return np.zeros(x.shape[-1])
+    flat = x.reshape(2, -1, x.shape[-1])
+    ure = flat[0].take(upper, axis=0)
+    uim = flat[1].take(upper, axis=0)
+    return 2.0 * np.add.accumulate(ure * ure + uim * uim, axis=0)[-1]
 
-    ``are + i*aim`` is Hermitian with zero imaginary diagonal and
-    ``vre + i*vim`` the identity on entry.  Sweeps stop once the
-    off-diagonal Frobenius norm is at most ``thr``, or after
-    ``max_sweeps`` sweeps; on return A holds the eigenvalues on its
+
+def _step(x: np.ndarray, lay: _Layout, h: int) -> None:
+    """Apply the rotations of one round-robin step to every matrix."""
+    rows, n, b = x.shape[1:]
+    xf = x.reshape(-1, b)
+    g = xf.take(lay.params, axis=0).reshape(4, h, b)
+    app, aqq, bre, bim = g
+    sq = g[2:] * g[2:]
+    absb = np.sqrt(sq[0] + sq[1])
+    zero = None if absb.all() else absb == 0.0
+    den = absb if zero is None else np.where(zero, 1.0, absb)
+    tau = (aqq - app) / (2.0 * den)
+    # tau >= 0: -1 / (tau + sqrt(1 + tau^2)); else 1 / (sqrt(1 + tau^2) - tau)
+    t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    if zero is not None:
+        t[zero] = 0.0
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    # s[0] = s1 = (sre, -sre) and s[1] = s2 = (-sim, sim), where
+    # sre = sig * (bre / absb) and sim = -sig * (bim / absb), both 0.0 on
+    # a zero pair; (-sig) * y and -(sig * y) round alike
+    s = np.empty((2, 2, h, b))
+    np.multiply(t * c, g[2:] / den, out=s[:, 0])
+    if zero is not None:
+        s[0, 0][zero] = 0.0
+        s[1, 0][zero] = -0.0
+    np.negative(s[:, 0], out=s[:, 1])
+    s1, s2 = s
+
+    # columns of A and V, then rows of A: the row update of J^H (A J) is
+    # the column update of the transposed rows with s conjugated
+    z = x[:, :, : 2 * h].reshape(2, rows, 2, h, b)
+    _rotate(z, z[:, :, ::-1], c, s1, s2[:, None, None])
+    z = x[:, : 2 * h].reshape(2, 2, h, n, b)
+    _rotate(z, z[:, ::-1], c[:, None], s1[:, :, None], s2[::-1, None, :, None])
+
+    # a_pp + t|b|, then a_qq + (-t|b|), which is a_qq - t|b|
+    xf[lay.diag] = (g[:2] + _PLUS_MINUS * (t * absb)).reshape(2 * h, b)
+    xf[lay.zeros] = 0.0
+
+
+_PLUS_MINUS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+
+
+def jacobi_batch(are, aim, vre, vim, thr, max_sweeps) -> np.ndarray:
+    """Diagonalize a stack in place; return each matrix's sweep count, or
+    -1 where it did not converge.
+
+    ``are + i*aim`` has shape (B, n, n); each matrix is Hermitian with
+    zero imaginary diagonal.  ``vre + i*vim`` is a stack of identities on
+    entry, or ``vre`` and ``vim`` are both None for the values-only mode,
+    which carries no V.  Matrix b sweeps until its off-diagonal Frobenius
+    norm is at most ``thr[b]`` (``thr`` is one float or one per matrix),
+    or for ``max_sweeps`` sweeps; on return A holds the eigenvalues on its
     diagonal and V the eigenvectors as columns.
     """
-    n = are.shape[0]
-    thr2 = thr * thr
-    lay = _layout(n)
+    nb, n = are.shape[0], are.shape[-1]
+    vectors = vre is not None
+    lay = _layout(n, vectors)
     h = n // 2
+    thr = np.broadcast_to(np.asarray(thr, dtype=np.float64), (nb,))
+    thr2 = thr * thr
 
-    x = np.empty((2, 2 * n, n))
-    x[0, :n] = are
-    x[1, :n] = aim
-    x[0, n:] = vre
-    x[1, n:] = vim
+    # the matrix index is the last axis, so every operation of a step
+    # runs over all matrices in its innermost loop
+    x = np.empty((2, 2 * n if vectors else n, n, nb))
+    x[0, :n] = are.transpose(1, 2, 0)
+    x[1, :n] = aim.transpose(1, 2, 0)
+    if vectors:
+        x[0, n:] = vre.transpose(1, 2, 0)
+        x[1, n:] = vim.transpose(1, 2, 0)
     rows, cols = lay.enter
     x = x.take(rows, axis=1).take(cols, axis=2)
+    out = np.empty_like(x)
+    result = np.full(nb, -1, dtype=np.int64)
+    active = np.arange(nb)
     sweeps = 0
 
-    while True:
-        # added one term at a time in row-major order, so the convergence
-        # decision does not depend on how NumPy would reduce the sum
-        flat = x.reshape(2, -1)
-        ure = flat[0, lay.upper]
-        uim = flat[1, lay.upper]
-        off2 = 0.0
-        for term in (ure * ure + uim * uim).tolist():
-            off2 = off2 + term
-        off2 = 2.0 * off2
-        if off2 <= thr2 or sweeps == max_sweeps:
-            break
-
-        for rows, cols in lay.steps:
-            xf = x.reshape(-1)
-            g = xf.take(lay.params).tolist()
-            cs, sres, nsres, sims, dp, dq = [], [], [], [], [], []
-            for app, aqq, bre, bim in zip(g[:h], g[h : 2 * h], g[2 * h : 3 * h], g[3 * h :]):
-                absb = sqrt(bre * bre + bim * bim)
-                if absb == 0.0:
-                    t = 0.0
-                    c = 1.0
-                    sre = 0.0
-                    sim = 0.0
-                else:
-                    tau = (aqq - app) / (2.0 * absb)
-                    if tau >= 0.0:
-                        t = -1.0 / (tau + sqrt(1.0 + tau * tau))
-                    else:
-                        t = 1.0 / (sqrt(1.0 + tau * tau) - tau)
-                    c = 1.0 / sqrt(1.0 + t * t)
-                    sig = t * c
-                    sre = sig * (bre / absb)
-                    sim = -sig * (bim / absb)
-                cs.append(c)
-                sres.append(sre)
-                nsres.append(-sre)
-                sims.append(sim)
-                dp.append(app + t * absb)
-                dq.append(aqq - t * absb)
-            c = np.array(cs)
-            s1 = np.array([sres, nsres])
-            sim = np.array(sims)
-
-            # columns of A and V, then rows of A: the row update of
-            # J^H (A J) is the column update of the transposed rows with s
-            # conjugated
-            z = x[:, :, : 2 * h].reshape(2, 2 * n, 2, h)
-            _rotate(z, z[:, :, ::-1], c, s1, sim)
-            z = x[:, : 2 * h].reshape(2, 2, h, n)
-            _rotate(z, z[:, ::-1], c[:, None], s1[:, :, None], -sim[:, None])
-
-            xf[lay.diag] = dp + dq
-            xf[lay.zeros] = 0.0
-            x = x.take(rows, axis=1).take(cols, axis=2)
-
-        sweeps += 1
+    # tau * tau may overflow to inf, as it does in scalar floats; t is then
+    # -0.0 or 0.0, the limit of the formula
+    with np.errstate(over="ignore"):
+        while active.size:
+            done = _off2(x, lay.upper) <= thr2[active]
+            result[active[done]] = sweeps
+            if sweeps == max_sweeps:
+                out[..., active] = x
+                break
+            if done.any():
+                out[..., active[done]] = x[..., done]
+                x = x[..., ~done]
+                active = active[~done]
+                if not active.size:
+                    break
+            for rows, cols in lay.steps:
+                _step(x, lay, h)
+                x = x.take(rows, axis=1).take(cols, axis=2)
+            sweeps += 1
 
     rows, cols = lay.leave
-    x = x.take(rows, axis=1).take(cols, axis=2)
-    are[...] = x[0, :n]
-    aim[...] = x[1, :n]
-    vre[...] = x[0, n:]
-    vim[...] = x[1, n:]
-    return sweeps if off2 <= thr2 else -1
+    out = out.take(rows, axis=1).take(cols, axis=2).transpose(3, 0, 1, 2)
+    are[...] = out[:, 0, :n]
+    aim[...] = out[:, 1, :n]
+    if vectors:
+        vre[...] = out[:, 0, n:]
+        vim[...] = out[:, 1, n:]
+    return result

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian
+from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, EigenSystem, eig_hermitian_batch
 from .spectral import SpectralDataset, SpectralGrid, check_same_grid
 
 
@@ -84,6 +84,98 @@ class BlockEigen:
     generators: np.ndarray | None
 
 
+# matrix elements per eigensolver call: one call solves up to
+# CHUNK_ELEMENTS // m**2 Gramians of order m (256 of order 8, 64 of order
+# 16), where per-call overhead is spread thin and the work array still
+# fits in cache.  A fixed constant, so no result depends on the machine.
+CHUNK_ELEMENTS = 16384
+
+
+def _per_call(m: int) -> int:
+    return max(1, CHUNK_ELEMENTS // (m * m))
+
+
+def _gramians(fs, blocks) -> np.ndarray:
+    """Stage 1: the symmetrized Gramian of every block of every cell
+    matrix in ``fs``, cell-major, shape (cells * blocks, m, m).  One
+    product per block, as on a single cell, so BLAS rounds each the same
+    way whatever the chunk."""
+    m = fs[0].shape[0]
+    out = np.empty((len(fs) * len(blocks), m, m), dtype=np.complex128)
+    i = 0
+    for f in fs:
+        for cols in blocks:
+            a = f[:, cols]
+            gm = a @ a.conj().T
+            out[i] = (gm + gm.conj().T) / 2.0
+            i += 1
+    return out
+
+
+def _eigensolve(grams: np.ndarray, tol: float, vectors: bool) -> EigenSystem:
+    """Stage 2: eigendecompose a stack of Gramians of one order, one
+    kernel call per ``_per_call`` of them."""
+    per = _per_call(grams.shape[-1])
+    parts = [eig_hermitian_batch(grams[i : i + per], tol, vectors=vectors) for i in range(0, grams.shape[0], per)]
+    return EigenSystem(
+        eigenvalues=np.concatenate([p.eigenvalues for p in parts]),
+        vectors=np.concatenate([p.vectors for p in parts]) if vectors else None,
+    )
+
+
+def _select(lams: np.ndarray, rank: int):
+    """Stage 3: the top-``rank`` records of one cell from its block
+    spectra, shape (blocks, m): flat indices of the kept records, their
+    blocks and in-block ranks, and the per-block allocation."""
+    nb, m = lams.shape
+    lam = lams.reshape(-1)
+    block = np.repeat(np.arange(nb), m)
+    in_block = np.tile(np.arange(m), nb)
+    kept = np.lexsort((in_block, block, -lam))[:rank]
+    return kept, block[kept], in_block[kept], np.bincount(block[kept], minlength=nb)
+
+
+def _assemble(f: np.ndarray, blocks, lams: np.ndarray, vecs: np.ndarray, kept, block, in_block) -> np.ndarray:
+    """Stage 4: the generator of every kept record, lambda^(-1/2) u^H f
+    on its block, or zero when lambda is numerically zero (at most 1e-10
+    of the cell's largest eigenvalue)."""
+    generators = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
+    lam = lams.reshape(-1)
+    lmax = max(float(lam.max()), 0.0)
+    for s, (i, b, j) in enumerate(zip(kept.tolist(), block.tolist(), in_block.tolist())):
+        if lam[i] > RANK_REL_TOL * lmax and lam[i] > 0.0:
+            theta = 1.0 / math.sqrt(lam[i])
+            cols = blocks[b]
+            generators[s, cols] = theta * (vecs[b][:, j].conj() @ f[:, cols])
+    return generators
+
+
+def _cells_eigen(fs, blocks, rank: int, tol: float, vectors: bool) -> list[BlockEigen]:
+    """``block_eigen`` of every cell matrix in ``fs``, with the Gramians
+    of all of them eigendecomposed together."""
+    nb = len(blocks)
+    es = _eigensolve(_gramians(fs, blocks), tol, vectors)
+    lams = es.eigenvalues.reshape(len(fs), nb, -1)
+    out = []
+    for c, f in enumerate(fs):
+        kept, block, in_block, allocation = _select(lams[c], rank)
+        generators = None
+        if vectors:
+            generators = _assemble(f, blocks, lams[c], es.vectors[c * nb : (c + 1) * nb], kept, block, in_block)
+        out.append(
+            BlockEigen(
+                eigenvalues=lams[c].reshape(-1)[kept],
+                blocks=block,
+                block_ranks=in_block,
+                allocation=allocation,
+                block_eigenvalues=list(lams[c]),
+                residual=allocation_residual(lams[c], allocation),
+                generators=generators,
+            )
+        )
+    return out
+
+
 def block_eigen(f: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool = True) -> BlockEigen:
     """Best ``rank`` block-supported generators for the rows of ``f``.
 
@@ -94,38 +186,7 @@ def block_eigen(f: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool =
     zero (at most 1e-10 of the largest eigenvalue of the cell).  The
     residual sums the discarded eigenvalues by ``allocation_residual``.
     """
-    lams, vecs = [], []
-    for cols in blocks:
-        a = f[:, cols]
-        gm = a @ a.conj().T
-        gm = (gm + gm.conj().T) / 2.0
-        es = eig_hermitian(gm, tol)
-        lams.append(es.eigenvalues)
-        vecs.append(es.vectors)
-    lam = np.concatenate(lams)
-    block = np.repeat(np.arange(len(lams)), [x.shape[0] for x in lams])
-    in_block = np.concatenate([np.arange(x.shape[0]) for x in lams])
-    kept = np.lexsort((in_block, block, -lam))[:rank]
-    allocation = np.bincount(block[kept], minlength=len(lams))
-
-    generators = None
-    if vectors:
-        generators = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
-        lmax = max(float(lam.max()), 0.0)
-        for s, i in enumerate(kept):
-            if lam[i] > RANK_REL_TOL * lmax and lam[i] > 0.0:
-                theta = 1.0 / math.sqrt(lam[i])
-                cols = blocks[block[i]]
-                generators[s, cols] = theta * (vecs[block[i]][:, in_block[i]].conj() @ f[:, cols])
-    return BlockEigen(
-        eigenvalues=lam[kept],
-        blocks=block[kept],
-        block_ranks=in_block[kept],
-        allocation=allocation,
-        block_eigenvalues=lams,
-        residual=allocation_residual(lams, allocation),
-        generators=generators,
-    )
+    return _cells_eigen([f], blocks, rank, tol, vectors)[0]
 
 
 # all columns as one block; a slice, so that f[:, cols] is f itself and
@@ -142,8 +203,14 @@ def _column_blocks(labels: np.ndarray, n_blocks: int):
     return [np.flatnonzero(labels == b) for b in range(n_blocks)]
 
 
-def _cell(ds: SpectralDataset, g: int) -> np.ndarray:
-    return np.ascontiguousarray(ds.samples[:, g, :])
+def _cell_chunks(ds: SpectralDataset, blocks, rank: int, tol: float, vectors: bool):
+    """``block_eigen`` of every cell of ``ds`` in cell order, a chunk of
+    cells at a time: as many cells as fill one eigensolver call."""
+    per = max(1, _per_call(ds.m) // len(blocks))
+    ncells = ds.grid.n_cells
+    for start in range(0, ncells, per):
+        fs = [np.ascontiguousarray(ds.samples[:, g, :]) for g in range(start, min(start + per, ncells))]
+        yield from _cells_eigen(fs, blocks, rank, tol, vectors)
 
 
 def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float):
@@ -160,8 +227,7 @@ def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float):
     residuals = np.zeros(ncells)
     home = np.full((ncells, rank), -1, dtype=np.int64)
     block_ranks = np.full((ncells, rank), -1, dtype=np.int64)
-    for g in range(ncells):
-        cell = block_eigen(_cell(ds, g), blocks, rank, tol)
+    for g, cell in enumerate(_cell_chunks(ds, blocks, rank, tol, True)):
         t = cell.eigenvalues.shape[0]
         eigenvalues[g, :t] = cell.eigenvalues
         spectra[:t, g, :] = cell.generators
@@ -181,9 +247,7 @@ def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float):
 
 def _error_cells(ds: SpectralDataset, blocks, rank: int, tol: float) -> float:
     """Quadrature sum of the ``block_eigen`` residuals of every cell."""
-    residuals = np.array(
-        [block_eigen(_cell(ds, g), blocks, rank, tol, vectors=False).residual for g in range(ds.grid.n_cells)]
-    )
+    residuals = np.array([cell.residual for cell in _cell_chunks(ds, blocks, rank, tol, False)])
     return float(residuals.sum()) * ds.grid.cell_volume
 
 

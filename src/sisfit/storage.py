@@ -195,7 +195,7 @@ def _read_rows(path: Path, convert) -> list:
             continue
         try:
             rows.append(convert(line.split(",")))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from None
     return rows
 
@@ -298,7 +298,7 @@ def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
     rank = meta.get("rank", _positive)
     chosen = _read_cell_table(
         mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 1 + rank * grid.dim,
-        lambda p: [int(x) for x in p],
+        lambda p: np.array([int(x) for x in p], dtype=np.int64),
     ).reshape(grid.n_cells, rank, grid.dim)
     return MultiTileModel(
         grid=grid,

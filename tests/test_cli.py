@@ -588,11 +588,16 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("part.txt", "0, a\n1, b\n0, c\n", "part.txt:3: position (0,) labeled twice"),
         ("seqs.txt", "0,0,1.0,0.0\n1,1,1.0,0.0\n0,0,2.0,0.0\n", "seqs.txt:3: duplicate sample"),
         ("seqs.txt", "0,100000000000000000000,1.0,0.0\n", "seqs.txt:1: position (100000000000000000000,)"),
+        # a million sequences would need a Gramian of order 10^6
+        ("seqs.txt", "1000000,0,1.0,0.0\n", "seqs.txt:1: sequence index 1000000 exceeds 255"),
+        # the translation of cell 0's only generator, beyond int64
+        ("chosen.csv", lambda p: _tamper_csv(p, 0, 1, "100000000000000000000"), "chosen.csv:1: malformed row"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
         "csv-translation-outside-box", "model-rank-float", "partition-columns", "partition-position",
-        "partition-labeled-twice", "seqs-duplicate", "seqs-int64-overflow",
+        "partition-labeled-twice", "seqs-duplicate", "seqs-int64-overflow", "seqs-index-beyond-max-order",
+        "pw-chosen-int64-overflow",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -605,8 +610,9 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
     part.write_text("0, a\n1, b\n")
     fit_sis = ("fit", "--regime", "sis", "--data", data / "dataset.json", "--rank", 1, "--out", tmp_path / "m")
-    if name == "model.json":
-        assert run_cli(*fit_sis).returncode == 0
+    if name in ("model.json", "chosen.csv"):
+        fit = fit_sis if name == "model.json" else fit_sis[:2] + ("pw",) + fit_sis[3:] + ("--box", 1)
+        assert run_cli(*fit).returncode == 0
         cmd = ("verify", "--model", tmp_path / "m", "--data", data / "dataset.json")
         path = tmp_path / "m" / name
     elif name in ("seqs.txt", "part.txt"):

@@ -3,8 +3,11 @@ import pytest
 
 from sisfit.errors import ValidationError
 from sisfit.hermitian import (
+    PHASE_TOL,
     EigenSystem,
+    _normalize_rows,
     eig_hermitian,
+    eig_hermitian_batch,
     hermitian_part,
     normalize_phase,
     rank_by_threshold,
@@ -103,6 +106,75 @@ def test_normalize_phase_preserves_norm(rng):
     assert abs(np.linalg.norm(w) - 1.0) < 1e-12
     # same line: |<v, w>| = 1
     assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-12
+
+
+def _normalize_phase_loop(v):
+    """One vector at a time, as eigenvectors were phase-normalized before
+    the stacked step: the reference the stacked step must match."""
+    out = np.array(v, dtype=np.complex128, copy=True)
+    mags = np.abs(out)
+    nz = np.flatnonzero(mags > PHASE_TOL)
+    if nz.size == 0:
+        return out
+    piv = out[nz[0]]
+    mag = mags[nz[0]]
+    out *= piv.conjugate()
+    out /= mag
+    out[nz[0]] = mag
+    return out
+
+
+def test_stacked_phase_step_matches_per_column_reference(rng):
+    cols = rng.standard_normal((600, 7)) + 1j * rng.standard_normal((600, 7))
+    cols[::3, :2] = 0.0  # pivot further down
+    cols[::5, 0] = 1e-13  # below PHASE_TOL, skipped
+    cols[::7] *= 1e-13  # all small: left as is
+    cols[::11] = 0.0
+    stacked = cols.copy()
+    _normalize_rows(stacked)
+    for v, w in zip(cols, stacked):
+        ref = _normalize_phase_loop(v).tobytes()
+        assert w.tobytes() == ref
+        assert normalize_phase(v).tobytes() == ref
+
+
+def _mixed_stack(rng, n):
+    f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    low = f @ f.conj().T
+    hs = [random_hermitian(rng, n), (low + low.conj().T) / 2.0, np.eye(n), np.zeros((n, n))]
+    return np.stack(hs + [random_hermitian(rng, n, 1e-3) for _ in range(3)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 11])
+def test_batch_equals_single_solves_bitwise(rng, n):
+    hs = _mixed_stack(rng, n)
+    full = eig_hermitian_batch(hs)
+    rev = eig_hermitian_batch(hs[::-1])
+    vals = eig_hermitian_batch(hs, vectors=False)
+    assert vals.vectors is None and full.order == n
+    last = hs.shape[0] - 1
+    for b, h in enumerate(hs):
+        one = eig_hermitian(h)
+        lam = one.eigenvalues.tobytes()
+        assert lam == full.eigenvalues[b].tobytes() == rev.eigenvalues[last - b].tobytes()
+        assert lam == vals.eigenvalues[b].tobytes()
+        assert one.vectors.tobytes() == full.vectors[b].tobytes() == rev.vectors[last - b].tobytes()
+
+
+def test_batch_validation_names_the_matrix():
+    good = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    with pytest.raises(ValidationError, match="stack of square matrices"):
+        eig_hermitian_batch(np.eye(2))
+    bad = good.copy()
+    bad[1, 0, 1] = np.inf
+    with pytest.raises(ValidationError, match=r"\(0, 1\) \(matrix 1 of the stack\)"):
+        eig_hermitian_batch(bad)
+    bad = good.copy()
+    bad[1, 0, 1] = 1.0
+    with pytest.raises(ValidationError, match=r"not Hermitian.*\(matrix 1 of the stack\)"):
+        eig_hermitian_batch(bad)
+    with pytest.raises(ValidationError):
+        eig_hermitian_batch(good, tol=1e-3)
 
 
 def test_hermitian_part_validation():

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from sisfit.errors import ValidationError
-from sisfit.sis import error_sis, fit_sis, project_onto
+from sisfit.extra import fit_extra_invariant
+from sisfit.hermitian import eig_hermitian
+from sisfit.lattice import coset_of, make_dual_lattice
+from sisfit.sis import CHUNK_ELEMENTS, error_sis, fit_sis, project_onto
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 
 from conftest import random_dataset
@@ -182,3 +187,53 @@ def test_rank_validation(rng):
         fit_sis(ds, -1)
     with pytest.raises(ValidationError):
         error_sis(ds, -1)
+
+
+def _reference_cell(f, blocks, rank):
+    """One cell on its own, each block Gramian solved alone: the kept
+    eigenvalues, generators, residual and blocks."""
+    lams, vecs = [], []
+    for cols in blocks:
+        a = f[:, cols]
+        gm = a @ a.conj().T
+        es = eig_hermitian((gm + gm.conj().T) / 2.0)
+        lams.append(es.eigenvalues)
+        vecs.append(es.vectors)
+    lam = np.concatenate(lams)
+    block = np.repeat(np.arange(len(lams)), [x.shape[0] for x in lams])
+    in_block = np.concatenate([np.arange(x.shape[0]) for x in lams])
+    kept = np.lexsort((in_block, block, -lam))[:rank]
+    gens = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
+    lmax = max(float(lam.max()), 0.0)
+    for s, i in enumerate(kept):
+        if lam[i] > 1e-10 * lmax and lam[i] > 0.0:
+            cols = blocks[block[i]]
+            gens[s, cols] = (1.0 / math.sqrt(lam[i])) * (vecs[block[i]][:, in_block[i]].conj() @ f[:, cols])
+    residual = 0.0
+    for b, lam_b in enumerate(lams):
+        for v in lam_b[int(np.sum(block[kept] == b)) :].tolist():
+            residual += v
+    return lam[kept], gens, residual, block[kept]
+
+
+def test_fits_across_chunk_boundaries_equal_per_cell_reference(rng):
+    # m = 16: one eigensolver call takes 64 Gramians, so 72 cells are two
+    # chunks for sis and three (32 cells of 2 blocks each) for extra
+    m = 16
+    assert CHUNK_ELEMENTS // (m * m) == 64
+    ds = random_dataset(rng, dim=1, cells=72, trunc=2, m=m)
+    lat = make_dual_lattice([[2]])
+    labels = coset_of(ds.grid.translations, lat)
+    rank = 6  # one more than the rank of every Gramian: zero generators too
+    for model, blocks in (
+        (fit_sis(ds, rank), (slice(None),)),
+        (fit_extra_invariant(ds, lat, rank), [np.flatnonzero(labels == b) for b in range(2)]),
+    ):
+        for g in range(ds.grid.n_cells):
+            lam, gens, residual, home = _reference_cell(np.ascontiguousarray(ds.samples[:, g, :]), blocks, rank)
+            t = lam.shape[0]
+            assert model.eigenvalues[g, :t].tobytes() == lam.tobytes()
+            assert np.ascontiguousarray(model.spectra[:t, g, :]).tobytes() == gens.tobytes()
+            assert model.residuals[g] == residual and np.signbit(model.residuals[g]) == np.signbit(residual)
+            if len(blocks) > 1:
+                assert model.home_cosets[g, :t].tolist() == home.tolist()
