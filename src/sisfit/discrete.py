@@ -11,7 +11,7 @@ greedy selection.
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT, MAX_ORDER
-from .lattice import _INT64_MAX, DualLattice, coset_of, make_dual_lattice, parse_basis
+from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
 from .sis import _check_rank, _column_blocks, _gramians, allocation_residual, block_eigen
+from .table import read_table, reject, repeats, write_table
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -63,32 +64,38 @@ class DiscreteDataset:
         rejected."""
         if dim < 1:
             raise ValidationError(f"dim must be at least 1, got {dim}")
-        seq_maps = []
-        for j, seq in enumerate(sequences):
-            items = seq.items() if isinstance(seq, dict) else list(seq)
-            seen = {}
-            for pos, val in items:
-                key = tuple(int(x) for x in np.atleast_1d(pos))
-                if len(key) != dim:
-                    raise ValidationError(
-                        f"sequence {j}: position {key} does not have dimension {dim}"
-                    )
-                if key in seen:
-                    raise ValidationError(f"sequence {j}: duplicate position {key}")
-                seen[key] = complex(val)
-            seq_maps.append(seen)
-        if not seq_maps:
+        sequences = list(sequences)
+        if not sequences:
             raise ValidationError("dataset needs at least one sequence")
-        union = sorted(set().union(*[set(s) for s in seq_maps]))
-        if not union:
-            union = [(0,) * dim]  # degenerate all-empty data: park it at the origin
-        support = np.array(union, dtype=np.int64).reshape(len(union), dim)
-        values = np.zeros((len(seq_maps), len(union)), dtype=np.complex128)
-        col = {pos: i for i, pos in enumerate(union)}
-        for j, s in enumerate(seq_maps):
-            for pos, val in s.items():
-                values[j, col[pos]] = val
-        return cls(dim=dim, support=support, values=values)
+        js, pos, vals = array("q"), array("q"), []
+        for j, seq in enumerate(sequences):
+            for p, val in seq.items() if isinstance(seq, dict) else seq:
+                key = tuple(int(x) for x in np.atleast_1d(p))
+                if len(key) != dim:
+                    raise ValidationError(f"sequence {j}: position {key} does not have dimension {dim}")
+                try:
+                    pos.extend(key)
+                except OverflowError:
+                    raise ValidationError(f"sequence {j}: position {key} outside the int64 range") from None
+                js.append(j)
+                vals.append(complex(val))
+        return cls._from_rows(dim, len(sequences), np.frombuffer(js, dtype=np.int64),
+                              np.frombuffer(pos, dtype=np.int64).reshape(-1, dim),
+                              np.array(vals, dtype=np.complex128), lambda r: f"sequence {js[r]}")
+
+    @classmethod
+    def _from_rows(cls, dim: int, m: int, j: np.ndarray, pos: np.ndarray, vals: np.ndarray,
+                   where) -> "DiscreteDataset":
+        """``m`` sequences from rows (j, position, value) with 0 <= j < m;
+        ``where(r)`` names row r in the error for a repeated sample."""
+        if not len(j):  # degenerate all-empty data: park a zero at the origin
+            j, pos, vals = np.zeros(1, dtype=np.int64), np.zeros((1, dim), dtype=np.int64), np.zeros(1)
+        support, col = np.unique(pos, axis=0, return_inverse=True)
+        flat = j * len(support) + col.reshape(-1)
+        reject(repeats(flat), where, lambda r: f"duplicate sample for (j={j[r]}, position {tuple(pos[r].tolist())})")
+        values = np.zeros(m * len(support), dtype=np.complex128)
+        values[flat] = vals
+        return cls(dim=dim, support=support, values=values.reshape(m, len(support)))
 
     @property
     def m(self) -> int:
@@ -285,67 +292,33 @@ def parse_discrete_dataset(path) -> DiscreteDataset:
     line, comments starting with '#'.  The dimension is inferred from the
     column count and must be consistent; sequence indices run from 0 to
     ``MAX_ORDER - 1``."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"dataset file not found: {path}")
-    rows = []
-    dim = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [tok.strip() for tok in line.split(",")]
-        if len(parts) < 4:
-            raise ValidationError(f"{path}:{lineno}: expected at least 4 columns")
-        d = len(parts) - 3
-        if dim is None:
-            dim = d
-        elif d != dim:
-            raise ValidationError(
-                f"{path}:{lineno}: inconsistent column count (dimension {d} vs {dim})"
-            )
-        try:
-            j = int(parts[0])
-            pos = tuple(int(tok) for tok in parts[1 : 1 + d])
-            re = float(parts[1 + d])
-            im = float(parts[2 + d])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        if j < 0:
-            raise ValidationError(f"{path}:{lineno}: sequence index must be nonnegative")
-        if j >= MAX_ORDER:
-            # the Gramian of m sequences has order m, at most MAX_ORDER
-            raise ValidationError(
-                f"{path}:{lineno}: sequence index {j} exceeds {MAX_ORDER - 1} "
-                f"(a fit takes at most {MAX_ORDER} sequences)"
-            )
-        if not all(-_INT64_MAX - 1 <= x <= _INT64_MAX for x in pos):
-            raise ValidationError(f"{path}:{lineno}: position {pos} outside the int64 range")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValidationError(f"{path}:{lineno}: non-finite value for (j={j}, position {pos})")
-        rows.append((lineno, j, pos, complex(re, im)))
-    if not rows:
+    return _read_sequences(path)
+
+
+def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> DiscreteDataset:
+    """``parse_discrete_dataset``; a ``dim`` fixes the dimension, and a
+    ``rank`` the number of sequences (a table without data lines is then
+    ``rank`` zero sequences)."""
+    lines, ints, vals = read_table(path, 1, dim)
+    if rank is None and not len(lines):
         raise ValidationError(f"{path}: no data lines")
-    m = max(r[1] for r in rows) + 1
-    seqs = [{} for _ in range(m)]
-    for lineno, j, pos, val in rows:
-        if pos in seqs[j]:
-            raise ValidationError(f"{path}:{lineno}: duplicate sample for (j={j}, position {pos})")
-        seqs[j][pos] = val
-    return DiscreteDataset.from_sequences(dim, seqs)
+    j = ints[:, 0]
+    # the Gramian of m sequences has order m, at most MAX_ORDER
+    limit, why = (MAX_ORDER, f"a fit takes at most {MAX_ORDER} sequences") if rank is None else (
+        rank, f"the model has rank {rank}")
+    at = lambda r: f"{path}:{lines[r]}"  # noqa: E731
+    reject(j < 0, at, lambda r: f"sequence index {j[r]} must be nonnegative")
+    reject(j >= limit, at, lambda r: f"sequence index {j[r]} exceeds {limit - 1} ({why})")
+    m = int(j.max()) + 1 if rank is None else rank
+    return DiscreteDataset._from_rows(ints.shape[1] - 1, m, j, ints[:, 1:], vals, at)
 
 
 def write_discrete_sequences(support: np.ndarray, values: np.ndarray, path) -> None:
     """Write sequences in the same text table format ``parse`` reads,
     skipping exact zeros."""
-    with open(path, "w") as fh:
-        for j in range(values.shape[0]):
-            for i, pos in enumerate(support):
-                z = values[j, i]
-                if z == 0:
-                    continue
-                pcols = ",".join(str(int(x)) for x in pos)
-                fh.write(f"{j},{pcols},{float(z.real)!r},{float(z.imag)!r}\n")
+    j, i = np.nonzero(values)
+    z = values[j, i]
+    write_table(path, np.column_stack([j, np.asarray(support, dtype=np.int64)[i]]), np.column_stack([z.real, z.imag]))
 
 
 def parse_partition(path, dim: int) -> DiscretePartition:

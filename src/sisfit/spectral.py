@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .table import read_table, reject, repeats, write_table
 
 PAYLOAD_BINARY = "binary-c64le"
 PAYLOAD_CSV = "csv"
@@ -302,50 +303,22 @@ def ingest(manifest_path) -> SpectralDataset:
 
 
 def _read_csv_payload(payload: Path, grid: SpectralGrid, m: int, expected: int) -> np.ndarray:
-    d, nc, nt = grid.dim, grid.n_cells, grid.n_translations
-    # one row per sample line: line number, j, g, k_1..k_d, and its value;
-    # int32 suffices for every valid row and halves the buffer
-    ints = np.empty((max(expected, 1), 3 + d), dtype=np.int32)
-    vals = np.empty(ints.shape[0], dtype=np.complex128)
-    n = 0
-    with open(payload) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + d + 2:
-                raise ValidationError(
-                    f"{payload}:{lineno}: expected {2 + d + 2} columns, got {len(parts)}"
-                )
-            if n == ints.shape[0]:
-                ints, vals = np.concatenate([ints, ints]), np.concatenate([vals, vals])
-            try:
-                ints[n] = [lineno, *map(int, parts[: 2 + d])]
-                vals[n] = complex(float(parts[2 + d]), float(parts[3 + d]))
-            except (ValueError, OverflowError) as exc:
-                raise ValidationError(f"{payload}:{lineno}: {exc}") from None
-            n += 1
-    lines, j, g, k = ints[:n, 0], ints[:n, 1], ints[:n, 2], ints[:n, 3:]
-
-    def first(bad, what):
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise ValidationError(f"{payload}:{lines[r]}: {what(r)}")
-
-    first((j < 0) | (j >= m), lambda r: f"function index {j[r]} out of range")
-    first((g < 0) | (g >= nc), lambda r: f"cell index {g[r]} out of range")
-    first(grid._outside(k), lambda r: f"translation {tuple(k[r].tolist())} outside "
-                                      f"the truncation box (radius {grid.trunc_radius})")
-    flat = (j * np.int64(nc) + g) * nt + grid.translation_indices(k)
-    if n and np.bincount(flat).max() > 1:
-        repeat = np.ones(n, dtype=bool)
-        repeat[np.unique(flat, return_index=True)[1]] = False  # first occurrences
-        first(repeat, lambda r: f"duplicate sample for (j={j[r]}, g={g[r]}, k={tuple(k[r].tolist())})")
-    if n != expected:
-        raise ValidationError(f"payload {payload} has {n} samples, expected {expected}")
+    nc, nt = grid.n_cells, grid.n_translations
+    lines, ints, vals = read_table(payload, 2, grid.dim, vector="translation")
+    j, g, k = ints[:, 0], ints[:, 1], ints[:, 2:]
+    at = lambda r: f"{payload}:{lines[r]}"  # noqa: E731
+    reject((j < 0) | (j >= m), at, lambda r: f"function index {j[r]} out of range")
+    reject((g < 0) | (g >= nc), at, lambda r: f"cell index {g[r]} out of range")
+    reject(grid._outside(k), at, lambda r: f"translation {tuple(k[r].tolist())} outside "
+                                           f"the truncation box (radius {grid.trunc_radius})")
+    # with at least ``expected`` in-range lines every linear index fits
+    # int64, and without repeats there are exactly ``expected``
+    if len(vals) < expected:
+        raise ValidationError(f"payload {payload} has {len(vals)} samples, expected {expected}")
+    flat = (j * nc + g) * nt + grid.translation_indices(k)
+    reject(repeats(flat), at, lambda r: f"duplicate sample for (j={j[r]}, g={g[r]}, k={tuple(k[r].tolist())})")
     samples = np.empty(expected, dtype=np.complex128)
-    samples[flat] = vals[:n]
+    samples[flat] = vals
     return samples.reshape(m, nc, nt)
 
 
@@ -358,13 +331,10 @@ def write_dataset(ds: SpectralDataset, out_dir, payload_format: str = PAYLOAD_BI
         ds.samples.astype("<c16").tofile(out / payload_name)
     elif payload_format == PAYLOAD_CSV:
         payload_name = f"{stem}.csv"
-        with open(out / payload_name, "w") as fh:
-            for j in range(ds.m):
-                for g in range(ds.grid.n_cells):
-                    for ki, k in enumerate(ds.grid.translations):
-                        z = ds.samples[j, g, ki]
-                        kcols = ",".join(str(int(x)) for x in k)
-                        fh.write(f"{j},{g},{kcols},{float(z.real)!r},{float(z.imag)!r}\n")
+        j, g, t = np.indices(ds.samples.shape).reshape(3, -1)
+        z = ds.samples.reshape(-1)
+        write_table(out / payload_name, np.column_stack([j, g, ds.grid.translations[t]]),
+                    np.column_stack([z.real, z.imag]))
     else:
         raise ValidationError(f"unknown payload format {payload_format!r}")
     manifest = {

@@ -15,6 +15,7 @@ import numpy as np
 
 from .discrete import (
     DiscreteModel,
+    _read_sequences,
     parse_partition,
     write_discrete_sequences,
 )
@@ -24,6 +25,7 @@ from .lattice import format_basis, make_dual_lattice, parse_basis
 from .multitile import MultiTileModel
 from .sis import FittedModel
 from .spectral import SpectralGrid, _json, _Meta
+from .table import write_table
 
 MODEL_JSON = "model.json"
 GENERATORS_BIN = "generators.bin"
@@ -46,20 +48,6 @@ def _grid_json(grid: SpectralGrid) -> dict:
 
 def _write_json(out: Path, payload: dict) -> None:
     (out / MODEL_JSON).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_residuals(out: Path, residuals: np.ndarray) -> None:
-    with open(out / RESIDUALS_CSV, "w") as fh:
-        for g, r in enumerate(residuals):
-            fh.write(f"{g},{float(r)!r}\n")
-
-
-def _write_eigencurves(out: Path, grid: SpectralGrid, eigenvalues: np.ndarray) -> None:
-    with open(out / EIGENCURVES_CSV, "w") as fh:
-        for g in range(grid.n_cells):
-            center = ",".join(repr(float(c)) for c in grid.cell_centers[g])
-            vals = ",".join(repr(float(v)) for v in eigenvalues[g])
-            fh.write(f"{g},{center},{vals}\n")
 
 
 def _write_spectra(out: Path, spectra: np.ndarray) -> None:
@@ -105,16 +93,15 @@ def _save_sis(model: FittedModel, out: Path, regime: str = "sis", extra_fields: 
         payload.update(extra_fields)
     _write_json(out, payload)
     _write_spectra(out, model.spectra)
-    _write_residuals(out, model.residuals)
-    _write_eigencurves(out, model.grid, model.eigenvalues)
+    cells = np.arange(model.grid.n_cells)[:, None]
+    write_table(out / RESIDUALS_CSV, cells, model.residuals[:, None])
+    write_table(out / EIGENCURVES_CSV, cells, model.grid.cell_centers, model.eigenvalues)
 
 
 def _save_extra(model: ExtraInvariantModel, out: Path) -> None:
     _save_sis(model, out, regime="extra", extra_fields={"dual_lattice": format_basis(model.lattice.basis)})
-    with open(out / HOME_COSETS_CSV, "w") as fh:
-        for g in range(model.grid.n_cells):
-            for s in range(model.rank):
-                fh.write(f"{g},{s},{int(model.home_cosets[g, s])},{int(model.block_ranks[g, s])}\n")
+    g, s = np.indices(model.home_cosets.shape).reshape(2, -1)
+    write_table(out / HOME_COSETS_CSV, np.column_stack([g, s, model.home_cosets.ravel(), model.block_ranks.ravel()]))
 
 
 def _save_pw(model: MultiTileModel, out: Path) -> None:
@@ -128,11 +115,9 @@ def _save_pw(model: MultiTileModel, out: Path) -> None:
         "payload_chosen": CHOSEN_CSV,
     }
     _write_json(out, payload)
-    _write_residuals(out, model.residuals)
-    with open(out / CHOSEN_CSV, "w") as fh:
-        for g in range(model.grid.n_cells):
-            flat = ",".join(str(int(x)) for x in model.chosen[g].ravel())
-            fh.write(f"{g},{flat}\n")
+    cells = np.arange(model.grid.n_cells)[:, None]
+    write_table(out / RESIDUALS_CSV, cells, model.residuals[:, None])
+    write_table(out / CHOSEN_CSV, cells, model.chosen.reshape(len(cells), -1))
 
 
 def _save_discrete(model: DiscreteModel, out: Path) -> None:
@@ -312,35 +297,17 @@ def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
 
 
 def _load_discrete(mdir: Path, meta: _Meta):
-    from .discrete import DiscreteDataset, parse_discrete_dataset
-
     rank = meta.get("rank", _positive)
     dim = meta.get("dim", _positive)
-    gpath = mdir / meta.get("payload_generators", _json(str), GENERATORS_TXT)
-    if not gpath.is_file():
-        raise ValidationError(f"model file not found: {gpath}")
-    has_rows = any(
-        ln.strip() and not ln.strip().startswith("#") for ln in gpath.read_text().splitlines()
-    )
-    if has_rows:
-        gen_ds = parse_discrete_dataset(gpath)
-    else:
-        # every generator was the zero sequence; the text format drops
-        # exact zeros, leaving nothing to parse
-        gen_ds = DiscreteDataset.from_sequences(dim, [{} for _ in range(rank)])
+    # the text format drops exact zeros: a generator without rows is the
+    # zero sequence, and a model without any keeps one point at the origin
+    gen_ds = _read_sequences(mdir / meta.get("payload_generators", _json(str), GENERATORS_TXT), dim, rank)
     selected = _read_rows(mdir / SELECTED_CSV, lambda p: (float(_fields(p, 4)[3]), p[1], int(p[2])))
-    # sequences parse back densely over their own support; pad the
-    # generator matrix out to the declared rank (zero rows are dropped by
-    # the text format)
-    if gen_ds.m > rank:
-        raise ValidationError(f"{gpath}: {gen_ds.m} generators, more than rank {rank}")
-    generators = np.zeros((rank, gen_ds.n_points), dtype=np.complex128)
-    generators[: gen_ds.m] = gen_ds.values
     return DiscreteModel(
         dim=dim,
         rank=rank,
         support=gen_ds.support,
-        generators=generators,
+        generators=gen_ds.values,
         selected=selected,
         allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)], []),
         labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)], []),

@@ -293,7 +293,9 @@ def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDat
 
     w_all = _weights(ds)
     inbox = np.abs(ds.grid.translations).max(axis=1) <= model.box_radius
-    kept = np.take_along_axis(w_all, ds.grid.translation_indices(model.chosen), axis=1).sum(axis=1)
+    ingrid = ~ds.grid._outside(model.chosen)  # a pick outside the grid keeps nothing
+    picks = ds.grid.translation_indices(np.where(ingrid[..., None], model.chosen, 0))
+    kept = np.where(ingrid, np.take_along_axis(w_all, picks, axis=1), 0.0).sum(axis=1)
     cell_resid = w_all[:, inbox].sum(axis=1) - kept
     err = float(cell_resid.sum()) * ds.grid.cell_volume
     tail = float(w_all[:, ~inbox].sum()) * ds.grid.cell_volume

@@ -478,6 +478,14 @@ def _duplicate_pick(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _pick_outside_grid(path):
+    # cell 0's first pick, far outside the radius-1 truncation box
+    lines = path.read_text().splitlines()
+    g, _, rest = lines[0].split(",", 2)
+    lines[0] = f"{g},1000,{rest}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _scale_generator_value(path):
     lines = path.read_text().splitlines()
     j, pos, re, im = lines[0].split(",")
@@ -518,6 +526,7 @@ def _fitted_discrete_model(tmp_path):
         ("extra", "home_cosets.csv", _shift_home_coset, "coset-support", "coset-support"),
         ("extra", "home_cosets.csv", _set_block_ranks, "coset-support", "coset-support"),
         ("pw", "chosen.csv", _duplicate_pick, "tile-distinct, residual-identity, cell-residuals", "tile-distinct"),
+        ("pw", "chosen.csv", _pick_outside_grid, "tile-box, residual-identity, cell-residuals", "tile-box"),
         ("pw", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
         ("pw", "model.json", lambda p: _set_json(p, "tail", 5.0), "tail", "tail"),
         ("discrete", "generators.txt", _scale_generator_value,
@@ -592,12 +601,21 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("seqs.txt", "1000000,0,1.0,0.0\n", "seqs.txt:1: sequence index 1000000 exceeds 255"),
         # the translation of cell 0's only generator, beyond int64
         ("chosen.csv", lambda p: _tamper_csv(p, 0, 1, "100000000000000000000"), "chosen.csv:1: malformed row"),
+        # the 12-sample payload against a manifest that promises 10^12 functions
+        ("dataset.json", lambda p: _set_json(p, "m", 10**12), "dataset.csv has 12 samples, expected 12000000000000"),
+        # column 3 of a row is its real part
+        ("dataset.csv", lambda p: _tamper_csv(p, 1, 3, "nan"), "dataset.csv:2: non-finite value"),
+        # the rank-1 model has one generator, index 0
+        ("generators.txt", "1,0,1.0,0.0\n", "generators.txt:1: sequence index 1 exceeds 0"),
+        # a byte that is not UTF-8 is a malformed token, not a decoding traceback
+        ("seqs.txt", lambda p: p.write_bytes(b"0,0,1.0,0.0\n1,1,\xff,0.0\n"), "seqs.txt:2: could not convert"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
         "csv-translation-outside-box", "model-rank-float", "partition-columns", "partition-position",
         "partition-labeled-twice", "seqs-duplicate", "seqs-int64-overflow", "seqs-index-beyond-max-order",
-        "pw-chosen-int64-overflow",
+        "pw-chosen-int64-overflow", "manifest-m-huge", "csv-nan", "generators-index-beyond-rank",
+        "seqs-not-utf8",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -615,10 +633,13 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
         assert run_cli(*fit).returncode == 0
         cmd = ("verify", "--model", tmp_path / "m", "--data", data / "dataset.json")
         path = tmp_path / "m" / name
-    elif name in ("seqs.txt", "part.txt"):
+    elif name in ("seqs.txt", "part.txt", "generators.txt"):
         cmd = ("fit", "--regime", "discrete", "--data", seqs, "--rank", 1, "--partition", part,
                "--out", tmp_path / "m")
         path = tmp_path / name
+        if name == "generators.txt":
+            assert run_cli(*cmd).returncode == 0
+            cmd, path = ("verify", "--model", tmp_path / "m", "--data", seqs), tmp_path / "m" / name
     else:
         cmd, path = fit_sis, data / name
     if callable(edit):

@@ -61,6 +61,13 @@ def test_dataset_construction():
     assert np.all(empty.values == 0)
 
 
+def test_from_sequences_rejects_positions_beyond_int64():
+    with pytest.raises(ValidationError, match=r"sequence 0: position \(100000000000000000000,\) outside the int64 range"):
+        DiscreteDataset.from_sequences(1, [{(10**20,): 1.0}])
+    with pytest.raises(ValidationError, match="int64"):
+        DiscreteDataset.from_sequences(2, [{(0, 0): 1.0}, {(0, -(2**63) - 1): 1.0}])
+
+
 def test_block_gramian_values():
     ds = DiscreteDataset.from_sequences(1, [{(0,): 1.0}])
     part = parity_partition()

@@ -13,8 +13,8 @@ from sisfit.extra import (
 )
 from sisfit.lattice import coset_of, make_dual_lattice
 from sisfit.sis import FittedModel, error_sis, fit_sis
-from sisfit.spectral import SpectralDataset, SpectralGrid, gramian, total_energy
-from sisfit.verify import verify_extra_invariance
+from sisfit.spectral import SpectralDataset, SpectralGrid, gramian, synthesize, total_energy
+from sisfit.verify import verify_extra_invariance, verify_model
 
 from conftest import random_dataset
 
@@ -94,6 +94,29 @@ def test_indicator_golden_case():
     assert model.error == pytest.approx(1.0, abs=1e-9)
     # tie at every cell (both blocks carry weight 1): smaller coset label wins
     assert np.all(model.home_cosets == 0)
+
+
+def test_half_integer_shifts_golden_case():
+    # the jitter setting of the abstract: f(. - j/2), j = 0..3, of one
+    # gaussian.  At each cell every coset of 2Z carries the same fiber up
+    # to phases, so two generators (one per coset) reproduce the data and
+    # one generator leaves the lighter coset's energy
+    grid = SpectralGrid(dim=1, cells_per_dim=16, trunc_radius=3)
+    xi = grid.cell_centers[:, None, 0] + grid.translations[None, :, 0]
+    f = synthesize("gaussian", 1.0, grid).samples[0]
+    ds = SpectralDataset(grid=grid, samples=np.stack([f * np.exp(-1j * np.pi * j * xi) for j in range(4)]))
+    energy = total_energy(ds)
+    lat = make_dual_lattice([[2]])
+    labels = coset_of(grid.translations, lat)
+    weight = (np.abs(ds.samples) ** 2).sum(axis=0)
+    lighter = np.minimum(weight[:, labels == 0].sum(axis=1), weight[:, labels == 1].sum(axis=1))
+    rank1, rank2 = fit_extra_invariant(ds, lat, 1), fit_extra_invariant(ds, lat, 2)
+    assert rank2.error <= 1e-12 * energy
+    assert abs(rank1.error - float(lighter.sum()) * grid.cell_volume) <= 1e-9 * energy
+    assert rank1.error > 0.05 * energy
+    for model in (rank1, rank2):
+        report = verify_model(model, ds)
+        assert report.passed, str(report)
 
 
 def test_error_extra_conventions(rng):
