@@ -39,7 +39,7 @@ def read_table(path, lead: int, dim: int | None = None, vector: str = "position"
             if not text or text.startswith("#"):
                 continue
             parts = text.split(",")
-            width = width or max(len(parts), lead + 3)  # the first data line's
+            width = width or max(len(parts), lead + 3)  # unfixed: the first data line sets it
             if len(parts) != width:
                 raise ValidationError(f"{path}:{lineno}: inconsistent column count: "
                                       f"expected {width} columns, got {len(parts)}")
