@@ -304,7 +304,7 @@ def ingest(manifest_path) -> SpectralDataset:
 
 def _read_csv_payload(payload: Path, grid: SpectralGrid, m: int, expected: int) -> np.ndarray:
     nc, nt = grid.n_cells, grid.n_translations
-    lines, ints, vals = read_table(payload, 2, grid.dim, vector="translation")
+    lines, ints, vals = read_table(payload, 2, grid.dim)
     j, g, k = ints[:, 0], ints[:, 1], ints[:, 2:]
     at = lambda r: f"{payload}:{lines[r]}"  # noqa: E731
     reject((j < 0) | (j >= m), at, lambda r: f"function index {j[r]} out of range")

@@ -16,17 +16,15 @@ import numpy as np
 
 from .errors import ValidationError
 
-_INT64 = range(-(2**63), 2**63)
 
-
-def read_table(path, lead: int, dim: int | None = None, vector: str = "position"):
+def read_table(path, lead: int, dim: int | None = None):
     """The data lines of ``path`` as (line numbers, int64 array of the
     integer columns of shape (lines, lead + dim), complex128 values).
 
     ``dim`` fixes the vector length; ``None`` lets the first data line set
     it.  A wrong column count, a token that does not parse, an integer
-    beyond int64 (named as the ``vector``) or a non-finite value raises
-    ValidationError naming ``path:line``.
+    beyond int64 or a non-finite value raises ValidationError naming
+    ``path:line``.
     """
     path = Path(path)
     if not path.is_file():
@@ -44,15 +42,16 @@ def read_table(path, lead: int, dim: int | None = None, vector: str = "position"
                 raise ValidationError(f"{path}:{lineno}: inconsistent column count: "
                                       f"expected {width} columns, got {len(parts)}")
             try:
-                ints.extend(map(int, parts[:-2]))
+                row = [int(tok) for tok in parts[:-2]]
                 floats.append(float(parts[-2]))
                 floats.append(float(parts[-1]))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            try:
+                ints.extend(row)
             except OverflowError:
-                head = [int(tok) for tok in parts[:-2]]
-                what = (f"{vector} {tuple(head[lead:])}" if any(v not in _INT64 for v in head[lead:])
-                        else f"index {next(v for v in head if v not in _INT64)}")
+                c = next(c for c, v in enumerate(row) if not -(2**63) <= v < 2**63)
+                what = f"index {row[c]}" if c < lead else f"position {tuple(row[lead:])}"
                 raise ValidationError(f"{path}:{lineno}: {what} outside the int64 range") from None
             lines.append(lineno)
     lines = np.frombuffer(lines, dtype=np.int64)

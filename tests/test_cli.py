@@ -609,13 +609,17 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("generators.txt", "1,0,1.0,0.0\n", "generators.txt:1: sequence index 1 exceeds 0"),
         # a byte that is not UTF-8 is a malformed token, not a decoding traceback
         ("seqs.txt", lambda p: p.write_bytes(b"0,0,1.0,0.0\n1,1,\xff,0.0\n"), "seqs.txt:2: could not convert"),
+        # an integer beyond int64 before a malformed one: the malformed token is named
+        ("seqs.txt", "0,100000000000000000000,x,1.0,0.0\n", "seqs.txt:1: invalid literal for int()"),
+        ("dataset.csv", lambda p: (_tamper_csv(p, 0, 1, "99999999999999999999"), _tamper_csv(p, 0, 2, "x")),
+         "dataset.csv:1: invalid literal for int()"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
         "csv-translation-outside-box", "model-rank-float", "partition-columns", "partition-position",
         "partition-labeled-twice", "seqs-duplicate", "seqs-int64-overflow", "seqs-index-beyond-max-order",
         "pw-chosen-int64-overflow", "manifest-m-huge", "csv-nan", "generators-index-beyond-rank",
-        "seqs-not-utf8",
+        "seqs-not-utf8", "seqs-int64-overflow-then-bad-token", "csv-int64-overflow-then-bad-token",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
