@@ -116,10 +116,10 @@ def _layout(n: int, vectors: bool) -> _Layout:
     )
 
 
-def _rotate(z, w, c, s1, s2):
+def _rotate(z, w, c, s1, s2, tmp):
     """Rotate pairs in place: ``z`` is a re/im view (axis 0) of the p and
-    q lines of every pair of every matrix and ``w`` the same view with p
-    and q swapped.
+    q lines of every pair of every matrix, ``w`` the same view with p and
+    q swapped, and ``tmp`` two rows of scratch of at least z's size.
 
     Each line x with partner line y becomes ``c*x + (s1 + i*s2)*y``,
     written out on the re/im planes in a fixed order:
@@ -129,7 +129,9 @@ def _rotate(z, w, c, s1, s2):
     plane and ``s2*y_re`` for the imaginary one; adding the negated
     product is the same IEEE operation as subtracting it.
     """
-    np.add(c * z, s1 * w + s2 * w[::-1], out=z)
+    a, b = (t[: z.size].reshape(z.shape) for t in tmp)
+    np.add(np.multiply(s1, w, out=a), np.multiply(s2, w[::-1], out=b), out=a)
+    np.add(np.multiply(c, z, out=b), a, out=z)
 
 
 def _off2(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -144,7 +146,7 @@ def _off2(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return 2.0 * np.add.accumulate(ure * ure + uim * uim, axis=0)[-1]
 
 
-def _step(x: np.ndarray, lay: _Layout, h: int) -> None:
+def _step(x: np.ndarray, lay: _Layout, h: int, tmp: np.ndarray) -> None:
     """Apply the rotations of one round-robin step to every matrix."""
     rows, n, b = x.shape[1:]
     xf = x.reshape(-1, b)
@@ -174,9 +176,9 @@ def _step(x: np.ndarray, lay: _Layout, h: int) -> None:
     # columns of A and V, then rows of A: the row update of J^H (A J) is
     # the column update of the transposed rows with s conjugated
     z = x[:, :, : 2 * h].reshape(2, rows, 2, h, b)
-    _rotate(z, z[:, :, ::-1], c, s1, s2[:, None, None])
+    _rotate(z, z[:, :, ::-1], c, s1, s2[:, None, None], tmp)
     z = x[:, : 2 * h].reshape(2, 2, h, n, b)
-    _rotate(z, z[:, ::-1], c[:, None], s1[:, :, None], s2[::-1, None, :, None])
+    _rotate(z, z[:, ::-1], c[:, None], s1[:, :, None], s2[::-1, None, :, None], tmp)
 
     # a_pp + t|b|, then a_qq + (-t|b|), which is a_qq - t|b|
     xf[lay.diag] = (g[:2] + _PLUS_MINUS * (t * absb)).reshape(2 * h, b)
@@ -231,13 +233,16 @@ def jacobi_batch(are, aim, vre, vim, thr, max_sweeps) -> np.ndarray:
                 break
             if done.any():
                 out[..., active[done]] = x[..., done]
-                x = x[..., ~done]
+                x = np.ascontiguousarray(x[..., ~done])
                 active = active[~done]
                 if not active.size:
                     break
+            # per-sweep scratch: glibc may page-fault fresh per-step temporaries
+            # in again each step; mode="clip" (indices in range) skips take's buffer
+            y, tmp = np.empty(x.shape), np.empty((2, x.size))
             for rows, cols in lay.steps:
-                _step(x, lay, h)
-                x = x.take(rows, axis=1).take(cols, axis=2)
+                _step(x, lay, h, tmp)
+                x.take(rows, axis=1, out=y, mode="clip").take(cols, axis=2, out=x, mode="clip")
             sweeps += 1
 
     rows, cols = lay.leave

@@ -241,13 +241,6 @@ def _load_residuals(mdir: Path, ncells: int) -> np.ndarray:
     return _read_cell_table(mdir / RESIDUALS_CSV, ncells, 2, lambda p: float(p[0]))
 
 
-def _load_eigencurves(mdir: Path, grid: SpectralGrid, rank: int) -> np.ndarray:
-    return _read_cell_table(
-        mdir / EIGENCURVES_CSV, grid.n_cells, 1 + grid.dim + rank,
-        lambda p: [float(x) for x in p[grid.dim :]],
-    ).reshape(grid.n_cells, rank)
-
-
 def _load_spectral(mdir: Path, meta: _Meta, regime: str):
     grid = _load_grid(meta)
     rank = meta.get("rank", _positive)
@@ -255,7 +248,10 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str):
     spectra = _read_spectra(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN),
                             (n_gen, grid.n_cells, grid.n_translations))
     residuals = _load_residuals(mdir, grid.n_cells)
-    eigenvalues = _load_eigencurves(mdir, grid, rank)
+    eigenvalues = _read_cell_table(
+        mdir / EIGENCURVES_CSV, grid.n_cells, 1 + grid.dim + rank,
+        lambda p: [float(x) for x in p[grid.dim :]],
+    ).reshape(grid.n_cells, rank)
     error = meta.get("error", _json(float))
     if regime == "sis":
         return FittedModel(
