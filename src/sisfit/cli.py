@@ -12,7 +12,9 @@ line they are byte-identical across reruns.  ``--threads`` is accepted by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -170,8 +172,8 @@ def cmd_fit(args) -> int:
     storage.save_model(model, out)
     if regime == "discrete":
         # keep the partition next to the model so verify is self-contained
-        src = Path(args.partition)
-        (out / storage.PARTITION_TXT).write_bytes(src.read_bytes())
+        with contextlib.suppress(shutil.SameFileError):  # a refit next to its own partition
+            shutil.copyfile(args.partition, out / storage.PARTITION_TXT)
     pairs = pairs + [("model_dir", str(out)), ("timing_seconds", f"{elapsed:.6f}")]
     lines = [f"{k}: {v}" for k, v in pairs]
     (out / "report.txt").write_text("\n".join(lines) + "\n")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT, MAX_ORDER
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
 from .sis import _check_rank, _column_blocks, _gramians, allocation_residual, block_eigen
-from .table import read_table, reject, repeats, write_table
+from .table import read_table, reject, repeats, scan, write_table
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -299,7 +298,7 @@ def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> Di
     """``parse_discrete_dataset``; a ``dim`` fixes the dimension, and a
     ``rank`` the number of sequences (a table without data lines is then
     ``rank`` zero sequences)."""
-    lines, ints, vals = read_table(path, 1, dim)
+    lines, ints, vals = read_table(path, 1, 2, dim)
     if rank is None and not len(lines):
         raise ValidationError(f"{path}: no data lines")
     j = ints[:, 0]
@@ -310,7 +309,7 @@ def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> Di
     reject(j < 0, at, lambda r: f"sequence index {j[r]} must be nonnegative")
     reject(j >= limit, at, lambda r: f"sequence index {j[r]} exceeds {limit - 1} ({why})")
     m = int(j.max()) + 1 if rank is None else rank
-    return DiscreteDataset._from_rows(ints.shape[1] - 1, m, j, ints[:, 1:], vals, at)
+    return DiscreteDataset._from_rows(ints.shape[1] - 1, m, j, ints[:, 1:], vals.view(np.complex128)[:, 0], at)
 
 
 def write_discrete_sequences(support: np.ndarray, values: np.ndarray, path) -> None:
@@ -329,14 +328,7 @@ def parse_partition(path, dim: int) -> DiscretePartition:
     line is ``p_1, ..., p_d, label`` and the mapping must later cover
     every support position it is used with.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"partition file not found: {path}")
-    lines = [
-        (lineno, ln.strip())
-        for lineno, ln in enumerate(path.read_text().splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = list(scan(path))
     if not lines:
         raise ValidationError(f"{path}: empty partition description")
     if lines[0][1].lower().startswith("lattice:"):

@@ -13,54 +13,20 @@ either raw little-endian complex doubles or a plain text table; see
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .table import read_table, reject, repeats, write_table
+from .table import (_json, one_row_per_key, read_c16, read_object, read_table, reject, write_c16,
+                    write_object, write_table)
 
 PAYLOAD_BINARY = "binary-c64le"
 PAYLOAD_CSV = "csv"
 
 _MANIFEST_KEYS = ("dim", "m", "cells_per_dim", "trunc_radius", "payload_path", "payload_format")
-
-_REQUIRED = object()
-
-
-class _Meta:
-    """The fields of one JSON object read from ``path`` (a manifest or a
-    ``model.json``); a missing or mistyped field raises ValidationError
-    naming the file and the field."""
-
-    def __init__(self, path: Path, fields: dict):
-        self.path = path
-        self.fields = fields
-
-    def get(self, key: str, convert, default=_REQUIRED):
-        if key not in self.fields:
-            if default is _REQUIRED:
-                raise ValidationError(f"{self.path}: missing field {key!r}")
-            return default
-        try:
-            return convert(self.fields[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{self.path}: malformed field {key!r}: {exc!r}") from None
-
-
-def _json(kind):
-    """Converter that accepts only JSON values of type ``kind`` (int,
-    float, str or list): never a bool for a number, never a string for an
-    int.  An int is also a float."""
-
-    def convert(value):
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
-        return kind(value)
-
-    return convert
 
 
 @dataclass
@@ -263,63 +229,42 @@ def ingest(manifest_path) -> SpectralDataset:
     resolved relative to the manifest.  Shape mismatches, non-finite
     samples and malformed payloads are rejected with locations.
     """
-    path = Path(manifest_path)
-    if not path.is_file():
-        raise ValidationError(f"manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ValidationError(f"manifest {path}: expected a JSON object")
-    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    fields = read_object(manifest_path)
+    missing = [k for k in _MANIFEST_KEYS if k not in fields.fields]
     if missing:
-        raise ValidationError(f"manifest {path} missing fields: {', '.join(missing)}")
-
-    fields = _Meta(path, manifest)
+        raise ValidationError(f"manifest {fields.path} missing fields: {', '.join(missing)}")
     dim, m, cells, trunc = (fields.get(k, _json(int)) for k in _MANIFEST_KEYS[:4])
     if m < 1:
         raise ValidationError(f"manifest m must be at least 1, got {m}")
     grid = SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)
 
-    payload = path.parent / fields.get("payload_path", _json(str))
+    payload = fields.path.parent / fields.get("payload_path", _json(str))
     fmt = fields.get("payload_format", _json(str))
     if not payload.is_file():
         raise ValidationError(f"payload not found: {payload}")
-    expected = m * grid.n_cells * grid.n_translations
+    shape = (m, grid.n_cells, grid.n_translations)
 
     if fmt == PAYLOAD_BINARY:
-        raw = np.fromfile(payload, dtype="<c16")
-        if raw.size != expected:
-            raise ValidationError(
-                f"payload {payload} has {raw.size} samples, expected {expected}"
-            )
-        samples = raw.astype(np.complex128).reshape(m, grid.n_cells, grid.n_translations)
+        samples = read_c16(payload, shape)
     elif fmt == PAYLOAD_CSV:
-        samples = _read_csv_payload(payload, grid, m, expected)
+        samples = _read_csv_payload(payload, grid, shape)
     else:
         raise ValidationError(f"unknown payload format {fmt!r}")
     return SpectralDataset(grid=grid, samples=samples)
 
 
-def _read_csv_payload(payload: Path, grid: SpectralGrid, m: int, expected: int) -> np.ndarray:
-    nc, nt = grid.n_cells, grid.n_translations
-    lines, ints, vals = read_table(payload, 2, grid.dim)
-    j, g, k = ints[:, 0], ints[:, 1], ints[:, 2:]
-    at = lambda r: f"{payload}:{lines[r]}"  # noqa: E731
-    reject((j < 0) | (j >= m), at, lambda r: f"function index {j[r]} out of range")
-    reject((g < 0) | (g >= nc), at, lambda r: f"cell index {g[r]} out of range")
-    reject(grid._outside(k), at, lambda r: f"translation {tuple(k[r].tolist())} outside "
-                                           f"the truncation box (radius {grid.trunc_radius})")
-    # with at least ``expected`` in-range lines every linear index fits
-    # int64, and without repeats there are exactly ``expected``
-    if len(vals) < expected:
-        raise ValidationError(f"payload {payload} has {len(vals)} samples, expected {expected}")
-    flat = (j * nc + g) * nt + grid.translation_indices(k)
-    reject(repeats(flat), at, lambda r: f"duplicate sample for (j={j[r]}, g={g[r]}, k={tuple(k[r].tolist())})")
-    samples = np.empty(expected, dtype=np.complex128)
-    samples[flat] = vals
-    return samples.reshape(m, nc, nt)
+def _read_csv_payload(payload: Path, grid: SpectralGrid, shape: tuple) -> np.ndarray:
+    lines, ints, vals = read_table(payload, 2, 2, grid.dim)
+    k = ints[:, 2:]
+    reject(grid._outside(k), lambda r: f"{payload}:{lines[r]}",
+           lambda r: f"translation {tuple(k[r].tolist())} outside the truncation box (radius {grid.trunc_radius})")
+    # checked first: with at least as many lines as samples, the sample index fits int64
+    expected = math.prod(shape)
+    if len(lines) < expected:
+        raise ValidationError(f"payload {payload} has {len(lines)} samples, expected {expected}")
+    keys = (ints[:, 0], ints[:, 1], grid.translation_indices(k))
+    rows = one_row_per_key(payload, lines, keys, shape, "(function, cell, translation index)")
+    return vals.view(np.complex128)[rows].reshape(shape)
 
 
 def write_dataset(ds: SpectralDataset, out_dir, payload_format: str = PAYLOAD_BINARY, stem: str = "dataset") -> Path:
@@ -328,7 +273,7 @@ def write_dataset(ds: SpectralDataset, out_dir, payload_format: str = PAYLOAD_BI
     out.mkdir(parents=True, exist_ok=True)
     if payload_format == PAYLOAD_BINARY:
         payload_name = f"{stem}.bin"
-        ds.samples.astype("<c16").tofile(out / payload_name)
+        write_c16(out / payload_name, ds.samples)
     elif payload_format == PAYLOAD_CSV:
         payload_name = f"{stem}.csv"
         j, g, t = np.indices(ds.samples.shape).reshape(3, -1)
@@ -346,5 +291,5 @@ def write_dataset(ds: SpectralDataset, out_dir, payload_format: str = PAYLOAD_BI
         "payload_format": payload_format,
     }
     mpath = out / f"{stem}.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_object(mpath, manifest)
     return mpath

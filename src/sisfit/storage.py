@@ -8,24 +8,20 @@ values round-trip exactly and reruns produce byte-identical files.
 
 from __future__ import annotations
 
-import json
+from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .discrete import (
-    DiscreteModel,
-    _read_sequences,
-    parse_partition,
-    write_discrete_sequences,
-)
+from .discrete import DiscreteModel, _read_sequences, parse_partition, write_discrete_sequences
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import format_basis, make_dual_lattice, parse_basis
 from .multitile import MultiTileModel
 from .sis import FittedModel
-from .spectral import SpectralGrid, _json, _Meta
-from .table import write_table
+from .spectral import SpectralGrid
+from .table import (_json, _Meta, one_row_per_key, read_c16, read_object, read_table, reject, scan, write_c16,
+                    write_object, write_table)
 
 MODEL_JSON = "model.json"
 GENERATORS_BIN = "generators.bin"
@@ -36,30 +32,7 @@ HOME_COSETS_CSV = "home_cosets.csv"
 CHOSEN_CSV = "chosen.csv"
 SELECTED_CSV = "selected.csv"
 PARTITION_TXT = "partition.txt"
-
-
-def _grid_json(grid: SpectralGrid) -> dict:
-    return {
-        "dim": grid.dim,
-        "cells_per_dim": grid.cells_per_dim,
-        "trunc_radius": grid.trunc_radius,
-    }
-
-
-def _write_json(out: Path, payload: dict) -> None:
-    (out / MODEL_JSON).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_spectra(out: Path, spectra: np.ndarray) -> None:
-    spectra.astype("<c16").tofile(out / GENERATORS_BIN)
-
-
-def _read_spectra(path: Path, shape) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<c16")
-    expected = int(np.prod(shape))
-    if raw.size != expected:
-        raise ValidationError(f"{path} holds {raw.size} samples, expected {expected}")
-    return raw.astype(np.complex128).reshape(shape)
+_GRID_KEYS = ("dim", "cells_per_dim", "trunc_radius")
 
 
 def save_model(model, out_dir) -> Path:
@@ -85,14 +58,14 @@ def _save_sis(model: FittedModel, out: Path, regime: str = "sis", extra_fields: 
         "regime": regime,
         "rank": model.rank,
         "error": model.error,
-        "grid": _grid_json(model.grid),
+        "grid": {key: getattr(model.grid, key) for key in _GRID_KEYS},
         "n_generators": int(model.spectra.shape[0]),
         "payload_generators": GENERATORS_BIN,
     }
     if extra_fields:
         payload.update(extra_fields)
-    _write_json(out, payload)
-    _write_spectra(out, model.spectra)
+    write_object(out / MODEL_JSON, payload)
+    write_c16(out / GENERATORS_BIN, model.spectra)
     cells = np.arange(model.grid.n_cells)[:, None]
     write_table(out / RESIDUALS_CSV, cells, model.residuals[:, None])
     write_table(out / EIGENCURVES_CSV, cells, model.grid.cell_centers, model.eigenvalues)
@@ -111,10 +84,10 @@ def _save_pw(model: MultiTileModel, out: Path) -> None:
         "box_radius": model.box_radius,
         "error": model.error,
         "tail": model.tail,
-        "grid": _grid_json(model.grid),
+        "grid": {key: getattr(model.grid, key) for key in _GRID_KEYS},
         "payload_chosen": CHOSEN_CSV,
     }
-    _write_json(out, payload)
+    write_object(out / MODEL_JSON, payload)
     cells = np.arange(model.grid.n_cells)[:, None]
     write_table(out / RESIDUALS_CSV, cells, model.residuals[:, None])
     write_table(out / CHOSEN_CSV, cells, model.chosen.reshape(len(cells), -1))
@@ -130,7 +103,7 @@ def _save_discrete(model: DiscreteModel, out: Path) -> None:
         "allocation": [int(a) for a in model.allocation],
         "payload_generators": GENERATORS_TXT,
     }
-    _write_json(out, payload)
+    write_object(out / MODEL_JSON, payload)
     write_discrete_sequences(model.support, model.generators, out / GENERATORS_TXT)
     with open(out / SELECTED_CSV, "w") as fh:
         for s, (lam, label, j) in enumerate(model.selected):
@@ -141,22 +114,13 @@ def load_model(model_dir):
     """Load a model directory written by ``save_model``.
 
     Returns the reconstructed model object.  Every file the regime
-    writes must be there, and every per-cell table must hold one row per
-    cell (``home_cosets.csv``: one per cell and slot).  A missing or
-    malformed file raises ValidationError naming the file (and the line,
-    for a malformed row).
+    writes must be there, and every keyed table must hold one row per key:
+    per cell, per cell and slot (``home_cosets.csv``) or per slot
+    (``selected.csv``).  A missing or malformed file raises
+    ValidationError naming the file (and the line, for a malformed row).
     """
     mdir = Path(model_dir)
-    jpath = mdir / MODEL_JSON
-    if not jpath.is_file():
-        raise ValidationError(f"model description not found: {jpath}")
-    try:
-        meta = json.loads(jpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{jpath} is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{jpath}: expected a JSON object")
-    meta = _Meta(jpath, meta)
+    meta = read_object(mdir / MODEL_JSON)
     regime = meta.get("regime", _json(str), None)
     if regime in ("sis", "extra"):
         return _load_spectral(mdir, meta, regime)
@@ -164,32 +128,7 @@ def load_model(model_dir):
         return _load_pw(mdir, meta)
     if regime == "discrete":
         return _load_discrete(mdir, meta)
-    raise ValidationError(f"{jpath}: unknown regime {regime!r}")
-
-
-def _read_rows(path: Path, convert) -> list:
-    """``convert`` applied to the comma-separated fields of every
-    non-blank line of ``path``.  A missing file, or a line that does not
-    convert, raises ValidationError naming the file and the line."""
-    if not path.is_file():
-        raise ValidationError(f"model file not found: {path}")
-    rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append(convert(line.split(",")))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from None
-    return rows
-
-
-def _index(text: str, n: int) -> int:
-    i = int(text)
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} outside 0..{n - 1}")
-    return i
+    raise ValidationError(f"{meta.path}: unknown regime {regime!r}")
 
 
 def _positive(value) -> int:
@@ -199,59 +138,33 @@ def _positive(value) -> int:
     return n
 
 
-def _fields(parts: list, n: int) -> list:
-    if len(parts) != n:
-        raise ValueError(f"expected {n} columns, got {len(parts)}")
-    return parts
-
-
 def _load_grid(meta: _Meta) -> SpectralGrid:
-    def grid(g):
-        return SpectralGrid(
-            dim=_json(int)(g["dim"]),
-            cells_per_dim=_json(int)(g["cells_per_dim"]),
-            trunc_radius=_json(int)(g["trunc_radius"]),
-        )
-
-    return meta.get("grid", grid)
+    return meta.get("grid", lambda g: SpectralGrid(**{key: _json(int)(g[key]) for key in _GRID_KEYS}))
 
 
-def _read_table(path: Path, convert, keys: list, what: str) -> np.ndarray:
-    """The rows of ``path`` as an array in the order of ``keys``:
-    ``convert`` maps a row's fields to (key, value), and the file must
-    hold exactly one row for each key (``what`` names them in the
-    error)."""
-    rows = _read_rows(path, convert)
-    if sorted(k for k, _ in rows) != keys:
-        raise ValidationError(f"{path}: expected one row for each {what}, got {len(rows)} rows")
-    by_key = dict(rows)
-    return np.array([by_key[k] for k in keys])
-
-
-def _read_cell_table(path: Path, ncells: int, width: int, convert) -> np.ndarray:
-    """A table of one ``g,<fields>`` row per cell g, ``width`` columns in
-    all; ``convert`` maps the fields after the cell index."""
-    return _read_table(
-        path, lambda p: (_index(_fields(p, width)[0], ncells), convert(p[1:])),
-        list(range(ncells)), f"cell 0..{ncells - 1}",
-    )
-
-
-def _load_residuals(mdir: Path, ncells: int) -> np.ndarray:
-    return _read_cell_table(mdir / RESIDUALS_CSV, ncells, 2, lambda p: float(p[0]))
+def _cell_rows(path: Path, ncells: int, floats: int, dim: int = 0):
+    """The line numbers, the integer columns after the cell index and the
+    ``floats`` float columns of a table with one ``g,...`` row per cell g,
+    in cell order."""
+    lines, ints, vals = read_table(path, 1, floats, dim)
+    rows = one_row_per_key(path, lines, (ints[:, 0],), (ncells,), "cell")
+    return lines[rows], ints[rows, 1:], vals[rows]
 
 
 def _load_spectral(mdir: Path, meta: _Meta, regime: str):
     grid = _load_grid(meta)
     rank = meta.get("rank", _positive)
     n_gen = meta.get("n_generators", _positive, rank)
-    spectra = _read_spectra(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN),
-                            (n_gen, grid.n_cells, grid.n_translations))
-    residuals = _load_residuals(mdir, grid.n_cells)
-    eigenvalues = _read_cell_table(
-        mdir / EIGENCURVES_CSV, grid.n_cells, 1 + grid.dim + rank,
-        lambda p: [float(x) for x in p[grid.dim :]],
-    ).reshape(grid.n_cells, rank)
+    spectra = read_c16(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN),
+                       (n_gen, grid.n_cells, grid.n_translations))
+    residuals = _cell_rows(mdir / RESIDUALS_CSV, grid.n_cells, 1)[2][:, 0]
+    path = mdir / EIGENCURVES_CSV
+    lines, _, curves = _cell_rows(path, grid.n_cells, grid.dim + rank)
+    centers = curves[:, : grid.dim]
+    reject((centers != grid.cell_centers).any(axis=1), lambda g: f"{path}:{lines[g]}",
+           lambda g: f"cell {g} center {tuple(centers[g].tolist())} is not the grid's "
+                     f"{tuple(grid.cell_centers[g].tolist())}")
+    eigenvalues = curves[:, grid.dim :]
     error = meta.get("error", _json(float))
     if regime == "sis":
         return FittedModel(
@@ -259,37 +172,52 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str):
             residuals=residuals, error=error,
         )
     lat = make_dual_lattice(parse_basis(meta.get("dual_lattice", _json(str))))
-    table = _read_table(
-        mdir / HOME_COSETS_CSV,
-        lambda p: ((_index(_fields(p, 4)[0], grid.n_cells), _index(p[1], rank)),
-                   (int(p[2]), int(p[3]))),
-        [(g, s) for g in range(grid.n_cells) for s in range(rank)],
-        f"(cell, slot) in 0..{grid.n_cells - 1} x 0..{rank - 1}",
-    ).reshape(grid.n_cells, rank, 2)
-    home, branks = table[..., 0], table[..., 1]
+    path = mdir / HOME_COSETS_CSV
+    lines, ints, _ = read_table(path, 4, 0)
+    rows = one_row_per_key(path, lines, (ints[:, 0], ints[:, 1]), (grid.n_cells, rank), "(cell, slot)")
+    table = ints[rows, 2:].reshape(grid.n_cells, rank, 2)
     return ExtraInvariantModel(
         grid=grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra,
-        residuals=residuals, error=error, lattice=lat, home_cosets=home,
-        block_ranks=branks,
+        residuals=residuals, error=error, lattice=lat, home_cosets=table[..., 0],
+        block_ranks=table[..., 1],
     )
 
 
 def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
     grid = _load_grid(meta)
     rank = meta.get("rank", _positive)
-    chosen = _read_cell_table(
-        mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 1 + rank * grid.dim,
-        lambda p: np.array([int(x) for x in p], dtype=np.int64),
-    ).reshape(grid.n_cells, rank, grid.dim)
+    chosen = _cell_rows(mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 0,
+                        rank * grid.dim)[1].reshape(grid.n_cells, rank, grid.dim)
     return MultiTileModel(
         grid=grid,
         rank=rank,
         box_radius=meta.get("box_radius", _positive),
         chosen=chosen,
-        residuals=_load_residuals(mdir, grid.n_cells),
+        residuals=_cell_rows(mdir / RESIDUALS_CSV, grid.n_cells, 1)[2][:, 0],
         error=meta.get("error", _json(float)),
         tail=meta.get("tail", _json(float)),
     )
+
+
+def _load_selected(path: Path) -> list:
+    """The ``slot,label,in-block rank,eigenvalue`` rows of ``selected.csv``
+    as (eigenvalue, label, in-block rank) records, in the order of the
+    slots 0..n-1."""
+    lines, ints, lams, labels = array("q"), array("q"), array("d"), []
+    for lineno, text in scan(path):
+        try:
+            slot, label, j, lam = text.split(",")
+            ints.extend([int(slot), int(j)])
+            lams.append(float(lam))
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        lines.append(lineno)
+        labels.append(label)
+    lines, lams = np.frombuffer(lines, dtype=np.int64), np.frombuffer(lams)
+    ints = np.frombuffer(ints, dtype=np.int64).reshape(len(lines), 2)  # slot, in-block rank
+    reject(~np.isfinite(lams), lambda r: f"{path}:{lines[r]}", lambda r: f"non-finite value {lams[r]}")
+    rows = one_row_per_key(path, lines, (ints[:, 0],), (len(lines),), "slot")
+    return [(float(lams[r]), labels[r], int(ints[r, 1])) for r in rows]
 
 
 def _load_discrete(mdir: Path, meta: _Meta):
@@ -298,13 +226,12 @@ def _load_discrete(mdir: Path, meta: _Meta):
     # the text format drops exact zeros: a generator without rows is the
     # zero sequence, and a model without any keeps one point at the origin
     gen_ds = _read_sequences(mdir / meta.get("payload_generators", _json(str), GENERATORS_TXT), dim, rank)
-    selected = _read_rows(mdir / SELECTED_CSV, lambda p: (float(_fields(p, 4)[3]), p[1], int(p[2])))
     return DiscreteModel(
         dim=dim,
         rank=rank,
         support=gen_ds.support,
         generators=gen_ds.values,
-        selected=selected,
+        selected=_load_selected(mdir / SELECTED_CSV),
         allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)], []),
         labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)], []),
         error=meta.get("error", _json(float)),

@@ -1,14 +1,19 @@
-"""Comma-separated text tables.
+"""Every file sisfit reads, and the formats it writes.
 
-``read_table`` reads the sample lines that spectral CSV payloads
-(``j,g,k_1,...,k_d,re,im``) and discrete tables (``j,n_1,...,n_d,re,im``,
-also a discrete model's ``generators.txt``) share; ``write_table`` writes
-them and a model's other numeric tables with ``repr``, so that every value
-reads back bit for bit.
+``scan`` yields the data lines of a text file, and ``read_table`` reads
+the comma-separated numeric tables on top of it: sample tables
+(``j,g,k_1,...,k_d,re,im`` CSV payloads, ``j,n_1,...,n_d,re,im`` discrete
+tables) and a model's tables.  ``read_object`` reads a JSON object and
+``read_c16`` little-endian complex doubles.  Errors are ValidationErrors
+naming the file, and the line where there is one.  ``write_table`` writes
+values with ``repr``, so that they read back bit for bit.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
 from array import array
 from pathlib import Path
 
@@ -16,48 +21,71 @@ import numpy as np
 
 from .errors import ValidationError
 
+_REQUIRED = object()
 
-def read_table(path, lead: int, dim: int | None = None):
-    """The data lines of ``path`` as (line numbers, int64 array of the
-    integer columns of shape (lines, lead + dim), complex128 values).
 
-    ``dim`` fixes the vector length; ``None`` lets the first data line set
-    it.  A wrong column count, a token that does not parse, an integer
-    beyond int64 or a non-finite value raises ValidationError naming
-    ``path:line``.
-    """
-    path = Path(path)
-    if not path.is_file():
+def _existing(path):
+    if not os.path.isfile(path):
         raise ValidationError(f"file not found: {path}")
-    width = None if dim is None else lead + dim + 2
-    lines, ints, floats = array("q"), array("q"), array("d")
-    with open(path, errors="replace") as fh:
+    return path
+
+
+def _utf8(path, text: str, first_line: int = 1) -> None:
+    """Raise at the line of the first byte of ``text``, read from line
+    ``first_line`` on with ``surrogateescape``, that is not UTF-8."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        line = first_line + text.count("\n", 0, exc.start)
+        raise ValidationError(f"{path}:{line}: byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8") from None
+
+
+def scan(path):
+    """The (line number, stripped text) of each line of ``path`` but blank
+    lines and ``#`` comments; every line must be UTF-8."""
+    path = _existing(path)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, text in enumerate(fh, start=1):
+            if not text.isascii():
+                _utf8(path, text, lineno)
             text = text.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(",")
-            width = width or max(len(parts), lead + 3)  # unfixed: the first data line sets it
-            if len(parts) != width:
-                raise ValidationError(f"{path}:{lineno}: inconsistent column count: "
-                                      f"expected {width} columns, got {len(parts)}")
-            try:
-                row = [int(tok) for tok in parts[:-2]]
-                floats.append(float(parts[-2]))
-                floats.append(float(parts[-1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            try:
-                ints.extend(row)
-            except OverflowError:
-                c = next(c for c, v in enumerate(row) if not -(2**63) <= v < 2**63)
-                what = f"index {row[c]}" if c < lead else f"position {tuple(row[lead:])}"
-                raise ValidationError(f"{path}:{lineno}: {what} outside the int64 range") from None
-            lines.append(lineno)
+            if text and text[0] != "#":
+                yield lineno, text
+
+
+def read_table(path, lead: int, floats: int, dim: int | None = 0):
+    """The data lines of ``path`` as (line numbers, int64 array of the
+    ``lead + dim`` integer columns, float64 array of the ``floats`` columns
+    after them); ``dim=None`` lets the first data line set it (at least 1).
+    A wrong column count, a token that does not parse, an integer beyond
+    int64 or a non-finite value raises ValidationError at ``path:line``.
+    """
+    width = None if dim is None else lead + dim + floats
+    lines, ints, vals = array("q"), array("q"), array("d")
+    for lineno, text in scan(path):
+        parts = text.split(",")
+        width = width or max(len(parts), lead + 1 + floats)  # unfixed: the first data line sets it
+        if len(parts) != width:
+            raise ValidationError(f"{path}:{lineno}: inconsistent column count: "
+                                  f"expected {width} columns, got {len(parts)}")
+        try:
+            row = list(map(int, parts[: width - floats]))
+            for tok in parts[width - floats :]:
+                vals.append(float(tok))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        try:
+            ints.extend(row)
+        except OverflowError:
+            c = next(c for c, v in enumerate(row) if not -(2**63) <= v < 2**63)
+            what = f"index {row[c]}" if c < lead else f"position {tuple(row[lead:])}"
+            raise ValidationError(f"{path}:{lineno}: {what} outside the int64 range") from None
+        lines.append(lineno)
     lines = np.frombuffer(lines, dtype=np.int64)
-    values = np.frombuffer(floats, dtype=np.complex128)
-    reject(~np.isfinite(values), lambda r: f"{path}:{lines[r]}", lambda r: f"non-finite value {complex(values[r])}")
-    return lines, np.frombuffer(ints, dtype=np.int64).reshape(-1, (width or lead + 2) - 2), values
+    values = np.frombuffer(vals, dtype=np.float64).reshape(len(lines), floats)
+    bad = ~np.isfinite(values)
+    reject(bad.any(axis=1), lambda r: f"{path}:{lines[r]}", lambda r: f"non-finite value {values[r][bad[r]][0]}")
+    return lines, np.frombuffer(ints, dtype=np.int64).reshape(len(lines), width - floats if width else lead), values
 
 
 def reject(bad: np.ndarray, where, what) -> None:
@@ -78,9 +106,103 @@ def repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
+def one_row_per_key(path, lines: np.ndarray, keys: tuple, sizes: tuple, what: str) -> np.ndarray:
+    """The rows, in key order, of a table of ``path`` with exactly one row
+    for each key: row r, at line ``lines[r]``, has the key
+    ``(keys[0][r], keys[1][r], ...)``, whose entry c runs over
+    0..sizes[c]-1.  A key out of range, or repeated when none is missing,
+    raises ValidationError at its line; missing keys raise
+    ``"{path}: expected one row for each {what} ..."``.
+    """
+    at = lambda r: f"{path}:{lines[r]}"  # noqa: E731
+    key = lambda r: tuple(int(c[r]) for c in keys) if len(keys) > 1 else int(keys[0][r])  # noqa: E731
+    span = " x ".join(f"0..{n - 1}" for n in sizes)
+    outside = np.zeros(len(lines), dtype=bool)
+    for c, n in zip(keys, sizes):
+        outside |= (c < 0) | (c >= n)
+    reject(outside, at, lambda r: f"{what} {key(r)} outside {span}")
+    total = math.prod(sizes)
+    # with at least ``total`` in-range rows the key index fits int64
+    flat = np.ravel_multi_index(keys, sizes) if len(lines) >= total else None
+    if flat is None or not np.bincount(flat, minlength=total).all():
+        raise ValidationError(f"{path}: expected one row for each {what} in {span}, got {len(lines)} rows")
+    if len(lines) > total:  # every key is there, so some repeat
+        reject(repeats(flat), at, lambda r: f"duplicate row for {what} {key(r)}")
+    rows = np.empty(total, dtype=np.intp)
+    rows[flat] = np.arange(total)
+    return rows
+
+
 def write_table(path, *blocks: np.ndarray) -> None:
     """Write one comma-separated line per row of the 2-d ``blocks`` put
     side by side, each value as its ``repr``."""
     rows = np.concatenate([b.astype(object) for b in blocks], axis=1).tolist()
     with open(path, "w") as fh:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+class _Meta:
+    """The fields of one JSON object read from ``path`` (a manifest or a
+    ``model.json``); a missing or mistyped field raises ValidationError
+    naming the file and the field."""
+
+    def __init__(self, path: Path, fields: dict):
+        self.path = path
+        self.fields = fields
+
+    def get(self, key: str, convert, default=_REQUIRED):
+        if key not in self.fields:
+            if default is _REQUIRED:
+                raise ValidationError(f"{self.path}: missing field {key!r}")
+            return default
+        try:
+            return convert(self.fields[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{self.path}: malformed field {key!r}: {exc!r}") from None
+
+
+def _json(kind):
+    """Converter that accepts only JSON values of type ``kind`` (int,
+    float, str or list): never a bool for a number, never a string for an
+    int.  An int is also a float."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return convert
+
+
+def read_object(path) -> _Meta:
+    """The fields of the JSON object in the UTF-8 file ``path``."""
+    path = Path(_existing(path))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        _utf8(path, text)
+    try:
+        fields = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(fields, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return _Meta(path, fields)
+
+
+def write_object(path, fields: dict) -> None:
+    Path(path).write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
+
+
+def read_c16(path, shape: tuple) -> np.ndarray:
+    """The complex128 array of ``shape`` stored in ``path`` as
+    little-endian complex doubles; the file size must match."""
+    path = _existing(path)
+    expected, size = math.prod(shape), os.path.getsize(path)
+    if size != 16 * expected:
+        raise ValidationError(f"{path} holds {size} bytes, expected {16 * expected} ({expected} samples)")
+    return np.fromfile(path, dtype="<c16").astype(np.complex128, copy=False).reshape(shape)
+
+
+def write_c16(path, values: np.ndarray) -> None:
+    np.asarray(values).astype("<c16").tofile(path)

@@ -7,11 +7,12 @@ checks of a model's regime and returns one ``VerificationReport``:
   ``eigencurves``; ``extra`` adds ``coset-support``;
 - ``pw``: ``tile-count``, ``tile-box``, ``tile-distinct``,
   ``orthonormal``, ``residual-identity``, ``cell-residuals``, ``tail``;
-- ``discrete``: ``orthonormal``, ``block-support``, ``residual-identity``.
+- ``discrete``: ``orthonormal``, ``block-support``, ``residual-identity``,
+  ``eigenvalues``.
 
 Tolerances are 1e-8 relative: to 1 + the total energy for totals, to
 1 + the cell energy (without the cell volume) for per-cell values.  A
-NaN fails every check it enters.
+NaN fails every check it enters (loading rejects one in a text table).
 """
 
 from __future__ import annotations
@@ -356,7 +357,15 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
     a[:, col[: ds.n_points]] = ds.values
     q = np.zeros((gens.shape[0], len(union)), dtype=np.complex128)
     q[:, col[ds.n_points :]] = gens
-    resid = a - (a @ q.conj().T) @ q
+    coef = a @ q.conj().T  # coef[j, s] = <f_j, g_s>
+    resid = a - coef @ q
     total = float((resid.real**2 + resid.imag**2).sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
            f"projection residual {total!r} vs stored {model.error!r}")
+
+    # the kept eigenvalue of slot s is the energy of the data along g_s
+    report.checks.append("eigenvalues")
+    lams = np.array([lam for lam, _, _ in model.selected[: gens.shape[0]]], dtype=np.float64)
+    along = (coef.real**2 + coef.imag**2).sum(axis=0)[: len(lams)]
+    for s in np.flatnonzero(~(np.abs(lams - along) <= TOL * (1.0 + energy))):
+        report.add("eigenvalues", f"eigenvalue {float(lams[s])!r}, expected {float(along[s])!r}", generator=int(s))

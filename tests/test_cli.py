@@ -493,6 +493,12 @@ def _scale_generator_value(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _set_eigenvalue(path, value=99.0):
+    # slot 0 keeps the even block's eigenvalue 1.25
+    slot, label, j, _ = path.read_text().split(",")
+    path.write_text(f"{slot},{label},{j},{value!r}\n")
+
+
 def _value_in_other_block(path):
     # generator 0 lives on the even positions; a tiny value at an odd one
     # leaves its Gramian and the projection within tolerance
@@ -530,9 +536,10 @@ def _fitted_discrete_model(tmp_path):
         ("pw", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
         ("pw", "model.json", lambda p: _set_json(p, "tail", 5.0), "tail", "tail"),
         ("discrete", "generators.txt", _scale_generator_value,
-         "orthonormal, residual-identity", "orthonormal"),
+         "orthonormal, residual-identity, eigenvalues", "orthonormal"),
         ("discrete", "generators.txt", _value_in_other_block, "block-support", "block-support"),
-        ("discrete", "selected.csv", _foreign_selection, "block-support", "block-support"),
+        ("discrete", "selected.csv", _foreign_selection, "block-support, eigenvalues", "block-support"),
+        ("discrete", "selected.csv", _set_eigenvalue, "eigenvalues", "eigenvalues"),
         ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
     ],
 )
@@ -567,7 +574,8 @@ def _duplicate_row(path):
         for regime, name in (("sis", "eigencurves.csv"), ("extra", "home_cosets.csv"), ("pw", "chosen.csv"))
         for edit in (Path.unlink, _drop_row, _duplicate_row)
     ]
-    + [("discrete", "selected.csv", Path.unlink), ("discrete", "generators.txt", Path.unlink)],
+    + [("discrete", "selected.csv", edit) for edit in (Path.unlink, _duplicate_row)]
+    + [("discrete", "generators.txt", Path.unlink)],
 )
 def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
     if regime == "discrete":
@@ -600,19 +608,31 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # a million sequences would need a Gramian of order 10^6
         ("seqs.txt", "1000000,0,1.0,0.0\n", "seqs.txt:1: sequence index 1000000 exceeds 255"),
         # the translation of cell 0's only generator, beyond int64
-        ("chosen.csv", lambda p: _tamper_csv(p, 0, 1, "100000000000000000000"), "chosen.csv:1: malformed row"),
+        ("chosen.csv", lambda p: _tamper_csv(p, 0, 1, "100000000000000000000"),
+         "chosen.csv:1: position (100000000000000000000,) outside the int64 range"),
         # the 12-sample payload against a manifest that promises 10^12 functions
         ("dataset.json", lambda p: _set_json(p, "m", 10**12), "dataset.csv has 12 samples, expected 12000000000000"),
         # column 3 of a row is its real part
         ("dataset.csv", lambda p: _tamper_csv(p, 1, 3, "nan"), "dataset.csv:2: non-finite value"),
         # the rank-1 model has one generator, index 0
         ("generators.txt", "1,0,1.0,0.0\n", "generators.txt:1: sequence index 1 exceeds 0"),
-        # a byte that is not UTF-8 is a malformed token, not a decoding traceback
-        ("seqs.txt", lambda p: p.write_bytes(b"0,0,1.0,0.0\n1,1,\xff,0.0\n"), "seqs.txt:2: could not convert"),
+        # a byte that is not UTF-8 is a located data error, not a decoding traceback
+        ("seqs.txt", lambda p: p.write_bytes(b"0,0,1.0,0.0\n1,1,\xff,0.0\n"), "seqs.txt:2: byte 0xff is not UTF-8"),
         # an integer beyond int64 before a malformed one: the malformed token is named
         ("seqs.txt", "0,100000000000000000000,x,1.0,0.0\n", "seqs.txt:1: invalid literal for int()"),
         ("dataset.csv", lambda p: (_tamper_csv(p, 0, 1, "99999999999999999999"), _tamper_csv(p, 0, 2, "x")),
          "dataset.csv:1: invalid literal for int()"),
+        # bytes that are not UTF-8, in every kind of file a fit or a verify reads
+        ("part.txt", lambda p: p.write_bytes(b"0, a\n1, \xff\n"), "part.txt:2: byte 0xff is not UTF-8"),
+        ("residuals.csv", lambda p: p.write_bytes(b"0,\xff\n"), "residuals.csv:1: byte 0xff is not UTF-8"),
+        ("model.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "model.json:1: byte 0xff is not UTF-8"),
+        ("selected.csv", lambda p: p.write_bytes(b"0,\xff,0,1.0\n"), "selected.csv:1: byte 0xff is not UTF-8"),
+        ("dataset.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "dataset.json:1: byte 0xff is not UTF-8"),
+        ("model.json", "[" * 100000, "model.json is not valid JSON: maximum recursion depth exceeded"),
+        # column 1 of an eigencurves row is the cell's center, which must be the grid's
+        ("eigencurves.csv", lambda p: _tamper_csv(p, 0, 1, "abc"), "eigencurves.csv:1: could not convert"),
+        ("eigencurves.csv", lambda p: _tamper_csv(p, 1, 1, "0.0"),
+         "eigencurves.csv:2: cell 1 center (0.0,) is not the grid's (-0.125,)"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -620,6 +640,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "partition-labeled-twice", "seqs-duplicate", "seqs-int64-overflow", "seqs-index-beyond-max-order",
         "pw-chosen-int64-overflow", "manifest-m-huge", "csv-nan", "generators-index-beyond-rank",
         "seqs-not-utf8", "seqs-int64-overflow-then-bad-token", "csv-int64-overflow-then-bad-token",
+        "partition-not-utf8", "residuals-not-utf8", "model-json-not-utf8", "selected-not-utf8",
+        "manifest-not-utf8", "model-json-nested-too-deep", "eigencurves-center-not-a-number",
+        "eigencurves-center-off-grid",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -632,16 +655,16 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
     part.write_text("0, a\n1, b\n")
     fit_sis = ("fit", "--regime", "sis", "--data", data / "dataset.json", "--rank", 1, "--out", tmp_path / "m")
-    if name in ("model.json", "chosen.csv"):
-        fit = fit_sis if name == "model.json" else fit_sis[:2] + ("pw",) + fit_sis[3:] + ("--box", 1)
+    if name in ("model.json", "chosen.csv", "residuals.csv", "eigencurves.csv"):
+        fit = fit_sis if name != "chosen.csv" else fit_sis[:2] + ("pw",) + fit_sis[3:] + ("--box", 1)
         assert run_cli(*fit).returncode == 0
         cmd = ("verify", "--model", tmp_path / "m", "--data", data / "dataset.json")
         path = tmp_path / "m" / name
-    elif name in ("seqs.txt", "part.txt", "generators.txt"):
+    elif name in ("seqs.txt", "part.txt", "generators.txt", "selected.csv"):
         cmd = ("fit", "--regime", "discrete", "--data", seqs, "--rank", 1, "--partition", part,
                "--out", tmp_path / "m")
         path = tmp_path / name
-        if name == "generators.txt":
+        if name in ("generators.txt", "selected.csv"):
             assert run_cli(*cmd).returncode == 0
             cmd, path = ("verify", "--model", tmp_path / "m", "--data", seqs), tmp_path / "m" / name
     else:

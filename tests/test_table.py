@@ -1,6 +1,8 @@
 """Properties of the shared ``<integers>,re,im`` text table: values read
-back bit for bit, and a one-line fault is a located ValidationError."""
+back bit for bit, and a one-line fault is a located ValidationError.
+Also: no module but ``sisfit.table`` reads a file."""
 
+import ast
 import re
 import tempfile
 from pathlib import Path
@@ -37,10 +39,10 @@ def test_rows_read_back_bit_for_bit(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write_table(path, ints, np.column_stack([values.real, values.imag]))
-        lines, got_ints, got = read_table(path, lead, dim)
+        lines, got_ints, got = read_table(path, lead, 2, dim)
     assert lines.tolist() == list(range(1, n + 1))
     assert np.array_equal(got_ints, ints)
-    assert np.array_equal(_bits(got), _bits(values))
+    assert np.array_equal(_bits(got.view(np.complex128)[:, 0]), _bits(values))
 
 
 @given(st.data())
@@ -126,3 +128,45 @@ def test_one_faulty_sequence_line_is_located(dim, line, fault):
             where = 2
         with pytest.raises(ValidationError, match=re.escape(f"{path}:{where}: ")):
             parse_discrete_dataset(path)
+
+
+# calls that read a file: (owner name or None, function name)
+_READS = {(None, "read_text"), (None, "read_bytes"), ("json", "load"), ("json", "loads"),
+          ("np", "fromfile"), ("np", "loadtxt"), ("np", "genfromtxt")}
+
+
+def _file_reads(tree):
+    """(line, call) of every call in ``tree`` that reads a file: one of
+    ``_READS``, or ``open`` without a write, append or create mode."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        if (owner, name) in _READS:
+            yield node.lineno, f"{owner}.{name}"
+        elif (None, name) in _READS:
+            yield node.lineno, name
+        elif name == "open":
+            # open(path, mode) or path.open(mode)
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = args[0] if args else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")):
+                yield node.lineno, "open"
+
+
+def test_only_the_table_module_reads_files():
+    src = Path(__file__).resolve().parents[1] / "src" / "sisfit"
+    reads = [
+        f"{path.name}:{line}: {call}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "table.py"
+        for line, call in _file_reads(ast.parse(path.read_text()))
+    ]
+    assert reads == []
+    # the guard sees each kind of read
+    probe = ast.parse("a.read_text(); b.read_bytes(); json.loads(t); np.fromfile(p); open(p); p.open()"
+                      "; open(p, 'w'); p.open(mode='a')")
+    assert [call for _, call in _file_reads(probe)] == ["read_text", "read_bytes", "json.loads", "np.fromfile",
+                                                        "open", "open"]
