@@ -12,6 +12,7 @@ greedy selection.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .hermitian import EIG_TOL_DEFAULT, MAX_ORDER
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
-from .sis import _check_rank, _column_blocks, _gramians, allocation_residual, block_eigen
+from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen
 from .table import read_table, reject, repeats, scan, write_table
 
 BRUTE_FORCE_GUARD = 10**6
@@ -32,12 +33,14 @@ class DiscreteDataset:
 
     ``support`` holds the union of all sample positions, lexicographically
     sorted; ``values[j, i]`` is sequence j at ``support[i]`` (zero where a
-    sequence was not sampled).
+    sequence was not sampled).  ``origin(i)``, when known, names where
+    ``support[i]`` was first read (a file line, or a sequence).
     """
 
     dim: int
     support: np.ndarray
     values: np.ndarray
+    origin: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=np.int64)
@@ -86,15 +89,18 @@ class DiscreteDataset:
     def _from_rows(cls, dim: int, m: int, j: np.ndarray, pos: np.ndarray, vals: np.ndarray,
                    where) -> "DiscreteDataset":
         """``m`` sequences from rows (j, position, value) with 0 <= j < m;
-        ``where(r)`` names row r in the error for a repeated sample."""
-        if not len(j):  # degenerate all-empty data: park a zero at the origin
+        ``where(r)`` names row r in errors, and the first row of each
+        support point in ``origin``."""
+        located = bool(len(j))
+        if not located:  # degenerate all-empty data: park a zero at the origin
             j, pos, vals = np.zeros(1, dtype=np.int64), np.zeros((1, dim), dtype=np.int64), np.zeros(1)
-        support, col = np.unique(pos, axis=0, return_inverse=True)
+        support, first, col = np.unique(pos, axis=0, return_index=True, return_inverse=True)
         flat = j * len(support) + col.reshape(-1)
         reject(repeats(flat), where, lambda r: f"duplicate sample for (j={j[r]}, position {tuple(pos[r].tolist())})")
         values = np.zeros(m * len(support), dtype=np.complex128)
         values[flat] = vals
-        return cls(dim=dim, support=support, values=values.reshape(m, len(support)))
+        return cls(dim=dim, support=support, values=values.reshape(m, len(support)),
+                   origin=(lambda i: where(first[i])) if located else None)
 
     @property
     def m(self) -> int:
@@ -115,13 +121,15 @@ class DiscretePartition:
 
     Either the cosets of an integer lattice (labels are section indices)
     or an explicit position-to-label mapping, in which case only mapped
-    positions are covered.  ``labels`` is sorted and fixes block order.
+    positions are covered.  ``labels`` is sorted and fixes block order;
+    ``source`` names the file it was read from, if any.
     """
 
     dim: int
     labels: list
     lattice: DualLattice | None = None
     mapping: dict = field(default_factory=dict, repr=False)
+    source: str | None = field(default=None, compare=False)
 
     @classmethod
     def from_lattice(cls, lat: DualLattice) -> "DiscretePartition":
@@ -176,11 +184,22 @@ def block_gramian(ds: DiscreteDataset, part: DiscretePartition, label) -> np.nda
     if label not in part.labels:
         raise ValidationError(f"unknown block label {label!r}")
     sigma = part.labels.index(label)
-    return _gramians([ds.values], [np.flatnonzero(part.label_index(ds.support) == sigma)])[0]
+    a = ds.values[:, part.label_index(ds.support) == sigma]
+    gm = a @ a.conj().T
+    return (gm + gm.conj().T) / 2.0
 
 
 def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
-    return _column_blocks(part.label_index(ds.support), part.n_blocks)
+    """Column index of each block; an uncovered support position is named
+    with where the data hold it and where the partition was read."""
+    idx = part._block_indices(ds.support)
+    uncovered = idx < 0
+    if uncovered.any():
+        i = int(np.argmax(uncovered))
+        at = f"{ds.origin(i)}: " if ds.origin else ""
+        src = f" in {part.source}" if part.source else ""
+        raise ValidationError(f"{at}position {tuple(ds.support[i].tolist())} is not covered by the partition{src}")
+    return _column_blocks(idx, part.n_blocks)
 
 
 @dataclass(eq=False)
@@ -211,8 +230,8 @@ def fit_discrete(
 
     All block Gramians are eigendecomposed; the globally largest ``rank``
     eigenvalues are kept (ties: smaller block, then smaller in-block
-    rank).  Each kept eigenvector gives a generator scaled by
-    eigenvalue^(-1/2), or the zero sequence when the eigenvalue is
+    rank).  Each kept eigenvector gives a unit-norm generator (see
+    ``block_eigen``), or the zero sequence when the eigenvalue is
     numerically zero.  ``error`` is the sum of all discarded eigenvalues,
     added block by block, each block's in descending order.
     """
@@ -302,7 +321,7 @@ def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> Di
     if rank is None and not len(lines):
         raise ValidationError(f"{path}: no data lines")
     j = ints[:, 0]
-    # the Gramian of m sequences has order m, at most MAX_ORDER
+    # sequence indices are capped so that a stray index cannot size the dataset
     limit, why = (MAX_ORDER, f"a fit takes at most {MAX_ORDER} sequences") if rank is None else (
         rank, f"the model has rank {rank}")
     at = lambda r: f"{path}:{lines[r]}"  # noqa: E731
@@ -352,4 +371,6 @@ def parse_partition(path, dim: int) -> DiscretePartition:
         if pos in mapping:
             raise ValidationError(f"{path}:{lineno}: position {pos} labeled twice")
         mapping[pos] = parts[dim]
-    return DiscretePartition.from_mapping(dim, mapping)
+    part = DiscretePartition.from_mapping(dim, mapping)
+    part.source = str(path)
+    return part

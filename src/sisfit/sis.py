@@ -9,7 +9,9 @@ yield generator fibers that are orthonormal wherever they are nonzero.
 ``block_eigen`` is that construction for a Gramian split into column
 blocks; the extra-invariant and discrete fits call it with one block per
 coset or partition cell, and the plain fit with the whole fiber as one
-block.
+block.  A block of c columns is solved on its smaller side: the m x m
+Gramian a a^H, or the c x c Gramian a^H a when c < m, whose nonzero
+eigenvalues are the same squared singular values of a.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, EigenSystem, eig_hermitian_batch
+from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian_batch
 from .spectral import SpectralDataset, SpectralGrid, check_same_grid
 
 
@@ -85,42 +87,66 @@ class BlockEigen:
 
 
 # matrix elements per eigensolver call: one call solves up to
-# CHUNK_ELEMENTS // m**2 Gramians of order m (256 of order 8, 64 of order
+# CHUNK_ELEMENTS // n**2 Gramians of order n (256 of order 8, 64 of order
 # 16), where per-call overhead is spread thin and the work array still
 # fits in cache.  A fixed constant, so no result depends on the machine.
 CHUNK_ELEMENTS = 16384
 
 
-def _per_call(m: int) -> int:
-    return max(1, CHUNK_ELEMENTS // (m * m))
+def _per_call(n: int) -> int:
+    return max(1, CHUNK_ELEMENTS // (n * n))
 
 
-def _gramians(fs, blocks) -> np.ndarray:
+def _sides(m: int, blocks, n_cols: int) -> list[int]:
+    """Order of the Gramian solved for each block: min(m, c_b) for a block
+    of c_b of the ``n_cols`` columns.  A block with fewer columns than
+    functions is solved on its c_b x c_b side a^H a, which has the same
+    nonzero spectrum as a a^H; a tie c_b == m stays on the m x m side.
+    The side depends on the shapes only, never on the data."""
+    cols = np.arange(n_cols)
+    return [min(m, cols[c].size) for c in blocks]
+
+
+def _gramians(fs, blocks, sides) -> dict:
     """Stage 1: the symmetrized Gramian of every block of every cell
-    matrix in ``fs``, cell-major, shape (cells * blocks, m, m).  One
-    product per block, as on a single cell, so BLAS rounds each the same
-    way whatever the chunk."""
+    matrix in ``fs``, a a^H of order m or a^H a of order c_b as ``sides``
+    says, stacked by order: {order: (cells * blocks of that order, n, n)},
+    cell-major.  Empty blocks (order 0) have none.  One product per
+    block, as on a single cell, so BLAS rounds each the same way whatever
+    the chunk."""
     m = fs[0].shape[0]
-    out = np.empty((len(fs) * len(blocks), m, m), dtype=np.complex128)
-    i = 0
+    out = {n: np.empty((len(fs) * sides.count(n), n, n), dtype=np.complex128) for n in sorted(set(sides)) if n}
+    at = dict.fromkeys(out, 0)
     for f in fs:
-        for cols in blocks:
+        for cols, n in zip(blocks, sides):
+            if not n:
+                continue
             a = f[:, cols]
-            gm = a @ a.conj().T
-            out[i] = (gm + gm.conj().T) / 2.0
-            i += 1
+            gm = a @ a.conj().T if n == m else a.conj().T @ a
+            out[n][at[n]] = (gm + gm.conj().T) / 2.0
+            at[n] += 1
     return out
 
 
-def _eigensolve(grams: np.ndarray, tol: float, vectors: bool) -> EigenSystem:
-    """Stage 2: eigendecompose a stack of Gramians of one order, one
-    kernel call per ``_per_call`` of them."""
-    per = _per_call(grams.shape[-1])
-    parts = [eig_hermitian_batch(grams[i : i + per], tol, vectors=vectors) for i in range(0, grams.shape[0], per)]
-    return EigenSystem(
-        eigenvalues=np.concatenate([p.eigenvalues for p in parts]),
-        vectors=np.concatenate([p.vectors for p in parts]) if vectors else None,
-    )
+def _eigensolve(grams: dict, sides, m: int, n_cells: int, tol: float, vectors: bool):
+    """Stage 2: eigendecompose the Gramian stacks of ``_gramians``, one
+    kernel call per ``_per_call`` of each order.  Returns the block
+    spectra, shape (cells, blocks, m), each padded with +0.0 records up to
+    m, and, when ``vectors``, every cell's list of block eigenvector
+    matrices (order n_b; None for an empty block)."""
+    lams = np.zeros((n_cells, len(sides), m))
+    vecs = [[None] * len(sides) for _ in range(n_cells)] if vectors else None
+    for n, stack in grams.items():
+        bs = [b for b, k in enumerate(sides) if k == n]
+        per = _per_call(n)
+        parts = [eig_hermitian_batch(stack[i : i + per], tol, vectors=vectors) for i in range(0, stack.shape[0], per)]
+        lams[:, bs, :n] = np.concatenate([p.eigenvalues for p in parts]).reshape(n_cells, len(bs), n)
+        if vectors:
+            v = np.concatenate([p.vectors for p in parts]).reshape(n_cells, len(bs), n, n)
+            for c in range(n_cells):
+                for i, b in enumerate(bs):
+                    vecs[c][b] = v[c, i]
+    return lams, vecs
 
 
 def _select(lams: np.ndarray, rank: int):
@@ -135,33 +161,39 @@ def _select(lams: np.ndarray, rank: int):
     return kept, block[kept], in_block[kept], np.bincount(block[kept], minlength=nb)
 
 
-def _assemble(f: np.ndarray, blocks, lams: np.ndarray, vecs: np.ndarray, kept, block, in_block) -> np.ndarray:
-    """Stage 4: the generator of every kept record, lambda^(-1/2) u^H f
-    on its block, or zero when lambda is numerically zero (at most 1e-10
-    of the cell's largest eigenvalue)."""
+def _assemble(f: np.ndarray, blocks, lams: np.ndarray, vecs, kept, block, in_block) -> np.ndarray:
+    """Stage 4: the generator of every kept record on its block, or zero
+    when lambda is numerically zero (at most 1e-10 of the cell's largest
+    eigenvalue).  An eigenvector u of a a^H gives lambda^(-1/2) u^H a; an
+    eigenvector w of a^H a gives w^H, which is the same generator, since
+    lambda^(-1/2) u^H a = w^H for u = lambda^(-1/2) a w."""
+    m = f.shape[0]
     generators = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
     lam = lams.reshape(-1)
     lmax = max(float(lam.max()), 0.0)
     for s, (i, b, j) in enumerate(zip(kept.tolist(), block.tolist(), in_block.tolist())):
         if lam[i] > RANK_REL_TOL * lmax and lam[i] > 0.0:
-            theta = 1.0 / math.sqrt(lam[i])
             cols = blocks[b]
-            generators[s, cols] = theta * (vecs[b][:, j].conj() @ f[:, cols])
+            w = vecs[b][:, j].conj()
+            if w.shape[0] < m:
+                generators[s, cols] = w
+            else:
+                generators[s, cols] = (1.0 / math.sqrt(lam[i])) * (w @ f[:, cols])
     return generators
 
 
 def _cells_eigen(fs, blocks, rank: int, tol: float, vectors: bool) -> list[BlockEigen]:
     """``block_eigen`` of every cell matrix in ``fs``, with the Gramians
     of all of them eigendecomposed together."""
-    nb = len(blocks)
-    es = _eigensolve(_gramians(fs, blocks), tol, vectors)
-    lams = es.eigenvalues.reshape(len(fs), nb, -1)
+    m, n_cols = fs[0].shape
+    sides = _sides(m, blocks, n_cols)
+    lams, vecs = _eigensolve(_gramians(fs, blocks, sides), sides, m, len(fs), tol, vectors)
     out = []
     for c, f in enumerate(fs):
         kept, block, in_block, allocation = _select(lams[c], rank)
         generators = None
         if vectors:
-            generators = _assemble(f, blocks, lams[c], es.vectors[c * nb : (c + 1) * nb], kept, block, in_block)
+            generators = _assemble(f, blocks, lams[c], vecs[c], kept, block, in_block)
         out.append(
             BlockEigen(
                 eigenvalues=lams[c].reshape(-1)[kept],
@@ -180,11 +212,13 @@ def block_eigen(f: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool =
     """Best ``rank`` block-supported generators for the rows of ``f``.
 
     ``blocks`` lists the column index (array or slice) of each block.
-    Every block Gramian is eigendecomposed, the globally largest ``rank``
-    eigenvalues are kept, and each kept eigenvector u gives the generator
-    lambda^(-1/2) u^H f on its block, or zero when lambda is numerically
-    zero (at most 1e-10 of the largest eigenvalue of the cell).  The
-    residual sums the discarded eigenvalues by ``allocation_residual``.
+    Every block Gramian is eigendecomposed on its smaller side (see
+    ``_sides``), each block's spectrum is padded with zeros to m records,
+    the globally largest ``rank`` eigenvalues are kept, and each kept
+    eigenvector gives the generator lambda^(-1/2) u^H f on its block (w^H
+    for an eigenvector w of a^H a), or zero when lambda is numerically zero (at most
+    1e-10 of the largest eigenvalue of the cell).  The residual sums the
+    discarded eigenvalues by ``allocation_residual``.
     """
     return _cells_eigen([f], blocks, rank, tol, vectors)[0]
 
@@ -205,8 +239,9 @@ def _column_blocks(labels: np.ndarray, n_blocks: int):
 
 def _cell_chunks(ds: SpectralDataset, blocks, rank: int, tol: float, vectors: bool):
     """``block_eigen`` of every cell of ``ds`` in cell order, a chunk of
-    cells at a time: as many cells as fill one eigensolver call."""
-    per = max(1, _per_call(ds.m) // len(blocks))
+    cells at a time: as many cells as fill one eigensolver call, counting
+    the n_b x n_b Gramian of every block."""
+    per = max(1, CHUNK_ELEMENTS // max(1, sum(n * n for n in _sides(ds.m, blocks, ds.grid.n_translations))))
     ncells = ds.grid.n_cells
     for start in range(0, ncells, per):
         fs = [np.ascontiguousarray(ds.samples[:, g, :]) for g in range(start, min(start + per, ncells))]
@@ -259,10 +294,10 @@ def fit_sis(
 ) -> FittedModel:
     """Fit the nearest shift-invariant space of length ``rank``.
 
-    Per cell: eigendecompose the fiber Gramian, keep the top
-    min(rank, m) eigenpairs, scale each eigenvector combination by
-    eigenvalue^(-1/2) (zero when the eigenvalue is numerically zero, i.e.
-    at most 1e-10 of the cell's largest).  The residual at a cell is the
+    Per cell: eigendecompose the fiber Gramian (on its smaller side, see
+    ``block_eigen``), keep the top min(rank, m) eigenpairs and turn each
+    into an orthonormal generator fiber (zero when the eigenvalue is
+    numerically zero, i.e. at most 1e-10 of the cell's largest).  The residual at a cell is the
     sum of the discarded eigenvalues, added in descending order;
     ``error`` is their quadrature sum.
     """

@@ -43,13 +43,8 @@ class SpectralGrid:
     trunc_radius: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"dim must be at least 1, got {self.dim}")
+        _check_grid(self.dim, self.cells_per_dim, self.trunc_radius)
         g = self.cells_per_dim
-        if g < 2 or g % 2 != 0:
-            raise ValidationError(f"cells_per_dim must be a positive even integer, got {g}")
-        if self.trunc_radius < 1:
-            raise ValidationError(f"trunc_radius must be at least 1, got {self.trunc_radius}")
         axis = -0.5 + (np.arange(g) + 0.5) / g
         mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
         self.cell_centers = np.stack([m.ravel() for m in mesh], axis=1)
@@ -90,6 +85,15 @@ class SpectralGrid:
             key = tuple(ks[outside][0].tolist())
             raise ValidationError(f"translation {key} outside the truncation box (radius {n})")
         return np.ravel_multi_index(tuple(np.moveaxis(ks + n, -1, 0)), (2 * n + 1,) * self.dim)
+
+
+def _check_grid(dim: int, cells_per_dim: int, trunc_radius: int) -> None:
+    if dim < 1:
+        raise ValidationError(f"dim must be at least 1, got {dim}")
+    if cells_per_dim < 2 or cells_per_dim % 2 != 0:
+        raise ValidationError(f"cells_per_dim must be a positive even integer, got {cells_per_dim}")
+    if trunc_radius < 1:
+        raise ValidationError(f"trunc_radius must be at least 1, got {trunc_radius}")
 
 
 def check_same_grid(model_grid: SpectralGrid, data_grid: SpectralGrid) -> None:
@@ -236,21 +240,41 @@ def ingest(manifest_path) -> SpectralDataset:
     dim, m, cells, trunc = (fields.get(k, _json(int)) for k in _MANIFEST_KEYS[:4])
     if m < 1:
         raise ValidationError(f"manifest m must be at least 1, got {m}")
-    grid = SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)
+    _check_grid(dim, cells, trunc)
 
     payload = fields.path.parent / fields.get("payload_path", _json(str))
     fmt = fields.get("payload_format", _json(str))
     if not payload.is_file():
         raise ValidationError(f"payload not found: {payload}")
+    if fmt not in (PAYLOAD_BINARY, PAYLOAD_CSV):
+        raise ValidationError(f"unknown payload format {fmt!r}")
+    # a sample takes 16 bytes in binary and more than one in a CSV row
+    _check_payload_holds_grid(fields.path, dim, cells, trunc, payload, 16 if fmt == PAYLOAD_BINARY else 1)
+    grid = SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)
     shape = (m, grid.n_cells, grid.n_translations)
-
     if fmt == PAYLOAD_BINARY:
         samples = read_c16(payload, shape)
-    elif fmt == PAYLOAD_CSV:
-        samples = _read_csv_payload(payload, grid, shape)
     else:
-        raise ValidationError(f"unknown payload format {fmt!r}")
+        samples = _read_csv_payload(payload, grid, shape)
     return SpectralDataset(grid=grid, samples=samples)
+
+
+def _check_payload_holds_grid(manifest: Path, dim: int, cells: int, trunc: int, payload: Path,
+                              per_sample: int) -> None:
+    """Refuse a grid with more samples per function than ``payload`` can
+    hold at ``per_sample`` bytes each, before the grid's arrays are built.
+    The count cells_per_dim^dim * (2 trunc_radius + 1)^dim is multiplied up
+    in Python ints and stops as soon as it is too large, so a huge dim or
+    trunc_radius costs nothing."""
+    size = payload.stat().st_size
+    n = 1
+    for _ in range(dim):
+        n *= cells * (2 * trunc + 1)
+        if n * per_sample > size:
+            raise ValidationError(
+                f"{manifest}: dim {dim}, cells_per_dim {cells} and trunc_radius {trunc} give more samples "
+                f"per function than payload {payload} ({size} bytes) can hold"
+            )
 
 
 def _read_csv_payload(payload: Path, grid: SpectralGrid, shape: tuple) -> np.ndarray:

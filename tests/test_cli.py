@@ -453,6 +453,14 @@ def _set_json(path, key, value):
     path.write_text(json.dumps(meta))
 
 
+def _empty_binary_payload_of_huge_grid(path):
+    import json
+
+    (path.parent / "empty.bin").write_bytes(b"")
+    path.write_text(json.dumps({"dim": 1, "m": 1, "cells_per_dim": 2, "trunc_radius": 10**12,
+                                "payload_path": "empty.bin", "payload_format": "binary-c64le"}))
+
+
 def _shift_home_coset(path):
     lines = path.read_text().splitlines()
     g, s, home, rank = lines[1].split(",")
@@ -633,6 +641,14 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("eigencurves.csv", lambda p: _tamper_csv(p, 0, 1, "abc"), "eigencurves.csv:1: could not convert"),
         ("eigencurves.csv", lambda p: _tamper_csv(p, 1, 1, "0.0"),
          "eigencurves.csv:2: cell 1 center (0.0,) is not the grid's (-0.125,)"),
+        # a radius of 10^12 would need 2 * 10^12 + 1 translations: refused from the payload's size
+        ("dataset.json", lambda p: _set_json(p, "trunc_radius", 10**12),
+         "dataset.json: dim 1, cells_per_dim 4 and trunc_radius 1000000000000 give more samples"),
+        ("dataset.json", _empty_binary_payload_of_huge_grid,
+         "dataset.json: dim 1, cells_per_dim 2 and trunc_radius 1000000000000 give more samples"),
+        # the partition labels positions 0 and 1 only
+        ("seqs.txt", "0,0,1.0,0.0\n1,1,1.0,0.0\n2,5,1.0,0.0\n",
+         "seqs.txt:3: position (5,) is not covered by the partition in "),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -642,7 +658,8 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "seqs-not-utf8", "seqs-int64-overflow-then-bad-token", "csv-int64-overflow-then-bad-token",
         "partition-not-utf8", "residuals-not-utf8", "model-json-not-utf8", "selected-not-utf8",
         "manifest-not-utf8", "model-json-nested-too-deep", "eigencurves-center-not-a-number",
-        "eigencurves-center-off-grid",
+        "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
+        "seqs-position-not-in-partition",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):

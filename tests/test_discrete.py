@@ -261,6 +261,23 @@ def test_parse_dataset_errors(tmp_path):
         parse_discrete_dataset(p)
 
 
+def test_uncovered_position_names_data_line_and_partition_file(tmp_path):
+    seqs, part_path = tmp_path / "seqs.txt", tmp_path / "part.txt"
+    seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n2,5,1.0,0.0\n")
+    part_path.write_text("0, a\n1, b\n")
+    ds = parse_discrete_dataset(seqs)
+    part = parse_partition(part_path, 1)
+    where = f"{seqs}:3: position (5,) is not covered by the partition in {part_path}"
+    for run in (lambda: fit_discrete(ds, part, 1), lambda: error_discrete(ds, part, 1)):
+        with pytest.raises(ValidationError) as err:
+            run()
+        assert str(err.value) == where
+    # data built in memory are named by their sequence
+    mem = DiscreteDataset.from_sequences(1, [{(0,): 1.0}, {(5,): 1.0}])
+    with pytest.raises(ValidationError, match=r"^sequence 1: position \(5,\) is not covered by the partition in "):
+        fit_discrete(mem, part, 1)
+
+
 def test_parse_partition_lattice_and_explicit(tmp_path):
     p = tmp_path / "part.txt"
     p.write_text("lattice: 2\n")

@@ -324,3 +324,25 @@ def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
             for v in lam[int(np.sum(model.home_cosets[g] == sigma)):]:
                 expect += float(v)
         assert model.residuals[g] == expect
+
+
+def test_empty_coset_block_fits_and_verifies(rng):
+    # dual lattice 4 on the translations -1, 0, 1: coset 2 holds no column
+    from sisfit.sis import block_eigen
+
+    ds = random_dataset(rng, dim=1, cells=2, trunc=1, m=3)
+    lat = make_dual_lattice([[4]])
+    labels = coset_of(ds.grid.translations, lat)
+    assert np.bincount(labels, minlength=4).tolist() == [1, 1, 0, 1]
+    blocks = [np.flatnonzero(labels == sigma) for sigma in range(4)]
+    spectra = block_eigen(np.ascontiguousarray(ds.samples[:, 0, :]), blocks, 0, 1e-13, vectors=False).block_eigenvalues
+    assert spectra[2].tolist() == [0.0, 0.0, 0.0]
+    model = fit_extra_invariant(ds, lat, 4)
+    report = verify_model(model, ds)
+    assert report.passed, str(report)
+    # three one-column cosets give three records; the fourth is an exact
+    # zero, which the tie order gives to coset 0 (in-block rank 1)
+    assert model.error == 0.0
+    assert model.home_cosets[:, 3].tolist() == [0, 0]
+    assert model.block_ranks[:, 3].tolist() == [1, 1]
+    assert np.all(model.spectra[3] == 0)

@@ -5,10 +5,11 @@ import pytest
 
 from sisfit.errors import ValidationError
 from sisfit.extra import fit_extra_invariant
-from sisfit.hermitian import eig_hermitian
+from sisfit.hermitian import MAX_ORDER, eig_hermitian
 from sisfit.lattice import coset_of, make_dual_lattice
-from sisfit.sis import CHUNK_ELEMENTS, error_sis, fit_sis, project_onto
+from sisfit.sis import CHUNK_ELEMENTS, _cells_eigen, _sides, block_eigen, error_sis, fit_sis, project_onto
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
+from sisfit.verify import verify_model
 
 from conftest import random_dataset
 from oracles import projection_residual
@@ -190,25 +191,29 @@ def test_rank_validation(rng):
 
 
 def _reference_cell(f, blocks, rank):
-    """One cell on its own, each block Gramian solved alone: the kept
+    """One cell on its own, each block Gramian solved alone on its smaller
+    side (a^H a when the block has fewer columns than f has rows, else
+    a a^H) and its spectrum padded with zeros to m records: the kept
     eigenvalues, generators, residual and blocks."""
+    m = f.shape[0]
     lams, vecs = [], []
     for cols in blocks:
         a = f[:, cols]
-        gm = a @ a.conj().T
+        gm = a.conj().T @ a if a.shape[1] < m else a @ a.conj().T
         es = eig_hermitian((gm + gm.conj().T) / 2.0)
-        lams.append(es.eigenvalues)
+        lams.append(np.concatenate([es.eigenvalues, np.zeros(m - es.order)]))
         vecs.append(es.vectors)
     lam = np.concatenate(lams)
-    block = np.repeat(np.arange(len(lams)), [x.shape[0] for x in lams])
-    in_block = np.concatenate([np.arange(x.shape[0]) for x in lams])
+    block = np.repeat(np.arange(len(lams)), m)
+    in_block = np.tile(np.arange(m), len(lams))
     kept = np.lexsort((in_block, block, -lam))[:rank]
     gens = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
     lmax = max(float(lam.max()), 0.0)
     for s, i in enumerate(kept):
         if lam[i] > 1e-10 * lmax and lam[i] > 0.0:
             cols = blocks[block[i]]
-            gens[s, cols] = (1.0 / math.sqrt(lam[i])) * (vecs[block[i]][:, in_block[i]].conj() @ f[:, cols])
+            w = vecs[block[i]][:, in_block[i]].conj()
+            gens[s, cols] = w if w.shape[0] < m else (1.0 / math.sqrt(lam[i])) * (w @ f[:, cols])
     residual = 0.0
     for b, lam_b in enumerate(lams):
         for v in lam_b[int(np.sum(block[kept] == b)) :].tolist():
@@ -217,14 +222,16 @@ def _reference_cell(f, blocks, rank):
 
 
 def test_fits_across_chunk_boundaries_equal_per_cell_reference(rng):
-    # m = 16: one eigensolver call takes 64 Gramians, so 72 cells are two
-    # chunks for sis and three (32 cells of 2 blocks each) for extra
+    # m = 16 functions on 17 columns: sis solves order 16 (64 Gramians per
+    # call), so 120 cells are two chunks; extra with dual lattice 2 solves
+    # orders 9 and 8 (112 cells per chunk), again two chunks
     m = 16
     assert CHUNK_ELEMENTS // (m * m) == 64
-    ds = random_dataset(rng, dim=1, cells=72, trunc=2, m=m)
+    assert CHUNK_ELEMENTS // (9 * 9 + 8 * 8) == 112
+    ds = random_dataset(rng, dim=1, cells=120, trunc=8, m=m)
     lat = make_dual_lattice([[2]])
     labels = coset_of(ds.grid.translations, lat)
-    rank = 6  # one more than the rank of every Gramian: zero generators too
+    rank = 18  # more than the rank of every cell: zero generators too
     for model, blocks in (
         (fit_sis(ds, rank), (slice(None),)),
         (fit_extra_invariant(ds, lat, rank), [np.flatnonzero(labels == b) for b in range(2)]),
@@ -237,3 +244,78 @@ def test_fits_across_chunk_boundaries_equal_per_cell_reference(rng):
             assert model.residuals[g] == residual and np.signbit(model.residuals[g]) == np.signbit(residual)
             if len(blocks) > 1:
                 assert model.home_cosets[g, :t].tolist() == home.tolist()
+
+
+@pytest.mark.parametrize("m, c", [(7, 3), (5, 5), (3, 8), (9, 1)])
+def test_block_spectrum_on_either_side_matches_lapack(rng, m, c):
+    f = rng.standard_normal((m, c)) + 1j * rng.standard_normal((m, c))
+    energy = float((f.real**2 + f.imag**2).sum())
+    halves = [np.arange(0, c, 2), np.arange(1, c, 2)]
+    for blocks in ((slice(None),), halves):
+        spectra = block_eigen(f, blocks, 0, 1e-13, vectors=False).block_eigenvalues
+        assert len(spectra) == len(blocks)
+        for cols, lam in zip(blocks, spectra):
+            a = f[:, cols]
+            assert lam.shape == (m,)
+            assert np.abs(lam - np.linalg.eigvalsh(a @ a.conj().T)[::-1]).max() <= 1e-10 * (1.0 + energy)
+            # the padded records are exact zeros
+            assert np.all(lam[min(m, a.shape[1]) :] == 0.0)
+
+
+def test_generators_on_mixed_sides_are_orthonormal_and_verify(rng):
+    # m = 7 on 13 columns, dual lattice 2: the 7-column coset ties with m and
+    # stays on the 7 x 7 side, the 6-column coset is solved as 6 x 6 a^H a
+    ds = random_dataset(rng, dim=1, cells=6, trunc=6, m=7)
+    lat = make_dual_lattice([[2]])
+    labels = coset_of(ds.grid.translations, lat)
+    assert np.bincount(labels).tolist() == [7, 6]
+    model = fit_extra_invariant(ds, lat, 10)
+    assert set(model.home_cosets.reshape(-1).tolist()) == {0, 1}
+    for g in range(ds.grid.n_cells):
+        e = model.spectra[:, g, :]
+        nz = np.flatnonzero(np.any(e != 0, axis=1))
+        assert nz.size == 10
+        assert np.abs(e[nz] @ e[nz].conj().T - np.eye(nz.size)).max() <= 1e-10
+    report = verify_model(model, ds)
+    assert report.passed, str(report)
+
+
+def test_cell_bits_do_not_depend_on_its_chunk_with_two_side_orders(rng):
+    ds = random_dataset(rng, dim=1, cells=6, trunc=6, m=7)
+    labels = coset_of(ds.grid.translations, make_dual_lattice([[2]]))
+    blocks = [np.flatnonzero(labels == b) for b in range(2)]
+    fs = [np.ascontiguousarray(ds.samples[:, g, :]) for g in range(ds.grid.n_cells)]
+    assert _sides(7, blocks, 13) == [7, 6]
+    chunk = _cells_eigen(fs, blocks, 9, 1e-13, True)
+    rev = _cells_eigen(fs[::-1], blocks, 9, 1e-13, True)[::-1]
+    for f, together, reversed_ in zip(fs, chunk, rev):
+        alone = block_eigen(f, blocks, 9, 1e-13)
+        for other in (together, reversed_):
+            for name in ("eigenvalues", "blocks", "block_ranks", "allocation", "generators"):
+                assert getattr(alone, name).tobytes() == getattr(other, name).tobytes(), name
+            assert np.array(alone.block_eigenvalues).tobytes() == np.array(other.block_eigenvalues).tobytes()
+            assert alone.residual == other.residual
+
+
+def test_more_functions_than_the_eigensolver_order_cap(rng):
+    # 300 functions on 5 columns: every Gramian is solved on its 5 x 5 side
+    m = 300
+    assert m > MAX_ORDER
+    ds = random_dataset(rng, dim=1, cells=4, trunc=2, m=m)
+    energy = total_energy(ds)
+    lat = make_dual_lattice([[2]])
+    labels = coset_of(ds.grid.translations, lat)
+    for rank, model, blocks in (
+        (3, fit_sis(ds, 3), (slice(None),)),
+        (2, fit_extra_invariant(ds, lat, 2), [np.flatnonzero(labels == b) for b in range(2)]),
+    ):
+        report = verify_model(model, ds)
+        assert report.passed, str(report)
+        expect = 0.0
+        for g in range(ds.grid.n_cells):
+            f = ds.samples[:, g, :]
+            lams = [np.linalg.eigvalsh(f[:, cols] @ f[:, cols].conj().T)[::-1] for cols in blocks]
+            keep = np.sort(np.concatenate(lams))[::-1][:rank]
+            expect += float(sum(lam.sum() for lam in lams) - keep.sum())
+        expect *= ds.grid.cell_volume
+        assert abs(model.error - expect) <= 1e-10 * (1.0 + energy)
