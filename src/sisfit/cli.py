@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import DiscreteModel, fit_discrete, parse_discrete_dataset, parse_partition
+from .discrete import fit_discrete, parse_discrete_dataset, parse_partition
 from .errors import SisfitError, ValidationError
-from .extra import ExtraInvariantModel, fit_extra_invariant
+from .extra import fit_extra_invariant
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import make_dual_lattice, parse_basis
-from .multitile import MultiTileModel, fit_multitile
+from .multitile import fit_multitile
 from .sis import fit_sis
 from .spectral import (
     PAYLOAD_BINARY,
@@ -182,15 +182,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = storage.load_model(args.model)
-    regimes = {MultiTileModel: "pw", DiscreteModel: "discrete", ExtraInvariantModel: "extra"}
-    regime = regimes.get(type(model), "sis")
+    regime = storage.model_regime(args.model)
     print(f"regime: {regime}")
     if regime == "discrete":
+        model = storage.load_model(args.model)
         data = parse_discrete_dataset(args.data)
         report = verify_model(model, data, storage.load_partition_file(args.model, model.dim))
     else:
-        report = verify_model(model, ingest(args.data))
+        # the data first: a model's grid is checked against theirs before it sizes anything
+        ds = ingest(args.data)
+        report = verify_model(storage.load_model(args.model, ds.grid), ds)
     for check in report.checks:
         print(f"{check}: {'FAIL' if check in report.failed else 'ok'}")
         for v in report.violations_of(check)[:8]:

@@ -19,12 +19,16 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT, MAX_ORDER
+from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
 from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen
 from .table import read_table, reject, repeats, scan, write_table
 
 BRUTE_FORCE_GUARD = 10**6
+
+# samples (sequences times support points) a sequence table may ask for:
+# 256 MiB of complex doubles, so that a stray index cannot size the dataset
+MAX_TABLE_SAMPLES = 2**24
 
 
 @dataclass(eq=False)
@@ -87,14 +91,20 @@ class DiscreteDataset:
 
     @classmethod
     def _from_rows(cls, dim: int, m: int, j: np.ndarray, pos: np.ndarray, vals: np.ndarray,
-                   where) -> "DiscreteDataset":
+                   where, source: str | None = None) -> "DiscreteDataset":
         """``m`` sequences from rows (j, position, value) with 0 <= j < m;
         ``where(r)`` names row r in errors, and the first row of each
-        support point in ``origin``."""
+        support point in ``origin``.  ``source``, when given, names what
+        set m (a table's largest index, or a model's rank), and m times the
+        support size must then stay within ``MAX_TABLE_SAMPLES``."""
         located = bool(len(j))
         if not located:  # degenerate all-empty data: park a zero at the origin
             j, pos, vals = np.zeros(1, dtype=np.int64), np.zeros((1, dim), dtype=np.int64), np.zeros(1)
         support, first, col = np.unique(pos, axis=0, return_index=True, return_inverse=True)
+        if source is not None and m * len(support) > MAX_TABLE_SAMPLES:
+            raise ValidationError(
+                f"{source} gives {m} sequences on {len(support)} support points, more than {MAX_TABLE_SAMPLES} samples"
+            )
         flat = j * len(support) + col.reshape(-1)
         reject(repeats(flat), where, lambda r: f"duplicate sample for (j={j[r]}, position {tuple(pos[r].tolist())})")
         values = np.zeros(m * len(support), dtype=np.complex128)
@@ -228,20 +238,22 @@ def fit_discrete(
     """Fit the nearest subspace spanned by ``rank`` block-supported
     sequences.
 
-    All block Gramians are eigendecomposed; the globally largest ``rank``
-    eigenvalues are kept (ties: smaller block, then smaller in-block
-    rank).  Each kept eigenvector gives a unit-norm generator (see
-    ``block_eigen``), or the zero sequence when the eigenvalue is
-    numerically zero.  ``error`` is the sum of all discarded eigenvalues,
-    added block by block, each block's in descending order.
+    The sequences are ``block_eigen``'s stack of one cell matrix, with
+    one column block per partition block: all block Gramians are
+    eigendecomposed, the globally largest ``rank`` eigenvalues are kept
+    (ties: smaller block, then smaller in-block rank), and each kept
+    eigenvector gives a unit-norm generator, or the zero sequence when the
+    eigenvalue is numerically zero.  ``error`` is the sum of all discarded
+    eigenvalues, added block by block, each block's in descending order.
     """
     rank = _check_rank(rank)
-    core = block_eigen(ds.values, _block_columns(ds, part), rank, tol)
+    lams, kept, residual, gens = block_eigen(ds.values[None], _block_columns(ds, part), rank, tol)
+    blocks, block_ranks = np.divmod(kept[0], ds.m)
     generators = np.zeros((rank, ds.n_points), dtype=np.complex128)
-    generators[: core.eigenvalues.shape[0]] = core.generators
+    generators[: kept.shape[1]] = gens[0]
     selected = [
         (lam, part.labels[sigma], j)
-        for lam, sigma, j in zip(core.eigenvalues.tolist(), core.blocks.tolist(), core.block_ranks.tolist())
+        for lam, sigma, j in zip(lams.reshape(-1)[kept[0]].tolist(), blocks.tolist(), block_ranks.tolist())
     ]
     return DiscreteModel(
         dim=ds.dim,
@@ -249,9 +261,9 @@ def fit_discrete(
         support=ds.support.copy(),
         generators=generators,
         selected=selected,
-        allocation=core.allocation.tolist(),
+        allocation=np.bincount(blocks, minlength=part.n_blocks).tolist(),
         labels=list(part.labels),
-        error=core.residual,
+        error=float(residual[0]),
     )
 
 
@@ -266,7 +278,7 @@ def error_discrete(
     subspace, equal to ``fit_discrete(...).error``; ``rank`` 0 gives the
     total energy."""
     rank = _check_rank(rank, minimum=0)
-    return block_eigen(ds.values, _block_columns(ds, part), rank, tol, vectors=False).residual
+    return float(block_eigen(ds.values[None], _block_columns(ds, part), rank, tol, vectors=False)[2][0])
 
 
 def brute_force_optimal(
@@ -292,13 +304,13 @@ def brute_force_optimal(
         raise ValidationError(
             f"{n_alloc} allocations exceed the enumeration guard of {BRUTE_FORCE_GUARD}"
         )
-    lams = block_eigen(ds.values, _block_columns(ds, part), 0, tol, vectors=False).block_eigenvalues
+    lams = block_eigen(ds.values[None], _block_columns(ds, part), 0, tol, vectors=False)[0][0]
     best_err = None
     best_alloc = None
     for alloc in product(range(rank + 1), repeat=nb):
         if sum(alloc) > rank:
             continue
-        err = allocation_residual(lams, alloc)
+        err = float(allocation_residual(lams, alloc))
         if best_err is None or err < best_err:
             best_err = err
             best_alloc = alloc
@@ -308,8 +320,9 @@ def brute_force_optimal(
 def parse_discrete_dataset(path) -> DiscreteDataset:
     """Read sequences from a text table: ``j, p_1, ..., p_d, re, im`` per
     line, comments starting with '#'.  The dimension is inferred from the
-    column count and must be consistent; sequence indices run from 0 to
-    ``MAX_ORDER - 1``."""
+    column count and must be consistent; sequence indices start at 0, and
+    the number of sequences times the number of support points is at most
+    ``MAX_TABLE_SAMPLES`` (2^24)."""
     return _read_sequences(path)
 
 
@@ -321,14 +334,16 @@ def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> Di
     if rank is None and not len(lines):
         raise ValidationError(f"{path}: no data lines")
     j = ints[:, 0]
-    # sequence indices are capped so that a stray index cannot size the dataset
-    limit, why = (MAX_ORDER, f"a fit takes at most {MAX_ORDER} sequences") if rank is None else (
-        rank, f"the model has rank {rank}")
     at = lambda r: f"{path}:{lines[r]}"  # noqa: E731
     reject(j < 0, at, lambda r: f"sequence index {j[r]} must be nonnegative")
-    reject(j >= limit, at, lambda r: f"sequence index {j[r]} exceeds {limit - 1} ({why})")
-    m = int(j.max()) + 1 if rank is None else rank
-    return DiscreteDataset._from_rows(ints.shape[1] - 1, m, j, ints[:, 1:], vals.view(np.complex128)[:, 0], at)
+    if rank is None:
+        r = int(np.argmax(j))
+        m, source = int(j[r]) + 1, f"{at(r)}: sequence index {j[r]}"
+    else:
+        reject(j >= rank, at, lambda r: f"sequence index {j[r]} exceeds {rank - 1} (the model has rank {rank})")
+        m, source = rank, f"{path}: the model's rank {rank}"
+    return DiscreteDataset._from_rows(ints.shape[1] - 1, m, j, ints[:, 1:], vals.view(np.complex128)[:, 0], at,
+                                      source)
 
 
 def write_discrete_sequences(support: np.ndarray, values: np.ndarray, path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of
-from .sis import FittedModel, _check_rank, _column_blocks, _error_cells, _fit_cells
+from .sis import FittedModel, _check_rank, _column_blocks, _fit_cells
 from .spectral import SpectralDataset
 
 
@@ -82,5 +82,5 @@ def error_extra(
     total energy)."""
     rank = _check_rank(rank, minimum=0)
     blocks = _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
-    return _error_cells(ds, blocks, rank, tol)
+    return _fit_cells(ds, blocks, rank, tol, vectors=False)[0]["error"]
 

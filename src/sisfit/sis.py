@@ -7,16 +7,18 @@ quadrature sum of the discarded eigenvalues, and the kept eigenvectors
 yield generator fibers that are orthonormal wherever they are nonzero.
 
 ``block_eigen`` is that construction for a Gramian split into column
-blocks; the extra-invariant and discrete fits call it with one block per
-coset or partition cell, and the plain fit with the whole fiber as one
-block.  A block of c columns is solved on its smaller side: the m x m
-Gramian a a^H, or the c x c Gramian a^H a when c < m, whose nonzero
-eigenvalues are the same squared singular values of a.
+blocks, run on a whole chunk of cells at once; the extra-invariant and
+discrete fits call it with one block per coset or partition cell, and the
+plain fit with the whole fiber as one block.  A block of c columns is
+solved on its smaller side: the m x m Gramian a a^H, or the c x c Gramian
+a^H a when c < m, whose nonzero eigenvalues are the same squared singular
+values of a.  Its four stages (``_gramians``, ``_eigensolve``, ``_select``,
+``_assemble``) each work on the whole chunk and return chunk arrays; no
+stage holds a record per cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,39 +53,21 @@ def _check_rank(rank: int, minimum: int = 1) -> int:
     return r
 
 
-def allocation_residual(block_lams, alloc) -> float:
-    """Energy left over when block b keeps its top ``alloc[b]``
-    eigenvalues: each block's discarded tail is added in order, block
-    after block, to one running float.  Every fit, error and the
+def allocation_residual(lams, alloc) -> np.ndarray:
+    """Energy left over when block b keeps its top ``alloc[..., b]``
+    eigenvalues of the block spectra ``lams``, shape (..., blocks, m).
+
+    Each block's discarded tail is added in order, block after block, to
+    one running float that starts at +0.0: one ``np.add.accumulate``
+    (strictly sequential) in which kept records count as +0.0, which
+    leaves a sum started at +0.0 unchanged.  Every fit, error and the
     brute-force oracle total through here, so their residuals agree bit
-    for bit."""
-    acc = 0.0
-    for lam, a in zip(block_lams, alloc):
-        for v in lam[a:].tolist():
-            acc += v
-    return acc
-
-
-@dataclass(eq=False)
-class BlockEigen:
-    """Top-``rank`` eigen-records of the block Gramians of one cell.
-
-    Record s has eigenvalue ``eigenvalues[s]`` (descending; ties go to
-    the smaller block, then the smaller in-block rank), block
-    ``blocks[s]`` and in-block rank ``block_ranks[s]``.
-    ``generators[s]`` is its generator over the cell's columns, zero
-    outside its block (None when not requested).  ``allocation[b]``
-    counts the records kept from block b, ``block_eigenvalues[b]`` is
-    block b's whole spectrum and ``residual`` the discarded energy.
+    for bit.  Returns shape (...).
     """
-
-    eigenvalues: np.ndarray
-    blocks: np.ndarray
-    block_ranks: np.ndarray
-    allocation: np.ndarray
-    block_eigenvalues: list
-    residual: float
-    generators: np.ndarray | None
+    lams = np.asarray(lams)
+    m = lams.shape[-1]
+    tail = np.where(np.arange(m) >= np.asarray(alloc)[..., None], lams, 0.0).reshape(*lams.shape[:-2], -1)
+    return np.add.accumulate(np.concatenate([np.zeros(tail.shape[:-1] + (1,)), tail], axis=-1), axis=-1)[..., -1]
 
 
 # matrix elements per eigensolver call: one call solves up to
@@ -107,24 +91,22 @@ def _sides(m: int, blocks, n_cols: int) -> list[int]:
     return [min(m, cols[c].size) for c in blocks]
 
 
-def _gramians(fs, blocks, sides) -> dict:
+def _gramians(fs: np.ndarray, blocks, sides) -> dict:
     """Stage 1: the symmetrized Gramian of every block of every cell
-    matrix in ``fs``, a a^H of order m or a^H a of order c_b as ``sides``
-    says, stacked by order: {order: (cells * blocks of that order, n, n)},
-    cell-major.  Empty blocks (order 0) have none.  One product per
-    block, as on a single cell, so BLAS rounds each the same way whatever
-    the chunk."""
-    m = fs[0].shape[0]
-    out = {n: np.empty((len(fs) * sides.count(n), n, n), dtype=np.complex128) for n in sorted(set(sides)) if n}
+    matrix of the stack ``fs``, a a^H of order m or a^H a of order c_b as
+    ``sides`` says, stacked by order: {order: (cells, blocks of that
+    order, n, n)}.  Empty blocks (order 0) have none.  One stacked
+    product per block, which BLAS rounds as it does each cell's alone."""
+    cells, m, _ = fs.shape
+    out = {n: np.empty((cells, sides.count(n), n, n), dtype=np.complex128) for n in sorted(set(sides)) if n}
     at = dict.fromkeys(out, 0)
-    for f in fs:
-        for cols, n in zip(blocks, sides):
-            if not n:
-                continue
-            a = f[:, cols]
-            gm = a @ a.conj().T if n == m else a.conj().T @ a
-            out[n][at[n]] = (gm + gm.conj().T) / 2.0
-            at[n] += 1
+    for cols, n in zip(blocks, sides):
+        if not n:
+            continue
+        a = fs[:, :, cols]
+        gm = a @ a.conj().swapaxes(1, 2) if n == m else a.conj().swapaxes(1, 2) @ a
+        out[n][:, at[n]] = (gm + gm.conj().swapaxes(1, 2)) / 2.0
+        at[n] += 1
     return out
 
 
@@ -132,99 +114,91 @@ def _eigensolve(grams: dict, sides, m: int, n_cells: int, tol: float, vectors: b
     """Stage 2: eigendecompose the Gramian stacks of ``_gramians``, one
     kernel call per ``_per_call`` of each order.  Returns the block
     spectra, shape (cells, blocks, m), each padded with +0.0 records up to
-    m, and, when ``vectors``, every cell's list of block eigenvector
-    matrices (order n_b; None for an empty block)."""
+    m, and, when ``vectors``, each block's eigenvector stack, shape
+    (cells, n_b, n_b) (None for an empty block)."""
     lams = np.zeros((n_cells, len(sides), m))
-    vecs = [[None] * len(sides) for _ in range(n_cells)] if vectors else None
+    vecs = [None] * len(sides) if vectors else None
     for n, stack in grams.items():
         bs = [b for b, k in enumerate(sides) if k == n]
-        per = _per_call(n)
-        parts = [eig_hermitian_batch(stack[i : i + per], tol, vectors=vectors) for i in range(0, stack.shape[0], per)]
+        flat, per = stack.reshape(-1, n, n), _per_call(n)
+        parts = [eig_hermitian_batch(flat[i : i + per], tol, vectors=vectors) for i in range(0, flat.shape[0], per)]
         lams[:, bs, :n] = np.concatenate([p.eigenvalues for p in parts]).reshape(n_cells, len(bs), n)
         if vectors:
             v = np.concatenate([p.vectors for p in parts]).reshape(n_cells, len(bs), n, n)
-            for c in range(n_cells):
-                for i, b in enumerate(bs):
-                    vecs[c][b] = v[c, i]
+            for i, b in enumerate(bs):
+                vecs[b] = v[:, i]
     return lams, vecs
 
 
 def _select(lams: np.ndarray, rank: int):
-    """Stage 3: the top-``rank`` records of one cell from its block
-    spectra, shape (blocks, m): flat indices of the kept records, their
-    blocks and in-block ranks, and the per-block allocation."""
-    nb, m = lams.shape
-    lam = lams.reshape(-1)
-    block = np.repeat(np.arange(nb), m)
-    in_block = np.tile(np.arange(m), nb)
-    kept = np.lexsort((in_block, block, -lam))[:rank]
-    return kept, block[kept], in_block[kept], np.bincount(block[kept], minlength=nb)
+    """Stage 3: the top-``rank`` records of every cell from its block
+    spectra, shape (cells, blocks, m), as flat indices block * m +
+    in-block rank, whose order is the tie order (smaller block, then
+    smaller in-block rank), and the per-block allocation (cells,
+    blocks)."""
+    cells, nb, m = lams.shape
+    lam = lams.reshape(cells, -1)
+    kept = np.lexsort((np.broadcast_to(np.arange(nb * m), lam.shape), -lam))[:, :rank]
+    return kept, (kept[:, :, None] // m == np.arange(nb)).sum(axis=1)
 
 
-def _assemble(f: np.ndarray, blocks, lams: np.ndarray, vecs, kept, block, in_block) -> np.ndarray:
-    """Stage 4: the generator of every kept record on its block, or zero
-    when lambda is numerically zero (at most 1e-10 of the cell's largest
-    eigenvalue).  An eigenvector u of a a^H gives lambda^(-1/2) u^H a; an
-    eigenvector w of a^H a gives w^H, which is the same generator, since
-    lambda^(-1/2) u^H a = w^H for u = lambda^(-1/2) a w."""
-    m = f.shape[0]
-    generators = np.zeros((kept.shape[0], f.shape[1]), dtype=np.complex128)
-    lam = lams.reshape(-1)
-    lmax = max(float(lam.max()), 0.0)
-    for s, (i, b, j) in enumerate(zip(kept.tolist(), block.tolist(), in_block.tolist())):
-        if lam[i] > RANK_REL_TOL * lmax and lam[i] > 0.0:
-            cols = blocks[b]
-            w = vecs[b][:, j].conj()
-            if w.shape[0] < m:
-                generators[s, cols] = w
-            else:
-                generators[s, cols] = (1.0 / math.sqrt(lam[i])) * (w @ f[:, cols])
+def _assemble(fs: np.ndarray, blocks, lams: np.ndarray, vecs, kept: np.ndarray) -> np.ndarray:
+    """Stage 4: the generator of every kept record on its block, shape
+    (cells, records, columns), or zero when lambda is numerically zero (at
+    most 1e-10 of the cell's largest eigenvalue).  An eigenvector u of
+    a a^H gives lambda^(-1/2) u^H a; an eigenvector w of a^H a gives w^H,
+    which is the same generator, since lambda^(-1/2) u^H a = w^H for
+    u = lambda^(-1/2) a w."""
+    cells, m, n_cols = fs.shape
+    lam = lams.reshape(cells, -1)
+    lmax = lam.max(axis=1, initial=0.0)[:, None]
+    lam = np.take_along_axis(lam, kept, axis=1)
+    block, in_block = np.divmod(kept, m)
+    live = (lam > RANK_REL_TOL * lmax) & (lam > 0.0)
+    generators = np.zeros(kept.shape + (n_cols,), dtype=np.complex128)
+    for b, cols in enumerate(blocks):
+        c, s = np.nonzero(live & (block == b))
+        if not c.size:
+            continue
+        w = vecs[b][c, :, in_block[c, s]].conj()
+        rows = np.zeros((c.size, n_cols), dtype=np.complex128)
+        if w.shape[1] < m:
+            rows[:, cols] = w
+        else:
+            rows[:, cols] = (1.0 / np.sqrt(lam[c, s]))[:, None] * np.matmul(w[:, None, :], fs[c][:, :, cols])[:, 0]
+        generators[c, s] = rows
     return generators
 
 
-def _cells_eigen(fs, blocks, rank: int, tol: float, vectors: bool) -> list[BlockEigen]:
-    """``block_eigen`` of every cell matrix in ``fs``, with the Gramians
-    of all of them eigendecomposed together."""
-    m, n_cols = fs[0].shape
-    sides = _sides(m, blocks, n_cols)
-    lams, vecs = _eigensolve(_gramians(fs, blocks, sides), sides, m, len(fs), tol, vectors)
-    out = []
-    for c, f in enumerate(fs):
-        kept, block, in_block, allocation = _select(lams[c], rank)
-        generators = None
-        if vectors:
-            generators = _assemble(f, blocks, lams[c], vecs[c], kept, block, in_block)
-        out.append(
-            BlockEigen(
-                eigenvalues=lams[c].reshape(-1)[kept],
-                blocks=block,
-                block_ranks=in_block,
-                allocation=allocation,
-                block_eigenvalues=list(lams[c]),
-                residual=allocation_residual(lams[c], allocation),
-                generators=generators,
-            )
-        )
-    return out
-
-
-def block_eigen(f: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool = True) -> BlockEigen:
-    """Best ``rank`` block-supported generators for the rows of ``f``.
+def block_eigen(fs: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool = True):
+    """Best ``rank`` block-supported generators for the rows of each cell
+    matrix of the stack ``fs``, shape (cells, m, columns).
 
     ``blocks`` lists the column index (array or slice) of each block.
     Every block Gramian is eigendecomposed on its smaller side (see
     ``_sides``), each block's spectrum is padded with zeros to m records,
-    the globally largest ``rank`` eigenvalues are kept, and each kept
-    eigenvector gives the generator lambda^(-1/2) u^H f on its block (w^H
-    for an eigenvector w of a^H a), or zero when lambda is numerically zero (at most
-    1e-10 of the largest eigenvalue of the cell).  The residual sums the
-    discarded eigenvalues by ``allocation_residual``.
+    the globally largest ``rank`` eigenvalues of each cell are kept, and
+    each kept eigenvector gives the generator lambda^(-1/2) u^H f on its
+    block (w^H for an eigenvector w of a^H a), or zero when lambda is
+    numerically zero (at most 1e-10 of the largest eigenvalue of the
+    cell).  A cell's bits do not depend on the other cells of the stack.
+
+    Returns chunk arrays: the block spectra (cells, blocks, m); the kept
+    records (cells, min(rank, blocks * m)) as flat indices block * m +
+    in-block rank, in descending eigenvalue order; the residuals (cells,)
+    of ``allocation_residual``; and the generators (cells, records,
+    columns), or None when not ``vectors``.
     """
-    return _cells_eigen([f], blocks, rank, tol, vectors)[0]
+    m, n_cols = fs.shape[1:]
+    sides = _sides(m, blocks, n_cols)
+    lams, vecs = _eigensolve(_gramians(fs, blocks, sides), sides, m, fs.shape[0], tol, vectors)
+    kept, allocation = _select(lams, rank)
+    generators = _assemble(fs, blocks, lams, vecs, kept) if vectors else None
+    return lams, kept, allocation_residual(lams, allocation), generators
 
 
-# all columns as one block; a slice, so that f[:, cols] is f itself and
-# the products round exactly as on the contiguous cell matrix
+# all columns as one block; a slice, so that f[:, :, cols] is f itself and
+# the products round exactly as on the contiguous cell matrices
 _WHOLE_FIBER = (slice(None),)
 
 
@@ -237,53 +211,35 @@ def _column_blocks(labels: np.ndarray, n_blocks: int):
     return [np.flatnonzero(labels == b) for b in range(n_blocks)]
 
 
-def _cell_chunks(ds: SpectralDataset, blocks, rank: int, tol: float, vectors: bool):
-    """``block_eigen`` of every cell of ``ds`` in cell order, a chunk of
-    cells at a time: as many cells as fill one eigensolver call, counting
-    the n_b x n_b Gramian of every block."""
-    per = max(1, CHUNK_ELEMENTS // max(1, sum(n * n for n in _sides(ds.m, blocks, ds.grid.n_translations))))
-    ncells = ds.grid.n_cells
-    for start in range(0, ncells, per):
-        fs = [np.ascontiguousarray(ds.samples[:, g, :]) for g in range(start, min(start + per, ncells))]
-        yield from _cells_eigen(fs, blocks, rank, tol, vectors)
+def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float, vectors: bool = True):
+    """Run ``block_eigen`` over every cell of ``ds``, a chunk of cells at
+    a time: as many cells as fill one eigensolver call, counting the
+    n_b x n_b Gramian of every block.
 
-
-def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float):
-    """Run ``block_eigen`` at every cell of ``ds``.
-
-    Returns the ``FittedModel`` fields as a dict, plus the block and
-    in-block rank of every kept record, shape (cells, rank), -1 on
-    zero-padded slots.  ``error`` is the quadrature sum of the cell
-    residuals.
+    Returns the ``FittedModel`` fields as a dict (``spectra`` None when
+    not ``vectors``), plus the block and in-block rank of every kept
+    record, shape (cells, rank), -1 on zero-padded slots.  ``error`` is
+    the quadrature sum of the cell residuals.
     """
-    ncells = ds.grid.n_cells
+    m, ncells, n_cols = ds.samples.shape
+    per = max(1, CHUNK_ELEMENTS // max(1, sum(n * n for n in _sides(m, blocks, n_cols))))
+    t = min(rank, len(blocks) * m)
     eigenvalues = np.zeros((ncells, rank))
-    spectra = np.zeros((rank, ncells, ds.grid.n_translations), dtype=np.complex128)
+    spectra = np.zeros((rank, ncells, n_cols), dtype=np.complex128) if vectors else None
     residuals = np.zeros(ncells)
-    home = np.full((ncells, rank), -1, dtype=np.int64)
-    block_ranks = np.full((ncells, rank), -1, dtype=np.int64)
-    for g, cell in enumerate(_cell_chunks(ds, blocks, rank, tol, True)):
-        t = cell.eigenvalues.shape[0]
-        eigenvalues[g, :t] = cell.eigenvalues
-        spectra[:t, g, :] = cell.generators
-        residuals[g] = cell.residual
-        home[g, :t] = cell.blocks
-        block_ranks[g, :t] = cell.block_ranks
-    fields = dict(
-        grid=ds.grid,
-        rank=rank,
-        eigenvalues=eigenvalues,
-        spectra=spectra,
-        residuals=residuals,
-        error=float(residuals.sum()) * ds.grid.cell_volume,
-    )
+    kept = np.zeros((ncells, t), dtype=np.int64)
+    for start in range(0, ncells, per):
+        cells = slice(start, min(start + per, ncells))
+        fs = np.ascontiguousarray(ds.samples[:, cells].transpose(1, 0, 2))
+        lams, kept[cells], residuals[cells], generators = block_eigen(fs, blocks, rank, tol, vectors=vectors)
+        eigenvalues[cells, :t] = np.take_along_axis(lams.reshape(fs.shape[0], -1), kept[cells], axis=1)
+        if vectors:
+            spectra[:t, cells] = generators.transpose(1, 0, 2)
+    home, block_ranks = np.full((2, ncells, rank), -1, dtype=np.int64)
+    home[:, :t], block_ranks[:, :t] = np.divmod(kept, m)
+    fields = dict(grid=ds.grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra, residuals=residuals,
+                  error=float(residuals.sum()) * ds.grid.cell_volume)
     return fields, home, block_ranks
-
-
-def _error_cells(ds: SpectralDataset, blocks, rank: int, tol: float) -> float:
-    """Quadrature sum of the ``block_eigen`` residuals of every cell."""
-    residuals = np.array([cell.residual for cell in _cell_chunks(ds, blocks, rank, tol, False)])
-    return float(residuals.sum()) * ds.grid.cell_volume
 
 
 def fit_sis(
@@ -316,7 +272,7 @@ def error_sis(
     space, without materializing generators; equal to ``fit_sis(...).error``.
     ``rank`` 0 gives the total energy."""
     rank = _check_rank(rank, minimum=0)
-    return _error_cells(ds, _WHOLE_FIBER, rank, tol)
+    return _fit_cells(ds, _WHOLE_FIBER, rank, tol, vectors=False)[0]["error"]
 
 
 def project_onto(model: FittedModel, ds: SpectralDataset):

@@ -261,8 +261,8 @@ def ingest(manifest_path) -> SpectralDataset:
 
 def _check_payload_holds_grid(manifest: Path, dim: int, cells: int, trunc: int, payload: Path,
                               per_sample: int) -> None:
-    """Refuse a grid with more samples per function than ``payload`` can
-    hold at ``per_sample`` bytes each, before the grid's arrays are built.
+    """Refuse a grid with more (cell, translation) samples than ``payload``
+    can hold at ``per_sample`` bytes each, before the grid's arrays are built.
     The count cells_per_dim^dim * (2 trunc_radius + 1)^dim is multiplied up
     in Python ints and stops as soon as it is too large, so a huge dim or
     trunc_radius costs nothing."""
@@ -273,7 +273,7 @@ def _check_payload_holds_grid(manifest: Path, dim: int, cells: int, trunc: int, 
         if n * per_sample > size:
             raise ValidationError(
                 f"{manifest}: dim {dim}, cells_per_dim {cells} and trunc_radius {trunc} give more samples "
-                f"per function than payload {payload} ({size} bytes) can hold"
+                f"than payload {payload} ({size} bytes) can hold at {per_sample} bytes each"
             )
 
 

@@ -19,9 +19,9 @@ from .extra import ExtraInvariantModel
 from .lattice import format_basis, make_dual_lattice, parse_basis
 from .multitile import MultiTileModel
 from .sis import FittedModel
-from .spectral import SpectralGrid
-from .table import (_json, _Meta, one_row_per_key, read_c16, read_object, read_table, reject, scan, write_c16,
-                    write_object, write_table)
+from .spectral import SpectralGrid, _check_payload_holds_grid
+from .table import (_existing, _json, _Meta, one_row_per_key, read_c16, read_object, read_table, reject, scan,
+                    write_c16, write_object, write_table)
 
 MODEL_JSON = "model.json"
 GENERATORS_BIN = "generators.bin"
@@ -110,7 +110,19 @@ def _save_discrete(model: DiscreteModel, out: Path) -> None:
             fh.write(f"{s},{label},{j},{float(lam)!r}\n")
 
 
-def load_model(model_dir):
+def model_regime(model_dir) -> str:
+    """The regime named by the model's ``model.json``."""
+    return _regime(read_object(Path(model_dir) / MODEL_JSON))
+
+
+def _regime(meta: _Meta) -> str:
+    regime = meta.get("regime", _json(str), None)
+    if regime not in ("sis", "extra", "pw", "discrete"):
+        raise ValidationError(f"{meta.path}: unknown regime {regime!r}")
+    return regime
+
+
+def load_model(model_dir, grid: SpectralGrid | None = None):
     """Load a model directory written by ``save_model``.
 
     Returns the reconstructed model object.  Every file the regime
@@ -118,17 +130,17 @@ def load_model(model_dir):
     per cell, per cell and slot (``home_cosets.csv``) or per slot
     (``selected.csv``).  A missing or malformed file raises
     ValidationError naming the file (and the line, for a malformed row).
+    ``grid``, when given, is the grid of the data the model is checked
+    against; a model on a grid must be on that one (see ``_load_grid``).
     """
     mdir = Path(model_dir)
     meta = read_object(mdir / MODEL_JSON)
-    regime = meta.get("regime", _json(str), None)
-    if regime in ("sis", "extra"):
-        return _load_spectral(mdir, meta, regime)
-    if regime == "pw":
-        return _load_pw(mdir, meta)
+    regime = _regime(meta)
     if regime == "discrete":
         return _load_discrete(mdir, meta)
-    raise ValidationError(f"{meta.path}: unknown regime {regime!r}")
+    if regime == "pw":
+        return _load_pw(mdir, meta, grid)
+    return _load_spectral(mdir, meta, regime, grid)
 
 
 def _positive(value) -> int:
@@ -138,8 +150,21 @@ def _positive(value) -> int:
     return n
 
 
-def _load_grid(meta: _Meta) -> SpectralGrid:
-    return meta.get("grid", lambda g: SpectralGrid(**{key: _json(int)(g[key]) for key in _GRID_KEYS}))
+def _load_grid(meta: _Meta, data: SpectralGrid | None, payload: Path | None = None,
+               per_sample: int = 0) -> SpectralGrid:
+    """The model's grid, checked in Python ints before any array sized by
+    it is built: field by field against the ``data`` grid, when given
+    (which is then the grid returned), and against the size of
+    ``payload``, when given, which stores ``per_sample`` bytes for every
+    cell and translation."""
+    dim, cells, trunc = meta.get("grid", lambda g: [_json(int)(g[key]) for key in _GRID_KEYS])
+    for key, value in zip(_GRID_KEYS, (dim, cells, trunc)):
+        if data is not None and value != getattr(data, key):
+            raise ValidationError(f"{meta.path}: grid field {key!r} is {value}, but the data's is "
+                                  f"{getattr(data, key)}")
+    if payload is not None:
+        _check_payload_holds_grid(meta.path, dim, cells, trunc, payload, per_sample)
+    return data if data is not None else SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)
 
 
 def _cell_rows(path: Path, ncells: int, floats: int, dim: int = 0):
@@ -151,12 +176,12 @@ def _cell_rows(path: Path, ncells: int, floats: int, dim: int = 0):
     return lines[rows], ints[rows, 1:], vals[rows]
 
 
-def _load_spectral(mdir: Path, meta: _Meta, regime: str):
-    grid = _load_grid(meta)
+def _load_spectral(mdir: Path, meta: _Meta, regime: str, data: SpectralGrid | None):
     rank = meta.get("rank", _positive)
     n_gen = meta.get("n_generators", _positive, rank)
-    spectra = read_c16(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN),
-                       (n_gen, grid.n_cells, grid.n_translations))
+    payload = _existing(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN))
+    grid = _load_grid(meta, data, payload, 16 * n_gen)
+    spectra = read_c16(payload, (n_gen, grid.n_cells, grid.n_translations))
     residuals = _cell_rows(mdir / RESIDUALS_CSV, grid.n_cells, 1)[2][:, 0]
     path = mdir / EIGENCURVES_CSV
     lines, _, curves = _cell_rows(path, grid.n_cells, grid.dim + rank)
@@ -183,8 +208,9 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str):
     )
 
 
-def _load_pw(mdir: Path, meta: _Meta) -> MultiTileModel:
-    grid = _load_grid(meta)
+def _load_pw(mdir: Path, meta: _Meta, data: SpectralGrid | None) -> MultiTileModel:
+    # no pw file is sized by the truncation radius: only the data bound it
+    grid = _load_grid(meta, data)
     rank = meta.get("rank", _positive)
     chosen = _cell_rows(mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 0,
                         rank * grid.dim)[1].reshape(grid.n_cells, rank, grid.dim)

@@ -71,3 +71,14 @@ def projection_residual(x: np.ndarray, span_rows: np.ndarray, rtol: float = 1e-1
     coef = x @ basis.conj().T
     resid = x - coef @ basis
     return float((abs(resid) ** 2).sum())
+
+
+def sequential_residual(block_lams, alloc) -> float:
+    """Discarded energy when block b keeps its first ``alloc[b]``
+    eigenvalues: every block's tail added in order, block after block, to
+    one Python float that starts at 0.0."""
+    acc = 0.0
+    for lam, a in zip(block_lams, alloc):
+        for v in lam[a:].tolist():
+            acc += v
+    return acc

@@ -453,6 +453,14 @@ def _set_json(path, key, value):
     path.write_text(json.dumps(meta))
 
 
+def _set_grid(path, key, value):
+    import json
+
+    meta = json.loads(path.read_text())
+    meta["grid"][key] = value
+    path.write_text(json.dumps(meta))
+
+
 def _empty_binary_payload_of_huge_grid(path):
     import json
 
@@ -613,8 +621,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("part.txt", "0, a\n1, b\n0, c\n", "part.txt:3: position (0,) labeled twice"),
         ("seqs.txt", "0,0,1.0,0.0\n1,1,1.0,0.0\n0,0,2.0,0.0\n", "seqs.txt:3: duplicate sample"),
         ("seqs.txt", "0,100000000000000000000,1.0,0.0\n", "seqs.txt:1: position (100000000000000000000,)"),
-        # a million sequences would need a Gramian of order 10^6
-        ("seqs.txt", "1000000,0,1.0,0.0\n", "seqs.txt:1: sequence index 1000000 exceeds 255"),
+        # 10^8 sequences on one point are more samples than a sequence table may ask for
+        ("seqs.txt", "100000000,0,1.0,0.0\n",
+         "seqs.txt:1: sequence index 100000000 gives 100000001 sequences on 1 support points, more than 16777216"),
         # the translation of cell 0's only generator, beyond int64
         ("chosen.csv", lambda p: _tamper_csv(p, 0, 1, "100000000000000000000"),
          "chosen.csv:1: position (100000000000000000000,) outside the int64 range"),
@@ -649,6 +658,17 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # the partition labels positions 0 and 1 only
         ("seqs.txt", "0,0,1.0,0.0\n1,1,1.0,0.0\n2,5,1.0,0.0\n",
          "seqs.txt:3: position (5,) is not covered by the partition in "),
+
+        # a model grid is checked against the data's before it sizes any array
+        *(
+            (f"{regime}:model.json", lambda p, f=field: _set_grid(p, f, 10**12),
+             f"model.json: grid field '{field}' is 1000000000000, but the data's is {was}")
+            for regime in ("sis", "extra", "pw")
+            for field, was in (("trunc_radius", 1), ("cells_per_dim", 4))
+        ),
+        # the model's rank sizes its generator table like a sequence index
+        ("generators.txt", lambda p: _set_json(p.parent / "model.json", "rank", 10**12),
+         "generators.txt: the model's rank 1000000000000 gives 1000000000000 sequences on 1 support points"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -659,7 +679,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "partition-not-utf8", "residuals-not-utf8", "model-json-not-utf8", "selected-not-utf8",
         "manifest-not-utf8", "model-json-nested-too-deep", "eigencurves-center-not-a-number",
         "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
-        "seqs-position-not-in-partition",
+        "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",
+        "extra-model-trunc-huge", "extra-model-cells-huge", "pw-model-trunc-huge", "pw-model-cells-huge",
+        "discrete-model-rank-huge",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -671,9 +693,12 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     seqs, part = tmp_path / "seqs.txt", tmp_path / "part.txt"
     seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
     part.write_text("0, a\n1, b\n")
+    regime, _, name = name.rpartition(":")  # "pw:model.json" is the model.json of a pw fit
+    regime = regime or ("pw" if name == "chosen.csv" else "sis")
     fit_sis = ("fit", "--regime", "sis", "--data", data / "dataset.json", "--rank", 1, "--out", tmp_path / "m")
     if name in ("model.json", "chosen.csv", "residuals.csv", "eigencurves.csv"):
-        fit = fit_sis if name != "chosen.csv" else fit_sis[:2] + ("pw",) + fit_sis[3:] + ("--box", 1)
+        options = {"pw": ("--box", 1), "extra": ("--dual-lattice", "2")}.get(regime, ())
+        fit = fit_sis[:2] + (regime,) + fit_sis[3:] + options
         assert run_cli(*fit).returncode == 0
         cmd = ("verify", "--model", tmp_path / "m", "--data", data / "dataset.json")
         path = tmp_path / "m" / name

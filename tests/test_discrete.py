@@ -237,6 +237,29 @@ def test_dataset_text_round_trip(tmp_path, rng):
     assert got == orig
 
 
+def test_three_hundred_sequences_round_trip_and_fit_through_the_cli(tmp_path, rng):
+    # more sequences than the eigensolver's order cap: every block Gramian
+    # is solved on its column side
+    from test_cli import run_cli
+
+    ds = random_instance(rng, m=300, npts=5)
+    path = tmp_path / "seqs.txt"
+    write_discrete_sequences(ds.support, ds.values, path)
+    back = parse_discrete_dataset(path)
+    assert back.m == 300
+    assert back.support.tobytes() == ds.support.tobytes()
+    assert back.values.tobytes() == ds.values.tobytes()
+    (tmp_path / "part.txt").write_text("lattice: 2\n")
+    out = tmp_path / "model"
+    res = run_cli("fit", "--regime", "discrete", "--data", path, "--partition", tmp_path / "part.txt",
+                  "--rank", 3, "--out", out)
+    assert res.returncode == 0, res.stderr
+    model = fit_discrete(back, parse_partition(tmp_path / "part.txt", 1), 3)
+    assert f"error: {model.error!r}\n" in res.stdout
+    res = run_cli("verify", "--model", out, "--data", path)
+    assert res.returncode == 0 and "result: pass" in res.stdout, res.stdout + res.stderr
+
+
 def test_parse_dataset_errors(tmp_path):
     p = tmp_path / "bad.txt"
     with pytest.raises(ValidationError, match="not found"):

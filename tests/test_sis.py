@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sisfit.errors import ValidationError
 from sisfit.extra import fit_extra_invariant
 from sisfit.hermitian import MAX_ORDER, eig_hermitian
 from sisfit.lattice import coset_of, make_dual_lattice
-from sisfit.sis import CHUNK_ELEMENTS, _cells_eigen, _sides, block_eigen, error_sis, fit_sis, project_onto
+from sisfit.sis import CHUNK_ELEMENTS, _sides, allocation_residual, block_eigen, error_sis, fit_sis, project_onto
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.verify import verify_model
 
 from conftest import random_dataset
-from oracles import projection_residual
+from oracles import projection_residual, sequential_residual
 
 
 def _projector(spectra_g):
@@ -224,26 +226,30 @@ def _reference_cell(f, blocks, rank):
 def test_fits_across_chunk_boundaries_equal_per_cell_reference(rng):
     # m = 16 functions on 17 columns: sis solves order 16 (64 Gramians per
     # call), so 120 cells are two chunks; extra with dual lattice 2 solves
-    # orders 9 and 8 (112 cells per chunk), again two chunks
-    m = 16
-    assert CHUNK_ELEMENTS // (m * m) == 64
+    # orders 9 and 8 (112 cells per chunk), again two chunks.  m = 4 on 13
+    # columns: extra solves both index-array blocks (7 and 6 columns) on the
+    # 4 x 4 side, 512 cells per chunk, so 520 cells are two chunks
+    assert CHUNK_ELEMENTS // (16 * 16) == 64
     assert CHUNK_ELEMENTS // (9 * 9 + 8 * 8) == 112
-    ds = random_dataset(rng, dim=1, cells=120, trunc=8, m=m)
+    assert CHUNK_ELEMENTS // (4 * 4 + 4 * 4) == 512
     lat = make_dual_lattice([[2]])
-    labels = coset_of(ds.grid.translations, lat)
-    rank = 18  # more than the rank of every cell: zero generators too
-    for model, blocks in (
-        (fit_sis(ds, rank), (slice(None),)),
-        (fit_extra_invariant(ds, lat, rank), [np.flatnonzero(labels == b) for b in range(2)]),
-    ):
-        for g in range(ds.grid.n_cells):
-            lam, gens, residual, home = _reference_cell(np.ascontiguousarray(ds.samples[:, g, :]), blocks, rank)
-            t = lam.shape[0]
-            assert model.eigenvalues[g, :t].tobytes() == lam.tobytes()
-            assert np.ascontiguousarray(model.spectra[:t, g, :]).tobytes() == gens.tobytes()
-            assert model.residuals[g] == residual and np.signbit(model.residuals[g]) == np.signbit(residual)
-            if len(blocks) > 1:
-                assert model.home_cosets[g, :t].tolist() == home.tolist()
+    for m, cells, trunc, rank in ((16, 120, 8, 18), (4, 520, 6, 9)):
+        ds = random_dataset(rng, dim=1, cells=cells, trunc=trunc, m=m)
+        labels = coset_of(ds.grid.translations, lat)
+        # rank above the rank of every cell under either fit: zero generators too
+        assert rank > sum(min(m, c) for c in np.bincount(labels))
+        for model, blocks in (
+            (fit_sis(ds, rank), (slice(None),)),
+            (fit_extra_invariant(ds, lat, rank), [np.flatnonzero(labels == b) for b in range(2)]),
+        ):
+            for g in range(ds.grid.n_cells):
+                lam, gens, residual, home = _reference_cell(np.ascontiguousarray(ds.samples[:, g, :]), blocks, rank)
+                t = lam.shape[0]
+                assert model.eigenvalues[g, :t].tobytes() == lam.tobytes()
+                assert np.ascontiguousarray(model.spectra[:t, g, :]).tobytes() == gens.tobytes()
+                assert model.residuals[g] == residual and np.signbit(model.residuals[g]) == np.signbit(residual)
+                if len(blocks) > 1:
+                    assert model.home_cosets[g, :t].tolist() == home.tolist()
 
 
 @pytest.mark.parametrize("m, c", [(7, 3), (5, 5), (3, 8), (9, 1)])
@@ -252,7 +258,7 @@ def test_block_spectrum_on_either_side_matches_lapack(rng, m, c):
     energy = float((f.real**2 + f.imag**2).sum())
     halves = [np.arange(0, c, 2), np.arange(1, c, 2)]
     for blocks in ((slice(None),), halves):
-        spectra = block_eigen(f, blocks, 0, 1e-13, vectors=False).block_eigenvalues
+        spectra = block_eigen(f[None], blocks, 0, 1e-13, vectors=False)[0][0]
         assert len(spectra) == len(blocks)
         for cols, lam in zip(blocks, spectra):
             a = f[:, cols]
@@ -280,21 +286,38 @@ def test_generators_on_mixed_sides_are_orthonormal_and_verify(rng):
     assert report.passed, str(report)
 
 
+def _cell_fields(out, c, m, n_blocks):
+    """Every per-cell field of the ``block_eigen`` chunk arrays ``out`` at
+    cell c: block spectra, kept records with their eigenvalues, blocks,
+    in-block ranks and allocation, residual and generators."""
+    lams, kept, residuals, gens = out
+    block, in_block = np.divmod(kept[c], m)
+    return dict(
+        block_eigenvalues=lams[c],
+        kept=kept[c],
+        eigenvalues=lams[c].reshape(-1)[kept[c]],
+        blocks=block,
+        block_ranks=in_block,
+        allocation=np.bincount(block, minlength=n_blocks),
+        residual=residuals[c],
+        generators=gens[c],
+    )
+
+
 def test_cell_bits_do_not_depend_on_its_chunk_with_two_side_orders(rng):
     ds = random_dataset(rng, dim=1, cells=6, trunc=6, m=7)
     labels = coset_of(ds.grid.translations, make_dual_lattice([[2]]))
     blocks = [np.flatnonzero(labels == b) for b in range(2)]
-    fs = [np.ascontiguousarray(ds.samples[:, g, :]) for g in range(ds.grid.n_cells)]
+    fs = np.ascontiguousarray(ds.samples.transpose(1, 0, 2))
     assert _sides(7, blocks, 13) == [7, 6]
-    chunk = _cells_eigen(fs, blocks, 9, 1e-13, True)
-    rev = _cells_eigen(fs[::-1], blocks, 9, 1e-13, True)[::-1]
-    for f, together, reversed_ in zip(fs, chunk, rev):
-        alone = block_eigen(f, blocks, 9, 1e-13)
-        for other in (together, reversed_):
-            for name in ("eigenvalues", "blocks", "block_ranks", "allocation", "generators"):
-                assert getattr(alone, name).tobytes() == getattr(other, name).tobytes(), name
-            assert np.array(alone.block_eigenvalues).tobytes() == np.array(other.block_eigenvalues).tobytes()
-            assert alone.residual == other.residual
+    chunk = block_eigen(fs, blocks, 9, 1e-13)
+    rev = block_eigen(np.ascontiguousarray(fs[::-1]), blocks, 9, 1e-13)
+    n = fs.shape[0]
+    for c in range(n):
+        alone = _cell_fields(block_eigen(fs[c : c + 1], blocks, 9, 1e-13), 0, 7, 2)
+        for other in (_cell_fields(chunk, c, 7, 2), _cell_fields(rev, n - 1 - c, 7, 2)):
+            for name, value in alone.items():
+                assert value.tobytes() == other[name].tobytes(), name
 
 
 def test_more_functions_than_the_eigensolver_order_cap(rng):
@@ -319,3 +342,27 @@ def test_more_functions_than_the_eigensolver_order_cap(rng):
             expect += float(sum(lam.sum() for lam in lams) - keep.sum())
         expect *= ds.grid.cell_volume
         assert abs(model.error - expect) <= 1e-10 * (1.0 + energy)
+
+
+_SPECTRUM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-17, 1e308, 1.0, 1e-300, 0.1, 3.0]),
+    st.floats(min_value=-1e-9, max_value=1e3, allow_nan=False, allow_subnormal=True),
+)
+
+
+@given(st.data())
+def test_allocation_residual_equals_sequential_float_loop(data):
+    cells = data.draw(st.integers(1, 3))
+    nb = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 8))
+    lams = np.array(data.draw(st.lists(_SPECTRUM_VALUES, min_size=cells * nb * m, max_size=cells * nb * m)))
+    lams = lams.reshape(cells, nb, m)
+    alloc = np.array(data.draw(st.lists(st.integers(0, m), min_size=cells * nb, max_size=cells * nb)))
+    alloc = alloc.reshape(cells, nb)
+    got = allocation_residual(lams, alloc)
+    assert got.shape == (cells,)
+    for c in range(cells):
+        want = sequential_residual(lams[c], alloc[c].tolist())
+        # bit for bit, the sign of zero and infinities included
+        assert got[c].tobytes() == np.float64(want).tobytes(), (lams[c], alloc[c], got[c], want)
+        assert allocation_residual(lams[c], alloc[c]).tobytes() == got[c].tobytes()
