@@ -275,30 +275,36 @@ def error_sis(
     return _fit_cells(ds, _WHOLE_FIBER, rank, tol, vectors=False)[0]["error"]
 
 
+def _fibers(model: FittedModel) -> np.ndarray:
+    """The generator fibers of every cell, (cells, generators, translations);
+    ValidationError when the model's spectra do not match its grid."""
+    spectra, grid = np.asarray(model.spectra), model.grid
+    if spectra.ndim != 3 or spectra.shape[1:] != (grid.n_cells, grid.n_translations):
+        raise ValidationError(f"generator array shape {spectra.shape} does not match the grid")
+    return spectra.transpose(1, 0, 2)
+
+
+def _project(x: np.ndarray, e: np.ndarray):
+    """Project the rows of every x[c] onto the orthonormal-or-zero rows of
+    e[c], stacks (cells, m, columns) and (cells, records, columns): the
+    coefficients x e^H, the projections and each row's squared residual."""
+    coef = x @ e.conj().swapaxes(-1, -2)
+    proj = coef @ e
+    r = x - proj
+    return coef, proj, (r.real**2 + r.imag**2).sum(axis=-1)
+
+
 def project_onto(model: FittedModel, ds: SpectralDataset):
-    """Orthogonal projection of every function onto the fitted space.
+    """Orthogonal projection of every function onto the fitted space, all
+    cells at once (one ``_project`` of the stacked cell matrices).
 
     Generator fibers are assumed orthonormal-or-zero per cell, which
     holds for fitted models.  Returns the projected dataset, the squared
     projection residual of each function, and that of each cell summed
     over the functions without the cell volume (comparable with
-    ``model.residuals``).
+    ``model.residuals``).  Spectra off the grid raise ValidationError.
     """
     check_same_grid(model.grid, ds.grid)
-    m = ds.m
-    ncells = ds.grid.n_cells
-    proj = np.zeros_like(ds.samples)
-    residuals = np.zeros(m)
-    cell_residuals = np.zeros(ncells)
-    for g in range(ncells):
-        x = ds.samples[:, g, :]
-        e = model.spectra[:, g, :]
-        coef = x @ e.conj().T
-        p = coef @ e
-        proj[:, g, :] = p
-        r = x - p
-        rr = (r.real**2 + r.imag**2).sum(axis=1)
-        residuals += rr
-        cell_residuals[g] = rr.sum()
-    residuals *= ds.grid.cell_volume
-    return SpectralDataset(grid=ds.grid, samples=proj), residuals, cell_residuals
+    _, proj, rr = _project(ds.samples.transpose(1, 0, 2), _fibers(model))
+    return (SpectralDataset(grid=ds.grid, samples=proj.transpose(1, 0, 2)),
+            rr.sum(axis=0) * ds.grid.cell_volume, rr.sum(axis=1))

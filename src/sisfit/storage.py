@@ -17,7 +17,7 @@ from .discrete import DiscreteModel, _read_sequences, parse_partition, write_dis
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import format_basis, make_dual_lattice, parse_basis
-from .multitile import MultiTileModel
+from .multitile import MultiTileModel, _check_box
 from .sis import FittedModel
 from .spectral import SpectralGrid, _check_payload_holds_grid
 from .table import (_existing, _json, _Meta, one_row_per_key, read_c16, read_object, read_table, reject, scan,
@@ -212,12 +212,17 @@ def _load_pw(mdir: Path, meta: _Meta, data: SpectralGrid | None) -> MultiTileMod
     # no pw file is sized by the truncation radius: only the data bound it
     grid = _load_grid(meta, data)
     rank = meta.get("rank", _positive)
+    box = meta.get("box_radius", _positive)
+    try:
+        _check_box(grid, rank, box)
+    except ValidationError as exc:
+        raise ValidationError(f"{meta.path}: field 'box_radius': {exc}") from None
     chosen = _cell_rows(mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 0,
                         rank * grid.dim)[1].reshape(grid.n_cells, rank, grid.dim)
     return MultiTileModel(
         grid=grid,
         rank=rank,
-        box_radius=meta.get("box_radius", _positive),
+        box_radius=box,
         chosen=chosen,
         residuals=_cell_rows(mdir / RESIDUALS_CSV, grid.n_cells, 1)[2][:, 0],
         error=meta.get("error", _json(float)),

@@ -10,6 +10,11 @@ checks of a model's regime and returns one ``VerificationReport``:
 - ``discrete``: ``orthonormal``, ``block-support``, ``residual-identity``,
   ``eigenvalues``.
 
+Every check runs over all cells at once; only loops that report violations
+visit cells.  ``sis._project``, ``_deviation`` and ``_misnumbered`` are the
+one projection, orthonormality test and block-numbering rule; ``coset-span``
+keeps the stacked SVD basis above lstsq's cutoff eps * max(T, r) * sigma_max.
+
 Tolerances are 1e-8 relative: to 1 + the total energy for totals, to
 1 + the cell energy (without the cell volume) for per-cell values.  A
 NaN fails every check it enters (loading rejects one in a text table).
@@ -26,7 +31,7 @@ from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import DualLattice, coset_of
 from .multitile import MultiTileModel, _weights, multitile_spectra
-from .sis import FittedModel, project_onto
+from .sis import FittedModel, _fibers, _project, project_onto
 from .spectral import SpectralDataset, check_same_grid, total_energy
 
 MAX_REPORTED_VIOLATIONS = 64
@@ -115,13 +120,22 @@ def verify_model(model, data, partition: DiscretePartition | None = None) -> Ver
     return report
 
 
-def _deviation(rows: np.ndarray) -> float:
-    """Largest entry of the Gramian of the nonzero rows minus the
-    identity; 0 without nonzero rows."""
-    sub = rows[np.any(rows != 0, axis=1)]
-    if sub.shape[0] == 0:
-        return 0.0
-    return float(np.abs(sub @ sub.conj().T - np.eye(sub.shape[0])).max())
+def _deviation(rows: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``rows`` (..., n, columns): the largest entry
+    of |rows rows^H - diag(live)|, ``live`` marking the nonzero rows."""
+    gram = rows @ rows.conj().swapaxes(-1, -2) - np.eye(rows.shape[-2]) * np.any(rows != 0, axis=-1)[..., None]
+    return np.abs(gram).max(axis=(-2, -1), initial=0.0)
+
+
+def _misnumbered(block: np.ndarray, rank: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Rows of (rows, slots) block and in-block rank tables where the ranks
+    of a block 0..n_blocks-1 are not count distinct values in 0..count-1,
+    or rank -1 is not exactly at block -1 (no block)."""
+    same = block[:, :, None] == block[:, None, :]
+    twice = (same & (rank[:, :, None] == rank[:, None, :])).sum(axis=2) > 1
+    ok = np.where(block == -1, rank == -1,
+                  (block >= 0) & (block < n_blocks) & (rank >= 0) & (rank < same.sum(axis=2)) & ~twice)
+    return ~ok.all(axis=1)
 
 
 def _close(report: VerificationReport, check: str, got: float, want: float, tol: float,
@@ -145,10 +159,9 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
     energy = total_energy(ds)
 
     report.checks.append("parseval")
-    for g in range(model.grid.n_cells):
-        dev = _deviation(model.spectra[:, g, :])
-        if not dev <= TOL:
-            report.add("parseval", f"orthonormality deviation {dev:.3e}", cell=g)
+    dev = _deviation(_fibers(model))
+    for g in np.flatnonzero(~(dev <= TOL)):
+        report.add("parseval", f"orthonormality deviation {dev[g]:.3e}", cell=int(g))
 
     _, presid, cell_resid = project_onto(model, ds)
     total = float(presid.sum())
@@ -161,10 +174,8 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
     # kept plus discarded eigenvalues add up to the Gramian trace; the
     # discarded part is taken from the projection, not from residuals.csv,
     # so that a wrong residual fails cell-residuals alone
-    _cells_close(
-        report, "eigencurves", model.eigenvalues.sum(axis=1) + cell_resid, cell_energy, tol,
-        "eigenvalue sum plus projection residual",
-    )
+    _cells_close(report, "eigencurves", model.eigenvalues.sum(axis=1) + cell_resid, cell_energy, tol,
+                 "eigenvalue sum plus projection residual")
 
     if isinstance(model, ExtraInvariantModel):
         _check_cosets(report, model, model.lattice)
@@ -173,64 +184,41 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
 def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLattice) -> None:
     grid = model.grid
     labels = coset_of(grid.translations, lat)
-    spectra = np.asarray(model.spectra)
-    if spectra.ndim != 3 or spectra.shape[1] != grid.n_cells or spectra.shape[2] != grid.n_translations:
-        raise ValidationError(f"generator array shape {spectra.shape} does not match the grid")
+    fibers = _fibers(model)
 
     if hasattr(model, "home_cosets"):
         report.checks.append("coset-support")
-        home = np.asarray(model.home_cosets)
-        for s in range(spectra.shape[0]):
-            bad = (spectra[s] != 0) & (labels[None, :] != home[:, s][:, None])
-            for g in np.flatnonzero(bad.any(axis=1)):
-                ki = int(np.flatnonzero(bad[g])[0])
-                k = tuple(int(x) for x in grid.translations[ki])
-                report.add(
-                    "coset-support",
-                    f"nonzero sample at translation {k} (coset {int(labels[ki])}) "
-                    f"outside home coset {int(home[g, s])}",
-                    cell=int(g), generator=s,
-                )
-        # at a cell, the in-block ranks of each home coset run 0..count-1,
-        # and -1 marks exactly the slots without one; same[g, s, t]: slots
-        # s and t of cell g share a home coset
-        ranks = np.asarray(model.block_ranks)
-        same = home[:, :, None] == home[:, None, :]
-        twice = (same & (ranks[:, :, None] == ranks[:, None, :])).sum(axis=2) > 1
-        ok = np.where(home == -1, ranks == -1,
-                      (home >= 0) & (home < lat.index) & (ranks >= 0) & (ranks < same.sum(axis=2)) & ~twice)
-        for g in np.flatnonzero(~ok.all(axis=1)):
+        home, ranks = np.asarray(model.home_cosets), np.asarray(model.block_ranks)
+        if home.shape != ranks.shape or home.shape != fibers.shape[:2]:
+            raise ValidationError(f"home coset table shape {home.shape} does not match the generator array")
+        # bad[s, g, k]: generator s is nonzero at cell g off its home coset
+        bad = (fibers.transpose(1, 0, 2) != 0) & (labels != home.T[:, :, None])
+        for s, g in np.argwhere(bad.any(axis=2)):
+            ki = np.argmax(bad[s, g])
+            report.add("coset-support", f"nonzero sample at translation {tuple(grid.translations[ki].tolist())} "
+                       f"(coset {labels[ki]}) outside home coset {home[g, s]}", cell=int(g), generator=int(s))
+        for g in np.flatnonzero(_misnumbered(home, ranks, lat.index)):
             report.add("coset-support", f"in-block ranks {ranks[g].tolist()} of home cosets "
                        f"{home[g].tolist()} do not run 0..count-1", cell=int(g))
         return
 
     report.checks += ["coset-support", "coset-span"]
-    for g in range(grid.n_cells):
-        e_all = spectra[:, g, :]
-        for s in range(spectra.shape[0]):
-            e = spectra[s, g, :]
-            touched = np.unique(labels[e != 0])
-            if touched.size > 1:
-                report.add(
-                    "coset-support", f"support touches cosets {[int(t) for t in touched]}",
-                    cell=g, generator=s,
-                )
-            if float(np.linalg.norm(e)) == 0.0:
-                continue
-            for sigma in range(lat.index):
-                cut = np.where(labels == sigma, e, 0.0)
-                norm_cut = float(np.linalg.norm(cut))
-                if norm_cut == 0.0:
-                    continue
-                coef, *_ = np.linalg.lstsq(e_all.T, cut, rcond=None)
-                resid = float(np.linalg.norm(cut - e_all.T @ coef))
-                if resid > TOL * norm_cut:
-                    report.add(
-                        "coset-span",
-                        f"coset {sigma} cut leaves the generator span "
-                        f"(relative residual {resid / norm_cut:.3e})",
-                        cell=g, generator=s,
-                    )
+    # cuts[g, s, sigma]: generator s at cell g restricted to coset sigma
+    cuts = np.where(labels == np.arange(lat.index)[:, None], fibers[:, :, None, :], 0.0)
+    touched = (cuts != 0).any(axis=3)
+    for g, s in np.argwhere(touched.sum(axis=2) > 1):
+        report.add("coset-support", f"support touches cosets {np.flatnonzero(touched[g, s]).tolist()}",
+                   cell=int(g), generator=int(s))
+    # each cell's span basis: the right singular vectors above lstsq's
+    # default cutoff, so that the residual is the one lstsq leaves
+    _, sing, vh = np.linalg.svd(fibers, full_matrices=False)
+    cutoff = np.finfo(np.float64).eps * max(fibers.shape[1:]) * sing[:, :1]
+    basis = np.where((sing > cutoff)[:, :, None], vh, 0.0)
+    rr = _project(cuts.reshape(len(cuts), -1, cuts.shape[3]), basis)[2].reshape(touched.shape)
+    resid, norm_cut = np.sqrt(rr), np.sqrt((cuts.real**2 + cuts.imag**2).sum(axis=3))
+    for g, s, sigma in np.argwhere((norm_cut != 0.0) & (resid > TOL * norm_cut)):
+        report.add("coset-span", f"coset {sigma} cut leaves the generator span (relative residual "
+                   f"{resid[g, s, sigma] / norm_cut[g, s, sigma]:.3e})", cell=int(g), generator=int(s))
 
 
 def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> VerificationReport:
@@ -239,11 +227,11 @@ def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> Verificatio
     Models carrying a home-coset table are held to exact zeros outside
     each generator's home coset, and to in-block ranks that run
     0..count-1 within each home coset of a cell (``coset-support``).
-    Other models pass
-    if no generator fiber touches two cosets (``coset-support``) and, at
-    every cell, the restriction of each generator fiber to any single
-    coset stays in the span of that cell's generator fibers within 1e-8
-    relative residual (``coset-span``).
+    Other models pass if no generator fiber touches two cosets
+    (``coset-support``) and, at every cell, the restriction of each
+    generator fiber to any single coset stays in the span of that cell's
+    generator fibers within 1e-8 relative residual (``coset-span``), the
+    residual a least-squares solve with lstsq's default cutoff leaves.
     """
     report = VerificationReport()
     _check_cosets(report, model, lat)
@@ -271,9 +259,8 @@ def _check_tiles(report: VerificationReport, model: MultiTileModel) -> None:
 
     # one-hot fibers of distinct in-grid picks; skipped when a pick failed
     if report.n_violations == before:
-        e = multitile_spectra(model).transpose(1, 0, 2)
-        gram = e @ e.conj().transpose(0, 2, 1)
-        for g in np.flatnonzero(~(gram == np.eye(model.rank)).all(axis=(1, 2))):
+        # every one-hot row is nonzero, so a zero deviation is gram == eye
+        for g in np.flatnonzero(_deviation(multitile_spectra(model).transpose(1, 0, 2)) != 0.0):
             report.add("orthonormal", "layer fibers are not exactly orthonormal", cell=int(g))
 
 
@@ -311,16 +298,19 @@ def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDat
 def _check_selection(report: VerificationReport, model: DiscreteModel, part: DiscretePartition) -> None:
     """``block-support`` of the kept records, by counting: the model's
     labels are the partition's, there are at most ``rank`` records, the
-    in-block ranks of each label run 0..count-1, and ``allocation`` holds
-    the counts."""
+    in-block ranks of each label run 0..count-1 (``_misnumbered``, a
+    label outside the partition counting as block ``n_blocks``), and
+    ``allocation`` holds the counts."""
     labels = [str(lab) for lab in part.labels]
+    index = {lab: b for b, lab in enumerate(labels)}
     picked = sorted((str(lab), j) for _, lab, j in model.selected)
     counts = [sum(lab == other for other, _ in picked) for lab in labels]
+    block, rank = np.array([(index.get(lab, len(labels)), j) for lab, j in picked], np.int64).reshape(-1, 2).T[:, None]
     if [str(lab) for lab in model.labels] != labels:
         report.add("block-support", f"labels {model.labels} differ from the partition's {labels}")
     if len(picked) > model.rank:
         report.add("block-support", f"{len(picked)} selected records, more than rank {model.rank}")
-    if picked != sorted((lab, j) for lab, n in zip(labels, counts) for j in range(n)):
+    if _misnumbered(block, rank, len(labels))[0]:
         report.add("block-support", f"selected (label, in-block rank) pairs {picked} do not number "
                    f"the records of each partition label {labels} from 0")
     if list(model.allocation) != counts:
@@ -334,38 +324,36 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
     energy = float(ds.energies().sum())
     gens = model.generators
 
-    dev = _deviation(gens)
+    dev = float(_deviation(gens[None])[0])
     _close(report, "orthonormal", dev, 0.0, TOL, f"generator Gramian deviates by {dev:.3e}")
 
     report.checks.append("block-support")
     nonzero = gens != 0
     blocks = part._block_indices(model.support)
-    for s in np.flatnonzero(nonzero.any(axis=1)):
-        b = blocks[nonzero[s]]
-        if (b < 0).any():
-            key = tuple(model.support[nonzero[s]][b < 0][0].tolist())
+    uncovered = nonzero & (blocks < 0)
+    mixed = nonzero & (blocks != blocks[np.argmax(nonzero, axis=1)][:, None])
+    for s in np.flatnonzero((uncovered | mixed).any(axis=1)):
+        if uncovered[s].any():
+            key = tuple(model.support[np.argmax(uncovered[s])].tolist())
             report.add("block-support", f"position {key} is not covered by the partition", generator=int(s))
-        elif (b != b[0]).any():
-            report.add("block-support", f"touches blocks {np.unique(b).tolist()}", generator=int(s))
+        else:
+            report.add("block-support", f"touches blocks {np.unique(blocks[nonzero[s]]).tolist()}", generator=int(s))
     _check_selection(report, model, part)
 
     # explicit projection residual over the union of supports
     # (columns in lexicographic order of the positions)
     union, col = np.unique(np.concatenate([ds.support, model.support]), axis=0, return_inverse=True)
-    col = col.reshape(-1)
-    a = np.zeros((ds.m, len(union)), dtype=np.complex128)
-    a[:, col[: ds.n_points]] = ds.values
-    q = np.zeros((gens.shape[0], len(union)), dtype=np.complex128)
-    q[:, col[ds.n_points :]] = gens
-    coef = a @ q.conj().T  # coef[j, s] = <f_j, g_s>
-    resid = a - coef @ q
-    total = float((resid.real**2 + resid.imag**2).sum())
+    rows = np.zeros((ds.m + gens.shape[0], len(union)), dtype=np.complex128)
+    rows[: ds.m, col.reshape(-1)[: ds.n_points]] = ds.values
+    rows[ds.m :, col.reshape(-1)[ds.n_points :]] = gens
+    coef, _, rr = _project(rows[None, : ds.m], rows[None, ds.m :])  # coef[0, j, s] = <f_j, g_s>
+    total = float(rr.sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
            f"projection residual {total!r} vs stored {model.error!r}")
 
     # the kept eigenvalue of slot s is the energy of the data along g_s
     report.checks.append("eigenvalues")
     lams = np.array([lam for lam, _, _ in model.selected[: gens.shape[0]]], dtype=np.float64)
-    along = (coef.real**2 + coef.imag**2).sum(axis=0)[: len(lams)]
+    along = (coef[0].real**2 + coef[0].imag**2).sum(axis=0)[: len(lams)]
     for s in np.flatnonzero(~(np.abs(lams - along) <= TOL * (1.0 + energy))):
         report.add("eigenvalues", f"eigenvalue {float(lams[s])!r}, expected {float(along[s])!r}", generator=int(s))

@@ -82,3 +82,50 @@ def sequential_residual(block_lams, alloc) -> float:
         for v in lam[a:].tolist():
             acc += v
     return acc
+
+
+def coset_violations(spectra: np.ndarray, labels: np.ndarray, n_cosets: int, tol: float = 1e-8) -> list:
+    """(check, cell, generator) of every ``coset-support`` and
+    ``coset-span`` violation of a model without a home-coset table, one
+    ``np.linalg.lstsq`` per (cell, generator, coset): a fiber touches two
+    cosets, or its cut to one coset leaves the span of the cell's fibers
+    by more than ``tol`` relative residual."""
+    found = []
+    for g in range(spectra.shape[1]):
+        e_all = spectra[:, g, :]
+        for s in range(spectra.shape[0]):
+            e = spectra[s, g, :]
+            if np.unique(labels[e != 0]).size > 1:
+                found.append(("coset-support", g, s))
+            for sigma in range(n_cosets):
+                cut = np.where(labels == sigma, e, 0.0)
+                norm_cut = float(np.linalg.norm(cut))
+                if norm_cut == 0.0:
+                    continue
+                coef, *_ = np.linalg.lstsq(e_all.T, cut, rcond=None)
+                if float(np.linalg.norm(cut - e_all.T @ coef)) > tol * norm_cut:
+                    found.append(("coset-span", g, s))
+    return found
+
+
+def project_per_cell(samples: np.ndarray, spectra: np.ndarray):
+    """Projection of samples[j, g] onto the rows of spectra[:, g], one
+    cell at a time: the projected samples, the squared residual of each
+    function summed over cells (without the cell volume) and that of each
+    cell summed over functions."""
+    proj = np.zeros_like(samples)
+    cell_resid = np.zeros(samples.shape[1])
+    for g in range(samples.shape[1]):
+        e = spectra[:, g, :]
+        proj[:, g] = samples[:, g] @ e.conj().T @ e
+        cell_resid[g] = float((abs(samples[:, g] - proj[:, g]) ** 2).sum())
+    return proj, (abs(samples - proj) ** 2).sum(axis=(1, 2)), cell_resid
+
+
+def misnumbered_by_sorting(block, rank, n_blocks: int) -> bool:
+    """The sorted (block, in-block rank) pairs of one row of slots differ
+    from a correct numbering's: (b, 0), ..., (b, count_b - 1) for each
+    block b of 0..n_blocks-1, and (-1, -1) for each slot without one."""
+    block = [int(b) for b in block]
+    want = [(-1, -1)] * block.count(-1) + [(b, j) for b in range(n_blocks) for j in range(block.count(b))]
+    return sorted(zip(block, (int(j) for j in rank))) != sorted(want)

@@ -666,6 +666,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
             for regime in ("sis", "extra", "pw")
             for field, was in (("trunc_radius", 1), ("cells_per_dim", 4))
         ),
+        # a pw box must lie inside the grid: box 5 on the radius-1 grid is refused at load
+        ("pw:model.json", lambda p: _set_json(p, "box_radius", 5),
+         "model.json: field 'box_radius': box radius 5 exceeds the grid truncation radius 1"),
         # the model's rank sizes its generator table like a sequence index
         ("generators.txt", lambda p: _set_json(p.parent / "model.json", "rank", 10**12),
          "generators.txt: the model's rank 1000000000000 gives 1000000000000 sequences on 1 support points"),
@@ -681,7 +684,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
         "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",
         "extra-model-trunc-huge", "extra-model-cells-huge", "pw-model-trunc-huge", "pw-model-cells-huge",
-        "discrete-model-rank-huge",
+        "pw-model-box-beyond-grid", "discrete-model-rank-huge",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):

@@ -4,6 +4,7 @@ import pytest
 from sisfit.discrete import (
     BRUTE_FORCE_GUARD,
     DiscreteDataset,
+    DiscreteModel,
     DiscretePartition,
     block_gramian,
     brute_force_optimal,
@@ -15,6 +16,7 @@ from sisfit.discrete import (
 )
 from sisfit.errors import ValidationError
 from sisfit.lattice import make_dual_lattice
+from sisfit.verify import verify_model
 
 from oracles import projection_residual
 
@@ -356,3 +358,18 @@ def test_greedy_equals_oracle_bit_for_bit(rng):
         assert model.error == best_err, trial
         assert error_discrete(ds, part, rank) == best_err, trial
         assert tuple(model.allocation) == best_alloc, trial
+
+
+def test_block_support_names_each_stray_generator():
+    part = DiscretePartition.from_mapping(1, {(0,): "a", (1,): "b", (2,): "a"})
+    ds = DiscreteDataset(dim=1, support=np.array([[0], [1], [2]]), values=np.array([[1.0, 0.5, 0.25]], dtype=complex))
+    # generator 0 stays in block a, 1 touches a and b, 2 sits at the uncovered position 5
+    gens = np.array([[1, 0, 0, 0], [0.6, 0.8, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    model = DiscreteModel(dim=1, rank=3, support=np.array([[0], [1], [2], [5]]), generators=gens,
+                          selected=[(1.0, "a", 0), (0.5, "a", 1), (0.1, "b", 0)], allocation=[2, 1],
+                          labels=["a", "b"], error=0.0)
+    report = verify_model(model, ds, part)
+    assert [str(v) for v in report.violations_of("block-support")] == [
+        "[block-support] generator 1: touches blocks [0, 1]",
+        "[block-support] generator 2: position (5,) is not covered by the partition",
+    ]

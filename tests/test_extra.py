@@ -12,10 +12,11 @@ from sisfit.extra import (
     split_by_coset,
 )
 from sisfit.lattice import coset_of, make_dual_lattice
-from sisfit.sis import FittedModel, error_sis, fit_sis
+from sisfit.sis import FittedModel, error_sis, fit_sis, project_onto
 from sisfit.spectral import SpectralDataset, SpectralGrid, gramian, synthesize, total_energy
 from sisfit.verify import verify_extra_invariance, verify_model
 
+import oracles
 from conftest import random_dataset
 
 
@@ -252,8 +253,100 @@ def test_verify_shape_mismatch():
         residuals=np.zeros(4),
         error=0.0,
     )
-    with pytest.raises(ValidationError, match="shape"):
-        verify_extra_invariance(model, make_dual_lattice([[2]]))
+    ds = SpectralDataset(grid=grid, samples=np.ones((1, 4, 3), dtype=complex))
+    # every path that reads the generator array refuses it, not NumPy's matmul
+    for check in (lambda: verify_extra_invariance(model, make_dual_lattice([[2]])),
+                  lambda: verify_model(model, ds), lambda: project_onto(model, ds)):
+        with pytest.raises(ValidationError, match="generator array shape"):
+            check()
+
+
+def test_home_coset_table_must_match_the_generators():
+    grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
+    lat = make_dual_lattice([[2]])
+    # two generators, but a home-coset table of one slot per cell
+    model = ExtraInvariantModel(grid=grid, rank=1, eigenvalues=np.zeros((4, 1)),
+                                spectra=np.zeros((2, 4, 3), dtype=complex), residuals=np.zeros(4), error=0.0,
+                                lattice=lat, home_cosets=np.zeros((4, 1), dtype=int),
+                                block_ranks=np.zeros((4, 1), dtype=int))
+    with pytest.raises(ValidationError, match="home coset table shape"):
+        verify_extra_invariance(model, lat)
+
+
+def _plain_fibers(rng, cells, n_translations, labels, n_gen=3):
+    """Generator fibers (n_gen, cells, translations) of a plain model that
+    draws each cell from up to three of the kinds commented below."""
+    spectra = np.zeros((n_gen, cells, n_translations), dtype=complex)
+    kinds = rng.choice(6, size=rng.integers(1, 4), replace=False)
+    on, off = labels == labels[0], labels == (labels[0] + 1) % (labels.max() + 1)
+    for g in range(cells):
+        kind = rng.choice(kinds)
+        rows = rng.standard_normal((n_gen, n_translations)) + 1j * rng.standard_normal((n_gen, n_translations))
+        if kind == 0:  # orthonormal, coset-mixed
+            rows = np.linalg.qr(rows.T)[0].T
+        elif kind == 1:  # a mixed fiber whose cuts lie in the span, or 1e-4 off it
+            rows[0] = np.where(on, rows[2] + rng.choice([0.0, 1e-4]) * rows[0], 0.0)
+            rows[1] = 0.0
+        elif kind == 2:  # rank-deficient: a fiber and its double
+            rows[1] = 2.0 * rows[0]
+        elif kind == 3:  # every fiber on one coset
+            rows = np.where(labels == rng.integers(labels.max() + 1, size=n_gen)[:, None], rows, 0.0)
+        elif kind == 4:  # nearly rank-deficient: the 1e-5 cut is in the span above lstsq's cutoff
+            rows[0] = np.where(on, rows[0], 0.0)
+            rows[1] = rows[0] + 1e-5 * np.where(off, rows[1], 0.0)
+            rows[2] = 0.0
+        else:
+            rows[:] = 0.0
+        spectra[:, g] = rows
+    return spectra
+
+
+@pytest.mark.parametrize("dim,trunc,basis", [(1, 1, [[2]]), (1, 3, [[2]]), (1, 3, [[3]]), (2, 1, [[1, 1], [-1, 1]])])
+def test_coset_checks_agree_with_per_cell_lstsq(rng, dim, trunc, basis):
+    lat = make_dual_lattice(basis)
+    # few enough cells that no check reaches MAX_REPORTED_VIOLATIONS
+    grid = SpectralGrid(dim=dim, cells_per_dim=6 if dim == 1 else 2, trunc_radius=trunc)
+    labels = coset_of(grid.translations, lat)
+    verdicts = set()
+    for _ in range(40):
+        spectra = _plain_fibers(rng, grid.n_cells, grid.n_translations, labels)
+        model = FittedModel(grid=grid, rank=3, eigenvalues=np.zeros((grid.n_cells, 3)), spectra=spectra,
+                            residuals=np.zeros(grid.n_cells), error=0.0)
+        report = verify_extra_invariance(model, lat)
+        want = oracles.coset_violations(spectra, labels, lat.index)
+        assert report.n_violations == len(report.violations)
+        assert sorted((v.check, v.cell, v.generator) for v in report.violations) == sorted(want)
+        assert report.passed == (not want)
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+def test_corrupt_generators_are_located(rng):
+    ds = random_dataset(rng, m=3, cells=8, trunc=2)
+    lat = make_dual_lattice([[2]])
+    labels = coset_of(ds.grid.translations, lat)
+    for model in (fit_sis(ds, 2), fit_extra_invariant(ds, lat, 2)):
+        home = getattr(model, "home_cosets", np.zeros((8, 2), dtype=int))
+        # (cell, generator) pairs in the order coset-support reports them: generator, then cell
+        pairs = [(5, 0), (2, 1)]
+        for g, s in pairs:
+            model.spectra[s, g, np.flatnonzero(labels != home[g, s])[0]] += 0.5
+        report = verify_model(model, ds)
+        assert [(v.cell, v.generator) for v in report.violations_of("parseval")] == [(2, None), (5, None)]
+        if isinstance(model, ExtraInvariantModel):
+            assert [(v.cell, v.generator) for v in report.violations_of("coset-support")] == pairs
+
+
+def test_project_onto_agrees_with_per_cell_reference(rng):
+    ds = random_dataset(rng, dim=2, cells=4, trunc=1, m=5)
+    energy = total_energy(ds)
+    for model in (fit_sis(ds, 3), fit_extra_invariant(ds, make_dual_lattice([[1, 1], [-1, 1]]), 4)):
+        proj, resid, cell_resid = project_onto(model, ds)
+        want, want_resid, want_cell = oracles.project_per_cell(ds.samples, model.spectra)
+        tol = 1e-12 * (1.0 + energy)
+        assert np.abs(proj.samples - want).max() <= tol
+        assert np.abs(resid - want_resid * ds.grid.cell_volume).max() <= tol
+        assert np.abs(cell_resid - want_cell).max() <= tol
 
 
 def test_two_dimensional_lattice(rng):

@@ -1,4 +1,21 @@
-from sisfit.verify import MAX_REPORTED_VIOLATIONS, VerificationReport, Violation
+import re
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
+from sisfit.extra import fit_extra_invariant
+from sisfit.lattice import make_dual_lattice
+from sisfit.multitile import fit_multitile
+from sisfit.sis import fit_sis
+from sisfit.verify import MAX_REPORTED_VIOLATIONS, VerificationReport, Violation, _misnumbered, verify_model
+
+from conftest import random_dataset
+from oracles import misnumbered_by_sorting
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_violations_are_kept_per_check():
@@ -17,3 +34,55 @@ def test_violation_text_leaves_out_missing_location():
     assert str(Violation("c", "x", cell=2, generator=0)) == "[c] cell 2, generator 0: x"
     assert str(Violation("c", "x", cell=2)) == "[c] cell 2: x"
     assert str(Violation("c", "x")) == "[c] x"
+
+
+@given(st.data())
+def test_misnumbered_equals_the_sorted_pairs_rule(data):
+    n_blocks = data.draw(st.integers(1, 3))
+    slots = data.draw(st.integers(0, 5))
+    block, rank = np.full((2, data.draw(st.integers(1, 4)), slots), -1, dtype=np.int64)
+    for row in range(block.shape[0]):
+        # a correct numbering: each block's slots ranked by a random permutation
+        block[row] = data.draw(st.lists(st.integers(-1, n_blocks - 1), min_size=slots, max_size=slots))
+        for b in range(n_blocks):
+            at = np.flatnonzero(block[row] == b)
+            rank[row, at] = data.draw(st.permutations(range(at.size)))
+        # then, for some rows, one entry anywhere in -2..n_blocks or -2..slots
+        if slots and data.draw(st.booleans()):
+            table, top = data.draw(st.sampled_from([(block, n_blocks), (rank, slots)]))
+            table[row, data.draw(st.integers(0, slots - 1))] = data.draw(st.integers(-2, top))
+    want = [misnumbered_by_sorting(b, r, n_blocks) for b, r in zip(block, rank)]
+    assert _misnumbered(block, rank, n_blocks).tolist() == want
+
+
+def _readme_checks() -> dict:
+    """The check list of each regime in the README's "Verification"
+    section: a ``- `regime`:`` bullet with one ``  - `check`:`` bullet per
+    check, after the list of the regime it names as "the `x` checks"."""
+    section = README.read_text(encoding="utf-8").split("\n## Verification\n", 1)[1].split("\n## ", 1)[0]
+    checks, regime = {}, None
+    for line in section.splitlines():
+        top, sub = re.match(r"- `(\w+)`:(.*)", line), re.match(r"  - `([\w-]+)`:", line)
+        if top:
+            regime = top.group(1)
+            inherit = re.search(r"the `(\w+)` checks", top.group(2))
+            checks[regime] = list(checks[inherit.group(1)]) if inherit else []
+        elif sub and regime:
+            checks[regime].append(sub.group(1))
+        elif not line.startswith(" "):
+            regime = None
+    return checks
+
+
+def test_readme_lists_the_checks_each_regime_runs(rng):
+    ds = random_dataset(rng, m=3, cells=4, trunc=2)
+    seqs = DiscreteDataset(dim=1, support=np.arange(6)[:, None],
+                           values=rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+    part = DiscretePartition.from_lattice(make_dual_lattice([[2]]))
+    ran = {
+        "sis": verify_model(fit_sis(ds, 2), ds).checks,
+        "extra": verify_model(fit_extra_invariant(ds, make_dual_lattice([[2]]), 2), ds).checks,
+        "pw": verify_model(fit_multitile(ds, 2, 1), ds).checks,
+        "discrete": verify_model(fit_discrete(seqs, part, 2), seqs, part).checks,
+    }
+    assert _readme_checks() == ran
