@@ -21,16 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import fit_discrete, parse_discrete_dataset, parse_partition
+from .discrete import fit_discrete, parse_discrete_dataset, parse_partition, spectra_discrete
 from .errors import SisfitError, ValidationError
-from .extra import fit_extra_invariant
-from .hermitian import EIG_TOL_DEFAULT
+from .extra import fit_extra_invariant, spectra_extra
 from .lattice import make_dual_lattice, parse_basis
 from .multitile import fit_multitile
-from .sis import fit_sis
+from .sis import error_at_rank, fit_sis, spectra_sis
 from .spectral import (
+    _FAMILY_PARAM,
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
+    SpectralGrid,
     ingest,
     synthesize,
     total_energy,
@@ -42,8 +43,6 @@ from . import storage
 OUT_ENV = "SISFIT_OUT"
 
 THREADS_HELP = "accepted for compatibility, must be at least 1; has no effect"
-
-_FAMILY_FLAGS = {"gaussian": "sigma", "bspline": "order", "boxcar": "halfwidth"}
 
 
 def _out_dir(args) -> Path:
@@ -65,17 +64,15 @@ def _ranks(text: str) -> list[int]:
 
 def cmd_synth(args) -> int:
     family = args.family
-    if family not in _FAMILY_FLAGS:
-        raise ValidationError(f"unknown family {family!r} (known: {', '.join(sorted(_FAMILY_FLAGS))})")
-    pname = _FAMILY_FLAGS[family]
+    if family not in _FAMILY_PARAM:
+        raise ValidationError(f"unknown family {family!r} (known: {', '.join(sorted(_FAMILY_PARAM))})")
+    pname = _FAMILY_PARAM[family]
     param = getattr(args, pname)
     if param is None:
         raise ValidationError(f"family {family!r} needs --{pname}")
-    for other, flag in _FAMILY_FLAGS.items():
+    for other, flag in _FAMILY_PARAM.items():
         if other != family and getattr(args, flag) is not None:
             raise ValidationError(f"--{flag} only applies to the {other!r} family")
-    from .spectral import SpectralGrid
-
     grid = SpectralGrid(dim=args.dim, cells_per_dim=args.cells, trunc_radius=args.trunc)
     ds = synthesize(family, [param], grid)
     manifest = write_dataset(ds, _out_dir(args), payload_format=args.payload_format, stem=args.stem)
@@ -96,7 +93,7 @@ def _fit_once(args, regime: str):
     if regime == "discrete":
         ds = parse_discrete_dataset(args.data)
         part = parse_partition(_require(args, "partition", regime), ds.dim)
-        model = fit_discrete(ds, part, args.rank, tol=args.eig_tol)
+        model = fit_discrete(ds, part, args.rank)
         energy = float(ds.energies().sum())
         pairs = [
             ("regime", "discrete"),
@@ -120,11 +117,11 @@ def _fit_once(args, regime: str):
         ("energy", repr(energy)),
     ]
     if regime == "sis":
-        model = fit_sis(ds, args.rank, tol=args.eig_tol)
+        model = fit_sis(ds, args.rank)
         pairs = [("regime", "sis")] + common + [("error", repr(model.error))]
     elif regime == "extra":
         lat = make_dual_lattice(parse_basis(_require(args, "dual-lattice", regime)))
-        model = fit_extra_invariant(ds, lat, args.rank, tol=args.eig_tol)
+        model = fit_extra_invariant(ds, lat, args.rank)
         pairs = (
             [("regime", "extra")]
             + common
@@ -218,62 +215,50 @@ def cmd_compare(args) -> int:
 
     rows = []  # (regime, rank, box or "", error, tail or "", total)
     defects = []
-
     if regimes == ["discrete"]:
         ds = parse_discrete_dataset(args.data)
         part = parse_partition(_require(args, "partition", "discrete"), ds.dim)
-        energy = float(ds.energies().sum())
-        from .discrete import error_discrete
-
-        errs = [error_discrete(ds, part, r, tol=args.eig_tol) for r in ranks]
-        for r, e in zip(ranks, errs):
-            rows.append(("discrete", r, "", e, "", e))
-        _check_monotone("discrete", ranks, errs, energy, defects)
+        energy, volume = float(ds.energies().sum()), 1.0
     else:
         ds = ingest(args.data)
-        energy = total_energy(ds)
-        from .extra import error_extra
-        from .sis import error_sis
+        energy, volume = total_energy(ds), ds.grid.cell_volume
 
-        by_regime: dict[str, list[float]] = {}
-        for regime in regimes:
+    by_regime: dict[str, list[float]] = {}
+    for regime in regimes:
+        if regime == "pw":
+            boxes = _ranks(args.boxes) if args.boxes else [ds.grid.trunc_radius]
+            errs = []
+            for r in ranks:
+                totals = []
+                for b in boxes:
+                    mt = fit_multitile(ds, r, b)
+                    rows.append(("pw", r, b, mt.error, mt.tail, mt.error + mt.tail))
+                    totals.append(mt.error + mt.tail)
+                for i in range(1, len(totals)):
+                    if totals[i] > totals[i - 1] + 1e-12 * energy:
+                        defects.append(
+                            f"pw rank {r}: total grows from box {boxes[i - 1]} to {boxes[i]} "
+                            f"({totals[i - 1]!r} -> {totals[i]!r})"
+                        )
+                errs.append(totals[-1])
+        else:  # one values-only spectrum pass serves every rank
             if regime == "sis":
-                errs = [error_sis(ds, r, tol=args.eig_tol) for r in ranks]
-                for r, e in zip(ranks, errs):
-                    rows.append(("sis", r, "", e, "", e))
+                lams = spectra_sis(ds)
             elif regime == "extra":
-                lat = make_dual_lattice(parse_basis(_require(args, "dual-lattice", "extra")))
-                errs = [error_extra(ds, lat, r, tol=args.eig_tol) for r in ranks]
-                for r, e in zip(ranks, errs):
-                    rows.append(("extra", r, "", e, "", e))
+                lams = spectra_extra(ds, make_dual_lattice(parse_basis(_require(args, "dual-lattice", "extra"))))
             else:
-                boxes = _ranks(args.boxes) if args.boxes else [ds.grid.trunc_radius]
-                errs = []
-                for r in ranks:
-                    totals = []
-                    for b in boxes:
-                        mt = fit_multitile(ds, r, b)
-                        rows.append(("pw", r, b, mt.error, mt.tail, mt.error + mt.tail))
-                        totals.append(mt.error + mt.tail)
-                    for i in range(1, len(totals)):
-                        if totals[i] > totals[i - 1] + 1e-12 * energy:
-                            defects.append(
-                                f"pw rank {r}: total grows from box {boxes[i - 1]} to {boxes[i]} "
-                                f"({totals[i - 1]!r} -> {totals[i]!r})"
-                            )
-                    errs.append(totals[-1])
-                by_regime["pw"] = errs
-                _check_monotone("pw", ranks, errs, energy, defects)
-                continue
-            by_regime[regime] = errs
-            _check_monotone(regime, ranks, errs, energy, defects)
+                lams = spectra_discrete(ds, part)
+            errs = [error_at_rank(lams, r, volume) for r in ranks]
+            rows += [(regime, r, "", e, "", e) for r, e in zip(ranks, errs)]
+        by_regime[regime] = errs
+        _check_monotone(regime, ranks, errs, energy, defects)
 
-        if "sis" in by_regime and "extra" in by_regime:
-            for r, es, ee in zip(ranks, by_regime["sis"], by_regime["extra"]):
-                if ee < es - 1e-12 * energy:
-                    defects.append(
-                        f"rank {r}: extra-invariant error {ee!r} below unconstrained error {es!r}"
-                    )
+    if "sis" in by_regime and "extra" in by_regime:
+        for r, es, ee in zip(ranks, by_regime["sis"], by_regime["extra"]):
+            if ee < es - 1e-12 * energy:
+                defects.append(
+                    f"rank {r}: extra-invariant error {ee!r} below unconstrained error {es!r}"
+                )
 
     header = f"{'regime':<9} {'rank':>4} {'box':>4} {'error':>24} {'tail':>24} {'total':>24}"
     print(header)
@@ -333,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual-lattice", help="extra regime: lattice basis, row-major, rows ';'-separated")
     p.add_argument("--box", type=int, help="pw regime: translation box radius")
     p.add_argument("--partition", help="discrete regime: partition file")
-    p.add_argument("--eig-tol", type=float, default=EIG_TOL_DEFAULT)
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help=f"model directory (default ${OUT_ENV} or .)")
     p.set_defaults(func=cmd_fit)
@@ -350,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual-lattice", help="lattice basis for the extra regime")
     p.add_argument("--boxes", help="pw regime: comma-separated box radii")
     p.add_argument("--partition", help="discrete regime: partition file")
-    p.add_argument("--eig-tol", type=float, default=EIG_TOL_DEFAULT)
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help="also write the table as CSV to this file")
     p.set_defaults(func=cmd_compare)

@@ -19,9 +19,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
-from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen
+from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen, block_spectra, error_at_rank
 from .table import read_table, reject, repeats, scan, write_table
 
 BRUTE_FORCE_GUARD = 10**6
@@ -232,8 +231,6 @@ def fit_discrete(
     ds: DiscreteDataset,
     part: DiscretePartition,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ) -> DiscreteModel:
     """Fit the nearest subspace spanned by ``rank`` block-supported
     sequences.
@@ -247,7 +244,7 @@ def fit_discrete(
     eigenvalues, added block by block, each block's in descending order.
     """
     rank = _check_rank(rank)
-    lams, kept, residual, gens = block_eigen(ds.values[None], _block_columns(ds, part), rank, tol)
+    lams, kept, residual, gens = block_eigen(ds.values[None], _block_columns(ds, part), rank)
     blocks, block_ranks = np.divmod(kept[0], ds.m)
     generators = np.zeros((rank, ds.n_points), dtype=np.complex128)
     generators[: kept.shape[1]] = gens[0]
@@ -267,26 +264,27 @@ def fit_discrete(
     )
 
 
+def spectra_discrete(ds: DiscreteDataset, part: DiscretePartition) -> np.ndarray:
+    """The partition block spectra (1, blocks, m) (``block_spectra``)."""
+    return block_spectra(ds.values[None], _block_columns(ds, part))
+
+
 def error_discrete(
     ds: DiscreteDataset,
     part: DiscretePartition,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ) -> float:
     """Distance (squared) to the nearest rank-``rank`` block-generated
     subspace, equal to ``fit_discrete(...).error``; ``rank`` 0 gives the
     total energy."""
     rank = _check_rank(rank, minimum=0)
-    return float(block_eigen(ds.values[None], _block_columns(ds, part), rank, tol, vectors=False)[2][0])
+    return error_at_rank(spectra_discrete(ds, part), rank, 1.0)
 
 
 def brute_force_optimal(
     ds: DiscreteDataset,
     part: DiscretePartition,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ):
     """Minimize the leftover energy over every admissible rank allocation.
 
@@ -304,7 +302,7 @@ def brute_force_optimal(
         raise ValidationError(
             f"{n_alloc} allocations exceed the enumeration guard of {BRUTE_FORCE_GUARD}"
         )
-    lams = block_eigen(ds.values[None], _block_columns(ds, part), 0, tol, vectors=False)[0][0]
+    lams = spectra_discrete(ds, part)[0]
     best_err = None
     best_alloc = None
     for alloc in product(range(rank + 1), repeat=nb):

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import EIG_TOL_DEFAULT
 from .lattice import DualLattice, coset_of
-from .sis import FittedModel, _check_rank, _column_blocks, _fit_cells
+from .sis import FittedModel, _check_rank, _column_blocks, _fit_cells, block_spectra, error_at_rank
 from .spectral import SpectralDataset
 
 
@@ -47,12 +46,15 @@ def split_by_coset(ds: SpectralDataset, lat: DualLattice) -> list[SpectralDatase
     return parts
 
 
+def _coset_blocks(ds: SpectralDataset, lat: DualLattice):
+    """The column index of each coset of ``lat`` on the grid of ``ds``."""
+    return _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
+
+
 def fit_extra_invariant(
     ds: SpectralDataset,
     lat: DualLattice,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ) -> ExtraInvariantModel:
     """Fit the nearest length-``rank`` shift-invariant space that is also
     invariant under the lattice dual to ``lat``.
@@ -65,22 +67,22 @@ def fit_extra_invariant(
     eigenvalues coset by coset, each coset's in descending order.
     """
     rank = _check_rank(rank)
-    blocks = _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
-    fields, home, block_ranks = _fit_cells(ds, blocks, rank, tol)
+    fields, home, block_ranks = _fit_cells(ds, _coset_blocks(ds, lat), rank)
     return ExtraInvariantModel(**fields, lattice=lat, home_cosets=home, block_ranks=block_ranks)
+
+
+def spectra_extra(ds: SpectralDataset, lat: DualLattice) -> np.ndarray:
+    """The coset block spectra (cells, cosets, m) (``block_spectra``)."""
+    return block_spectra(ds.samples.transpose(1, 0, 2), _coset_blocks(ds, lat))
 
 
 def error_extra(
     ds: SpectralDataset,
     lat: DualLattice,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ) -> float:
     """Squared distance to the nearest extra-invariant space of length
     ``rank``, equal to ``fit_extra_invariant(...).error`` (0 gives the
     total energy)."""
     rank = _check_rank(rank, minimum=0)
-    blocks = _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
-    return _fit_cells(ds, blocks, rank, tol, vectors=False)[0]["error"]
-
+    return error_at_rank(spectra_extra(ds, lat), rank, ds.grid.cell_volume)

@@ -14,7 +14,9 @@ solved on its smaller side: the m x m Gramian a a^H, or the c x c Gramian
 a^H a when c < m, whose nonzero eigenvalues are the same squared singular
 values of a.  Its four stages (``_gramians``, ``_eigensolve``, ``_select``,
 ``_assemble``) each work on the whole chunk and return chunk arrays; no
-stage holds a record per cell.
+stage holds a record per cell.  The spectra do not depend on the rank:
+``block_spectra`` runs the first two alone, values only, and
+``error_at_rank`` reads the error at any rank from its result.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import EIG_TOL_DEFAULT, RANK_REL_TOL, eig_hermitian_batch
+from .hermitian import RANK_REL_TOL, eig_hermitian_batch
 from .spectral import SpectralDataset, SpectralGrid, check_same_grid
 
 
@@ -110,18 +112,20 @@ def _gramians(fs: np.ndarray, blocks, sides) -> dict:
     return out
 
 
-def _eigensolve(grams: dict, sides, m: int, n_cells: int, tol: float, vectors: bool):
-    """Stage 2: eigendecompose the Gramian stacks of ``_gramians``, one
-    kernel call per ``_per_call`` of each order.  Returns the block
-    spectra, shape (cells, blocks, m), each padded with +0.0 records up to
-    m, and, when ``vectors``, each block's eigenvector stack, shape
-    (cells, n_b, n_b) (None for an empty block)."""
+def _eigensolve(fs: np.ndarray, blocks, vectors: bool):
+    """Stage 2: eigendecompose the block Gramians of the stack ``fs`` (stage
+    1, ``_gramians``), one kernel call per ``_per_call`` of each order.
+    Returns the block spectra, shape (cells, blocks, m), each padded with
+    +0.0 records up to m, and, when ``vectors``, each block's eigenvector
+    stack, shape (cells, n_b, n_b) (None for an empty block)."""
+    n_cells, m, n_cols = fs.shape
+    sides = _sides(m, blocks, n_cols)
     lams = np.zeros((n_cells, len(sides), m))
     vecs = [None] * len(sides) if vectors else None
-    for n, stack in grams.items():
+    for n, stack in _gramians(fs, blocks, sides).items():
         bs = [b for b, k in enumerate(sides) if k == n]
         flat, per = stack.reshape(-1, n, n), _per_call(n)
-        parts = [eig_hermitian_batch(flat[i : i + per], tol, vectors=vectors) for i in range(0, flat.shape[0], per)]
+        parts = [eig_hermitian_batch(flat[i : i + per], vectors=vectors) for i in range(0, flat.shape[0], per)]
         lams[:, bs, :n] = np.concatenate([p.eigenvalues for p in parts]).reshape(n_cells, len(bs), n)
         if vectors:
             v = np.concatenate([p.vectors for p in parts]).reshape(n_cells, len(bs), n, n)
@@ -170,7 +174,7 @@ def _assemble(fs: np.ndarray, blocks, lams: np.ndarray, vecs, kept: np.ndarray) 
     return generators
 
 
-def block_eigen(fs: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool = True):
+def block_eigen(fs: np.ndarray, blocks, rank: int):
     """Best ``rank`` block-supported generators for the rows of each cell
     matrix of the stack ``fs``, shape (cells, m, columns).
 
@@ -186,15 +190,11 @@ def block_eigen(fs: np.ndarray, blocks, rank: int, tol: float, *, vectors: bool 
     Returns chunk arrays: the block spectra (cells, blocks, m); the kept
     records (cells, min(rank, blocks * m)) as flat indices block * m +
     in-block rank, in descending eigenvalue order; the residuals (cells,)
-    of ``allocation_residual``; and the generators (cells, records,
-    columns), or None when not ``vectors``.
+    of ``allocation_residual``; and the generators (cells, records, columns).
     """
-    m, n_cols = fs.shape[1:]
-    sides = _sides(m, blocks, n_cols)
-    lams, vecs = _eigensolve(_gramians(fs, blocks, sides), sides, m, fs.shape[0], tol, vectors)
+    lams, vecs = _eigensolve(fs, blocks, vectors=True)
     kept, allocation = _select(lams, rank)
-    generators = _assemble(fs, blocks, lams, vecs, kept) if vectors else None
-    return lams, kept, allocation_residual(lams, allocation), generators
+    return lams, kept, allocation_residual(lams, allocation), _assemble(fs, blocks, lams, vecs, kept)
 
 
 # all columns as one block; a slice, so that f[:, :, cols] is f itself and
@@ -211,30 +211,45 @@ def _column_blocks(labels: np.ndarray, n_blocks: int):
     return [np.flatnonzero(labels == b) for b in range(n_blocks)]
 
 
-def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float, vectors: bool = True):
-    """Run ``block_eigen`` over every cell of ``ds``, a chunk of cells at
-    a time: as many cells as fill one eigensolver call, counting the
-    n_b x n_b Gramian of every block.
+def _chunks(x: np.ndarray, blocks):
+    """(cell slice, contiguous chunk) of the stack ``x`` (cells, m, columns):
+    as many cells as fill one eigensolver call, counting every block."""
+    ncells, m, n_cols = x.shape
+    per = max(1, CHUNK_ELEMENTS // max(1, sum(n * n for n in _sides(m, blocks, n_cols))))
+    for start in range(0, ncells, per):
+        yield slice(start, start + per), np.ascontiguousarray(x[start : start + per])
 
-    Returns the ``FittedModel`` fields as a dict (``spectra`` None when
-    not ``vectors``), plus the block and in-block rank of every kept
-    record, shape (cells, rank), -1 on zero-padded slots.  ``error`` is
-    the quadrature sum of the cell residuals.
+
+def block_spectra(x: np.ndarray, blocks) -> np.ndarray:
+    """The block spectra (cells, blocks, m) of the stack ``x`` (cells, m,
+    columns), from one values-only pass; they serve every rank."""
+    return np.concatenate([_eigensolve(fs, blocks, vectors=False)[0] for _, fs in _chunks(x, blocks)])
+
+
+def error_at_rank(lams: np.ndarray, rank: int, volume: float) -> float:
+    """The error at ``rank`` from the block spectra ``lams``: each cell's
+    ``allocation_residual`` of its top ``rank`` records, summed, times the
+    cell volume (1.0 for sequences); a fit's ``error``, bit for bit."""
+    return float(allocation_residual(lams, _select(lams, rank)[1]).sum()) * volume
+
+
+def _fit_cells(ds: SpectralDataset, blocks, rank: int):
+    """Run ``block_eigen`` over every chunk of cells of ``ds``.
+
+    Returns the ``FittedModel`` fields as a dict, plus the block and in-block
+    rank of every kept record, shape (cells, rank), -1 on zero-padded slots.
+    ``error`` is the quadrature sum of the cell residuals.
     """
     m, ncells, n_cols = ds.samples.shape
-    per = max(1, CHUNK_ELEMENTS // max(1, sum(n * n for n in _sides(m, blocks, n_cols))))
     t = min(rank, len(blocks) * m)
     eigenvalues = np.zeros((ncells, rank))
-    spectra = np.zeros((rank, ncells, n_cols), dtype=np.complex128) if vectors else None
+    spectra = np.zeros((rank, ncells, n_cols), dtype=np.complex128)
     residuals = np.zeros(ncells)
     kept = np.zeros((ncells, t), dtype=np.int64)
-    for start in range(0, ncells, per):
-        cells = slice(start, min(start + per, ncells))
-        fs = np.ascontiguousarray(ds.samples[:, cells].transpose(1, 0, 2))
-        lams, kept[cells], residuals[cells], generators = block_eigen(fs, blocks, rank, tol, vectors=vectors)
+    for cells, fs in _chunks(ds.samples.transpose(1, 0, 2), blocks):
+        lams, kept[cells], residuals[cells], generators = block_eigen(fs, blocks, rank)
         eigenvalues[cells, :t] = np.take_along_axis(lams.reshape(fs.shape[0], -1), kept[cells], axis=1)
-        if vectors:
-            spectra[:t, cells] = generators.transpose(1, 0, 2)
+        spectra[:t, cells] = generators.transpose(1, 0, 2)
     home, block_ranks = np.full((2, ncells, rank), -1, dtype=np.int64)
     home[:, :t], block_ranks[:, :t] = np.divmod(kept, m)
     fields = dict(grid=ds.grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra, residuals=residuals,
@@ -245,8 +260,6 @@ def _fit_cells(ds: SpectralDataset, blocks, rank: int, tol: float, vectors: bool
 def fit_sis(
     ds: SpectralDataset,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ) -> FittedModel:
     """Fit the nearest shift-invariant space of length ``rank``.
 
@@ -258,21 +271,24 @@ def fit_sis(
     ``error`` is their quadrature sum.
     """
     rank = _check_rank(rank)
-    fields, _, _ = _fit_cells(ds, _WHOLE_FIBER, rank, tol)
+    fields, _, _ = _fit_cells(ds, _WHOLE_FIBER, rank)
     return FittedModel(**fields)
+
+
+def spectra_sis(ds: SpectralDataset) -> np.ndarray:
+    """The fiber Gramian spectra (cells, 1, m) (``block_spectra``)."""
+    return block_spectra(ds.samples.transpose(1, 0, 2), _WHOLE_FIBER)
 
 
 def error_sis(
     ds: SpectralDataset,
     rank: int,
-    *,
-    tol: float = EIG_TOL_DEFAULT,
 ) -> float:
     """Squared distance to the nearest length-``rank`` shift-invariant
     space, without materializing generators; equal to ``fit_sis(...).error``.
     ``rank`` 0 gives the total energy."""
     rank = _check_rank(rank, minimum=0)
-    return _fit_cells(ds, _WHOLE_FIBER, rank, tol, vectors=False)[0]["error"]
+    return error_at_rank(spectra_sis(ds), rank, ds.grid.cell_volume)
 
 
 def _fibers(model: FittedModel) -> np.ndarray:

@@ -196,12 +196,18 @@ def write_object(path, fields: dict) -> None:
 
 def read_c16(path, shape: tuple) -> np.ndarray:
     """The complex128 array of ``shape`` stored in ``path`` as
-    little-endian complex doubles; the file size must match."""
+    little-endian complex doubles; the file size must match, and every
+    value must be finite (the first that is not is named by its index)."""
     path = _existing(path)
     expected, size = math.prod(shape), os.path.getsize(path)
     if size != 16 * expected:
         raise ValidationError(f"{path} holds {size} bytes, expected {16 * expected} ({expected} samples)")
-    return np.fromfile(path, dtype="<c16").astype(np.complex128, copy=False).reshape(shape)
+    values = np.fromfile(path, dtype="<c16").astype(np.complex128, copy=False).reshape(shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), shape))
+        raise ValidationError(f"{path}: non-finite sample at index {index}")
+    return values
 
 
 def write_c16(path, values: np.ndarray) -> None:

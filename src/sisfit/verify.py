@@ -17,7 +17,7 @@ keeps the stacked SVD basis above lstsq's cutoff eps * max(T, r) * sigma_max.
 
 Tolerances are 1e-8 relative: to 1 + the total energy for totals, to
 1 + the cell energy (without the cell volume) for per-cell values.  A
-NaN fails every check it enters (loading rejects one in a text table).
+NaN fails every check it enters (loading rejects one in any file).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import DualLattice, coset_of
 from .multitile import MultiTileModel, _weights, multitile_spectra
-from .sis import FittedModel, _fibers, _project, project_onto
+from .sis import FittedModel, _fibers, _project
 from .spectral import SpectralDataset, check_same_grid, total_energy
 
 MAX_REPORTED_VIOLATIONS = 64
@@ -158,13 +158,16 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
     check_same_grid(model.grid, ds.grid)
     energy = total_energy(ds)
 
+    fibers = _fibers(model)
     report.checks.append("parseval")
-    dev = _deviation(_fibers(model))
+    dev = _deviation(fibers)
     for g in np.flatnonzero(~(dev <= TOL)):
         report.add("parseval", f"orthonormality deviation {dev[g]:.3e}", cell=int(g))
 
-    _, presid, cell_resid = project_onto(model, ds)
-    total = float(presid.sum())
+    # project_onto's sums, without the projected dataset, which would refuse a NaN
+    rr = _project(ds.samples.transpose(1, 0, 2), fibers)[2]
+    cell_resid = rr.sum(axis=1)
+    total = float((rr.sum(axis=0) * ds.grid.cell_volume).sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
            f"projection residual {total!r} vs stored error {model.error!r}")
 
@@ -210,13 +213,14 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
         report.add("coset-support", f"support touches cosets {np.flatnonzero(touched[g, s]).tolist()}",
                    cell=int(g), generator=int(s))
     # each cell's span basis: the right singular vectors above lstsq's
-    # default cutoff, so that the residual is the one lstsq leaves
-    _, sing, vh = np.linalg.svd(fibers, full_matrices=False)
+    # default cutoff, so that the residual is the one lstsq leaves; taken
+    # without the non-finite samples, whose cuts leave a NaN residual
+    _, sing, vh = np.linalg.svd(np.where(np.isfinite(fibers), fibers, 0.0), full_matrices=False)
     cutoff = np.finfo(np.float64).eps * max(fibers.shape[1:]) * sing[:, :1]
     basis = np.where((sing > cutoff)[:, :, None], vh, 0.0)
     rr = _project(cuts.reshape(len(cuts), -1, cuts.shape[3]), basis)[2].reshape(touched.shape)
     resid, norm_cut = np.sqrt(rr), np.sqrt((cuts.real**2 + cuts.imag**2).sum(axis=3))
-    for g, s, sigma in np.argwhere((norm_cut != 0.0) & (resid > TOL * norm_cut)):
+    for g, s, sigma in np.argwhere((norm_cut != 0.0) & ~(resid <= TOL * norm_cut)):
         report.add("coset-span", f"coset {sigma} cut leaves the generator span (relative residual "
                    f"{resid[g, s, sigma] / norm_cut[g, s, sigma]:.3e})", cell=int(g), generator=int(s))
 

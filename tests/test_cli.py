@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,15 @@ import numpy as np
 import pytest
 
 import sisfit
+from sisfit import cli
+from sisfit.discrete import error_discrete, parse_discrete_dataset, parse_partition, write_discrete_sequences
+from sisfit.extra import error_extra
+from sisfit.hermitian import eig_hermitian_batch
+from sisfit.lattice import make_dual_lattice
+from sisfit.sis import error_sis
 from sisfit.spectral import write_dataset
 
+from conftest import random_dataset
 from test_extra import indicator_dataset
 
 # the source tree under test, for the subprocesses
@@ -260,6 +269,58 @@ def test_compare_discrete(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def _sweep_inputs(tmp_path, rng, regime):
+    """The ``compare`` flags of a random input of ``regime``, and the
+    error function of that input at a rank, as ``sisfit`` reads it."""
+    if regime == "discrete":
+        seqs, part = tmp_path / "seqs.txt", tmp_path / "part.txt"
+        values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+        write_discrete_sequences(np.arange(9)[:, None], values, seqs)
+        part.write_text("lattice: 3\n")
+        ds = parse_discrete_dataset(seqs)
+        return ("--data", seqs, "--partition", part), lambda r: error_discrete(ds, parse_partition(part, 1), r)
+    ds = random_dataset(rng, dim=1, cells=8, trunc=3, m=5)
+    manifest = write_dataset(ds, tmp_path / "data")
+    if regime == "sis":
+        return ("--data", manifest), lambda r: error_sis(ds, r)
+    return ("--data", manifest, "--dual-lattice", "2"), lambda r: error_extra(ds, make_dual_lattice([[2]]), r)
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "discrete"])
+def test_compare_rows_are_the_error_functions_bit_for_bit(tmp_path, rng, regime):
+    flags, error = _sweep_inputs(tmp_path, rng, regime)
+    table = tmp_path / "table.csv"
+    assert cli.main(["compare", *map(str, flags), "--regimes", regime, "--ranks", "3,1,3", "--out", str(table)]) == 0
+    rows = table.read_text().splitlines()[1:]
+    assert rows == [f"{regime},{r},,{error(r)!r},,{error(r)!r}" for r in (3, 1, 3)]
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "discrete"])
+def test_compare_solves_each_gramian_once_whatever_the_ranks(tmp_path, rng, monkeypatch, regime):
+    flags, _ = _sweep_inputs(tmp_path, rng, regime)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig_hermitian_batch(*args, **kwargs)
+
+    monkeypatch.setattr("sisfit.sis.eig_hermitian_batch", counted)
+    made = []
+    for ranks in ("1", "1,2,3"):
+        calls.clear()
+        assert cli.main(["compare", *map(str, flags), "--regimes", regime, "--ranks", ranks]) == 0
+        made.append(len(calls))
+    assert made[0] > 0 and made[1] == made[0]
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings if o.startswith("--")}
+    missing = [o for o in sorted(options - {"--help"}) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
+    assert missing == []
+
+
 def test_out_env_default(tmp_path):
     outdir = tmp_path / "env_out"
     res = run_cli(
@@ -343,6 +404,11 @@ def test_verify_takes_no_solver_flags(tmp_path, flag):
     res = run_cli("verify", "--model", model, "--data", manifest, flag, "1")
     assert res.returncode == 2
     assert "unrecognized arguments" in res.stderr
+    if flag == "--eig-tol":  # fit and compare take no solver tolerance either
+        for cmd in (("fit", "--regime", "sis", "--data", manifest, "--rank", 1, "--out", tmp_path / "m"),
+                    ("compare", "--data", manifest, "--regimes", "sis", "--ranks", 1)):
+            res = run_cli(*cmd, flag, "1e-12")
+            assert res.returncode == 2 and "unrecognized arguments" in res.stderr
 
 
 def _fitted_model(tmp_path, regime, rank=1):
@@ -467,6 +533,20 @@ def _empty_binary_payload_of_huge_grid(path):
     (path.parent / "empty.bin").write_bytes(b"")
     path.write_text(json.dumps({"dim": 1, "m": 1, "cells_per_dim": 2, "trunc_radius": 10**12,
                                 "payload_path": "empty.bin", "payload_format": "binary-c64le"}))
+
+
+def _nan_sample(path, i):
+    values = np.fromfile(path, dtype="<c16")
+    values[i] = np.nan
+    values.tofile(path)
+
+
+def _binary_payload_with_nan(path):
+    # the 12 samples of the manifest's grid, as a binary payload whose sample 5 is NaN
+    np.ones(12, dtype="<c16").tofile(path)
+    _nan_sample(path, 5)
+    _set_json(path.parent / "dataset.json", "payload_path", path.name)
+    _set_json(path.parent / "dataset.json", "payload_format", "binary-c64le")
 
 
 def _shift_home_coset(path):
@@ -672,6 +752,10 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # the model's rank sizes its generator table like a sequence index
         ("generators.txt", lambda p: _set_json(p.parent / "model.json", "rank", 10**12),
          "generators.txt: the model's rank 1000000000000 gives 1000000000000 sequences on 1 support points"),
+        # a binary payload is refused at load, naming the file and the (generator or function, cell,
+        # translation) index of its first non-finite sample; sample 5 of 4 cells x 3 translations
+        ("generators.bin", lambda p: _nan_sample(p, 5), "generators.bin: non-finite sample at index (0, 1, 2)"),
+        ("dataset.bin", _binary_payload_with_nan, "dataset.bin: non-finite sample at index (0, 1, 2)"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -684,7 +768,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
         "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",
         "extra-model-trunc-huge", "extra-model-cells-huge", "pw-model-trunc-huge", "pw-model-cells-huge",
-        "pw-model-box-beyond-grid", "discrete-model-rank-huge",
+        "pw-model-box-beyond-grid", "discrete-model-rank-huge", "generators-bin-nan", "dataset-bin-nan",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -699,7 +783,7 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     regime, _, name = name.rpartition(":")  # "pw:model.json" is the model.json of a pw fit
     regime = regime or ("pw" if name == "chosen.csv" else "sis")
     fit_sis = ("fit", "--regime", "sis", "--data", data / "dataset.json", "--rank", 1, "--out", tmp_path / "m")
-    if name in ("model.json", "chosen.csv", "residuals.csv", "eigencurves.csv"):
+    if name in ("model.json", "chosen.csv", "residuals.csv", "eigencurves.csv", "generators.bin"):
         options = {"pw": ("--box", 1), "extra": ("--dual-lattice", "2")}.get(regime, ())
         fit = fit_sis[:2] + (regime,) + fit_sis[3:] + options
         assert run_cli(*fit).returncode == 0

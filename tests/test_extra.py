@@ -411,7 +411,7 @@ def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
     model = fit_extra_invariant(ds, lat, 4)
     for g in range(ds.grid.n_cells):
         f = np.ascontiguousarray(ds.samples[:, g, :])
-        spectra = block_eigen(f[None], blocks, 0, 1e-13, vectors=False)[0][0]
+        spectra = block_eigen(f[None], blocks, 0)[0][0]
         expect = 0.0
         for sigma, lam in enumerate(spectra):
             for v in lam[int(np.sum(model.home_cosets[g] == sigma)):]:
@@ -428,8 +428,7 @@ def test_empty_coset_block_fits_and_verifies(rng):
     labels = coset_of(ds.grid.translations, lat)
     assert np.bincount(labels, minlength=4).tolist() == [1, 1, 0, 1]
     blocks = [np.flatnonzero(labels == sigma) for sigma in range(4)]
-    spectra = block_eigen(np.ascontiguousarray(ds.samples[:, :1].transpose(1, 0, 2)), blocks, 0, 1e-13,
-                          vectors=False)[0][0]
+    spectra = block_eigen(np.ascontiguousarray(ds.samples[:, :1].transpose(1, 0, 2)), blocks, 0)[0][0]
     assert spectra[2].tolist() == [0.0, 0.0, 0.0]
     model = fit_extra_invariant(ds, lat, 4)
     report = verify_model(model, ds)

@@ -258,7 +258,7 @@ def test_block_spectrum_on_either_side_matches_lapack(rng, m, c):
     energy = float((f.real**2 + f.imag**2).sum())
     halves = [np.arange(0, c, 2), np.arange(1, c, 2)]
     for blocks in ((slice(None),), halves):
-        spectra = block_eigen(f[None], blocks, 0, 1e-13, vectors=False)[0][0]
+        spectra = block_eigen(f[None], blocks, 0)[0][0]
         assert len(spectra) == len(blocks)
         for cols, lam in zip(blocks, spectra):
             a = f[:, cols]
@@ -310,11 +310,11 @@ def test_cell_bits_do_not_depend_on_its_chunk_with_two_side_orders(rng):
     blocks = [np.flatnonzero(labels == b) for b in range(2)]
     fs = np.ascontiguousarray(ds.samples.transpose(1, 0, 2))
     assert _sides(7, blocks, 13) == [7, 6]
-    chunk = block_eigen(fs, blocks, 9, 1e-13)
-    rev = block_eigen(np.ascontiguousarray(fs[::-1]), blocks, 9, 1e-13)
+    chunk = block_eigen(fs, blocks, 9)
+    rev = block_eigen(np.ascontiguousarray(fs[::-1]), blocks, 9)
     n = fs.shape[0]
     for c in range(n):
-        alone = _cell_fields(block_eigen(fs[c : c + 1], blocks, 9, 1e-13), 0, 7, 2)
+        alone = _cell_fields(block_eigen(fs[c : c + 1], blocks, 9), 0, 7, 2)
         for other in (_cell_fields(chunk, c, 7, 2), _cell_fields(rev, n - 1 - c, 7, 2)):
             for name, value in alone.items():
                 assert value.tobytes() == other[name].tobytes(), name

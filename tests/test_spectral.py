@@ -202,7 +202,8 @@ def test_ingest_rejects_nan(tmp_path):
     raw = np.fromfile(tmp_path / "dataset.bin", dtype="<c16")
     raw[4] = np.nan
     raw.tofile(tmp_path / "dataset.bin")
-    with pytest.raises(ValidationError, match=r"j=0, g=1, k=\(0,\)"):
+    # read_c16 refuses it at load: function 0, cell 1, translation index 1 (k = (0,))
+    with pytest.raises(ValidationError, match=r"dataset\.bin: non-finite sample at index \(0, 1, 1\)"):
         ingest(manifest)
 
 

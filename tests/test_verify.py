@@ -9,8 +9,9 @@ from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
 from sisfit.extra import fit_extra_invariant
 from sisfit.lattice import make_dual_lattice
 from sisfit.multitile import fit_multitile
-from sisfit.sis import fit_sis
-from sisfit.verify import MAX_REPORTED_VIOLATIONS, VerificationReport, Violation, _misnumbered, verify_model
+from sisfit.sis import FittedModel, fit_sis
+from sisfit.verify import (MAX_REPORTED_VIOLATIONS, VerificationReport, Violation, _misnumbered,
+                           verify_extra_invariance, verify_model)
 
 from conftest import random_dataset
 from oracles import misnumbered_by_sorting
@@ -86,3 +87,21 @@ def test_readme_lists_the_checks_each_regime_runs(rng):
         "discrete": verify_model(fit_discrete(seqs, part, 2), seqs, part).checks,
     }
     assert _readme_checks() == ran
+
+
+def test_non_finite_generator_fails_checks_and_never_raises(rng):
+    ds = random_dataset(rng, m=3, cells=4, trunc=2)
+    lat = make_dual_lattice([[2]])
+    fit = fit_extra_invariant(ds, lat, 2)
+    # the same generators without their home-coset table: a plain model,
+    # whose coset checks go through the stacked SVD
+    plain = FittedModel(grid=fit.grid, rank=2, eigenvalues=fit.eigenvalues, spectra=fit.spectra.copy(),
+                        residuals=fit.residuals, error=fit.error)
+    assert verify_model(plain, ds).passed and verify_extra_invariance(plain, lat).passed
+    plain.spectra[0, 1, np.flatnonzero(plain.spectra[0, 1])[0]] = np.nan
+    report = verify_model(plain, ds)
+    assert report.failed == ["parseval", "residual-identity", "cell-residuals", "eigencurves"]
+    assert {v.cell for v in report.violations} == {1, None}
+    report = verify_extra_invariance(plain, lat)
+    assert report.failed == ["coset-span"]
+    assert [(v.cell, v.generator) for v in report.violations] == [(1, 0)]
