@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ class SpectralGrid:
     Cells are indexed lexicographically by their d-dimensional multi-index;
     translations are the integer vectors with ||k||_inf <= trunc_radius in
     lexicographic order.  Equality compares the three defining integers.
+    The cell centers and translations are built when first used, so that a
+    grid read from a file sizes no array before it is checked.
     """
 
     dim: int
@@ -44,23 +47,28 @@ class SpectralGrid:
 
     def __post_init__(self):
         _check_grid(self.dim, self.cells_per_dim, self.trunc_radius)
+        self.cell_volume = 1.0 / (self.cells_per_dim**self.dim)
+
+    @cached_property
+    def cell_centers(self) -> np.ndarray:
         g = self.cells_per_dim
         axis = -0.5 + (np.arange(g) + 0.5) / g
         mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        self.cell_centers = np.stack([m.ravel() for m in mesh], axis=1)
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    @cached_property
+    def translations(self) -> np.ndarray:
         n = self.trunc_radius
-        kaxis = np.arange(-n, n + 1)
-        kmesh = np.meshgrid(*([kaxis] * self.dim), indexing="ij")
-        self.translations = np.stack([m.ravel() for m in kmesh], axis=1).astype(np.int64)
-        self.cell_volume = 1.0 / (g**self.dim)
+        kmesh = np.meshgrid(*([np.arange(-n, n + 1)] * self.dim), indexing="ij")
+        return np.stack([m.ravel() for m in kmesh], axis=1).astype(np.int64)
 
     @property
     def n_cells(self) -> int:
-        return self.cell_centers.shape[0]
+        return int(self.cells_per_dim) ** int(self.dim)
 
     @property
     def n_translations(self) -> int:
-        return self.translations.shape[0]
+        return (2 * int(self.trunc_radius) + 1) ** int(self.dim)
 
     def translation_index(self, k) -> int:
         """Index of integer vector ``k`` in ``translations``; rejects

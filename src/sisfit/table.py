@@ -1,12 +1,16 @@
 """Every file sisfit reads, and the formats it writes.
 
 ``scan`` yields the data lines of a text file, and ``read_table`` reads
-the comma-separated numeric tables on top of it: sample tables
-(``j,g,k_1,...,k_d,re,im`` CSV payloads, ``j,n_1,...,n_d,re,im`` discrete
-tables) and a model's tables.  ``read_object`` reads a JSON object and
-``read_c16`` little-endian complex doubles.  Errors are ValidationErrors
-naming the file, and the line where there is one.  ``write_table`` writes
-values with ``repr``, so that they read back bit for bit.
+the comma-separated numeric tables: sample tables (``j,g,k_1,...,k_d,re,im``
+CSV payloads, ``j,n_1,...,n_d,re,im`` discrete tables) and a model's
+tables.  A plain table (ASCII digits, signs, points, exponents, commas,
+spaces, tabs and newlines, no blank line) is parsed by one ``np.loadtxt``
+call; any other table, or one that call refuses or reads a non-finite value
+from, is read again over ``scan``, which gives the same values and raises
+the located messages.  ``read_object`` reads a JSON object and ``read_c16``
+little-endian complex doubles.  Errors are ValidationErrors naming the
+file, and the line where there is one.  ``write_table`` writes values with
+``repr``, so that they read back bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +63,51 @@ def read_table(path, lead: int, floats: int, dim: int | None = 0):
     after them); ``dim=None`` lets the first data line set it (at least 1).
     A wrong column count, a token that does not parse, an integer beyond
     int64 or a non-finite value raises ValidationError at ``path:line``.
+
+    A plain file is parsed by one ``np.loadtxt`` call (see
+    ``_loadtxt_table``); every other file, and every file that call
+    refuses, is read by the located line scanner.  Both give the same
+    values bit for bit, and every error comes from the scanner.
     """
+    path = _existing(path)
+    return _loadtxt_table(path, lead, floats, dim) or _scan_table(path, lead, floats, dim)
+
+
+# the bytes of a plain table: over these, a token np.loadtxt takes is one
+# that int() or float() takes, to the same value (over others it is not:
+# loadtxt takes "1.5\x1f", which float() refuses)
+_PLAIN = b"0123456789+-.eE, \t\n"
+
+
+def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
+    """``read_table`` of a plain file from one structured ``np.loadtxt``
+    call, or None.  Plain: not empty, only bytes of ``_PLAIN``, no blank
+    line (so that row r is line r + 1) and, for ``dim=None``, a first line
+    at least ``lead + 1 + floats`` columns wide.  None also when loadtxt
+    refuses the file or reads a non-finite value."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw or raw.translate(None, _PLAIN) or raw.startswith(b"\n") or b"\n\n" in raw:
+        return None
+    if dim is None:  # the first line sets it
+        end = raw.find(b"\n")
+        dim = raw.count(b",", 0, end if end >= 0 else len(raw)) + 1 - lead - floats
+        if dim < 1:
+            return None
+    del raw  # loadtxt reads the file in chunks: hold no copy of it meanwhile
+    fields = [("i", np.int64, (lead + dim,)), ("f", np.float64, (floats,))]
+    try:
+        rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+    except (ValueError, OverflowError):
+        return None
+    ints, values = np.ascontiguousarray(rows["i"]), np.ascontiguousarray(rows["f"])
+    if not np.isfinite(values).all():
+        return None
+    return np.arange(1, len(rows) + 1, dtype=np.int64), ints, values
+
+
+def _scan_table(path, lead: int, floats: int, dim: int | None):
+    """``read_table`` line by line over ``scan``."""
     width = None if dim is None else lead + dim + floats
     lines, ints, vals = array("q"), array("q"), array("d")
     for lineno, text in scan(path):

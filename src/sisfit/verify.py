@@ -123,7 +123,8 @@ def verify_model(model, data, partition: DiscretePartition | None = None) -> Ver
 def _deviation(rows: np.ndarray) -> np.ndarray:
     """Per matrix of the stack ``rows`` (..., n, columns): the largest entry
     of |rows rows^H - diag(live)|, ``live`` marking the nonzero rows."""
-    gram = rows @ rows.conj().swapaxes(-1, -2) - np.eye(rows.shape[-2]) * np.any(rows != 0, axis=-1)[..., None]
+    with np.errstate(invalid="ignore"):  # a non-finite entry: inf * 0 gives the NaN that fails the check
+        gram = rows @ rows.conj().swapaxes(-1, -2) - np.eye(rows.shape[-2]) * np.any(rows != 0, axis=-1)[..., None]
     return np.abs(gram).max(axis=(-2, -1), initial=0.0)
 
 
@@ -165,7 +166,8 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
         report.add("parseval", f"orthonormality deviation {dev[g]:.3e}", cell=int(g))
 
     # project_onto's sums, without the projected dataset, which would refuse a NaN
-    rr = _project(ds.samples.transpose(1, 0, 2), fibers)[2]
+    with np.errstate(invalid="ignore"):
+        rr = _project(ds.samples.transpose(1, 0, 2), fibers)[2]
     cell_resid = rr.sum(axis=1)
     total = float((rr.sum(axis=0) * ds.grid.cell_volume).sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
@@ -194,12 +196,15 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
         home, ranks = np.asarray(model.home_cosets), np.asarray(model.block_ranks)
         if home.shape != ranks.shape or home.shape != fibers.shape[:2]:
             raise ValidationError(f"home coset table shape {home.shape} does not match the generator array")
-        # bad[s, g, k]: generator s is nonzero at cell g off its home coset
-        bad = (fibers.transpose(1, 0, 2) != 0) & (labels != home.T[:, :, None])
+        # bad[s, g, k]: generator s at cell g is nonzero off its home coset, or not finite
+        spectra = fibers.transpose(1, 0, 2)
+        bad = ((spectra != 0) & (labels != home.T[:, :, None])) | ~np.isfinite(spectra)
         for s, g in np.argwhere(bad.any(axis=2)):
             ki = np.argmax(bad[s, g])
-            report.add("coset-support", f"nonzero sample at translation {tuple(grid.translations[ki].tolist())} "
-                       f"(coset {labels[ki]}) outside home coset {home[g, s]}", cell=int(g), generator=int(s))
+            k, z = tuple(grid.translations[ki].tolist()), spectra[s, g, ki]
+            what = (f"nonzero sample at translation {k} (coset {labels[ki]}) outside home coset {home[g, s]}"
+                    if np.isfinite(z) else f"non-finite sample {z} at translation {k}")
+            report.add("coset-support", what, cell=int(g), generator=int(s))
         for g in np.flatnonzero(_misnumbered(home, ranks, lat.index)):
             report.add("coset-support", f"in-block ranks {ranks[g].tolist()} of home cosets "
                        f"{home[g].tolist()} do not run 0..count-1", cell=int(g))
@@ -218,7 +223,8 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
     _, sing, vh = np.linalg.svd(np.where(np.isfinite(fibers), fibers, 0.0), full_matrices=False)
     cutoff = np.finfo(np.float64).eps * max(fibers.shape[1:]) * sing[:, :1]
     basis = np.where((sing > cutoff)[:, :, None], vh, 0.0)
-    rr = _project(cuts.reshape(len(cuts), -1, cuts.shape[3]), basis)[2].reshape(touched.shape)
+    with np.errstate(invalid="ignore"):
+        rr = _project(cuts.reshape(len(cuts), -1, cuts.shape[3]), basis)[2].reshape(touched.shape)
     resid, norm_cut = np.sqrt(rr), np.sqrt((cuts.real**2 + cuts.imag**2).sum(axis=3))
     for g, s, sigma in np.argwhere((norm_cut != 0.0) & ~(resid <= TOL * norm_cut)):
         report.add("coset-span", f"coset {sigma} cut leaves the generator span (relative residual "
@@ -228,9 +234,10 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
 def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> VerificationReport:
     """Check that a model's generators respect the coset structure.
 
-    Models carrying a home-coset table are held to exact zeros outside
-    each generator's home coset, and to in-block ranks that run
-    0..count-1 within each home coset of a cell (``coset-support``).
+    Models carrying a home-coset table are held to finite samples that
+    are exact zeros outside each generator's home coset, and to in-block
+    ranks that run 0..count-1 within each home coset of a cell
+    (``coset-support``).
     Other models pass if no generator fiber touches two cosets
     (``coset-support``) and, at every cell, the restriction of each
     generator fiber to any single coset stays in the span of that cell's

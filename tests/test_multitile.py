@@ -1,3 +1,5 @@
+import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +15,7 @@ from sisfit.multitile import (
     weight,
 )
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
+from sisfit.storage import load_model, save_model
 from sisfit.verify import verify_multitile
 
 from conftest import random_dataset
@@ -219,3 +222,23 @@ def test_vectorized_fit_equals_per_cell_loop(rng, dim, trunc, box):
             chosen, residuals = _per_cell_reference(data, rank, box)
             assert np.array_equal(model.chosen, chosen)
             assert model.residuals.tobytes() == residuals.tobytes()
+
+
+def test_pw_model_on_a_huge_grid_loads_without_building_it(tmp_path, rng):
+    ds = random_dataset(rng, m=2, cells=4, trunc=1)
+    save_model(fit_multitile(ds, 2, 1), tmp_path)
+    path = tmp_path / "model.json"
+    meta = json.loads(path.read_text())
+    # no pw file is sized by the radius: the model loads, and only the data refuse it
+    meta["grid"]["trunc_radius"] = 10**12
+    path.write_text(json.dumps(meta))
+    model = load_model(tmp_path)
+    assert model.grid.trunc_radius == 10**12
+    assert model.grid.n_translations == 2 * 10**12 + 1
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: grid field 'trunc_radius' is 1000000000000")):
+        load_model(tmp_path, ds.grid)
+    # the cell count sizes chosen.csv, which then lacks rows
+    meta["grid"]["cells_per_dim"] = 10**12
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'chosen.csv'}: expected one row for each cell")):
+        load_model(tmp_path)

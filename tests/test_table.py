@@ -1,8 +1,10 @@
 """Properties of the shared ``<integers>,re,im`` text table: values read
-back bit for bit, and a one-line fault is a located ValidationError.
-Also: no module but ``sisfit.table`` reads a file."""
+back bit for bit, a one-line fault is a located ValidationError, and the
+one-call ``np.loadtxt`` path reads what the line scanner reads.  Also: no
+module but ``sisfit.table`` reads a file."""
 
 import ast
+import itertools
 import re
 import tempfile
 from pathlib import Path
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sisfit import table
 from sisfit.discrete import DiscreteDataset, parse_discrete_dataset, write_discrete_sequences
 from sisfit.errors import ValidationError
+from sisfit.sis import fit_sis
 from sisfit.spectral import PAYLOAD_CSV, SpectralDataset, SpectralGrid, ingest, write_dataset
+from sisfit.storage import RESIDUALS_CSV, load_model, save_model
 from sisfit.table import read_table, write_table
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -128,6 +133,131 @@ def test_one_faulty_sequence_line_is_located(dim, line, fault):
             where = 2
         with pytest.raises(ValidationError, match=re.escape(f"{path}:{where}: ")):
             parse_discrete_dataset(path)
+
+
+# what a hand-made table may hold beyond repr'd values: padding (str.strip
+# drops all of it; int() and float() only some), tokens that int() or
+# float() read, refuse or read to a non-finite value (\u0663 and \u0661.\u0665
+# are non-ASCII digits, \udcff a byte that is not UTF-8), trailing comments,
+# lines the scanner skips, and line ends
+PAD = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]
+INT_TOKENS = ["+3", "1_000", "0003", "-0", "+-3", "1 2", "\u0663", "1.0", "1e3", str(2**63), " ", "3\udcff"]
+FLOAT_TOKENS = ["1e308", "+1.5", ".5", "5.", "1e-400", "1_0.5", "\u0661.\u0665", "0x1p3", "inf", "-inf", "nan",
+                "1e400", "1.5 2", "e5"]
+SKIPPED_LINES = ["# c", "   # indented", "", "   ", "\t"]
+ENDS = ["\r\n", "\r", ""]
+EDITS = ([("pad", t) for t in PAD] + [("int", t) for t in INT_TOKENS] + [("float", t) for t in FLOAT_TOKENS]
+         + [("drop", ""), ("token", "x"), ("comment", " # x"), ("comment", " #3")]
+         + [("line", t) for t in SKIPPED_LINES] + [("end", t) for t in ENDS])
+
+
+def _table_text(rows, ints, edits):
+    """The text of ``rows`` (token lists, ``ints`` integer columns first)
+    with each edit (kind, text, row, column) applied; one may make the
+    table faulty."""
+    rows = [list(row) for row in rows]
+    for kind, text, r, c in edits:
+        row = rows[r % len(rows)]
+        c %= len(row)
+        if kind == "pad":
+            row[c] = text + row[c] + text
+        elif kind == "int":
+            row[c % ints] = text
+        elif kind == "float" and len(row) > ints:
+            row[ints + c % (len(row) - ints)] = text
+        elif kind == "drop" and len(row) > 1:
+            del row[c]
+        elif kind in ("token", "comment"):
+            row[c if kind == "token" else -1] += text
+    lines = [",".join(row) for row in rows]
+    ends = ["\n"] * len(lines)
+    for kind, text, r, _ in edits:
+        if kind == "line":
+            lines.insert(r % (len(lines) + 1), text)
+            ends.append("\n")
+        elif kind == "end":
+            ends[r % len(ends)] = text
+    return "".join(map(str.__add__, lines, ends))
+
+
+def _same_as_scanner(path, text, *args):
+    """``read_table`` of ``text`` returns the scanner's bits, dtypes and
+    shapes, or raises its ValidationError text."""
+
+    def outcome(read):
+        try:
+            return [(a.dtype, a.shape, a.tobytes()) for a in read(path, *args)]
+        except ValidationError as exc:
+            return str(exc)
+
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert outcome(read_table) == outcome(table._scan_table), (text, args)
+
+
+def test_each_edit_reads_as_the_scanner(tmp_path):
+    rows = [["0", "-1", "0.5", "-0.0"], ["1", "9223372036854775807", "5e-324", "1e+16"],
+            ["-9223372036854775808", "2", "-1.25", "7.0"]]
+    # one row too, where an edit reaches every line
+    cases = itertools.product(EDITS, range(3), range(4), (1, None), (rows, rows[:1]))
+    for i, (edit, r, c, dim, table_rows) in enumerate(cases):
+        _same_as_scanner(tmp_path / f"t{i}.csv", _table_text(table_rows, 2, [(*edit, r, c)]), 1, 2, dim)
+    _same_as_scanner(tmp_path / "plain.csv", _table_text(rows, 2, []), 1, 2, 1)
+    assert table._loadtxt_table(tmp_path / "plain.csv", 1, 2, 1) is not None
+
+
+@given(st.data())
+def test_loadtxt_path_reads_as_the_scanner(data):
+    lead, floats, dim = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    fixed = data.draw(st.booleans())  # else the first line sets dim
+    if not fixed:
+        dim = max(dim, 1)
+    ints, n = lead + dim, data.draw(st.integers(1, 5))
+    rows = [[str(v) for v in data.draw(st.lists(INT64, min_size=ints, max_size=ints))]
+            + [repr(x) for x in data.draw(st.lists(FLOATS, min_size=floats, max_size=floats))]
+            for _ in range(n)]
+    where = st.integers(0, 10**6)
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(EDITS), where, where), max_size=3))
+    args = (lead, floats, dim if fixed else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _same_as_scanner(path, _table_text(rows, ints, [(*e, r, c) for e, r, c in edits]), *args)
+        if not edits:
+            assert table._loadtxt_table(path, *args) is not None
+
+
+@pytest.mark.parametrize("line", ["1,1,1.5,2 # x", "1,1,1.5,2 #3", "1,1,1.5\x1f,2"])
+def test_tokens_loadtxt_would_take_are_located_errors(tmp_path, line):
+    # np.loadtxt reads each line (with comments="#" for the first two);
+    # the scanner refuses them, and read_table does too, at their line
+    path = tmp_path / "t.csv"
+    path.write_text(f"0,0,0.5,1\n{line}\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:2: could not convert string to float")):
+        read_table(path, 1, 2, 1)
+
+
+def test_written_tables_take_the_loadtxt_path(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"the line scanner was asked to read {path}")
+
+    monkeypatch.setattr(table, "scan", refuse)
+    rng = np.random.default_rng(7)
+    grid = SpectralGrid(dim=2, cells_per_dim=4, trunc_radius=1)
+    shape = (2, grid.n_cells, grid.n_translations)
+    ds = SpectralDataset(grid=grid, samples=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    back = ingest(write_dataset(ds, tmp_path, payload_format=PAYLOAD_CSV))
+    assert np.array_equal(_bits(back.samples), _bits(ds.samples))
+
+    discrete = DiscreteDataset.from_sequences(2, [{(0, 1): 1.5 - 2j, (-3, 4): -0.0 + 5e-324j}, {(2, 2): 1e308 + 0j}])
+    write_discrete_sequences(discrete.support, discrete.values, tmp_path / "seqs.txt")
+    back_discrete = parse_discrete_dataset(tmp_path / "seqs.txt")
+    assert np.array_equal(_bits(back_discrete.values), _bits(discrete.values))
+
+    model = fit_sis(ds, 1)
+    save_model(model, tmp_path / "model")
+    lines, cells, residuals = read_table(tmp_path / "model" / RESIDUALS_CSV, 1, 1)
+    assert lines.tolist() == list(range(1, grid.n_cells + 1)) and cells[:, 0].tolist() == list(range(grid.n_cells))
+    assert np.array_equal(residuals[:, 0], model.residuals)
+    assert np.array_equal(load_model(tmp_path / "model").residuals, model.residuals)
 
 
 # calls that read a file: (owner name or None, function name)

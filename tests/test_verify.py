@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +106,33 @@ def test_non_finite_generator_fails_checks_and_never_raises(rng):
     report = verify_extra_invariance(plain, lat)
     assert report.failed == ["coset-span"]
     assert [(v.cell, v.generator) for v in report.violations] == [(1, 0)]
+
+
+def test_non_finite_sample_in_a_home_coset_fails_coset_support(rng):
+    ds = random_dataset(rng, m=3, cells=4, trunc=2)
+    lat = make_dual_lattice([[2]])
+    model = fit_extra_invariant(ds, lat, 2)
+    assert verify_extra_invariance(model, lat).passed
+    # a nonzero sample of generator 0 at cell 1 lies in its home coset
+    k = np.flatnonzero(model.spectra[0, 1])[0]
+    model.spectra[0, 1, k] = np.nan
+    report = verify_extra_invariance(model, lat)
+    assert report.failed == ["coset-support"]
+    assert [(v.cell, v.generator) for v in report.violations] == [(1, 0)]
+    assert report.violations[0].detail == f"non-finite sample (nan+0j) at translation ({k - 2},)"
+
+
+def test_infinite_generator_sample_fails_without_a_warning(rng):
+    ds = random_dataset(rng, m=3, cells=4, trunc=2)
+    lat = make_dual_lattice([[2]])
+    for fit in (fit_sis(ds, 2), fit_extra_invariant(ds, lat, 2)):
+        plain = FittedModel(grid=fit.grid, rank=2, eigenvalues=fit.eigenvalues, spectra=fit.spectra.copy(),
+                            residuals=fit.residuals, error=fit.error)
+        plain.spectra[0, 1, np.flatnonzero(plain.spectra[0, 1])[0]] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_model(plain, ds)
+            coset_report = verify_extra_invariance(plain, lat)
+        assert report.failed == ["parseval", "residual-identity", "cell-residuals", "eigencurves"]
+        assert {v.cell for v in report.violations} == {1, None}
+        assert 1 in {v.cell for v in coset_report.violations}
