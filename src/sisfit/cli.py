@@ -12,9 +12,7 @@ line they are byte-identical across reruns.  ``--threads`` is accepted by
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -37,6 +35,7 @@ from .spectral import (
     total_energy,
     write_dataset,
 )
+from .table import copy_file, create
 from .verify import verify_model
 from . import storage
 
@@ -169,11 +168,11 @@ def cmd_fit(args) -> int:
     storage.save_model(model, out)
     if regime == "discrete":
         # keep the partition next to the model so verify is self-contained
-        with contextlib.suppress(shutil.SameFileError):  # a refit next to its own partition
-            shutil.copyfile(args.partition, out / storage.PARTITION_TXT)
+        copy_file(args.partition, out / storage.PARTITION_TXT)
     pairs = pairs + [("model_dir", str(out)), ("timing_seconds", f"{elapsed:.6f}")]
     lines = [f"{k}: {v}" for k, v in pairs]
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    with create(out / "report.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
@@ -267,7 +266,7 @@ def cmd_compare(args) -> int:
     for d in defects:
         print(f"defect: {d}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with create(args.out) as fh:
             fh.write("regime,rank,box,error,tail,total\n")
             for regime, r, b, e, t, tot in rows:
                 fh.write(f"{regime},{r},{b},{e!r},{'' if t == '' else repr(t)},{tot!r}\n")
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--stem", default="dataset", help="basename for manifest and payload")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit one regime and save the model")
     p.add_argument("--regime", required=True, choices=["sis", "extra", "pw", "discrete"])
@@ -320,12 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="discrete regime: partition file")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help=f"model directory (default ${OUT_ENV} or .)")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="re-check a saved model against data")
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="sweep regimes and ranks, flag defects")
     p.add_argument("--data", required=True)
@@ -336,17 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="discrete regime: partition file")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help="also write the table as CSV to this file")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
+_parser = None  # built by the first ``main`` call, then kept
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; exit code as in the module docstring.  The parser
+    is built once per process, and the command runs as the module's
+    ``cmd_<command>`` of the moment, so that a rebound one is honoured."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SisfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,21 +87,32 @@ class SpectralGrid:
         ks = np.asarray(ks, dtype=np.int64)
         if ks.shape[-1:] != (self.dim,):
             raise ValidationError(f"expected translations of length {self.dim}, got shape {ks.shape}")
-        n = self.trunc_radius
         outside = self._outside(ks)
         if outside.any():
             key = tuple(ks[outside][0].tolist())
-            raise ValidationError(f"translation {key} outside the truncation box (radius {n})")
+            raise ValidationError(f"translation {key} outside the truncation box (radius {self.trunc_radius})")
+        return self._ravel(ks)
+
+    def _ravel(self, ks) -> np.ndarray:
+        """``translation_indices`` of int64 vectors known to lie in the box."""
+        n = self.trunc_radius
         return np.ravel_multi_index(tuple(np.moveaxis(ks + n, -1, 0)), (2 * n + 1,) * self.dim)
 
 
-def _check_grid(dim: int, cells_per_dim: int, trunc_radius: int) -> None:
+def _check_grid(dim: int, cells_per_dim: int, trunc_radius: int, source=None) -> None:
+    """Refuse grid fields that no ``SpectralGrid`` may hold, in Python ints,
+    before ``cell_volume`` or any array is sized by them; the messages
+    start with ``source``, the file the fields were read from, if given."""
+    where = "" if source is None else f"{source}: "
     if dim < 1:
-        raise ValidationError(f"dim must be at least 1, got {dim}")
+        raise ValidationError(f"{where}dim must be at least 1, got {dim}")
     if cells_per_dim < 2 or cells_per_dim % 2 != 0:
-        raise ValidationError(f"cells_per_dim must be a positive even integer, got {cells_per_dim}")
+        raise ValidationError(f"{where}cells_per_dim must be a positive even integer, got {cells_per_dim}")
     if trunc_radius < 1:
-        raise ValidationError(f"trunc_radius must be at least 1, got {trunc_radius}")
+        raise ValidationError(f"{where}trunc_radius must be at least 1, got {trunc_radius}")
+    if cells_per_dim ** min(dim, 64) > 2**63:  # at dim 64 there are 2**64 cells or more
+        raise ValidationError(f"{where}grid fields 'dim' ({dim}) and 'cells_per_dim' ({cells_per_dim}) give more "
+                              f"cells than an int64 cell index numbers")
 
 
 def check_same_grid(model_grid: SpectralGrid, data_grid: SpectralGrid) -> None:
@@ -248,7 +259,7 @@ def ingest(manifest_path) -> SpectralDataset:
     dim, m, cells, trunc = (fields.get(k, _json(int)) for k in _MANIFEST_KEYS[:4])
     if m < 1:
         raise ValidationError(f"manifest m must be at least 1, got {m}")
-    _check_grid(dim, cells, trunc)
+    _check_grid(dim, cells, trunc, fields.path)
 
     payload = fields.path.parent / fields.get("payload_path", _json(str))
     fmt = fields.get("payload_format", _json(str))
@@ -294,7 +305,7 @@ def _read_csv_payload(payload: Path, grid: SpectralGrid, shape: tuple) -> np.nda
     expected = math.prod(shape)
     if len(lines) < expected:
         raise ValidationError(f"payload {payload} has {len(lines)} samples, expected {expected}")
-    keys = (ints[:, 0], ints[:, 1], grid.translation_indices(k))
+    keys = (ints[:, 0], ints[:, 1], grid._ravel(k))  # every k is in the box, checked above
     rows = one_row_per_key(payload, lines, keys, shape, "(function, cell, translation index)")
     return vals.view(np.complex128)[rows].reshape(shape)
 

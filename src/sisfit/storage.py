@@ -19,9 +19,9 @@ from .extra import ExtraInvariantModel
 from .lattice import format_basis, make_dual_lattice, parse_basis
 from .multitile import MultiTileModel, _check_box
 from .sis import FittedModel
-from .spectral import SpectralGrid, _check_payload_holds_grid
-from .table import (_existing, _json, _Meta, one_row_per_key, read_c16, read_object, read_table, reject, scan,
-                    write_c16, write_object, write_table)
+from .spectral import SpectralGrid, _check_grid, _check_payload_holds_grid
+from .table import (_existing, _json, _Meta, create, one_row_per_key, read_c16, read_object, read_table, reject,
+                    scan, write_c16, write_object, write_table)
 
 MODEL_JSON = "model.json"
 GENERATORS_BIN = "generators.bin"
@@ -105,7 +105,7 @@ def _save_discrete(model: DiscreteModel, out: Path) -> None:
     }
     write_object(out / MODEL_JSON, payload)
     write_discrete_sequences(model.support, model.generators, out / GENERATORS_TXT)
-    with open(out / SELECTED_CSV, "w") as fh:
+    with create(out / SELECTED_CSV) as fh:
         for s, (lam, label, j) in enumerate(model.selected):
             fh.write(f"{s},{label},{j},{float(lam)!r}\n")
 
@@ -154,14 +154,16 @@ def _load_grid(meta: _Meta, data: SpectralGrid | None, payload: Path | None = No
                per_sample: int = 0) -> SpectralGrid:
     """The model's grid, checked in Python ints before any array sized by
     it is built: field by field against the ``data`` grid, when given
-    (which is then the grid returned), and against the size of
-    ``payload``, when given, which stores ``per_sample`` bytes for every
-    cell and translation."""
+    (which is then the grid returned), else by ``_check_grid``, and
+    against the size of ``payload``, when given, which stores
+    ``per_sample`` bytes for every cell and translation."""
     dim, cells, trunc = meta.get("grid", lambda g: [_json(int)(g[key]) for key in _GRID_KEYS])
     for key, value in zip(_GRID_KEYS, (dim, cells, trunc)):
         if data is not None and value != getattr(data, key):
             raise ValidationError(f"{meta.path}: grid field {key!r} is {value}, but the data's is "
                                   f"{getattr(data, key)}")
+    if data is None:
+        _check_grid(dim, cells, trunc, meta.path)
     if payload is not None:
         _check_payload_holds_grid(meta.path, dim, cells, trunc, payload, per_sample)
     return data if data is not None else SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)

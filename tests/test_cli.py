@@ -207,6 +207,15 @@ def test_usage_errors(tmp_path):
     assert res.returncode == 2
 
 
+def test_synth_on_a_grid_of_more_cells_than_int64_numbers_is_a_usage_error(tmp_path, capsys):
+    argv = ["synth", "--family", "gaussian", "--sigma", "1", "--dim", "20000", "--cells", "4", "--trunc", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("error: grid fields 'dim' (20000) and 'cells_per_dim' (4) give more cells "
+                                       "than an int64 cell index numbers\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_flag_consistency(tmp_path):
     data = tmp_path / "data"
     run_cli(
@@ -319,6 +328,84 @@ def test_readme_names_every_option():
     options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings if o.startswith("--")}
     missing = [o for o in sorted(options - {"--help"}) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
     assert missing == []
+
+
+def _no_model(tmp_path):
+    return ["verify", "--model", str(tmp_path / "nope"), "--data", str(tmp_path / "nope.json")]
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for _ in range(3):
+        assert cli.main(_no_model(tmp_path)) == 2
+    assert built == [1]
+    assert capsys.readouterr().err.count("error: file not found") == 3
+
+
+def test_a_command_rebound_after_the_first_call_runs(tmp_path, monkeypatch, capsys):
+    assert cli.main(_no_model(tmp_path)) == 2  # the parser is built and kept
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.model) or 7)
+    assert cli.main(_no_model(tmp_path)) == 7
+    assert seen == [str(tmp_path / "nope")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["fit", "--regime", "sis"],
+        ["fit", "--regime", "wavelet", "--data", "d.json", "--rank", "1"],
+        ["fit", "--regime", "sis", "--data", "d.json", "--rank", "two"],
+        ["verify", "--model", "m", "--data", "d.json", "--eig-tol", "1"],
+        ["sweep"],
+    ],
+)
+def test_usage_error_after_the_parser_is_kept_is_the_fresh_process_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage lines wrap at the terminal width
+    cli.main(_no_model(tmp_path))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    fresh = run_cli(*argv, env_extra={"COLUMNS": "80"})
+    assert exc.value.code == fresh.returncode == 2
+    assert capsys.readouterr().err == fresh.stderr
+
+
+def test_commands_in_one_process_print_what_fresh_processes_print(tmp_path, rng, capsys):
+    data = write_dataset(random_dataset(rng, cells=4, trunc=2, m=3), tmp_path / "data")
+    model = tmp_path / "model"
+    commands = [
+        ("fit", "--regime", "sis", "--data", data, "--rank", 2, "--out", model),
+        ("verify", "--model", model, "--data", data),
+        ("compare", "--data", data, "--regimes", "sis,extra", "--ranks", "1,2", "--dual-lattice", "2"),
+    ]
+
+    def untimed(text):
+        return [line for line in text.splitlines() if not line.startswith("timing_seconds:")]
+
+    in_process = []
+    for argv in commands:
+        rc = cli.main([str(a) for a in argv])
+        in_process.append((rc, untimed(capsys.readouterr().out)))
+    fresh = [(res.returncode, untimed(res.stdout)) for res in (run_cli(*argv) for argv in commands)]
+    assert in_process == fresh
+    assert [rc for rc, _ in fresh] == [0, 0, 0] and len(fresh[0][1]) > 5
+
+
+def test_refit_next_to_its_own_partition_keeps_it(tmp_path, capsys):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
+    model = tmp_path / "model"
+    model.mkdir()
+    part = model / "partition.txt"
+    part.write_text("lattice: 2\n")
+    for _ in range(2):
+        assert cli.main(["fit", "--regime", "discrete", "--data", str(seqs), "--rank", "1",
+                         "--partition", str(part), "--out", str(model)]) == 0
+        assert part.read_text() == "lattice: 2\n"
 
 
 def test_out_env_default(tmp_path):

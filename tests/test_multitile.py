@@ -242,3 +242,14 @@ def test_pw_model_on_a_huge_grid_loads_without_building_it(tmp_path, rng):
     path.write_text(json.dumps(meta))
     with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'chosen.csv'}: expected one row for each cell")):
         load_model(tmp_path)
+
+
+@pytest.mark.parametrize("dim", [20000, 64])
+def test_pw_model_with_a_huge_dim_is_a_model_json_error(tmp_path, rng, dim):
+    save_model(fit_multitile(random_dataset(rng, m=2, cells=4, trunc=1), 2, 1), tmp_path)
+    path = tmp_path / "model.json"
+    meta = json.loads(path.read_text())
+    meta["grid"]["dim"] = dim  # 4**dim cells: more than an int64 index numbers, or a float holds
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: grid fields 'dim' ({dim}) and 'cells_per_dim' (4)")):
+        load_model(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,27 @@ def test_grid_validation():
         SpectralGrid(dim=1, cells_per_dim=5, trunc_radius=1)  # odd
     with pytest.raises(ValidationError):
         SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=0)
+
+
+@pytest.mark.parametrize("dim, cells", [(64, 2), (32, 4), (20000, 4)])
+def test_grid_with_more_cells_than_int64_numbers_is_refused(dim, cells):
+    # refused in Python ints, before cell_volume = 1 / cells**dim overflows a float
+    with pytest.raises(ValidationError, match=re.escape(f"grid fields 'dim' ({dim}) and 'cells_per_dim' ({cells})")):
+        SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=1)
+
+
+def test_grid_of_2_63_cells_is_kept():
+    assert SpectralGrid(dim=63, cells_per_dim=2, trunc_radius=1).n_cells == 2**63
+
+
+def test_manifest_grid_errors_name_the_manifest(tmp_path, rng):
+    manifest = write_dataset(random_dataset(rng, dim=1, cells=4, trunc=1, m=1), tmp_path)
+    meta = json.loads(manifest.read_text())
+    for field, value, message in (("dim", 20000, "grid fields 'dim' (20000)"),
+                                  ("cells_per_dim", 5, "cells_per_dim must be a positive even integer")):
+        manifest.write_text(json.dumps(dict(meta, **{field: value})))
+        with pytest.raises(ValidationError, match=re.escape(f"{manifest}: {message}")):
+            ingest(manifest)
 
 
 def test_synthesize_matches_closed_forms():

@@ -1,12 +1,16 @@
 """Properties of the shared ``<integers>,re,im`` text table: values read
 back bit for bit, a one-line fault is a located ValidationError, and the
 one-call ``np.loadtxt`` path reads what the line scanner reads.  Also: no
-module but ``sisfit.table`` reads a file."""
+module but ``sisfit.table`` reads a file, and the writers replace a file
+rather than write through it."""
 
 import ast
 import itertools
+import os
 import re
+import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +19,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sisfit import table
-from sisfit.discrete import DiscreteDataset, parse_discrete_dataset, write_discrete_sequences
+from sisfit.discrete import (DiscreteDataset, DiscretePartition, fit_discrete, parse_discrete_dataset,
+                             write_discrete_sequences)
 from sisfit.errors import ValidationError
+from sisfit.extra import fit_extra_invariant
+from sisfit.lattice import make_dual_lattice
+from sisfit.multitile import fit_multitile
 from sisfit.sis import fit_sis
 from sisfit.spectral import PAYLOAD_CSV, SpectralDataset, SpectralGrid, ingest, write_dataset
 from sisfit.storage import RESIDUALS_CSV, load_model, save_model
 from sisfit.table import read_table, write_table
+
+from conftest import random_dataset
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 FLOATS = st.one_of(
@@ -300,3 +310,126 @@ def test_only_the_table_module_reads_files():
                       "; open(p, 'w'); p.open(mode='a')")
     assert [call for _, call in _file_reads(probe)] == ["read_text", "read_bytes", "json.loads", "np.fromfile",
                                                         "open", "open"]
+
+
+@pytest.mark.parametrize("text", ["\n", "\n\n\n", "\n1,1,1.5,2\n", "1,1,1.5,2\n\n", "1,1,1.5,2\n\n1,2,0.5,3"])
+def test_empty_lines_read_as_the_scanner_without_a_warning(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a file of empty lines only
+        got = read_table(path, 2, 2)
+    want = table._scan_table(path, 2, 2, 0)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def _fitted(regime, rng):
+    if regime == "discrete":
+        values = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        ds = DiscreteDataset.from_sequences(1, [{(i,): v for i, v in enumerate(row)} for row in values])
+        return fit_discrete(ds, DiscretePartition.from_lattice(make_dual_lattice([[2]])), 2)
+    ds = random_dataset(rng, cells=4, trunc=2, m=3)
+    if regime == "sis":
+        return fit_sis(ds, 2)
+    if regime == "extra":
+        return fit_extra_invariant(ds, make_dual_lattice([[2]]), 2)
+    return fit_multitile(ds, 2, 1)
+
+
+def _contents(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
+def test_a_second_save_into_the_same_directory_writes_the_same_bytes(tmp_path, rng, regime):
+    model, out, kept = _fitted(regime, rng), tmp_path / "model", tmp_path / "kept"
+    save_model(model, out)
+    first = _contents(out)
+    # hard links keep the first files: a writer that truncated them in place would change these too
+    kept.mkdir()
+    for name in first:
+        os.link(out / name, kept / name)
+    save_model(model, out)
+    assert _contents(out) == first == _contents(kept)
+    assert all((out / name).stat().st_nlink == 1 for name in first)
+
+
+def test_writers_replace_a_symlink_rather_than_write_through_it(tmp_path):
+    kept = tmp_path / "kept"
+    kept.write_text("old\n")
+    writers = {
+        "table": lambda p: write_table(p, np.ones((2, 2))),
+        "object": lambda p: table.write_object(p, {"a": 1}),
+        "c16": lambda p: table.write_c16(p, np.ones(3, dtype=complex)),
+        "created": lambda p: table.create(p).close(),
+        "copied": lambda p: table.copy_file(tmp_path / "table", p),
+    }
+    for name, write in writers.items():
+        (tmp_path / f"{name}.lnk").symlink_to(kept)
+        write(tmp_path / f"{name}.lnk")
+        assert not (tmp_path / f"{name}.lnk").is_symlink()
+        write(tmp_path / name)
+        assert (tmp_path / f"{name}.lnk").read_bytes() == (tmp_path / name).read_bytes()
+    assert kept.read_text() == "old\n"
+
+
+def test_a_copy_onto_its_own_source_leaves_it_alone(tmp_path):
+    source = tmp_path / "part.txt"
+    source.write_text("lattice: 2\n")
+    (tmp_path / "link.txt").symlink_to(source)
+    before = source.stat()
+    for target in (source, tmp_path / "link.txt"):
+        table.copy_file(source, target)
+        assert (tmp_path / "link.txt").is_symlink() and source.read_text() == "lattice: 2\n"
+        assert (source.stat().st_ino, source.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_create_writes_through_a_fifo_without_unlinking_it(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that opening it to write does not block
+    try:
+        with table.create(fifo) as fh:
+            fh.write("row\n")
+        assert os.read(reader, 16) == b"row\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def _written_in_place(path: Path) -> bool:
+    kept = path.with_name("kept")  # a hard link to the file stays its link only if it was truncated
+    os.link(path, kept)
+    table.write_object(path, {"a": 1})
+    assert path.read_text() == '{\n  "a": 1\n}\n'
+    in_place = os.path.samefile(kept, path)
+    kept.unlink()
+    return in_place
+
+
+def test_create_truncates_what_it_may_not_replace(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_text("old, and longer than the new contents\n")
+    assert not _written_in_place(path)
+    # a file of another user: replacing it would change its owner
+    monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 1)
+    assert _written_in_place(path)
+    monkeypatch.undo()
+
+    # a directory that does not let us unlink the file
+    unlink = os.unlink
+
+    def refuse(p, *args, **kwargs):
+        if Path(p) == path:
+            raise PermissionError(13, "Permission denied", str(p))
+        unlink(p, *args, **kwargs)
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert _written_in_place(path)
+
+
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    assert not _written_in_place(path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
