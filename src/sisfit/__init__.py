@@ -10,39 +10,17 @@ from .discrete import (
     DiscreteDataset,
     DiscreteModel,
     DiscretePartition,
-    block_gramian,
     brute_force_optimal,
     error_discrete,
     fit_discrete,
 )
 from .errors import ConvergenceError, SisfitError, ValidationError
-from .extra import (
-    ExtraInvariantModel,
-    error_extra,
-    fit_extra_invariant,
-    split_by_coset,
-)
-from .hermitian import EigenSystem, eig_hermitian, normalize_phase, rank_by_threshold
-from .lattice import DualLattice, coset_of, make_dual_lattice, primal_description
-from .multitile import (
-    MultiTileModel,
-    TileLayer,
-    decompose_layers,
-    error_multitile_series,
-    fit_multitile,
-    weight,
-)
+from .extra import ExtraInvariantModel, error_extra, fit_extra_invariant
+from .hermitian import EigenSystem, eig_hermitian
+from .lattice import DualLattice, coset_of, make_dual_lattice
+from .multitile import MultiTileModel, error_multitile_series, fit_multitile
 from .sis import FittedModel, error_sis, fit_sis, project_onto
-from .spectral import (
-    SpectralDataset,
-    SpectralGrid,
-    energy_report,
-    fiber,
-    gramian,
-    ingest,
-    synthesize,
-    write_dataset,
-)
+from .spectral import SpectralDataset, SpectralGrid, ingest, synthesize
 from .verify import verify_extra_invariance, verify_model, verify_multitile
 
 __version__ = "0.1.0"
@@ -60,34 +38,23 @@ __all__ = [
     "SisfitError",
     "SpectralDataset",
     "SpectralGrid",
-    "TileLayer",
     "ValidationError",
-    "block_gramian",
     "brute_force_optimal",
     "coset_of",
-    "decompose_layers",
     "eig_hermitian",
-    "energy_report",
     "error_discrete",
     "error_extra",
     "error_multitile_series",
     "error_sis",
-    "fiber",
     "fit_discrete",
     "fit_extra_invariant",
     "fit_multitile",
     "fit_sis",
-    "gramian",
     "ingest",
     "make_dual_lattice",
-    "normalize_phase",
-    "primal_description",
     "project_onto",
-    "rank_by_threshold",
-    "split_by_coset",
     "synthesize",
     "verify_extra_invariance",
     "verify_model",
     "verify_multitile",
-    "weight",
 ]

@@ -233,12 +233,7 @@ def cmd_compare(args) -> int:
                     mt = fit_multitile(ds, r, b)
                     rows.append(("pw", r, b, mt.error, mt.tail, mt.error + mt.tail))
                     totals.append(mt.error + mt.tail)
-                for i in range(1, len(totals)):
-                    if totals[i] > totals[i - 1] + 1e-12 * energy:
-                        defects.append(
-                            f"pw rank {r}: total grows from box {boxes[i - 1]} to {boxes[i]} "
-                            f"({totals[i - 1]!r} -> {totals[i]!r})"
-                        )
+                _check_monotone(f"pw rank {r}: total", "box", boxes, totals, energy, defects)
                 errs.append(totals[-1])
         else:  # one values-only spectrum pass serves every rank
             if regime == "sis":
@@ -250,7 +245,7 @@ def cmd_compare(args) -> int:
             errs = [error_at_rank(lams, r, volume) for r in ranks]
             rows += [(regime, r, "", e, "", e) for r, e in zip(ranks, errs)]
         by_regime[regime] = errs
-        _check_monotone(regime, ranks, errs, energy, defects)
+        _check_monotone(f"{regime}: error", "rank", ranks, errs, energy, defects)
 
     if "sis" in by_regime and "extra" in by_regime:
         for r, es, ee in zip(ranks, by_regime["sis"], by_regime["extra"]):
@@ -275,15 +270,15 @@ def cmd_compare(args) -> int:
     return 1 if defects else 0
 
 
-def _check_monotone(regime: str, ranks, errs, energy: float, defects: list) -> None:
-    order = np.argsort(ranks, kind="stable")
-    rr = [ranks[i] for i in order]
-    ee = [errs[i] for i in order]
-    for i in range(1, len(rr)):
-        if ee[i] > ee[i - 1] + 1e-12 * energy:
-            defects.append(
-                f"{regime}: error grows from rank {rr[i - 1]} to {rr[i]} ({ee[i - 1]!r} -> {ee[i]!r})"
-            )
+def _check_monotone(subject: str, noun: str, keys, values, energy: float, defects: list) -> None:
+    """Record a defect wherever ``values`` grows along ``keys`` taken in
+    increasing order (a larger rank or box never fits worse)."""
+    order = np.argsort(keys, kind="stable")
+    kk = [keys[i] for i in order]
+    vv = [values[i] for i in order]
+    for i in range(1, len(kk)):
+        if vv[i] > vv[i - 1] + 1e-12 * energy:
+            defects.append(f"{subject} grows from {noun} {kk[i - 1]} to {kk[i]} ({vv[i - 1]!r} -> {vv[i]!r})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -188,16 +188,6 @@ class DiscretePartition:
         return np.array(idx, dtype=np.int64).reshape(pts.shape[:-1])
 
 
-def block_gramian(ds: DiscreteDataset, part: DiscretePartition, label) -> np.ndarray:
-    """m x m Gramian of the sequences restricted to one block."""
-    if label not in part.labels:
-        raise ValidationError(f"unknown block label {label!r}")
-    sigma = part.labels.index(label)
-    a = ds.values[:, part.label_index(ds.support) == sigma]
-    gm = a @ a.conj().T
-    return (gm + gm.conj().T) / 2.0
-
-
 def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
     """Column index of each block; an uncovered support position is named
     with where the data hold it and where the partition was read."""

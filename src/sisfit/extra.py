@@ -32,20 +32,6 @@ class ExtraInvariantModel(FittedModel):
     block_ranks: np.ndarray
 
 
-def split_by_coset(ds: SpectralDataset, lat: DualLattice) -> list[SpectralDataset]:
-    """Split a dataset into per-coset parts.
-
-    Part sigma keeps the samples at translations in coset sigma and is
-    zero elsewhere; the parts sum to the original samples exactly.
-    """
-    labels = coset_of(ds.grid.translations, lat)
-    parts = []
-    for sigma in range(lat.index):
-        mask = labels == sigma
-        parts.append(SpectralDataset(grid=ds.grid, samples=ds.samples * mask))
-    return parts
-
-
 def _coset_blocks(ds: SpectralDataset, lat: DualLattice):
     """The column index of each coset of ``lat`` on the grid of ``ds``."""
     return _column_blocks(coset_of(ds.grid.translations, lat), lat.index)

@@ -9,7 +9,9 @@ other step by array operations over the stack; ``eig_hermitian`` is a
 batch of one.  The kernel uses only correctly rounded elementwise
 operations on each matrix's own entries and decides convergence on a sum
 added in sequential order, so the same input bits give the same output
-bits, whatever else is in the batch.  The values-only mode
+bits, whatever else is in the batch.  The convergence threshold is fixed:
+a matrix G has converged when its off-diagonal Frobenius norm is at most
+``EIG_TOL * ||G||_F``.  The values-only mode
 (``vectors=False``) carries no eigenvectors through the kernel and does
 no phase step; its eigenvalues are bit-identical to the full mode's.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .kernels import jacobi_batch
 
-EIG_TOL_DEFAULT = 1e-13
+EIG_TOL = 1e-13
 MAX_SWEEPS = 64
 MAX_ORDER = 256
 
@@ -53,22 +55,13 @@ class EigenSystem:
         return int(self.eigenvalues.shape[-1])
 
 
-def hermitian_part(g) -> np.ndarray:
-    """Validate ``g`` and return its Hermitian symmetrization.
-
-    Rejects non-square input, orders outside 1..256, non-finite entries
-    (reporting the first offending position), and asymmetry larger than
-    1e-12 relative to the largest entry magnitude.
-    """
-    arr = np.asarray(g)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    return _hermitian_stack(arr[None])[0]
-
-
 def _hermitian_stack(arr: np.ndarray) -> np.ndarray:
-    """``hermitian_part`` of every matrix of a (B, n, n) stack; the errors
-    of a stack of several name the first failing matrix."""
+    """Validate a (B, n, n) stack and return its Hermitian symmetrization.
+
+    Rejects orders outside 1..256, non-finite entries (reporting the
+    first offending position), and asymmetry larger than 1e-12 relative
+    to the largest entry magnitude; the errors of a stack of several name
+    the first failing matrix."""
     n = arr.shape[-1]
     if n < 1 or n > MAX_ORDER:
         raise ValidationError(f"matrix order must be in 1..{MAX_ORDER}, got {n}")
@@ -115,28 +108,18 @@ def _normalize_rows(w: np.ndarray) -> None:
     w[rows] = sub
 
 
-def normalize_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a complex vector so its first component of magnitude above
-    1e-12 becomes real and positive.  All-small vectors come back as is."""
-    out = np.array(v, dtype=np.complex128, copy=True)
-    _normalize_rows(out.reshape(1, -1))
-    return out
-
-
-def eig_hermitian_batch(g, tol: float = EIG_TOL_DEFAULT, *, vectors: bool = True) -> EigenSystem:
+def eig_hermitian_batch(g, *, vectors: bool = True) -> EigenSystem:
     """Eigendecomposition of every matrix of a (B, n, n) stack, with one
     kernel call.
 
     Each matrix gets exactly the bits ``eig_hermitian`` gives it alone:
     the stack is validated and symmetrized as a whole (errors name the
-    first failing matrix), the convergence threshold ``tol * ||g_b||_F``
+    first failing matrix), the convergence threshold ``EIG_TOL * ||g_b||_F``
     is per matrix, and sorting, clamping and the phase step are array
     operations that treat every matrix by itself.  ``vectors=False``
     returns eigenvalues only.  Raises ``ConvergenceError`` if any matrix
     does not converge.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValidationError(f"tol must be in (0, 1e-6], got {tol}")
     arr = np.asarray(g)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {arr.shape}")
@@ -152,10 +135,10 @@ def eig_hermitian_batch(g, tol: float = EIG_TOL_DEFAULT, *, vectors: bool = True
     if vectors:
         vre = np.broadcast_to(np.eye(n), h.shape).copy()
         vim = np.zeros(h.shape)
-    sweeps = jacobi_batch(are, aim, vre, vim, tol * normg, MAX_SWEEPS)
+    sweeps = jacobi_batch(are, aim, vre, vim, EIG_TOL * normg, MAX_SWEEPS)
     if (sweeps < 0).any():
         raise ConvergenceError(
-            f"eigensolver did not reach tol={tol:g} within {MAX_SWEEPS} sweeps "
+            f"eigensolver did not reach tol={EIG_TOL:g} within {MAX_SWEEPS} sweeps "
             f"(order {n})"
         )
 
@@ -175,17 +158,17 @@ def eig_hermitian_batch(g, tol: float = EIG_TOL_DEFAULT, *, vectors: bool = True
     return EigenSystem(eigenvalues=lam, vectors=np.ascontiguousarray(w.swapaxes(1, 2)))
 
 
-def eig_hermitian(g, tol: float = EIG_TOL_DEFAULT) -> EigenSystem:
+def eig_hermitian(g) -> EigenSystem:
     """Full eigendecomposition of a complex Hermitian matrix.
+
+    Sweeps stop once the off-diagonal Frobenius norm is at most
+    ``EIG_TOL * ||g||_F``, with the fixed ``EIG_TOL = 1e-13``.
 
     Parameters
     ----------
     g : array_like
         Square Hermitian matrix, order 1..256.  Asymmetry up to 1e-12
         relative is symmetrized away; anything larger is rejected.
-    tol : float
-        Convergence threshold in (0, 1e-6]: sweeps stop once the
-        off-diagonal Frobenius norm is at most ``tol * ||g||_F``.
 
     Returns
     -------
@@ -197,22 +180,5 @@ def eig_hermitian(g, tol: float = EIG_TOL_DEFAULT) -> EigenSystem:
     arr = np.asarray(g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    es = eig_hermitian_batch(arr[None], tol)
+    es = eig_hermitian_batch(arr[None])
     return EigenSystem(eigenvalues=es.eigenvalues[0], vectors=es.vectors[0])
-
-
-def rank_by_threshold(eigs, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count eigenvalues above ``rel_tol`` times the largest positive one.
-
-    Accepts an EigenSystem or a plain array.  Returns 0 when no eigenvalue
-    is positive.
-    """
-    if rel_tol < 0.0:
-        raise ValidationError(f"rel_tol must be nonnegative, got {rel_tol}")
-    lam = np.asarray(getattr(eigs, "eigenvalues", eigs), dtype=np.float64)
-    if lam.size == 0:
-        return 0
-    lmax = float(lam.max())
-    if lmax <= 0.0:
-        return 0
-    return int(np.count_nonzero(lam > rel_tol * lmax))

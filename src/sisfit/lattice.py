@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,27 +62,6 @@ def _hermite_form(basis: np.ndarray) -> np.ndarray:
     if any(abs(x) > _INT64_MAX for col in cols for x in col):
         raise ValidationError("lattice basis too large: its Hermite form leaves the int64 range")
     return np.array(cols, dtype=np.int64).T
-
-
-def _fraction_inverse(basis: np.ndarray):
-    d = basis.shape[0]
-    aug = [
-        [Fraction(int(basis[i, j])) for j in range(d)]
-        + [Fraction(1 if i == j else 0) for j in range(d)]
-        for i in range(d)
-    ]
-    for col in range(d):
-        piv_row = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv_row is None:
-            raise ValidationError("lattice basis is singular")
-        aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
 
 
 @dataclass(eq=False)
@@ -152,16 +130,6 @@ def coset_of(k, lat: DualLattice):
         pts = pts - (pts[..., i] // h[i, i])[..., None] * h[:, i]
     labels = np.ravel_multi_index(tuple(np.moveaxis(pts, -1, 0)), np.diag(h))
     return int(labels) if pts.ndim == 1 else labels
-
-
-def primal_description(lat: DualLattice):
-    """Basis of the lattice whose dual is ``lat``, as exact rationals.
-
-    Returns a dim x dim nested list of Fractions: the columns of
-    inverse-transpose(basis).
-    """
-    binv = _fraction_inverse(lat.basis)
-    return [[binv[j][i] for j in range(lat.dim)] for i in range(lat.dim)]
 
 
 def parse_basis(text: str) -> np.ndarray:

@@ -33,15 +33,6 @@ class MultiTileModel:
     tail: float
 
 
-@dataclass
-class TileLayer:
-    """One single-tile layer: ``translations[g]`` is the layer's pick at
-    cell g."""
-
-    index: int
-    translations: np.ndarray
-
-
 def _check_box(grid: SpectralGrid, rank: int, box_radius: int) -> int:
     b = int(box_radius)
     if b < 1 or b != box_radius:
@@ -61,15 +52,6 @@ def _check_box(grid: SpectralGrid, rank: int, box_radius: int) -> int:
 def _weights(ds: SpectralDataset) -> np.ndarray:
     s = ds.samples
     return (s.real**2 + s.imag**2).sum(axis=0)
-
-
-def weight(ds: SpectralDataset, g: int, k) -> float:
-    """Total sample energy of all functions at cell g, translation k."""
-    if not (0 <= g < ds.grid.n_cells):
-        raise ValidationError(f"cell index {g} out of range 0..{ds.grid.n_cells - 1}")
-    ki = ds.grid.translation_index(k)
-    col = ds.samples[:, g, ki]
-    return float(np.sum(col.real**2 + col.imag**2))
 
 
 def fit_multitile(ds: SpectralDataset, rank: int, box_radius: int) -> MultiTileModel:
@@ -107,15 +89,6 @@ def fit_multitile(ds: SpectralDataset, rank: int, box_radius: int) -> MultiTileM
         error=error,
         tail=tail,
     )
-
-
-def decompose_layers(model: MultiTileModel) -> list[TileLayer]:
-    """Split the chosen sets into ``rank`` single-tile layers (layer s
-    takes the s-th translation of each cell's sorted choice)."""
-    return [
-        TileLayer(index=s, translations=model.chosen[:, s, :].copy())
-        for s in range(model.rank)
-    ]
 
 
 def multitile_spectra(model: MultiTileModel) -> np.ndarray:

@@ -200,48 +200,11 @@ def synthesize(family: str, params, grid: SpectralGrid) -> SpectralDataset:
     return SpectralDataset(grid=grid, samples=vals[None, :, :].astype(np.complex128))
 
 
-def fiber(ds: SpectralDataset, g: int, j: int) -> np.ndarray:
-    """Copy of the sample vector of function j across translations at cell g."""
-    if not (0 <= g < ds.grid.n_cells):
-        raise ValidationError(f"cell index {g} out of range 0..{ds.grid.n_cells - 1}")
-    if not (0 <= j < ds.m):
-        raise ValidationError(f"function index {j} out of range 0..{ds.m - 1}")
-    return ds.samples[j, g, :].copy()
-
-
-def gramian(ds: SpectralDataset, g: int, mask=None) -> np.ndarray:
-    """m x m Hermitian Gramian of the fibers at cell g.
-
-    ``mask`` restricts the inner products to a subset of translations:
-    either a boolean array over translation indices or a predicate taking
-    an integer vector.  The result is explicitly symmetrized.
-    """
-    if not (0 <= g < ds.grid.n_cells):
-        raise ValidationError(f"cell index {g} out of range 0..{ds.grid.n_cells - 1}")
-    f = np.ascontiguousarray(ds.samples[:, g, :])
-    if mask is not None:
-        if callable(mask):
-            sel = np.array([bool(mask(k)) for k in ds.grid.translations])
-        else:
-            sel = np.asarray(mask, dtype=bool)
-            if sel.shape != (ds.grid.n_translations,):
-                raise ValidationError(
-                    f"mask shape {sel.shape} does not match {ds.grid.n_translations} translations"
-                )
-        f = f[:, sel]
-    gm = f @ f.conj().T
-    return (gm + gm.conj().T) / 2.0
-
-
-def energy_report(ds: SpectralDataset) -> np.ndarray:
-    """Quadrature energy of each function: sum of squared magnitudes
-    times the cell volume."""
-    s = ds.samples
-    return (s.real**2 + s.imag**2).sum(axis=(1, 2)) * ds.grid.cell_volume
-
-
 def total_energy(ds: SpectralDataset) -> float:
-    return float(energy_report(ds).sum())
+    """Quadrature energy of the dataset: each function's sum of squared
+    sample magnitudes times the cell volume, summed over the functions."""
+    s = ds.samples
+    return float(((s.real**2 + s.imag**2).sum(axis=(1, 2)) * ds.grid.cell_volume).sum())
 
 
 def ingest(manifest_path) -> SpectralDataset:

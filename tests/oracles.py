@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from sisfit.errors import ValidationError
+
 
 def eig2_closed_form(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 2x2 Hermitian matrix, descending."""
@@ -58,6 +60,15 @@ def gramian_naive(fibers: np.ndarray) -> np.ndarray:
         for j in range(m):
             g[i, j] = sum(fibers[i, k] * np.conj(fibers[j, k]) for k in range(fibers.shape[1]))
     return g
+
+
+def weight(ds, g: int, k) -> float:
+    """Total sample energy of all functions at cell g, translation k."""
+    if not (0 <= g < ds.grid.n_cells):
+        raise ValidationError(f"cell index {g} out of range 0..{ds.grid.n_cells - 1}")
+    ki = ds.grid.translation_index(k)
+    col = ds.samples[:, g, ki]
+    return float(np.sum(col.real**2 + col.imag**2))
 
 
 def projection_residual(x: np.ndarray, span_rows: np.ndarray, rtol: float = 1e-12) -> float:

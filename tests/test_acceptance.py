@@ -21,12 +21,12 @@ from sisfit.discrete import (
 from sisfit.extra import error_extra, fit_extra_invariant
 from sisfit.hermitian import eig_hermitian
 from sisfit.lattice import make_dual_lattice
-from sisfit.multitile import fit_multitile, weight
+from sisfit.multitile import fit_multitile
 from sisfit.sis import error_sis, fit_sis
 from sisfit.spectral import SpectralDataset, SpectralGrid, total_energy, write_dataset
 from sisfit.verify import verify_multitile
 
-from oracles import eig2_closed_form, eig3_closed_form
+from oracles import eig2_closed_form, eig3_closed_form, weight
 from test_extra import indicator_dataset
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,6 +321,24 @@ def test_compare_solves_each_gramian_once_whatever_the_ranks(tmp_path, rng, monk
         assert cli.main(["compare", *map(str, flags), "--regimes", regime, "--ranks", ranks]) == 0
         made.append(len(calls))
     assert made[0] > 0 and made[1] == made[0]
+
+
+def test_compare_checks_boxes_in_increasing_order(tmp_path, rng, capsys):
+    manifest = write_dataset(random_dataset(rng, dim=1, cells=8, trunc=3, m=3), tmp_path / "data")
+    for boxes in ("1,2", "2,1"):
+        assert cli.main(["compare", "--data", str(manifest), "--regimes", "pw", "--ranks", "2", "--boxes", boxes]) == 0
+        assert "defect:" not in capsys.readouterr().out
+
+
+def test_compare_monotonicity_defect_messages(tmp_path, rng, monkeypatch, capsys):
+    manifest = write_dataset(random_dataset(rng), tmp_path / "data")
+    monkeypatch.setattr(cli, "fit_multitile", lambda ds, r, b: SimpleNamespace(error=float(r + b), tail=0.5))
+    assert cli.main(["compare", "--data", str(manifest), "--regimes", "pw", "--ranks", "1,2", "--boxes", "1,2"]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("defect:")] == [
+        "defect: pw rank 1: total grows from box 1 to 2 (2.5 -> 3.5)",
+        "defect: pw rank 2: total grows from box 1 to 2 (3.5 -> 4.5)",
+        "defect: pw: error grows from rank 1 to 2 (3.5 -> 4.5)",
+    ]
 
 
 def test_readme_names_every_option():

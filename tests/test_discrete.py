@@ -6,7 +6,7 @@ from sisfit.discrete import (
     DiscreteDataset,
     DiscreteModel,
     DiscretePartition,
-    block_gramian,
+    _block_columns,
     brute_force_optimal,
     error_discrete,
     fit_discrete,
@@ -16,6 +16,7 @@ from sisfit.discrete import (
 )
 from sisfit.errors import ValidationError
 from sisfit.lattice import make_dual_lattice
+from sisfit.sis import _gramians
 from sisfit.verify import verify_model
 
 from oracles import projection_residual
@@ -70,20 +71,13 @@ def test_from_sequences_rejects_positions_beyond_int64():
         DiscreteDataset.from_sequences(2, [{(0, 0): 1.0}, {(0, -(2**63) - 1): 1.0}])
 
 
-def test_block_gramian_values():
-    ds = DiscreteDataset.from_sequences(1, [{(0,): 1.0}])
-    part = parity_partition()
-    assert block_gramian(ds, part, 0)[0, 0] == 1.0
-    assert block_gramian(ds, part, 1)[0, 0] == 0.0
-    with pytest.raises(ValidationError, match="label"):
-        block_gramian(ds, part, 7)
-
-
 def test_block_gramian_matches_naive(rng):
     ds = random_instance(rng, m=3)
     part = parity_partition()
+    # the m x m Gramian of each block, as the discrete fit forms it
+    grams = _gramians(ds.values[None], _block_columns(ds, part), [3, 3])[3][0]
     for label in (0, 1):
-        got = block_gramian(ds, part, label)
+        got = grams[part.labels.index(label)]
         expect = np.zeros((3, 3), dtype=complex)
         for i in range(3):
             for j in range(3):

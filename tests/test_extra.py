@@ -5,15 +5,10 @@ import pytest
 
 from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
 from sisfit.errors import ValidationError
-from sisfit.extra import (
-    ExtraInvariantModel,
-    error_extra,
-    fit_extra_invariant,
-    split_by_coset,
-)
+from sisfit.extra import ExtraInvariantModel, _coset_blocks, error_extra, fit_extra_invariant
 from sisfit.lattice import coset_of, make_dual_lattice
-from sisfit.sis import FittedModel, error_sis, fit_sis, project_onto
-from sisfit.spectral import SpectralDataset, SpectralGrid, gramian, synthesize, total_energy
+from sisfit.sis import FittedModel, _gramians, error_sis, fit_sis, project_onto
+from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.verify import verify_extra_invariance, verify_model
 
 import oracles
@@ -32,46 +27,29 @@ def indicator_dataset():
     return SpectralDataset(grid=grid, samples=samples)
 
 
-def test_split_identity_lattice(rng):
-    ds = random_dataset(rng, m=2)
-    parts = split_by_coset(ds, make_dual_lattice([[1]]))
-    assert len(parts) == 1
-    assert np.array_equal(parts[0].samples, ds.samples)
-
-
 def test_split_parity_masks(rng):
     ds = random_dataset(rng, m=2, trunc=1)
-    lat = make_dual_lattice([[2]])
-    even, odd = split_by_coset(ds, lat)
+    even, odd = _coset_blocks(ds, make_dual_lattice([[2]]))
     # translations are -1, 0, 1: coset 0 keeps k=0; coset 1 keeps k=+-1
-    assert np.all(even.samples[:, :, 0] == 0) and np.all(even.samples[:, :, 2] == 0)
-    assert np.array_equal(even.samples[:, :, 1], ds.samples[:, :, 1])
-    assert np.all(odd.samples[:, :, 1] == 0)
-    assert np.array_equal(odd.samples[:, :, 0], ds.samples[:, :, 0])
-    # parts sum back exactly
-    assert np.array_equal(even.samples + odd.samples, ds.samples)
+    assert even.tolist() == [1] and odd.tolist() == [0, 2]
 
 
 def test_split_pieces_are_orthogonal(rng):
     ds = random_dataset(rng, m=3, trunc=2)
-    lat = make_dual_lattice([[3]])
-    parts = split_by_coset(ds, lat)
-    for g in range(ds.grid.n_cells):
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                cross = parts[i].samples[:, g, :] @ parts[j].samples[:, g, :].conj().T
-                assert np.all(cross == 0)  # disjoint supports, exact
-    # Gramian additivity across the coset masks
-    for g in (0, 3):
-        total = gramian(ds, g)
-        acc = sum(gramian(p, g) for p in parts)
-        assert np.abs(total - acc).max() <= 1e-12 * max(1.0, float(np.abs(total).max()))
+    blocks = _coset_blocks(ds, make_dual_lattice([[3]]))
+    # the coset blocks partition the translation columns
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(ds.grid.n_translations))
+    # Gramian additivity across the coset blocks, on the m x m side
+    fs = ds.samples.transpose(1, 0, 2)
+    total = _gramians(fs, [slice(None)], [ds.m])[ds.m][:, 0]
+    acc = _gramians(fs, blocks, [ds.m] * len(blocks))[ds.m].sum(axis=1)
+    assert np.abs(total - acc).max() <= 1e-12 * max(1.0, float(np.abs(total).max()))
 
 
 def test_split_dimension_mismatch(rng):
     ds = random_dataset(rng, dim=1)
     with pytest.raises(ValidationError, match="dimension"):
-        split_by_coset(ds, make_dual_lattice(np.diag([2, 1])))
+        fit_extra_invariant(ds, make_dual_lattice(np.diag([2, 1])), 1)
 
 
 def test_identity_lattice_reduces_to_plain_fit(rng):

@@ -8,9 +8,6 @@ from sisfit.hermitian import (
     _normalize_rows,
     eig_hermitian,
     eig_hermitian_batch,
-    hermitian_part,
-    normalize_phase,
-    rank_by_threshold,
 )
 
 from conftest import random_hermitian
@@ -90,19 +87,25 @@ def test_phase_convention(rng):
         assert piv.imag == 0.0  # exact by construction
 
 
+def _normalize_row(v):
+    out = np.array([v], dtype=np.complex128)
+    _normalize_rows(out)
+    return out[0]
+
+
 def test_normalize_phase_trivial():
-    out = normalize_phase(np.array([1j, 0.0]))
+    out = _normalize_row([1j, 0.0])
     assert np.allclose(out, [1.0, 0.0], atol=1e-15)
-    out = normalize_phase(np.array([0.0, -1.0 + 0j]))
+    out = _normalize_row([0.0, -1.0 + 0j])
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
-    out = normalize_phase(np.zeros(2, dtype=complex))
+    out = _normalize_row(np.zeros(2, dtype=complex))
     assert np.array_equal(out, np.zeros(2, dtype=complex))
 
 
 def test_normalize_phase_preserves_norm(rng):
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     v /= np.linalg.norm(v)
-    w = normalize_phase(v)
+    w = _normalize_row(v)
     assert abs(np.linalg.norm(w) - 1.0) < 1e-12
     # same line: |<v, w>| = 1
     assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-12
@@ -135,7 +138,7 @@ def test_stacked_phase_step_matches_per_column_reference(rng):
     for v, w in zip(cols, stacked):
         ref = _normalize_phase_loop(v).tobytes()
         assert w.tobytes() == ref
-        assert normalize_phase(v).tobytes() == ref
+        assert _normalize_row(v).tobytes() == ref
 
 
 def _mixed_stack(rng, n):
@@ -173,41 +176,30 @@ def test_batch_validation_names_the_matrix():
     bad[1, 0, 1] = 1.0
     with pytest.raises(ValidationError, match=r"not Hermitian.*\(matrix 1 of the stack\)"):
         eig_hermitian_batch(bad)
-    with pytest.raises(ValidationError):
-        eig_hermitian_batch(good, tol=1e-3)
 
 
 def test_hermitian_part_validation():
-    with pytest.raises(ValidationError):
-        hermitian_part(np.zeros((2, 3)))
-    with pytest.raises(ValidationError):
-        hermitian_part(np.zeros((0, 0)))
-    with pytest.raises(ValidationError):
-        hermitian_part(np.zeros((257, 257)))
+    with pytest.raises(ValidationError, match="stack of square matrices"):
+        eig_hermitian_batch(np.zeros((1, 2, 3)))
+    with pytest.raises(ValidationError, match="order must be in 1..256"):
+        eig_hermitian_batch(np.zeros((1, 0, 0)))
+    with pytest.raises(ValidationError, match="order must be in 1..256"):
+        eig_hermitian_batch(np.zeros((1, 257, 257)))
     bad = np.eye(2, dtype=complex)
     bad[0, 1] = np.nan
-    with pytest.raises(ValidationError, match=r"\(0, 1\)"):
-        hermitian_part(bad)
+    with pytest.raises(ValidationError, match=r"^non-finite entry at \(0, 1\)$"):
+        eig_hermitian_batch(bad[None])
     with pytest.raises(ValidationError, match="asymmetry"):
-        hermitian_part(np.array([[1.0, 2.0], [1.0, 1.0]]))
+        eig_hermitian_batch(np.array([[[1.0, 2.0], [1.0, 1.0]]]))
 
 
 def test_eig_tol_validation():
-    with pytest.raises(ValidationError):
-        eig_hermitian(np.eye(2), tol=0.0)
-    with pytest.raises(ValidationError):
-        eig_hermitian(np.eye(2), tol=1e-3)
-
-
-def test_rank_by_threshold():
-    assert rank_by_threshold(np.array([3.0, 1.0, 0.0]), 1e-10) == 2
-    assert rank_by_threshold(np.array([0.0, 0.0])) == 0
-    assert rank_by_threshold(np.array([1.0, 1e-14]), 1e-10) == 1
-    es = EigenSystem(eigenvalues=np.array([2.0, 1e-14]), vectors=np.eye(2, dtype=complex))
-    assert rank_by_threshold(es) == 1
-    assert rank_by_threshold(np.array([-1.0, -2.0])) == 0
-    with pytest.raises(ValidationError):
-        rank_by_threshold(np.array([1.0]), rel_tol=-1.0)
+    # the convergence threshold is the module constant: no tolerance argument
+    for solve, g in ((eig_hermitian, np.eye(2)), (eig_hermitian_batch, np.eye(2)[None])):
+        with pytest.raises(TypeError):
+            solve(g, tol=1e-3)
+        with pytest.raises(TypeError):
+            solve(g, 1e-3)
 
 
 def test_eigensystem_order_property():

@@ -12,7 +12,6 @@ from sisfit.lattice import (
     format_basis,
     make_dual_lattice,
     parse_basis,
-    primal_description,
 )
 
 
@@ -106,26 +105,6 @@ def test_section_sorted_unique():
     rows = [tuple(int(x) for x in r) for r in lat.section]
     assert rows == sorted(set(rows))
     assert lat.index == 6
-
-
-def test_primal_description():
-    assert primal_description(make_dual_lattice([[2]])) == [[Fraction(1, 2)]]
-    assert primal_description(make_dual_lattice([[1]])) == [[Fraction(1)]]
-    m = primal_description(make_dual_lattice(np.diag([2, 3])))
-    assert m == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
-
-
-def test_primal_contains_integer_basis():
-    # every unit vector must be an integer combination of the primal columns
-    lat = make_dual_lattice([[1, 1], [-1, 1]])
-    cols = primal_description(lat)  # cols[i][j] = entry i of column j? columns of B^{-T}
-    binv_t = np.array([[float(cols[i][j]) for j in range(2)] for i in range(2)])
-    # solve binv_t @ c = e_i; c must be integral
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        c = np.linalg.solve(binv_t, e)
-        assert np.allclose(c, np.round(c), atol=1e-12)
 
 
 def test_rejections():

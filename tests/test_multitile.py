@@ -6,19 +6,13 @@ import numpy as np
 import pytest
 
 from sisfit.errors import ValidationError
-from sisfit.multitile import (
-    MultiTileModel,
-    decompose_layers,
-    error_multitile_series,
-    fit_multitile,
-    multitile_spectra,
-    weight,
-)
+from sisfit.multitile import MultiTileModel, error_multitile_series, fit_multitile, multitile_spectra
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.storage import load_model, save_model
 from sisfit.verify import verify_multitile
 
 from conftest import random_dataset
+from oracles import weight
 
 
 def test_weight_values(rng):
@@ -111,23 +105,13 @@ def test_chosen_sets_match_exhaustive_search(rng):
                 assert kept == pytest.approx(best, rel=1e-12, abs=1e-15)
 
 
-def test_layers_partition_the_choice(rng):
-    ds = random_dataset(rng, dim=2, cells=4, trunc=1, m=2)
-    model = fit_multitile(ds, 3, 1)
-    layers = decompose_layers(model)
-    assert [layer.index for layer in layers] == [0, 1, 2]
-    for g in range(ds.grid.n_cells):
-        rows = {tuple(int(x) for x in layer.translations[g]) for layer in layers}
-        assert len(rows) == 3
-        assert rows == {tuple(int(x) for x in v) for v in model.chosen[g]}
-
-
 def test_gaussian_layers_are_constant():
+    # layer s is the s-th translation of every cell's sorted choice
     grid = SpectralGrid(dim=1, cells_per_dim=8, trunc_radius=1)
     ds = synthesize("gaussian", [1.0], grid)
-    layers = decompose_layers(fit_multitile(ds, 3, 1))
-    for layer, k in zip(layers, (-1, 0, 1)):
-        assert np.all(layer.translations == k)
+    chosen = fit_multitile(ds, 3, 1).chosen
+    for s, k in enumerate((-1, 0, 1)):
+        assert np.all(chosen[:, s] == k)
 
 
 def test_one_hot_spectra_orthonormal(rng):

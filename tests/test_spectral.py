@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from sisfit.errors import ValidationError
+from sisfit.sis import _gramians
 from sisfit.spectral import (
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
     SpectralDataset,
     SpectralGrid,
-    energy_report,
-    fiber,
-    gramian,
     ingest,
     synthesize,
     total_energy,
@@ -111,20 +109,17 @@ def test_fiber_values_and_order():
     ds = synthesize("bspline", [1], grid)
     # cell index 2 has center 1/8; translations in order -1, 0, 1
     assert grid.cell_centers[2, 0] == pytest.approx(0.125, abs=1e-15)
-    v = fiber(ds, 2, 0)
+    v = ds.samples[0, 2]
     w = np.array([0.125 - 1.0, 0.125, 0.125 + 1.0])
     expect = (np.sin(np.pi * w) / (np.pi * w)) ** 2
     assert np.allclose(v, expect, atol=1e-15)
-    with pytest.raises(ValidationError):
-        fiber(ds, 99, 0)
-    with pytest.raises(ValidationError):
-        fiber(ds, 0, 1)
 
 
-def test_fiber_zero_dataset():
-    grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
-    ds = SpectralDataset(grid=grid, samples=np.zeros((1, 4, 3), dtype=complex))
-    assert np.array_equal(fiber(ds, 0, 0), np.zeros(3, dtype=complex))
+def gramian(ds, g, cols=slice(None)):
+    """The m x m fiber Gramian of cell g over the translation columns
+    ``cols``, as the fits form it (``sis._gramians``)."""
+    fs = ds.samples[:, g : g + 1].transpose(1, 0, 2)
+    return _gramians(fs, [cols], [ds.m])[ds.m][0, 0]
 
 
 def test_gramian_single_fiber():
@@ -155,31 +150,25 @@ def test_gramian_matches_naive(rng):
 def test_gramian_mask_additivity(rng):
     ds = random_dataset(rng, m=3, cells=4, trunc=1)
     full = gramian(ds, 1)
-    even = gramian(ds, 1, mask=lambda k: int(k[0]) % 2 == 0)
-    odd = gramian(ds, 1, mask=lambda k: int(k[0]) % 2 == 1)
+    k = ds.grid.translations[:, 0]
+    even = gramian(ds, 1, np.flatnonzero(k % 2 == 0))
+    odd = gramian(ds, 1, np.flatnonzero(k % 2 == 1))
     scale = max(1.0, float(np.abs(full).max()))
     assert np.abs(full - (even + odd)).max() <= 1e-12 * scale
-    # boolean-array mask form
-    sel = np.array([True, False, True])
-    assert np.allclose(gramian(ds, 1, mask=sel), gramian(ds, 1, mask=lambda k: k[0] != 0))
-    with pytest.raises(ValidationError):
-        gramian(ds, 1, mask=np.array([True, False]))
-    with pytest.raises(ValidationError):
-        gramian(ds, 99)
 
 
 def test_energy_report():
     grid = SpectralGrid(dim=1, cells_per_dim=64, trunc_radius=8)
     ds = synthesize("boxcar", [0.5], grid)
-    e = energy_report(ds)
+    e = total_energy(ds)
     # analytic norm 1; tolerance covers the out-of-grid tail and quadrature
-    assert abs(float(e[0]) - 1.0) <= 0.05
+    assert abs(e - 1.0) <= 0.05
 
     zero = SpectralDataset(grid=grid, samples=np.zeros((1, 64, 17), dtype=complex))
-    assert energy_report(zero)[0] == 0.0
+    assert total_energy(zero) == 0.0
 
     doubled = SpectralDataset(grid=grid, samples=2.0 * ds.samples)
-    assert energy_report(doubled)[0] == pytest.approx(4.0 * e[0], rel=1e-12)
+    assert total_energy(doubled) == pytest.approx(4.0 * e, rel=1e-12)
 
 
 def test_energy_is_gramian_trace(rng):
