@@ -4,16 +4,18 @@ Wraps the NumPy Jacobi kernel (``kernels.jacobi_batch``), whose sweeps
 follow the parallel round-robin ordering of Brent & Luk, with validation,
 stable descending eigenvalue order, clamping of tiny negative eigenvalues,
 and a fixed eigenvector phase convention.  ``eig_hermitian_batch`` solves a
-whole stack of same-order matrices with one kernel call and does every
-other step by array operations over the stack; ``eig_hermitian`` is a
-batch of one.  The kernel uses only correctly rounded elementwise
-operations on each matrix's own entries and decides convergence on a sum
-added in sequential order, so the same input bits give the same output
-bits, whatever else is in the batch.  The convergence threshold is fixed:
-a matrix G has converged when its off-diagonal Frobenius norm is at most
-``EIG_TOL * ||G||_F``.  The values-only mode
-(``vectors=False``) carries no eigenvectors through the kernel and does
-no phase step; its eigenvalues are bit-identical to the full mode's.
+whole stack of same-order matrices with one kernel call, which takes the
+symmetrized complex stack, writes nothing into it and returns the
+diagonalized stack and the eigenvectors as rows; every other step is an
+array operation over the stack, and ``eig_hermitian`` is a batch of one.
+The kernel uses only correctly rounded elementwise operations on each
+matrix's own entries and decides convergence on a sum added in sequential
+order, so the same input bits give the same output bits, whatever else is
+in the batch.  The convergence threshold is fixed: a matrix G has
+converged when its off-diagonal Frobenius norm is at most
+``EIG_TOL * ||G||_F``.  The values-only mode (``vectors=False``) carries
+no eigenvectors through the kernel and does no phase step; its
+eigenvalues are bit-identical to the full mode's.
 """
 
 from __future__ import annotations
@@ -129,20 +131,14 @@ def eig_hermitian_batch(g, *, vectors: bool = True) -> EigenSystem:
     # order than its BLAS dot, and the threshold must not depend on the batch
     normg = np.array([np.linalg.norm(x) for x in h], dtype=np.float64)
 
-    are = np.ascontiguousarray(h.real)
-    aim = np.ascontiguousarray(h.imag)
-    vre = vim = None
-    if vectors:
-        vre = np.broadcast_to(np.eye(n), h.shape).copy()
-        vim = np.zeros(h.shape)
-    sweeps = jacobi_batch(are, aim, vre, vim, EIG_TOL * normg, MAX_SWEEPS)
+    sweeps, a, w = jacobi_batch(h, EIG_TOL * normg, MAX_SWEEPS, vectors)
     if (sweeps < 0).any():
         raise ConvergenceError(
             f"eigensolver did not reach tol={EIG_TOL:g} within {MAX_SWEEPS} sweeps "
             f"(order {n})"
         )
 
-    lam = np.diagonal(are, axis1=1, axis2=2)
+    lam = np.diagonal(a, axis1=1, axis2=2).real
     order = np.argsort(-lam, axis=1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=1)
     lam[(lam < 0.0) & (lam >= -NEG_CLAMP_REL * normg[:, None])] = 0.0
@@ -150,9 +146,6 @@ def eig_hermitian_batch(g, *, vectors: bool = True) -> EigenSystem:
         return EigenSystem(eigenvalues=lam, vectors=None)
 
     # row s of w is eigenvector s, so the phase step runs on contiguous rows
-    w = np.empty(h.shape, dtype=np.complex128)
-    w.real = vre.swapaxes(1, 2)
-    w.imag = vim.swapaxes(1, 2)
     w = np.take_along_axis(w, order[:, :, None], axis=1)
     _normalize_rows(w.reshape(-1, n))
     return EigenSystem(eigenvalues=lam, vectors=np.ascontiguousarray(w.swapaxes(1, 2)))

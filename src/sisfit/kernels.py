@@ -1,9 +1,10 @@
 """The Jacobi eigensolver kernel for stacks of complex Hermitian matrices,
 in NumPy.
 
-``jacobi_batch`` diagonalizes a stack of B matrices of one order n in
-place, given as their real and imaginary planes, and accumulates the
-rotations into V (or, in the values-only mode, keeps no V at all).  Its
+``jacobi_batch`` takes a complex stack of B matrices of one order n,
+writes nothing into it, and returns the diagonalized stack and the
+eigenvectors, which it accumulates from the rotations into V (or, in the
+values-only mode, keeps no V at all and returns None for them).  Its
 sweeps use the parallel round-robin ordering of Brent & Luk (SIAM J. Sci.
 Stat. Comput. 6, 1985).  With ``m = n + (n odd)`` indices, where the extra
 index ``n`` of an odd order is an inert padding index, a sweep has
@@ -18,14 +19,15 @@ A and V are rotated, then all paired rows of A, and finally each pair's
 ``a_pq`` is exactly zero gets the identity rotation (c = 1, s = 0, t = 0).
 
 Each matrix stacks A over V, and the whole batch is one ``(2, rows, n, B)``
-work array (re/im plane, row, column, matrix), kept permuted so that a
-step's p indices come first and its q indices next; the rotations of a step
-are then a few whole-array updates on views over every matrix at once, and
-one gather moves the array to the next step's arrangement.  A sweep is ``m - 1``
-Python-level steps for the whole batch, instead of ``n(n-1)/2`` single
-rotations per matrix.  At the start of every sweep the matrices that have
-converged leave the batch, so each matrix runs exactly the sweeps it would
-run alone.
+work array (re/im plane, row, column, matrix), built from a copy of the
+input and an identity V, and kept permuted so that a step's p indices
+come first and its q indices next; the rotations of a step are then a
+few whole-array updates on views over every matrix at once, and one
+gather moves the array to the next step's arrangement.  A sweep is
+``m - 1`` Python-level steps for the whole batch, instead of
+``n(n-1)/2`` single rotations per matrix.  At the start of every sweep
+the matrices that have converged leave the batch, so each matrix runs
+exactly the sweeps it would run alone.
 
 The results are bit-deterministic and independent of the batch: every
 update is a correctly rounded elementwise operation on one matrix's own
@@ -188,33 +190,34 @@ def _step(x: np.ndarray, lay: _Layout, h: int, tmp: np.ndarray) -> None:
 _PLUS_MINUS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
-def jacobi_batch(are, aim, vre, vim, thr, max_sweeps) -> np.ndarray:
-    """Diagonalize a stack in place; return each matrix's sweep count, or
-    -1 where it did not converge.
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """The complex array of a float array whose last axis is (re, im)."""
+    return np.ascontiguousarray(planes).view(np.complex128)[..., 0]
 
-    ``are + i*aim`` has shape (B, n, n); each matrix is Hermitian with
-    zero imaginary diagonal.  ``vre + i*vim`` is a stack of identities on
-    entry, or ``vre`` and ``vim`` are both None for the values-only mode,
-    which carries no V.  Matrix b sweeps until its off-diagonal Frobenius
-    norm is at most ``thr[b]`` (``thr`` is one float or one per matrix),
-    or for ``max_sweeps`` sweeps; on return A holds the eigenvalues on its
-    diagonal and V the eigenvectors as columns.
+
+def jacobi_batch(h, thr, max_sweeps, vectors=True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Diagonalize a stack of Hermitian matrices; return ``(sweeps, a, v)``.
+
+    ``h`` is a complex (B, n, n) stack, each matrix Hermitian with zero
+    imaginary diagonal; it is read, never written.  Matrix b sweeps until
+    its off-diagonal Frobenius norm is at most ``thr[b]``, or for
+    ``max_sweeps`` sweeps.  ``sweeps[b]`` is its sweep count, or -1 where
+    it did not converge; ``a`` is the final complex stack, eigenvalues on
+    its diagonal; row s of ``v[b]`` is the eigenvector of ``a[b, s, s]``.
+    ``vectors=False`` carries no V, and ``v`` is None.
     """
-    nb, n = are.shape[0], are.shape[-1]
-    vectors = vre is not None
+    nb, n = h.shape[0], h.shape[-1]
     lay = _layout(n, vectors)
-    h = n // 2
-    thr = np.broadcast_to(np.asarray(thr, dtype=np.float64), (nb,))
+    half = n // 2
     thr2 = thr * thr
 
     # the matrix index is the last axis, so every operation of a step
-    # runs over all matrices in its innermost loop
-    x = np.empty((2, 2 * n if vectors else n, n, nb))
-    x[0, :n] = are.transpose(1, 2, 0)
-    x[1, :n] = aim.transpose(1, 2, 0)
+    # runs over all matrices in its innermost loop; V starts as I
+    x = np.zeros((2, 2 * n if vectors else n, n, nb))
+    x[0, :n] = h.real.transpose(1, 2, 0)
+    x[1, :n] = h.imag.transpose(1, 2, 0)
     if vectors:
-        x[0, n:] = vre.transpose(1, 2, 0)
-        x[1, n:] = vim.transpose(1, 2, 0)
+        x[0, n:] = np.eye(n)[:, :, None]
     rows, cols = lay.enter
     x = x.take(rows, axis=1).take(cols, axis=2)
     out = np.empty_like(x)
@@ -241,15 +244,14 @@ def jacobi_batch(are, aim, vre, vim, thr, max_sweeps) -> np.ndarray:
             # in again each step; mode="clip" (indices in range) skips take's buffer
             y, tmp = np.empty(x.shape), np.empty((2, x.size))
             for rows, cols in lay.steps:
-                _step(x, lay, h, tmp)
+                _step(x, lay, half, tmp)
                 x.take(rows, axis=1, out=y, mode="clip").take(cols, axis=2, out=x, mode="clip")
             sweeps += 1
 
     rows, cols = lay.leave
-    out = out.take(rows, axis=1).take(cols, axis=2).transpose(3, 0, 1, 2)
-    are[...] = out[:, 0, :n]
-    aim[...] = out[:, 1, :n]
-    if vectors:
-        vre[...] = out[:, 0, n:]
-        vim[...] = out[:, 1, n:]
-    return result
+    out = out.take(rows, axis=1).take(cols, axis=2)
+    # (plane, row, col, matrix) -> (matrix, row, col) for A and
+    # (matrix, col, row) for V, whose columns are the eigenvectors
+    a = _complex(out[:, :n].transpose(3, 1, 2, 0))
+    v = _complex(out[:, n:].transpose(3, 2, 1, 0)) if vectors else None
+    return result, a, v

@@ -17,7 +17,6 @@ rather than truncating it.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os

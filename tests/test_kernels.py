@@ -13,8 +13,8 @@ PYTHON_IDS = "{}-python".format
 
 
 def _planes(hs, vectors=True):
-    """The in-place planes of a stack: A's re/im, then V's (identity) or
-    None, None for the values-only mode."""
+    """The planes a kernel run starts from: A's re/im, then V's (identity)
+    or None, None for the values-only mode."""
     hs = np.asarray(hs)
     b, n = hs.shape[:2]
     v = (np.broadcast_to(np.eye(n), (b, n, n)).copy(), np.zeros((b, n, n))) if vectors else (None, None)
@@ -26,8 +26,16 @@ def _thr(h):
 
 
 def _solve(hs, max_sweeps=64, vectors=True):
-    planes = _planes(hs, vectors)
-    return jacobi_batch(*planes, [_thr(h) for h in hs], max_sweeps), planes
+    """Run the kernel on a complex stack and return its sweep counts and
+    planes as ``_planes`` lays them out, with V's eigenvectors as columns.
+    The kernel must leave every byte of its input as it was."""
+    hs = np.asarray(hs, dtype=complex)
+    before = hs.tobytes()
+    sweeps, a, v = jacobi_batch(hs, np.array([_thr(h) for h in hs]), max_sweeps, vectors)
+    assert hs.tobytes() == before
+    assert (v is None) == (not vectors)
+    v = (None, None) if v is None else (v.real.swapaxes(1, 2), v.imag.swapaxes(1, 2))
+    return sweeps, (a.real, a.imag) + v
 
 
 def _bits(planes, b):

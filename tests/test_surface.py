@@ -74,3 +74,29 @@ def test_perfbench_names_resolve():
     assert {("sisfit", "cli"), ("sisfit.cli", "main"), ("sisfit", "brute_force_optimal"),
             ("sisfit.spectral", "write_dataset"), ("sisfit.discrete", "write_discrete_sequences")} <= names
     assert sorted(n for n in names if not _resolves(*n)) == []
+
+
+def _unread_imports(path: Path) -> list:
+    """The names a module's import statements bind and nothing in it reads.
+
+    A name counts as read where it is loaded anywhere in the module or
+    listed in its ``__all__``; ``__future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names if a.name != "*"]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = sorted((ROOT / "src" / "sisfit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) > 20
+    unread = [(str(f.relative_to(ROOT)), name) for f in files for name in _unread_imports(f)]
+    assert unread == []
