@@ -86,66 +86,16 @@ def _require(args, flag: str, regime: str):
     return val
 
 
-def _fit_once(args, regime: str):
-    """Run one fit; returns (model, report_pairs, elapsed_seconds)."""
-    t0 = time.perf_counter()
+def _load(args, regime: str):
+    """The ``--data`` of ``regime``: (dataset, partition or None, energy,
+    cell volume).  Discrete data are a sequence table and its
+    ``--partition``; every other regime reads a manifest."""
     if regime == "discrete":
         ds = parse_discrete_dataset(args.data)
         part = parse_partition(_require(args, "partition", regime), ds.dim)
-        model = fit_discrete(ds, part, args.rank)
-        energy = float(ds.energies().sum())
-        pairs = [
-            ("regime", "discrete"),
-            ("rank", model.rank),
-            ("dim", ds.dim),
-            ("sequences", ds.m),
-            ("support_points", ds.n_points),
-            ("blocks", part.n_blocks),
-            ("allocation", " ".join(str(a) for a in model.allocation)),
-            ("energy", repr(energy)),
-            ("error", repr(model.error)),
-        ]
-        return model, part, pairs, time.perf_counter() - t0
-
+        return ds, part, float(ds.energies().sum()), 1.0
     ds = ingest(args.data)
-    energy = total_energy(ds)
-    common = [
-        ("rank", args.rank),
-        ("grid", f"dim={ds.grid.dim} cells={ds.grid.cells_per_dim} trunc={ds.grid.trunc_radius}"),
-        ("functions", ds.m),
-        ("energy", repr(energy)),
-    ]
-    if regime == "sis":
-        model = fit_sis(ds, args.rank)
-        pairs = [("regime", "sis")] + common + [("error", repr(model.error))]
-    elif regime == "extra":
-        lat = make_dual_lattice(parse_basis(_require(args, "dual-lattice", regime)))
-        model = fit_extra_invariant(ds, lat, args.rank)
-        pairs = (
-            [("regime", "extra")]
-            + common
-            + [
-                ("dual_lattice", _require(args, "dual-lattice", regime)),
-                ("cosets", lat.index),
-                ("error", repr(model.error)),
-            ]
-        )
-    elif regime == "pw":
-        box = _require(args, "box", regime)
-        model = fit_multitile(ds, args.rank, box)
-        pairs = (
-            [("regime", "pw")]
-            + common
-            + [
-                ("box_radius", model.box_radius),
-                ("error", repr(model.error)),
-                ("tail", repr(model.tail)),
-                ("total_unreachable", repr(model.error + model.tail)),
-            ]
-        )
-    else:
-        raise ValidationError(f"unknown regime {regime!r}")
-    return model, None, pairs, time.perf_counter() - t0
+    return ds, None, total_energy(ds), ds.grid.cell_volume
 
 
 # regime-specific flags of ``fit`` and ``compare``, and their regime
@@ -163,13 +113,37 @@ def _check_fit_flags(args, regimes) -> None:
 def cmd_fit(args) -> int:
     regime = args.regime
     _check_fit_flags(args, [regime])
-    model, part, pairs, elapsed = _fit_once(args, regime)
+    t0 = time.perf_counter()
+    ds, part, energy, _ = _load(args, regime)
+    pairs = [("regime", regime), ("rank", args.rank)]
+    if regime == "discrete":
+        model = fit_discrete(ds, part, args.rank)
+        pairs += [("dim", ds.dim), ("sequences", ds.m), ("support_points", ds.n_points), ("blocks", part.n_blocks),
+                  ("allocation", " ".join(str(a) for a in model.allocation))]
+    else:
+        pairs += [("grid", f"dim={ds.grid.dim} cells={ds.grid.cells_per_dim} trunc={ds.grid.trunc_radius}"),
+                  ("functions", ds.m)]
+    pairs.append(("energy", repr(energy)))
+    if regime == "sis":
+        model = fit_sis(ds, args.rank)
+    elif regime == "extra":
+        basis = _require(args, "dual-lattice", regime)
+        lat = make_dual_lattice(parse_basis(basis))
+        model = fit_extra_invariant(ds, lat, args.rank)
+        pairs += [("dual_lattice", basis), ("cosets", lat.index)]
+    elif regime == "pw":
+        model = fit_multitile(ds, args.rank, _require(args, "box", regime))
+        pairs.append(("box_radius", model.box_radius))
+    pairs.append(("error", repr(model.error)))
+    if regime == "pw":
+        pairs += [("tail", repr(model.tail)), ("total_unreachable", repr(model.error + model.tail))]
+    elapsed = time.perf_counter() - t0
     out = _out_dir(args)
     storage.save_model(model, out)
     if regime == "discrete":
         # keep the partition next to the model so verify is self-contained
         copy_file(args.partition, out / storage.PARTITION_TXT)
-    pairs = pairs + [("model_dir", str(out)), ("timing_seconds", f"{elapsed:.6f}")]
+    pairs += [("model_dir", str(out)), ("timing_seconds", f"{elapsed:.6f}")]
     lines = [f"{k}: {v}" for k, v in pairs]
     with create(out / "report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -180,14 +154,11 @@ def cmd_fit(args) -> int:
 def cmd_verify(args) -> int:
     regime = storage.model_regime(args.model)
     print(f"regime: {regime}")
-    if regime == "discrete":
-        model = storage.load_model(args.model)
-        data = parse_discrete_dataset(args.data)
-        report = verify_model(model, data, storage.load_partition_file(args.model, model.dim))
-    else:
-        # the data first: a model's grid is checked against theirs before it sizes anything
-        ds = ingest(args.data)
-        report = verify_model(storage.load_model(args.model, ds.grid), ds)
+    # the data first: a model's grid is checked against theirs before it
+    # sizes anything; a discrete model keeps its partition next to it
+    args.partition = str(Path(args.model) / storage.PARTITION_TXT)
+    ds, part, _, _ = _load(args, regime)
+    report = verify_model(storage.load_model(args.model, None if regime == "discrete" else ds.grid), ds, part)
     for check in report.checks:
         print(f"{check}: {'FAIL' if check in report.failed else 'ok'}")
         for v in report.violations_of(check)[:8]:
@@ -201,10 +172,9 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
-    known = {"sis", "extra", "pw", "discrete"}
     for r in regimes:
-        if r not in known:
-            raise ValidationError(f"unknown regime {r!r} (known: {', '.join(sorted(known))})")
+        if r not in storage.REGIMES:
+            raise ValidationError(f"unknown regime {r!r} (known: {', '.join(sorted(storage.REGIMES))})")
     if "discrete" in regimes and len(regimes) > 1:
         raise ValidationError("discrete data cannot be compared with spectral regimes")
     _check_fit_flags(args, regimes)
@@ -214,13 +184,7 @@ def cmd_compare(args) -> int:
 
     rows = []  # (regime, rank, box or "", error, tail or "", total)
     defects = []
-    if regimes == ["discrete"]:
-        ds = parse_discrete_dataset(args.data)
-        part = parse_partition(_require(args, "partition", "discrete"), ds.dim)
-        energy, volume = float(ds.energies().sum()), 1.0
-    else:
-        ds = ingest(args.data)
-        energy, volume = total_energy(ds), ds.grid.cell_volume
+    ds, part, energy, volume = _load(args, "discrete" if "discrete" in regimes else "sis")
 
     by_regime: dict[str, list[float]] = {}
     for regime in regimes:
@@ -305,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
 
     p = sub.add_parser("fit", help="fit one regime and save the model")
-    p.add_argument("--regime", required=True, choices=["sis", "extra", "pw", "discrete"])
+    p.add_argument("--regime", required=True, choices=storage.REGIMES)
     p.add_argument("--data", required=True, help="dataset manifest (spectral) or text table (discrete)")
     p.add_argument("--rank", type=int, required=True, help="prescribed number of generators")
     p.add_argument("--dual-lattice", help="extra regime: lattice basis, row-major, rows ';'-separated")
@@ -345,9 +309,6 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         return globals()[f"cmd_{args.command}"](args)
-    except SisfitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SisfitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -198,7 +198,7 @@ def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
         at = f"{ds.origin(i)}: " if ds.origin else ""
         src = f" in {part.source}" if part.source else ""
         raise ValidationError(f"{at}position {tuple(ds.support[i].tolist())} is not covered by the partition{src}")
-    return _column_blocks(idx, part.n_blocks)
+    return _column_blocks(idx, part.n_blocks, ds.m)
 
 
 @dataclass(eq=False)
@@ -356,12 +356,13 @@ def parse_partition(path, dim: int) -> DiscretePartition:
     if lines[0][1].lower().startswith("lattice:"):
         if len(lines) > 1:
             raise ValidationError(f"{path}:{lines[1][0]}: lattice partitions take a single line")
-        basis = parse_basis(lines[0][1].split(":", 1)[1])
-        if basis.shape[0] != dim:
-            raise ValidationError(
-                f"{path}: lattice dimension {basis.shape[0]} does not match data dimension {dim}"
-            )
-        return DiscretePartition.from_lattice(make_dual_lattice(basis))
+        try:
+            basis = parse_basis(lines[0][1].split(":", 1)[1])
+            if basis.shape[0] != dim:
+                raise ValidationError(f"lattice dimension {basis.shape[0]} does not match data dimension {dim}")
+            return DiscretePartition.from_lattice(make_dual_lattice(basis))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lines[0][0]}: {exc}") from None
     mapping = {}
     for lineno, ln in lines:
         parts = [tok.strip() for tok in ln.split(",")]

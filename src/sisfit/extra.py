@@ -34,7 +34,7 @@ class ExtraInvariantModel(FittedModel):
 
 def _coset_blocks(ds: SpectralDataset, lat: DualLattice):
     """The column index of each coset of ``lat`` on the grid of ``ds``."""
-    return _column_blocks(coset_of(ds.grid.translations, lat), lat.index)
+    return _column_blocks(coset_of(ds.grid.translations, lat), lat.index, ds.grid.n_cells * ds.m)
 
 
 def fit_extra_invariant(

@@ -18,6 +18,10 @@ from .errors import ValidationError
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# cosets a lattice may have: its section and every per-coset list are sized
+# by the index, so a large determinant must not reach them
+MAX_LATTICE_INDEX = 2**20
+
 
 def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` as int64; floats must hold integers, and nothing may lie
@@ -91,8 +95,9 @@ class DualLattice:
 def make_dual_lattice(basis) -> DualLattice:
     """Build a DualLattice from a square integer basis matrix.
 
-    Rejects non-square or non-integer input and singular matrices.  The
-    coset count equals |det(basis)|.
+    Rejects non-square or non-integer input, singular matrices and more
+    than ``MAX_LATTICE_INDEX`` (2^20) cosets.  The coset count equals
+    |det(basis)|.
     """
     b = np.asarray(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
@@ -101,6 +106,8 @@ def make_dual_lattice(basis) -> DualLattice:
     h = _hermite_form(b)
     diag = np.diag(h)
     index = math.prod(int(x) for x in diag)
+    if index > MAX_LATTICE_INDEX:
+        raise ValidationError(f"lattice basis has {index} cosets, more than {MAX_LATTICE_INDEX}")
     section = np.stack(np.unravel_index(np.arange(index), diag), axis=-1).astype(np.int64)
     return DualLattice(dim=b.shape[0], basis=b, index=index, section=section, hermite=h)
 

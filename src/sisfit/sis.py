@@ -79,6 +79,9 @@ def allocation_residual(lams, alloc) -> np.ndarray:
 CHUNK_ELEMENTS = 16384
 
 
+# ``_chunks`` never splits a cell, so this is the only split of one cell
+# larger than CHUNK_ELEMENTS (a large discrete fit is one cell): without it
+# one kernel call would hold every block Gramian of the whole dataset
 def _per_call(n: int) -> int:
     return max(1, CHUNK_ELEMENTS // (n * n))
 
@@ -202,10 +205,21 @@ def block_eigen(fs: np.ndarray, blocks, rank: int):
 _WHOLE_FIBER = (slice(None),)
 
 
-def _column_blocks(labels: np.ndarray, n_blocks: int):
+# block records (cells x blocks x functions) allowed beyond the samples; more would let a
+# lattice of many cosets size the block spectra, their sort and a loop over the blocks
+MAX_BLOCK_RECORDS = 2**24
+
+
+def _column_blocks(labels: np.ndarray, n_blocks: int, rows: int):
     """Column index of each block, from the block label of every column.
     A single block is ``_WHOLE_FIBER``, so that one-block fits of every
-    regime round exactly as the plain fit does."""
+    regime round exactly as the plain fit does.  ``rows`` (cells times
+    functions) times ``n_blocks`` records may exceed ``MAX_BLOCK_RECORDS``
+    only where they do not exceed the samples, ``rows`` times the columns."""
+    records, samples = rows * n_blocks, rows * len(labels)
+    if records > max(MAX_BLOCK_RECORDS, samples):
+        raise ValidationError(f"{n_blocks} blocks on {len(labels)} columns make {records} block records, "
+                              f"more than both {MAX_BLOCK_RECORDS} and the {samples} samples")
     if n_blocks == 1:
         return _WHOLE_FIBER
     return [np.flatnonzero(labels == b) for b in range(n_blocks)]

@@ -1,9 +1,10 @@
 """On-disk model layout.
 
 A fitted model is a directory: ``model.json`` with the shape and scalar
-results, payloads next to it (generator spectra as little-endian complex
-doubles, tables as plain text).  Floats in text files use ``repr``, so
-values round-trip exactly and reruns produce byte-identical files.
+results, payloads next to it under fixed names (generator spectra as
+little-endian complex doubles, tables as plain text).  Floats in text
+files use ``repr``, so values round-trip exactly and reruns produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import DiscreteModel, _read_sequences, parse_partition, write_discrete_sequences
+from .discrete import DiscreteModel, _read_sequences, write_discrete_sequences
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import format_basis, make_dual_lattice, parse_basis
@@ -22,6 +23,9 @@ from .sis import FittedModel
 from .spectral import SpectralGrid, _check_grid, _check_payload_holds_grid
 from .table import (_existing, _json, _Meta, create, one_row_per_key, read_c16, read_object, read_table, reject,
                     scan, write_c16, write_object, write_table)
+
+# the regimes, one model layout each
+REGIMES = ("sis", "extra", "pw", "discrete")
 
 MODEL_JSON = "model.json"
 GENERATORS_BIN = "generators.bin"
@@ -59,7 +63,7 @@ def _save_sis(model: FittedModel, out: Path, regime: str = "sis", extra_fields: 
         "rank": model.rank,
         "error": model.error,
         "grid": {key: getattr(model.grid, key) for key in _GRID_KEYS},
-        "n_generators": int(model.spectra.shape[0]),
+        "n_generators": model.rank,
         "payload_generators": GENERATORS_BIN,
     }
     if extra_fields:
@@ -117,7 +121,7 @@ def model_regime(model_dir) -> str:
 
 def _regime(meta: _Meta) -> str:
     regime = meta.get("regime", _json(str), None)
-    if regime not in ("sis", "extra", "pw", "discrete"):
+    if regime not in REGIMES:
         raise ValidationError(f"{meta.path}: unknown regime {regime!r}")
     return regime
 
@@ -141,6 +145,13 @@ def load_model(model_dir, grid: SpectralGrid | None = None):
     if regime == "pw":
         return _load_pw(mdir, meta, grid)
     return _load_spectral(mdir, meta, regime, grid)
+
+
+def _fixed(meta: _Meta, key: str, kind, value) -> None:
+    """Refuse a field that holds other than the one ``value`` written."""
+    got = meta.get(key, _json(kind), value)
+    if got != value:
+        raise ValidationError(f"{meta.path}: field {key!r} must be {value!r}, got {got!r}")
 
 
 def _positive(value) -> int:
@@ -180,10 +191,11 @@ def _cell_rows(path: Path, ncells: int, floats: int, dim: int = 0):
 
 def _load_spectral(mdir: Path, meta: _Meta, regime: str, data: SpectralGrid | None):
     rank = meta.get("rank", _positive)
-    n_gen = meta.get("n_generators", _positive, rank)
-    payload = _existing(mdir / meta.get("payload_generators", _json(str), GENERATORS_BIN))
-    grid = _load_grid(meta, data, payload, 16 * n_gen)
-    spectra = read_c16(payload, (n_gen, grid.n_cells, grid.n_translations))
+    _fixed(meta, "n_generators", int, rank)
+    _fixed(meta, "payload_generators", str, GENERATORS_BIN)
+    payload = _existing(mdir / GENERATORS_BIN)
+    grid = _load_grid(meta, data, payload, 16 * rank)
+    spectra = read_c16(payload, (rank, grid.n_cells, grid.n_translations))
     residuals = _cell_rows(mdir / RESIDUALS_CSV, grid.n_cells, 1)[2][:, 0]
     path = mdir / EIGENCURVES_CSV
     lines, _, curves = _cell_rows(path, grid.n_cells, grid.dim + rank)
@@ -198,7 +210,11 @@ def _load_spectral(mdir: Path, meta: _Meta, regime: str, data: SpectralGrid | No
             grid=grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra,
             residuals=residuals, error=error,
         )
-    lat = make_dual_lattice(parse_basis(meta.get("dual_lattice", _json(str))))
+    basis = meta.get("dual_lattice", _json(str))
+    try:
+        lat = make_dual_lattice(parse_basis(basis))
+    except ValidationError as exc:
+        raise ValidationError(f"{meta.path}: field 'dual_lattice': {exc}") from None
     path = mdir / HOME_COSETS_CSV
     lines, ints, _ = read_table(path, 4, 0)
     rows = one_row_per_key(path, lines, (ints[:, 0], ints[:, 1]), (grid.n_cells, rank), "(cell, slot)")
@@ -219,8 +235,8 @@ def _load_pw(mdir: Path, meta: _Meta, data: SpectralGrid | None) -> MultiTileMod
         _check_box(grid, rank, box)
     except ValidationError as exc:
         raise ValidationError(f"{meta.path}: field 'box_radius': {exc}") from None
-    chosen = _cell_rows(mdir / meta.get("payload_chosen", _json(str), CHOSEN_CSV), grid.n_cells, 0,
-                        rank * grid.dim)[1].reshape(grid.n_cells, rank, grid.dim)
+    _fixed(meta, "payload_chosen", str, CHOSEN_CSV)
+    chosen = _cell_rows(mdir / CHOSEN_CSV, grid.n_cells, 0, rank * grid.dim)[1].reshape(grid.n_cells, rank, grid.dim)
     return MultiTileModel(
         grid=grid,
         rank=rank,
@@ -258,7 +274,8 @@ def _load_discrete(mdir: Path, meta: _Meta):
     dim = meta.get("dim", _positive)
     # the text format drops exact zeros: a generator without rows is the
     # zero sequence, and a model without any keeps one point at the origin
-    gen_ds = _read_sequences(mdir / meta.get("payload_generators", _json(str), GENERATORS_TXT), dim, rank)
+    _fixed(meta, "payload_generators", str, GENERATORS_TXT)
+    gen_ds = _read_sequences(mdir / GENERATORS_TXT, dim, rank)
     return DiscreteModel(
         dim=dim,
         rank=rank,
@@ -269,7 +286,3 @@ def _load_discrete(mdir: Path, meta: _Meta):
         labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)], []),
         error=meta.get("error", _json(float)),
     )
-
-
-def load_partition_file(mdir: Path, dim: int):
-    return parse_partition(Path(mdir) / PARTITION_TXT, dim)

@@ -341,6 +341,84 @@ def test_compare_monotonicity_defect_messages(tmp_path, rng, monkeypatch, capsys
     ]
 
 
+# the report keys of ``fit`` before ``model_dir`` and ``timing_seconds``
+FIT_REPORT_KEYS = {
+    "sis": ["regime", "rank", "grid", "functions", "energy", "error"],
+    "extra": ["regime", "rank", "grid", "functions", "energy", "dual_lattice", "cosets", "error"],
+    "pw": ["regime", "rank", "grid", "functions", "energy", "box_radius", "error", "tail", "total_unreachable"],
+    "discrete": ["regime", "rank", "dim", "sequences", "support_points", "blocks", "allocation", "energy", "error"],
+}
+
+
+def _regime_input(tmp_path, rng, regime):
+    """The ``--data`` file of a small input of ``regime`` and the flag
+    that regime needs (empty for ``sis``)."""
+    if regime == "discrete":
+        seqs, part = tmp_path / "seqs.txt", tmp_path / "part.txt"
+        seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n0,2,0.5,0.0\n")
+        part.write_text("lattice: 2\n")
+        return str(seqs), ["--partition", str(part)]
+    manifest = write_dataset(random_dataset(rng, cells=4, trunc=1, m=3), tmp_path / "data")
+    return str(manifest), {"sis": [], "extra": ["--dual-lattice", "2"], "pw": ["--box", "1"]}[regime]
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
+def test_fit_report_keys_and_missing_regime_flags(tmp_path, rng, capsys, regime):
+    data, flag = _regime_input(tmp_path, rng, regime)
+    model = tmp_path / "model"
+    fit = ["fit", "--regime", regime, "--data", data, "--rank", "2", "--out", str(model)]
+    assert cli.main(fit + flag) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":", 1)[0] for line in out.splitlines()] == FIT_REPORT_KEYS[regime] + [
+        "model_dir", "timing_seconds"]
+    assert (model / "report.txt").read_text() == out
+    if not flag:
+        return
+    commands = [fit]
+    if regime != "pw":  # compare's --boxes defaults to the truncation radius
+        commands.append(["compare", "--data", data, "--regimes", regime, "--ranks", "1"])
+    missing = str(tmp_path / "missing.txt")
+    for argv in commands:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: regime {regime!r} needs {flag[0]}\n"
+        # the data are read before a missing flag is reported
+        assert cli.main([missing if a == data else a for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+
+
+def test_lattice_of_too_many_cosets_is_a_usage_error(tmp_path, rng, capsys):
+    data, _ = _regime_input(tmp_path, rng, "sis")
+    for argv in (["fit", "--regime", "extra", "--rank", "1", "--dual-lattice", "10000000000", "--out", str(tmp_path)],
+                 ["compare", "--regimes", "sis,extra", "--ranks", "1", "--dual-lattice", "10000000000"]):
+        assert cli.main(argv + ["--data", data]) == 2
+        assert capsys.readouterr().err == "error: lattice basis has 10000000000 cosets, more than 1048576\n"
+
+
+def test_rank_beyond_memory_is_a_usage_error(tmp_path, rng, capsys):
+    data, _ = _regime_input(tmp_path, rng, "sis")
+    # 10^12 generators of 4 cells and 3 translations: far more memory than any host has
+    assert cli.main(["fit", "--regime", "sis", "--data", data, "--rank", str(10**12), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("regime,field,name", [
+    ("sis", "payload_generators", "generators.bin"),
+    ("extra", "payload_generators", "generators.bin"),
+    ("pw", "payload_chosen", "chosen.csv"),
+    ("discrete", "payload_generators", "generators.txt"),
+])
+def test_model_files_are_read_by_their_fixed_names(tmp_path, regime, field, name):
+    model, data = _fitted_discrete_model(tmp_path) if regime == "discrete" else _fitted_model(tmp_path, regime)
+    moved = tmp_path / "elsewhere" / name
+    moved.parent.mkdir()
+    (model / name).rename(moved)
+    _set_json(model / "model.json", field, str(moved))
+    res = run_cli("verify", "--model", model, "--data", data)
+    assert res.returncode == 2, res.stdout
+    assert res.stderr == f"error: {model / 'model.json'}: field {field!r} must be {name!r}, got {str(moved)!r}\n"
+
+
 def test_readme_names_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -862,6 +940,12 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # translation) index of its first non-finite sample; sample 5 of 4 cells x 3 translations
         ("generators.bin", lambda p: _nan_sample(p, 5), "generators.bin: non-finite sample at index (0, 1, 2)"),
         ("dataset.bin", _binary_payload_with_nan, "dataset.bin: non-finite sample at index (0, 1, 2)"),
+        # a lattice of more than 2^20 cosets is refused before its section is built
+        ("part.txt", "lattice: 10000000000\n", "part.txt:1: lattice basis has 10000000000 cosets, more than 1048576"),
+        ("extra:model.json", lambda p: _set_json(p, "dual_lattice", "10000000000"),
+         "model.json: field 'dual_lattice': lattice basis has 10000000000 cosets, more than 1048576"),
+        # the rank-1 model has one generator
+        ("model.json", lambda p: _set_json(p, "n_generators", 2), "model.json: field 'n_generators' must be 1, got 2"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -875,6 +959,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",
         "extra-model-trunc-huge", "extra-model-cells-huge", "pw-model-trunc-huge", "pw-model-cells-huge",
         "pw-model-box-beyond-grid", "discrete-model-rank-huge", "generators-bin-nan", "dataset-bin-nan",
+        "partition-lattice-index-huge", "extra-model-lattice-index-huge", "model-n-generators-not-rank",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):

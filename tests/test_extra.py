@@ -417,3 +417,30 @@ def test_empty_coset_block_fits_and_verifies(rng):
     assert model.home_cosets[:, 3].tolist() == [0, 0]
     assert model.block_ranks[:, 3].tolist() == [1, 1]
     assert np.all(model.spectra[3] == 0)
+
+
+def test_block_record_budget_refuses_more_blocks_than_columns_only(rng, monkeypatch):
+    from sisfit.discrete import brute_force_optimal, error_discrete, spectra_discrete
+    from sisfit.extra import spectra_extra
+
+    monkeypatch.setattr("sisfit.sis.MAX_BLOCK_RECORDS", 8)
+    # 2 cells x 3 translations x 3 functions: 18 samples; 4 cosets make 24 records
+    ds = random_dataset(rng, dim=1, cells=2, trunc=1, m=3)
+    lat = make_dual_lattice([[4]])
+    refused = "^4 blocks on 3 columns make 24 block records, more than both 8 and the 18 samples$"
+    for call in (lambda: fit_extra_invariant(ds, lat, 1), lambda: spectra_extra(ds, lat),
+                 lambda: error_extra(ds, lat, 1)):
+        with pytest.raises(ValidationError, match=refused):
+            call()
+    # 3 cosets on 3 translations make 18 records, no more than the samples
+    assert fit_extra_invariant(ds, make_dual_lattice([[3]]), 1).error == error_extra(ds, make_dual_lattice([[3]]), 1)
+
+    # one cell of 3 sequences on 2 points: 6 samples; 4 cosets make 12 records
+    seqs = DiscreteDataset.from_sequences(1, [{(0,): 1.0}, {(1,): 2.0}, {(0,): 1j}])
+    part = DiscretePartition.from_lattice(lat)
+    refused = "^4 blocks on 2 columns make 12 block records, more than both 8 and the 6 samples$"
+    for call in (lambda: fit_discrete(seqs, part, 1), lambda: spectra_discrete(seqs, part),
+                 lambda: error_discrete(seqs, part, 1), lambda: brute_force_optimal(seqs, part, 0)):
+        with pytest.raises(ValidationError, match=refused):
+            call()
+    assert fit_discrete(seqs, DiscretePartition.from_lattice(make_dual_lattice([[2]])), 1).rank == 1

@@ -121,6 +121,14 @@ def test_rejections():
         coset_of(np.array([0.5]), lat)  # not an integer point
 
 
+def test_index_above_the_bound_is_refused_before_the_section():
+    assert make_dual_lattice([[2**20]]).section.shape == (2**20, 1)
+    for basis, index in (([[2**20 + 1]], 2**20 + 1), ([[1024, 0], [0, 1025]], 1024 * 1025),
+                         ([[10**10]], 10**10), ([[3**39, 0], [0, 3**39]], 3**78)):
+        with pytest.raises(ValidationError, match=f"^lattice basis has {index} cosets, more than 1048576$"):
+            make_dual_lattice(basis)
+
+
 def test_float_integer_inputs_accepted():
     lat = make_dual_lattice(np.array([[2.0]]))
     assert lat.index == 2

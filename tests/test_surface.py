@@ -95,6 +95,25 @@ def _unread_imports(path: Path) -> list:
     return [name for name in bound if name not in read]
 
 
+def test_every_module_function_is_read():
+    # a name counts as read where any module of the package loads it, as a
+    # name or an attribute, or where ``__all__`` lists it; ``main`` runs the
+    # ``cmd_*`` commands by name
+    files = sorted((ROOT / "src" / "sisfit").glob("*.py"))
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8")) for f in files}
+    read = set(sisfit.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defined) > 50
+    assert [d for d in defined if d[1] not in read and not d[1].startswith("cmd_")] == []
+
+
 def test_no_module_imports_a_name_it_never_reads():
     files = sorted((ROOT / "src" / "sisfit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 20
