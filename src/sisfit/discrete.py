@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
-from .sis import _check_rank, _column_blocks, allocation_residual, block_eigen, block_spectra, error_at_rank
+from .sis import _check_rank, _column_blocks, _fit_cells, allocation_residual, block_spectra, error_at_rank
 from .table import read_table, reject, repeats, scan, write_table
 
 BRUTE_FORCE_GUARD = 10**6
@@ -225,32 +225,26 @@ def fit_discrete(
     """Fit the nearest subspace spanned by ``rank`` block-supported
     sequences.
 
-    The sequences are ``block_eigen``'s stack of one cell matrix, with
-    one column block per partition block: all block Gramians are
-    eigendecomposed, the globally largest ``rank`` eigenvalues are kept
-    (ties: smaller block, then smaller in-block rank), and each kept
-    eigenvector gives a unit-norm generator, or the zero sequence when the
-    eigenvalue is numerically zero.  ``error`` is the sum of all discarded
-    eigenvalues, added block by block, each block's in descending order.
+    The sequences are one cell matrix of ``_fit_cells``, with one column
+    block per partition block: all block Gramians are eigendecomposed,
+    the globally largest ``rank`` eigenvalues are kept (ties: smaller
+    block, then smaller in-block rank), and each kept eigenvector gives a
+    unit-norm generator, or the zero sequence when the eigenvalue is
+    numerically zero.  ``error`` is the sum of all discarded eigenvalues,
+    added block by block, each block's in descending order.
     """
     rank = _check_rank(rank)
-    lams, kept, residual, gens = block_eigen(ds.values[None], _block_columns(ds, part), rank)
-    blocks, block_ranks = np.divmod(kept[0], ds.m)
-    generators = np.zeros((rank, ds.n_points), dtype=np.complex128)
-    generators[: kept.shape[1]] = gens[0]
-    selected = [
-        (lam, part.labels[sigma], j)
-        for lam, sigma, j in zip(lams.reshape(-1)[kept[0]].tolist(), blocks.tolist(), block_ranks.tolist())
-    ]
+    lam, gens, resid, home, ranks = _fit_cells(ds.values[None], _block_columns(ds, part), rank)
+    kept = home[0] >= 0
     return DiscreteModel(
         dim=ds.dim,
         rank=rank,
         support=ds.support.copy(),
-        generators=generators,
-        selected=selected,
-        allocation=np.bincount(blocks, minlength=part.n_blocks).tolist(),
+        generators=gens[:, 0],
+        selected=list(zip(lam[0, kept].tolist(), [part.labels[b] for b in home[0, kept]], ranks[0, kept].tolist())),
+        allocation=np.bincount(home[0, kept], minlength=part.n_blocks).tolist(),
         labels=list(part.labels),
-        error=float(residual[0]),
+        error=float(resid[0]),
     )
 
 
@@ -287,11 +281,14 @@ def brute_force_optimal(
     """
     rank = _check_rank(rank, minimum=0)
     nb = part.n_blocks
-    n_alloc = (rank + 1) ** nb
-    if n_alloc > BRUTE_FORCE_GUARD:
-        raise ValidationError(
-            f"{n_alloc} allocations exceed the enumeration guard of {BRUTE_FORCE_GUARD}"
-        )
+    # multiplied up block by block, so a huge count is never built or printed
+    n_alloc = 1
+    for _ in range(nb):
+        n_alloc *= rank + 1
+        if n_alloc > BRUTE_FORCE_GUARD:
+            raise ValidationError(
+                f"{rank + 1}^{nb} allocations exceed the enumeration guard of {BRUTE_FORCE_GUARD}"
+            )
     lams = spectra_discrete(ds, part)[0]
     best_err = None
     best_alloc = None

@@ -53,8 +53,10 @@ def fit_extra_invariant(
     eigenvalues coset by coset, each coset's in descending order.
     """
     rank = _check_rank(rank)
-    fields, home, block_ranks = _fit_cells(ds, _coset_blocks(ds, lat), rank)
-    return ExtraInvariantModel(**fields, lattice=lat, home_cosets=home, block_ranks=block_ranks)
+    lam, spectra, resid, home, ranks = _fit_cells(ds.samples.transpose(1, 0, 2), _coset_blocks(ds, lat), rank)
+    return ExtraInvariantModel(grid=ds.grid, rank=rank, eigenvalues=lam, spectra=spectra, residuals=resid,
+                               error=float(resid.sum()) * ds.grid.cell_volume, lattice=lat, home_cosets=home,
+                               block_ranks=ranks)
 
 
 def spectra_extra(ds: SpectralDataset, lat: DualLattice) -> np.ndarray:

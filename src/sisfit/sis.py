@@ -6,17 +6,18 @@ dominant eigenvectors of the fiber Gramian.  The squared distance is the
 quadrature sum of the discarded eigenvalues, and the kept eigenvectors
 yield generator fibers that are orthonormal wherever they are nonzero.
 
-``block_eigen`` is that construction for a Gramian split into column
-blocks, run on a whole chunk of cells at once; the extra-invariant and
-discrete fits call it with one block per coset or partition cell, and the
-plain fit with the whole fiber as one block.  A block of c columns is
-solved on its smaller side: the m x m Gramian a a^H, or the c x c Gramian
-a^H a when c < m, whose nonzero eigenvalues are the same squared singular
-values of a.  Its four stages (``_gramians``, ``_eigensolve``, ``_select``,
-``_assemble``) each work on the whole chunk and return chunk arrays; no
-stage holds a record per cell.  The spectra do not depend on the rank:
-``block_spectra`` runs the first two alone, values only, and
-``error_at_rank`` reads the error at any rank from its result.
+``_fit_cells`` is that construction for a Gramian split into column
+blocks, and the one driver of every fit: with one block per coset for the
+extra-invariant fit, one per partition block on a stack of one cell for
+the discrete fit, and the whole fiber as one block for the plain fit.  A
+block of c columns is solved on its smaller side: the m x m Gramian
+a a^H, or the c x c Gramian a^H a when c < m, whose nonzero eigenvalues
+are the same squared singular values of a.  Its four stages
+(``_gramians``, ``_eigensolve``, ``_select``, ``_assemble``) each work on
+a whole chunk of cells and return chunk arrays; no stage holds a record
+per cell.  The spectra do not depend on the rank: ``block_spectra`` runs
+the first two alone, values only, and ``error_at_rank`` reads the error
+at any rank from its result.
 """
 
 from __future__ import annotations
@@ -177,29 +178,6 @@ def _assemble(fs: np.ndarray, blocks, lams: np.ndarray, vecs, kept: np.ndarray) 
     return generators
 
 
-def block_eigen(fs: np.ndarray, blocks, rank: int):
-    """Best ``rank`` block-supported generators for the rows of each cell
-    matrix of the stack ``fs``, shape (cells, m, columns).
-
-    ``blocks`` lists the column index (array or slice) of each block.
-    Every block Gramian is eigendecomposed on its smaller side (see
-    ``_sides``), each block's spectrum is padded with zeros to m records,
-    the globally largest ``rank`` eigenvalues of each cell are kept, and
-    each kept eigenvector gives the generator lambda^(-1/2) u^H f on its
-    block (w^H for an eigenvector w of a^H a), or zero when lambda is
-    numerically zero (at most 1e-10 of the largest eigenvalue of the
-    cell).  A cell's bits do not depend on the other cells of the stack.
-
-    Returns chunk arrays: the block spectra (cells, blocks, m); the kept
-    records (cells, min(rank, blocks * m)) as flat indices block * m +
-    in-block rank, in descending eigenvalue order; the residuals (cells,)
-    of ``allocation_residual``; and the generators (cells, records, columns).
-    """
-    lams, vecs = _eigensolve(fs, blocks, vectors=True)
-    kept, allocation = _select(lams, rank)
-    return lams, kept, allocation_residual(lams, allocation), _assemble(fs, blocks, lams, vecs, kept)
-
-
 # all columns as one block; a slice, so that f[:, :, cols] is f itself and
 # the products round exactly as on the contiguous cell matrices
 _WHOLE_FIBER = (slice(None),)
@@ -247,28 +225,41 @@ def error_at_rank(lams: np.ndarray, rank: int, volume: float) -> float:
     return float(allocation_residual(lams, _select(lams, rank)[1]).sum()) * volume
 
 
-def _fit_cells(ds: SpectralDataset, blocks, rank: int):
-    """Run ``block_eigen`` over every chunk of cells of ``ds``.
+def _fit_cells(x: np.ndarray, blocks, rank: int):
+    """Best ``rank`` block-supported generators for the rows of each cell
+    matrix of the stack ``x``, shape (cells, m, columns), one ``_chunks``
+    chunk at a time.
 
-    Returns the ``FittedModel`` fields as a dict, plus the block and in-block
-    rank of every kept record, shape (cells, rank), -1 on zero-padded slots.
-    ``error`` is the quadrature sum of the cell residuals.
+    ``blocks`` lists the column index (array or slice) of each block.
+    Every block Gramian is eigendecomposed on its smaller side (see
+    ``_sides``), each block's spectrum is padded with zeros to m records,
+    the globally largest ``rank`` eigenvalues of each cell are kept, and
+    each kept eigenvector gives the generator lambda^(-1/2) u^H f on its
+    block (w^H for an eigenvector w of a^H a), or zero when lambda is
+    numerically zero (at most 1e-10 of the largest eigenvalue of the
+    cell).  A cell's bits do not depend on the other cells of the stack.
+
+    Returns the kept eigenvalues (cells, rank) in descending order, the
+    generators (rank, cells, columns), the residuals (cells,) of
+    ``allocation_residual``, and the block ``home`` and in-block rank
+    ``block_ranks`` of each kept record (cells, rank).  Slots beyond the
+    blocks * m records are zero, and -1 in ``home`` and ``block_ranks``.
     """
-    m, ncells, n_cols = ds.samples.shape
+    ncells, m, n_cols = x.shape
     t = min(rank, len(blocks) * m)
     eigenvalues = np.zeros((ncells, rank))
-    spectra = np.zeros((rank, ncells, n_cols), dtype=np.complex128)
+    generators = np.zeros((rank, ncells, n_cols), dtype=np.complex128)
     residuals = np.zeros(ncells)
     kept = np.zeros((ncells, t), dtype=np.int64)
-    for cells, fs in _chunks(ds.samples.transpose(1, 0, 2), blocks):
-        lams, kept[cells], residuals[cells], generators = block_eigen(fs, blocks, rank)
+    for cells, fs in _chunks(x, blocks):
+        lams, vecs = _eigensolve(fs, blocks, vectors=True)
+        kept[cells], allocation = _select(lams, rank)
+        residuals[cells] = allocation_residual(lams, allocation)
         eigenvalues[cells, :t] = np.take_along_axis(lams.reshape(fs.shape[0], -1), kept[cells], axis=1)
-        spectra[:t, cells] = generators.transpose(1, 0, 2)
+        generators[:t, cells] = _assemble(fs, blocks, lams, vecs, kept[cells]).transpose(1, 0, 2)
     home, block_ranks = np.full((2, ncells, rank), -1, dtype=np.int64)
     home[:, :t], block_ranks[:, :t] = np.divmod(kept, m)
-    fields = dict(grid=ds.grid, rank=rank, eigenvalues=eigenvalues, spectra=spectra, residuals=residuals,
-                  error=float(residuals.sum()) * ds.grid.cell_volume)
-    return fields, home, block_ranks
+    return eigenvalues, generators, residuals, home, block_ranks
 
 
 def fit_sis(
@@ -278,15 +269,16 @@ def fit_sis(
     """Fit the nearest shift-invariant space of length ``rank``.
 
     Per cell: eigendecompose the fiber Gramian (on its smaller side, see
-    ``block_eigen``), keep the top min(rank, m) eigenpairs and turn each
+    ``_fit_cells``), keep the top min(rank, m) eigenpairs and turn each
     into an orthonormal generator fiber (zero when the eigenvalue is
     numerically zero, i.e. at most 1e-10 of the cell's largest).  The residual at a cell is the
     sum of the discarded eigenvalues, added in descending order;
     ``error`` is their quadrature sum.
     """
     rank = _check_rank(rank)
-    fields, _, _ = _fit_cells(ds, _WHOLE_FIBER, rank)
-    return FittedModel(**fields)
+    lam, spectra, resid, _, _ = _fit_cells(ds.samples.transpose(1, 0, 2), _WHOLE_FIBER, rank)
+    return FittedModel(grid=ds.grid, rank=rank, eigenvalues=lam, spectra=spectra, residuals=resid,
+                       error=float(resid.sum()) * ds.grid.cell_volume)
 
 
 def spectra_sis(ds: SpectralDataset) -> np.ndarray:

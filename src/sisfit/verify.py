@@ -211,11 +211,13 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
         return
 
     report.checks += ["coset-support", "coset-span"]
-    # cuts[g, s, sigma]: generator s at cell g restricted to coset sigma
-    cuts = np.where(labels == np.arange(lat.index)[:, None], fibers[:, :, None, :], 0.0)
+    # cuts[g, s, i]: generator s at cell g restricted to coset present[i];
+    # a coset holding no translation of the grid cuts nothing
+    present = np.unique(labels)
+    cuts = np.where(labels == present[:, None], fibers[:, :, None, :], 0.0)
     touched = (cuts != 0).any(axis=3)
     for g, s in np.argwhere(touched.sum(axis=2) > 1):
-        report.add("coset-support", f"support touches cosets {np.flatnonzero(touched[g, s]).tolist()}",
+        report.add("coset-support", f"support touches cosets {present[touched[g, s]].tolist()}",
                    cell=int(g), generator=int(s))
     # each cell's span basis: the right singular vectors above lstsq's
     # default cutoff, so that the residual is the one lstsq leaves; taken
@@ -226,9 +228,9 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
     with np.errstate(invalid="ignore"):
         rr = _project(cuts.reshape(len(cuts), -1, cuts.shape[3]), basis)[2].reshape(touched.shape)
     resid, norm_cut = np.sqrt(rr), np.sqrt((cuts.real**2 + cuts.imag**2).sum(axis=3))
-    for g, s, sigma in np.argwhere((norm_cut != 0.0) & ~(resid <= TOL * norm_cut)):
-        report.add("coset-span", f"coset {sigma} cut leaves the generator span (relative residual "
-                   f"{resid[g, s, sigma] / norm_cut[g, s, sigma]:.3e})", cell=int(g), generator=int(s))
+    for g, s, i in np.argwhere((norm_cut != 0.0) & ~(resid <= TOL * norm_cut)):
+        report.add("coset-span", f"coset {present[i]} cut leaves the generator span (relative residual "
+                   f"{resid[g, s, i] / norm_cut[g, s, i]:.3e})", cell=int(g), generator=int(s))
 
 
 def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> VerificationReport:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sisfit
-from sisfit import cli
+from sisfit import cli, hermitian
 from sisfit.discrete import error_discrete, parse_discrete_dataset, parse_partition, write_discrete_sequences
 from sisfit.extra import error_extra
 from sisfit.hermitian import eig_hermitian_batch
@@ -997,3 +997,11 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     assert res.returncode == 2, res.stdout
     assert "Traceback" not in res.stderr
     assert location in res.stderr, res.stderr
+
+
+def test_eigensolver_that_does_not_converge_is_a_usage_error(tmp_path, rng, monkeypatch, capsys):
+    manifest = write_dataset(random_dataset(rng, cells=4, trunc=1, m=2), tmp_path / "data")
+    monkeypatch.setattr(hermitian, "MAX_SWEEPS", 0)
+    argv = ["fit", "--regime", "sis", "--rank", "1", "--data", str(manifest), "--out", str(tmp_path / "model")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: eigensolver did not reach")

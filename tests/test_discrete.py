@@ -160,6 +160,16 @@ def test_oracle_guard():
         brute_force_optimal(ds, part, 9)
 
 
+def test_oracle_guard_of_a_count_too_long_to_print():
+    # 2^15000 has more digits than int-to-str converts; the guard must
+    # still refuse it with its own message
+    ds = DiscreteDataset.from_sequences(1, [{(i,): 1.0 for i in range(5)}])
+    part = DiscretePartition.from_lattice(make_dual_lattice([[15000]]))
+    with pytest.raises(ValidationError, match=r"guard") as exc:
+        brute_force_optimal(ds, part, 1)
+    assert "2^15000 allocations" in str(exc.value)
+
+
 def test_prefix_property(rng):
     ds = random_instance(rng, m=3)
     part = parity_partition()

@@ -380,7 +380,7 @@ def test_identity_lattice_fit_equals_plain_fit_bitwise(rng, dim, trunc, m):
 
 
 def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
-    from sisfit.sis import block_eigen
+    from sisfit.sis import block_spectra
 
     ds = random_dataset(rng, dim=1, cells=6, trunc=4, m=6)
     lat = make_dual_lattice([[3]])
@@ -389,7 +389,7 @@ def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
     model = fit_extra_invariant(ds, lat, 4)
     for g in range(ds.grid.n_cells):
         f = np.ascontiguousarray(ds.samples[:, g, :])
-        spectra = block_eigen(f[None], blocks, 0)[0][0]
+        spectra = block_spectra(f[None], blocks)[0]
         expect = 0.0
         for sigma, lam in enumerate(spectra):
             for v in lam[int(np.sum(model.home_cosets[g] == sigma)):]:
@@ -399,14 +399,14 @@ def test_cell_residual_adds_discarded_eigenvalues_block_by_block(rng):
 
 def test_empty_coset_block_fits_and_verifies(rng):
     # dual lattice 4 on the translations -1, 0, 1: coset 2 holds no column
-    from sisfit.sis import block_eigen
+    from sisfit.sis import block_spectra
 
     ds = random_dataset(rng, dim=1, cells=2, trunc=1, m=3)
     lat = make_dual_lattice([[4]])
     labels = coset_of(ds.grid.translations, lat)
     assert np.bincount(labels, minlength=4).tolist() == [1, 1, 0, 1]
     blocks = [np.flatnonzero(labels == sigma) for sigma in range(4)]
-    spectra = block_eigen(np.ascontiguousarray(ds.samples[:, :1].transpose(1, 0, 2)), blocks, 0)[0][0]
+    spectra = block_spectra(np.ascontiguousarray(ds.samples[:, :1].transpose(1, 0, 2)), blocks)[0]
     assert spectra[2].tolist() == [0.0, 0.0, 0.0]
     model = fit_extra_invariant(ds, lat, 4)
     report = verify_model(model, ds)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sisfit.errors import ValidationError
+from sisfit import hermitian
+from sisfit.errors import ConvergenceError, ValidationError
 from sisfit.hermitian import (
     PHASE_TOL,
     EigenSystem,
@@ -205,3 +206,9 @@ def test_eig_tol_validation():
 def test_eigensystem_order_property():
     es = EigenSystem(eigenvalues=np.zeros(4), vectors=np.eye(4, dtype=complex))
     assert es.order == 4
+
+
+def test_no_sweeps_left_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(hermitian, "MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError, match=r"within 0 sweeps \(order 2\)"):
+        eig_hermitian([[1, 1], [1, 1]])

@@ -9,7 +9,8 @@ from sisfit.errors import ValidationError
 from sisfit.extra import fit_extra_invariant
 from sisfit.hermitian import MAX_ORDER, eig_hermitian
 from sisfit.lattice import coset_of, make_dual_lattice
-from sisfit.sis import CHUNK_ELEMENTS, _sides, allocation_residual, block_eigen, error_sis, fit_sis, project_onto
+from sisfit.sis import (CHUNK_ELEMENTS, _fit_cells, _sides, allocation_residual, block_spectra, error_sis, fit_sis,
+                        project_onto)
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.verify import verify_model
 
@@ -258,7 +259,7 @@ def test_block_spectrum_on_either_side_matches_lapack(rng, m, c):
     energy = float((f.real**2 + f.imag**2).sum())
     halves = [np.arange(0, c, 2), np.arange(1, c, 2)]
     for blocks in ((slice(None),), halves):
-        spectra = block_eigen(f[None], blocks, 0)[0][0]
+        spectra = block_spectra(f[None], blocks)[0]
         assert len(spectra) == len(blocks)
         for cols, lam in zip(blocks, spectra):
             a = f[:, cols]
@@ -286,22 +287,27 @@ def test_generators_on_mixed_sides_are_orthonormal_and_verify(rng):
     assert report.passed, str(report)
 
 
-def _cell_fields(out, c, m, n_blocks):
-    """Every per-cell field of the ``block_eigen`` chunk arrays ``out`` at
-    cell c: block spectra, kept records with their eigenvalues, blocks,
-    in-block ranks and allocation, residual and generators."""
-    lams, kept, residuals, gens = out
-    block, in_block = np.divmod(kept[c], m)
-    return dict(
-        block_eigenvalues=lams[c],
-        kept=kept[c],
-        eigenvalues=lams[c].reshape(-1)[kept[c]],
-        blocks=block,
-        block_ranks=in_block,
-        allocation=np.bincount(block, minlength=n_blocks),
-        residual=residuals[c],
-        generators=gens[c],
-    )
+def _cell_fields(x, blocks, rank, m, n_blocks):
+    """Every per-cell field of the stack ``x``, one dict per cell: the
+    block spectra of ``block_spectra``, and from the ``_fit_cells`` arrays
+    the kept records with their eigenvalues, blocks, in-block ranks and
+    allocation, residual and generators."""
+    lams = block_spectra(x, blocks)
+    eigenvalues, gens, residuals, home, block_ranks = _fit_cells(x, blocks, rank)
+    kept = home >= 0
+    return [
+        dict(
+            block_eigenvalues=lams[c],
+            kept=home[c, kept[c]] * m + block_ranks[c, kept[c]],
+            eigenvalues=eigenvalues[c],
+            blocks=home[c],
+            block_ranks=block_ranks[c],
+            allocation=np.bincount(home[c, kept[c]], minlength=n_blocks),
+            residual=residuals[c],
+            generators=gens[:, c],
+        )
+        for c in range(x.shape[0])
+    ]
 
 
 def test_cell_bits_do_not_depend_on_its_chunk_with_two_side_orders(rng):
@@ -310,12 +316,12 @@ def test_cell_bits_do_not_depend_on_its_chunk_with_two_side_orders(rng):
     blocks = [np.flatnonzero(labels == b) for b in range(2)]
     fs = np.ascontiguousarray(ds.samples.transpose(1, 0, 2))
     assert _sides(7, blocks, 13) == [7, 6]
-    chunk = block_eigen(fs, blocks, 9)
-    rev = block_eigen(np.ascontiguousarray(fs[::-1]), blocks, 9)
+    chunk = _cell_fields(fs, blocks, 9, 7, 2)
+    rev = _cell_fields(np.ascontiguousarray(fs[::-1]), blocks, 9, 7, 2)
     n = fs.shape[0]
     for c in range(n):
-        alone = _cell_fields(block_eigen(fs[c : c + 1], blocks, 9), 0, 7, 2)
-        for other in (_cell_fields(chunk, c, 7, 2), _cell_fields(rev, n - 1 - c, 7, 2)):
+        alone = _cell_fields(fs[c : c + 1], blocks, 9, 7, 2)[0]
+        for other in (chunk[c], rev[n - 1 - c]):
             for name, value in alone.items():
                 assert value.tobytes() == other[name].tobytes(), name
 

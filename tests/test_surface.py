@@ -76,6 +76,28 @@ def test_perfbench_names_resolve():
     assert sorted(n for n in names if not _resolves(*n)) == []
 
 
+def _dotted_resolves(dotted: str) -> bool:
+    """Whether ``sisfit.a.b...`` names a module or attribute, each part an
+    attribute of the one before or a submodule of it."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_dotted_names_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`(sisfit(?:\.\w+)+)", readme))
+    assert {"sisfit.cli.main", "sisfit.sis.error_at_rank", "sisfit.__all__"} <= names
+    assert sorted(n for n in names if not _dotted_resolves(n)) == []
+
+
 def _unread_imports(path: Path) -> list:
     """The names a module's import statements bind and nothing in it reads.
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -136,3 +137,22 @@ def test_infinite_generator_sample_fails_without_a_warning(rng):
         assert report.failed == ["parseval", "residual-identity", "cell-residuals", "eigencurves"]
         assert {v.cell for v in report.violations} == {1, None}
         assert 1 in {v.cell for v in coset_report.violations}
+
+
+def test_coset_span_memory_does_not_grow_with_the_lattice_index(rng):
+    # 4 cells of the translations -1, 0, 1, which lie in 3 of the 2^16
+    # cosets: 65535, 0 and 1
+    model = fit_sis(random_dataset(rng, cells=4, trunc=1, m=1), 1)
+    lat = make_dual_lattice([[2**16]])
+    verify_extra_invariance(model, lat)
+    tracemalloc.start()
+    try:
+        report = verify_extra_invariance(model, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # every violation names the real coset label, cosets in ascending order
+    assert [v.detail for v in report.violations_of("coset-support")] == ["support touches cosets [0, 1, 65535]"] * 4
+    span = [v.detail.split(" cut")[0] for v in report.violations_of("coset-span") if v.cell == 0]
+    assert span == ["coset 0", "coset 1", "coset 65535"]
