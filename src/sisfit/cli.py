@@ -172,6 +172,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
+    if not regimes:
+        raise ValidationError("empty regime list")
     for r in regimes:
         if r not in storage.REGIMES:
             raise ValidationError(f"unknown regime {r!r} (known: {', '.join(sorted(storage.REGIMES))})")

@@ -23,11 +23,15 @@ work array (re/im plane, row, column, matrix), built from a copy of the
 input and an identity V, and kept permuted so that a step's p indices
 come first and its q indices next; the rotations of a step are then a
 few whole-array updates on views over every matrix at once, and one
-gather moves the array to the next step's arrangement.  A sweep is
-``m - 1`` Python-level steps for the whole batch, instead of
-``n(n-1)/2`` single rotations per matrix.  At the start of every sweep
-the matrices that have converged leave the batch, so each matrix runs
-exactly the sweeps it would run alone.
+gather (a ``take`` over the flat ``rows * n`` axis) moves the array into
+a second buffer in the next step's arrangement, after which the two
+buffers swap.  A sweep is ``m - 1`` Python-level steps for the whole
+batch, instead of ``n(n-1)/2`` single rotations per matrix.  At the start
+of every sweep the matrices that have converged leave the batch, so each
+matrix runs exactly the sweeps it would run alone.  The second buffer,
+every view a step reads or writes and the scratch of every temporary are
+built once per work array, at the start and whenever matrices leave, so
+a step allocates nothing and builds no view.
 
 The results are bit-deterministic and independent of the batch: every
 update is a correctly rounded elementwise operation on one matrix's own
@@ -69,18 +73,16 @@ class _Layout(NamedTuple):
     (re, im planes), or holds A alone, shape ``(2, n, n)``, in the
     values-only mode.  Layout k lists the indices held at each position
     during step k: the p of every pair, then the q of every pair, then for
-    odd n the idle index.  A gather is a ``(rows, cols)`` pair of index
-    arrays: rows reorder A's rows and leave V's alone, cols reorder the
-    columns of both.
+    odd n the idle index.  A gather is one index array over the flat
+    ``rows * n`` axis of a plane: it reorders A's rows and leaves V's
+    alone, and reorders the columns of both.
     """
 
-    enter: tuple  # original order -> layout 0
-    leave: tuple  # layout 0 -> original order
+    enter: np.ndarray  # original order -> layout 0
+    leave: np.ndarray  # layout 0 -> original order
     steps: list  # layout k -> layout k + 1, the last one back to layout 0
     upper: np.ndarray  # flat A positions (layout 0) of the upper triangle
     params: np.ndarray  # flat positions of a_pp, a_qq, re a_pq, im a_pq
-    diag: np.ndarray  # flat positions of a_pp, then a_qq
-    zeros: np.ndarray  # flat positions set to 0.0 after each step
 
 
 @lru_cache(maxsize=64)
@@ -94,7 +96,7 @@ def _layout(n: int, vectors: bool) -> _Layout:
     vrows = np.arange(n, 2 * n if vectors else n, dtype=np.intp)
 
     def gather(perm):
-        return np.concatenate([perm, vrows]), perm
+        return (np.concatenate([perm, vrows])[:, None] * n + perm).ravel()
 
     steps = [
         gather(np.argsort(cur)[layouts[(k + 1) % len(layouts)]])
@@ -106,34 +108,13 @@ def _layout(n: int, vectors: bool) -> _Layout:
     im = (2 * n if vectors else n) * n  # offset of the imaginary plane
     a = np.arange(h, dtype=np.intp)
     b = a + h
-    ia, ib, iab, iba = a * n + a, b * n + b, a * n + b, b * n + a
     return _Layout(
         enter=gather(layouts[0]),
         leave=gather(pos0),
         steps=steps,
         upper=pos0[iu] * n + pos0[ju],
-        params=np.concatenate([ia, ib, iab, im + iab]),
-        diag=np.concatenate([ia, ib]),
-        zeros=np.concatenate([im + ia, im + ib, iab, iba, im + iab, im + iba]),
+        params=np.concatenate([a * n + a, b * n + b, a * n + b, im + a * n + b]),
     )
-
-
-def _rotate(z, w, c, s1, s2, tmp):
-    """Rotate pairs in place: ``z`` is a re/im view (axis 0) of the p and
-    q lines of every pair of every matrix, ``w`` the same view with p and
-    q swapped, and ``tmp`` two rows of scratch of at least z's size.
-
-    Each line x with partner line y becomes ``c*x + (s1 + i*s2)*y``,
-    written out on the re/im planes in a fixed order:
-    ``s1`` is ``sre`` for p and ``-sre`` for q, and ``s2`` is ``sim`` for
-    columns and ``-sim`` for rows.  ``s2`` comes with a plane axis holding
-    ``(-s2, s2)``, so that one product gives ``-s2*y_im`` for the real
-    plane and ``s2*y_re`` for the imaginary one; adding the negated
-    product is the same IEEE operation as subtracting it.
-    """
-    a, b = (t[: z.size].reshape(z.shape) for t in tmp)
-    np.add(np.multiply(s1, w, out=a), np.multiply(s2, w[::-1], out=b), out=a)
-    np.add(np.multiply(c, z, out=b), a, out=z)
 
 
 def _off2(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -148,45 +129,141 @@ def _off2(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return 2.0 * np.add.accumulate(ure * ure + uim * uim, axis=0)[-1]
 
 
-def _step(x: np.ndarray, lay: _Layout, h: int, tmp: np.ndarray) -> None:
-    """Apply the rotations of one round-robin step to every matrix."""
+class _Views(NamedTuple):
+    """The views of one buffer of the work array that a step reads or
+    writes.  A buffer that so far has only been gathered into holds only
+    ``x`` and ``flat``; it gets the rest before its first step, which a
+    call of one step (order 2, one sweep) never makes."""
+
+    x: np.ndarray  # the buffer, (2, rows, n, B)
+    flat: np.ndarray  # (2, rows * n, B): gather source and target
+    src: np.ndarray | None = None  # (2 * rows * n, B): parameter source
+    diag: np.ndarray | None = None  # (2, h, B): re a_pp, then re a_qq
+    im_diag: np.ndarray | None = None  # im a_pp and im a_qq
+    pq: np.ndarray | None = None  # (2, h, B): a_pq, re and im
+    qp: np.ndarray | None = None  # a_qp, re and im
+    # the p and q lines of every pair, their partner lines (q and p), and
+    # the partners with re and im swapped: columns of A and V, rows of A
+    col: np.ndarray | None = None  # (2, rows, 2, h, B)
+    col_partner: np.ndarray | None = None
+    col_swapped: np.ndarray | None = None
+    row: np.ndarray | None = None  # (2, 2, h, n, B)
+    row_partner: np.ndarray | None = None
+    row_swapped: np.ndarray | None = None
+
+
+def _views(x: np.ndarray, h: int) -> _Views:
     rows, n, b = x.shape[1:]
-    xf = x.reshape(-1, b)
-    g = xf.take(lay.params, axis=0).reshape(4, h, b)
-    app, aqq, bre, bim = g
-    sq = g[2:] * g[2:]
-    absb = np.sqrt(sq[0] + sq[1])
-    zero = None if absb.all() else absb == 0.0
-    den = absb if zero is None else np.where(zero, 1.0, absb)
-    tau = (aqq - app) / (2.0 * den)
-    # tau >= 0: -1 / (tau + sqrt(1 + tau^2)); else 1 / (sqrt(1 + tau^2) - tau)
-    t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    if zero is not None:
-        t[zero] = 0.0
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    # s[0] = s1 = (sre, -sre) and s[1] = s2 = (-sim, sim), where
-    # sre = sig * (bre / absb) and sim = -sig * (bim / absb), both 0.0 on
-    # a zero pair; (-sig) * y and -(sig * y) round alike
-    s = np.empty((2, 2, h, b))
-    np.multiply(t * c, g[2:] / den, out=s[:, 0])
-    if zero is not None:
-        s[0, 0][zero] = 0.0
-        s[1, 0][zero] = -0.0
-    np.negative(s[:, 0], out=s[:, 1])
-    s1, s2 = s
-
-    # columns of A and V, then rows of A: the row update of J^H (A J) is
-    # the column update of the transposed rows with s conjugated
-    z = x[:, :, : 2 * h].reshape(2, rows, 2, h, b)
-    _rotate(z, z[:, :, ::-1], c, s1, s2[:, None, None], tmp)
-    z = x[:, : 2 * h].reshape(2, 2, h, n, b)
-    _rotate(z, z[:, ::-1], c[:, None], s1[:, :, None], s2[::-1, None, :, None], tmp)
-
-    # a_pp + t|b|, then a_qq + (-t|b|), which is a_qq - t|b|
-    xf[lay.diag] = (g[:2] + _PLUS_MINUS * (t * absb)).reshape(2 * h, b)
-    xf[lay.zeros] = 0.0
+    flat = x.reshape(2, rows * n, b)
+    d = n + 1  # the stride of A's diagonal on the flat axis
+    col = x[:, :, : 2 * h].reshape(2, rows, 2, h, b)
+    row = x[:, : 2 * h].reshape(2, 2, h, n, b)
+    return _Views(
+        x, flat, x.reshape(-1, b),
+        flat[0, : 2 * h * d : d].reshape(2, h, b), flat[1, : 2 * h * d : d],
+        flat[:, h : h + h * d : d], flat[:, h * n : h * n + h * d : d],
+        col, col[:, :, ::-1], col[::-1, :, ::-1],
+        row, row[:, ::-1], row[::-1, ::-1],
+    )
 
 
+def _scratch(x: np.ndarray, h: int) -> tuple:
+    """Scratch for every temporary of a step on the work array ``x``, and
+    the views of it that a step reads, in the order ``_sweep`` unpacks
+    them: arrays of shape (h, B) unless they hold re/im or p/q rows."""
+    rows, n, b = x.shape[1:]
+    f = np.empty((19, h, b))
+    g, sq, s = f[:4], f[4:6], f[15:].reshape(2, 2, h, b)
+    absb, den, tau, r, u, w, sign, t, c = f[6], f[7], f[8], f[9], f[10], f[11], f[12], f[13], f[14]
+    flags = np.empty((2, h, b), dtype=bool)
+    # the operands of both rotations share memory; the columns' are larger
+    tmp = np.empty((2, 2 * rows * 2 * h * b))
+    col = tmp.reshape(2, 2, rows, 2, h, b)
+    row = tmp[:, : 2 * 2 * h * n * b].reshape(2, 2, 2, h, n, b)
+    s1, s2 = s[0], s[1]
+    return (
+        g.reshape(4 * h, b), g[0], g[1], g[:2], g[2:], sq, sq[0], sq[1],
+        absb, den, tau, r, u, w, sign, t, c, s[:, 0], s[:, 1], flags[0], flags[1],
+        # s1, s2 and c broadcast against the columns, then the rows
+        s1, s2[:, None, None], col[0], col[1],
+        c[:, None], s1[:, :, None], s2[::-1, None, :, None], row[0], row[1],
+    )
+
+
+def _sweep(cur: _Views, nxt: _Views, scratch: tuple, lay: _Layout) -> tuple[_Views, _Views]:
+    """Apply the rotations of every round-robin step of one sweep to every
+    matrix; ``cur`` holds the work array and ``nxt`` the buffer each step
+    gathers into.  Returns them, swapped after each step, so that the
+    first holds the work array at the end of the sweep."""
+    # g holds a_pp, a_qq, re a_pq, im a_pq; b is (re a_pq, im a_pq); s0 is
+    # (sre, sim) and s0_neg its negation; zero marks a_pq == 0, ge tau >= 0
+    (g, app, aqq, diag_in, b, sq, sq_re, sq_im, absb, den0, tau, r, u, w, sign, t, c, s0, s0_neg,
+     zero, ge, s1_col, s2_col, col_a, col_b, c_row, s1_row, s2_row, row_a, row_b) = scratch
+    h = len(app)
+    for gather in lay.steps:
+        if cur.src is None:
+            cur = _views(cur.x, h)
+        _, flat, src, diag, im_diag, pq, qp, col, col_partner, col_swapped, row, row_partner, row_swapped = cur
+        src.take(lay.params, axis=0, out=g, mode="clip")
+        # no ufunc of the parameters writes into one of its inputs: NumPy
+        # takes a slow path for that on one-element arrays (a batch of one
+        # of order 2 or 3), which the rotations' operands never are
+        np.multiply(b, b, out=sq)
+        np.sqrt(np.add(sq_re, sq_im, out=r), out=absb)
+        nonzero = np.count_nonzero(absb) == absb.size
+        den = absb
+        if not nonzero:
+            # a zero pair divides by 1.0 and gets the identity rotation
+            np.equal(absb, _ZERO, out=zero)
+            np.copyto(den0, absb)
+            np.copyto(den0, _ONE, where=zero)
+            den = den0
+        np.divide(np.subtract(aqq, app, out=r), np.multiply(_TWO, den, out=u), out=tau)
+        # tau >= 0: -1 / (tau + sqrt(1 + tau^2)); else 1 / (sqrt(1 + tau^2) - tau);
+        # the sign is 1 - 2 * (tau >= 0)
+        np.add(np.multiply(np.greater_equal(tau, _ZERO, out=ge), _MINUS_TWO, out=r), _ONE, out=sign)
+        np.sqrt(np.add(_ONE, np.multiply(tau, tau, out=r), out=u), out=r)
+        np.divide(sign, np.add(np.abs(tau, out=w), r, out=u), out=t)
+        if not nonzero:
+            np.copyto(t, _ZERO, where=zero)
+        np.divide(_ONE, np.sqrt(np.add(_ONE, np.multiply(t, t, out=r), out=u), out=w), out=c)
+        # s[0] = s1 = (sre, -sre) and s[1] = s2 = (-sim, sim), where
+        # sre = sig * (bre / absb) and sim = -sig * (bim / absb), both 0.0 on
+        # a zero pair; (-sig) * y and -(sig * y) round alike
+        np.multiply(np.multiply(t, c, out=u), np.divide(b, den, out=sq), out=s0)
+        if not nonzero:
+            np.copyto(s0[0], _ZERO, where=zero)
+            np.copyto(s0[1], _NEG_ZERO, where=zero)
+        np.negative(s0, out=s0_neg)
+
+        # columns of A and V, then rows of A: the row update of J^H (A J) is
+        # the column update of the transposed rows with s conjugated.  Each
+        # line x with partner line y becomes c*x + (s1 + i*s2)*y, written
+        # out on the re/im planes in a fixed order: s1 is sre for p and -sre
+        # for q, and s2 is sim for columns and -sim for rows.  s2 comes with
+        # a plane axis holding (-s2, s2), so that one product gives
+        # -s2*y_im for the real plane and s2*y_re for the imaginary one;
+        # adding the negated product is the same IEEE operation as
+        # subtracting it.
+        np.add(np.multiply(s1_col, col_partner, out=col_a), np.multiply(s2_col, col_swapped, out=col_b), out=col_a)
+        np.add(np.multiply(c, col, out=col_b), col_a, out=col)
+        np.add(np.multiply(s1_row, row_partner, out=row_a), np.multiply(s2_row, row_swapped, out=row_b), out=row_a)
+        np.add(np.multiply(c_row, row, out=row_b), row_a, out=row)
+
+        # a_pp + t|b|, then a_qq + (-t|b|), which is a_qq - t|b|; sq is free
+        np.add(diag_in, np.multiply(_PLUS_MINUS, np.multiply(t, absb, out=u), out=sq), out=diag)
+        im_diag.fill(0.0)
+        pq.fill(0.0)
+        qp.fill(0.0)
+        # mode="clip" (indices in range) skips take's buffer
+        flat.take(gather, axis=1, out=nxt.flat, mode="clip")
+        cur, nxt = nxt, cur
+    return cur, nxt
+
+
+# 0-d operands: the same values as Python floats, without their
+# conversion at every call
+_ZERO, _NEG_ZERO, _ONE, _TWO, _MINUS_TWO = (np.array(v) for v in (0.0, -0.0, 1.0, 2.0, -2.0))
 _PLUS_MINUS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
@@ -217,13 +294,13 @@ def jacobi_batch(h, thr, max_sweeps, vectors=True) -> tuple[np.ndarray, np.ndarr
     x[0, :n] = h.real.transpose(1, 2, 0)
     x[1, :n] = h.imag.transpose(1, 2, 0)
     if vectors:
-        x[0, n:] = np.eye(n)[:, :, None]
-    rows, cols = lay.enter
-    x = x.take(rows, axis=1).take(cols, axis=2)
+        x[0, n:].reshape(n * n, nb)[:: n + 1] = 1.0  # V's diagonal
+    x = x.reshape(2, -1, nb).take(lay.enter, axis=1).reshape(x.shape)
     out = np.empty_like(x)
     result = np.full(nb, -1, dtype=np.int64)
     active = np.arange(nb)
     sweeps = 0
+    work = None
 
     # tau * tau may overflow to inf, as it does in scalar floats; t is then
     # -0.0 or 0.0, the limit of the formula
@@ -240,16 +317,20 @@ def jacobi_batch(h, thr, max_sweeps, vectors=True) -> tuple[np.ndarray, np.ndarr
                 active = active[~done]
                 if not active.size:
                     break
-            # per-sweep scratch: glibc may page-fault fresh per-step temporaries
-            # in again each step; mode="clip" (indices in range) skips take's buffer
-            y, tmp = np.empty(x.shape), np.empty((2, x.size))
-            for rows, cols in lay.steps:
-                _step(x, lay, half, tmp)
-                x.take(rows, axis=1, out=y, mode="clip").take(cols, axis=2, out=x, mode="clip")
+                work = None
+            # a second buffer, every view and all scratch, once per work
+            # array: glibc may page-fault fresh per-step temporaries in
+            # again each step, and building views costs Python time
+            if work is None:
+                y = np.empty_like(x)
+                work = _views(x, half), _Views(y, y.reshape(2, -1, y.shape[-1])), _scratch(x, half)
+            cur, nxt, scratch = work
+            cur, nxt = _sweep(cur, nxt, scratch, lay)
+            work = cur, nxt, scratch
+            x = cur.x
             sweeps += 1
 
-    rows, cols = lay.leave
-    out = out.take(rows, axis=1).take(cols, axis=2)
+    out = out.reshape(2, -1, nb).take(lay.leave, axis=1).reshape(out.shape)
     # (plane, row, col, matrix) -> (matrix, row, col) for A and
     # (matrix, col, row) for V, whose columns are the eigenvectors
     a = _complex(out[:, :n].transpose(3, 1, 2, 0))

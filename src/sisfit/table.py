@@ -191,12 +191,19 @@ def one_row_per_key(path, lines: np.ndarray, keys: tuple, sizes: tuple, what: st
     return rows
 
 
+_WRITE_CHUNK = 4096  # rows formatted by one % call; keeps memory flat
+
+
 def write_table(path, *blocks: np.ndarray) -> None:
     """Write one comma-separated line per row of the 2-d ``blocks`` put
     side by side, each value as its ``repr``."""
-    rows = np.concatenate([b.astype(object) for b in blocks], axis=1).tolist()
+    table = np.concatenate([b.astype(object) for b in blocks], axis=1)
+    rows, cols = table.shape
+    line = ",".join(["%r"] * cols) + "\n"
     with create(path) as fh:
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, rows, _WRITE_CHUNK):
+            chunk = table[start : start + _WRITE_CHUNK]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 class _Meta:

@@ -394,6 +394,17 @@ def test_lattice_of_too_many_cosets_is_a_usage_error(tmp_path, rng, capsys):
         assert capsys.readouterr().err == "error: lattice basis has 10000000000 cosets, more than 1048576\n"
 
 
+@pytest.mark.parametrize("regimes", ["", ",", " , "])
+def test_compare_with_an_empty_regime_list_is_a_usage_error(tmp_path, rng, capsys, regimes):
+    # refused before any data is read: a missing --data file is not reported
+    data, _ = _regime_input(tmp_path, rng, "sis")
+    table = tmp_path / "table.csv"
+    for path in (data, str(tmp_path / "missing.json")):
+        assert cli.main(["compare", "--data", path, "--regimes", regimes, "--ranks", "1", "--out", str(table)]) == 2
+        assert capsys.readouterr() == ("", "error: empty regime list\n")
+        assert not table.exists()
+
+
 def test_rank_beyond_memory_is_a_usage_error(tmp_path, rng, capsys):
     data, _ = _regime_input(tmp_path, rng, "sis")
     # 10^12 generators of 4 cells and 3 translations: far more memory than any host has

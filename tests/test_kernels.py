@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -118,8 +119,11 @@ def _reference_jacobi(h, thr, max_sweeps):
         sweeps += 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 13, 16], ids=PYTHON_IDS)
-def test_kernel_matches_scalar_reference(n, rng):
+# the full mode keeps its "<n>-python" ids; the values-only mode adds "-values"
+@pytest.mark.parametrize("n, vectors", [
+    pytest.param(n, vectors, id=PYTHON_IDS(n) + ("" if vectors else "-values"))
+    for vectors in (True, False) for n in (1, 2, 3, 4, 5, 7, 8, 13, 16)])
+def test_kernel_matches_scalar_reference(n, vectors, rng):
     # zero pairs (exact, of negative zeros, and a_pq whose square
     # underflows), signed zeros on the diagonal, equal diagonals, large and
     # tiny scales
@@ -135,11 +139,13 @@ def test_kernel_matches_scalar_reference(n, rng):
     negzero[: n // 2, n // 2 :] = complex(-0.0, -0.0)
     negzero[n // 2 :, : n // 2] = complex(-0.0, -0.0)
     hs = np.stack(hs + [tiny, signed, flat, negzero])
-    sweeps, planes = _solve(hs)
+    sweeps, planes = _solve(hs, vectors=vectors)
     for b, h in enumerate(hs):
         ref_sweeps, ref_planes = _reference_jacobi(h, _thr(h), 64)
         assert sweeps[b] == ref_sweeps
-        assert _bits(planes, b) == [p.tobytes() for p in ref_planes]
+        # the values-only mode has no V: its A planes must match alone
+        ref = [p.tobytes() for p in ref_planes] if vectors else [p.tobytes() for p in ref_planes[:2]] + [None, None]
+        assert _bits(planes, b) == ref
 
 
 def test_kernel_reports_nonconvergence(rng):
@@ -278,3 +284,39 @@ def test_kernel_values_only_mode_matches_full_mode(n, rng):
     assert vals_planes[2] is None and vals_planes[3] is None
     for b in range(hs.shape[0]):
         assert _bits(full_planes, b)[:2] == _bits(vals_planes, b)[:2]
+
+
+# SHA-256 of the sweeps, A and V of every stack of ``_digest_stacks``, in
+# both modes: the kernel's output bits, recorded before the sweep loop was
+# rewritten around per-work-array views and one gather per step
+KERNEL_DIGEST = "ff0625f3bc9ddbe431e24a09f7c0fabac27e4a707bd9aa3b56c19fdb600621b0"
+
+
+def _digest_stacks():
+    """Seeded stacks built by elementwise operations only (no BLAS), one
+    per order: dense matrices at two scales, a block-diagonal one whose
+    cross pairs are exact zeros, a diagonal one (0 sweeps) and a nearly
+    diagonal one, so that matrices leave the batch at different sweeps."""
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 3, 7, 8, 13, 16, 31, 32, 49):
+        block = random_hermitian(rng, n)
+        block[: n // 2, n // 2 :] = 0.0
+        block[n // 2 :, : n // 2] = 0.0
+        diag = rng.standard_normal(n)
+        near = np.diag(np.arange(n, 0, -1, dtype=float)) + 1e-7 * random_hermitian(rng, n)
+        hs = np.stack([random_hermitian(rng, n), random_hermitian(rng, n, 1e3), block,
+                       np.diag(diag).astype(complex), near])
+        thr = np.array([1e-12, 1e-9, 1e-12, 1e-12, 1e-12])
+        yield hs, thr
+
+
+def test_kernel_output_digest_is_pinned():
+    digest = hashlib.sha256()
+    for hs, thr in _digest_stacks():
+        for vectors in (True, False):
+            sweeps, a, v = jacobi_batch(hs, thr, 64, vectors)
+            digest.update(sweeps.astype(np.int64).tobytes())
+            digest.update(np.ascontiguousarray(a).tobytes())
+            if v is not None:
+                digest.update(np.ascontiguousarray(v).tobytes())
+    assert digest.hexdigest() == KERNEL_DIGEST

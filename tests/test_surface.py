@@ -4,6 +4,7 @@ benchmark harness reads."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import sisfit
@@ -141,3 +142,23 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(files) > 20
     unread = [(str(f.relative_to(ROOT)), name) for f in files for name in _unread_imports(f)]
     assert unread == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # the package runs from a checkout with no build step: any import other
+    # than the standard library, numpy and the package's own modules is a
+    # new dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    files = sorted((ROOT / "src" / "sisfit").glob("*.py"))
+    assert len(files) > 10
+    foreign = []
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(f.name, name) for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []

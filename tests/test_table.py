@@ -60,6 +60,25 @@ def test_rows_read_back_bit_for_bit(data):
     assert np.array_equal(_bits(got.view(np.complex128)[:, 0]), _bits(values))
 
 
+def _per_row_join(*blocks):
+    """The table text as one ``",".join(map(repr, row))`` per row."""
+    rows = np.concatenate([b.astype(object) for b in blocks], axis=1).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 4096, 4097, 9000])
+def test_write_table_matches_the_per_row_join(tmp_path, rows):
+    # signed zeros, the smallest subnormal, infinities, nan, the int64
+    # extremes and bools, side by side and across the chunk boundary
+    floats = np.resize(np.array([-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 0.1, 1e308]), (rows, 3))
+    ints = np.resize(np.array([-(2**63), 2**63 - 1, 0, -1], dtype=np.int64), (rows, 2))
+    bools = np.resize(np.array([True, False, True]), (rows, 1))
+    for blocks in [(ints, floats, bools), (floats,), (ints[:, :0],), (ints[:, :0], floats[:, :0])]:
+        path = tmp_path / "t.csv"
+        write_table(path, *blocks)
+        assert path.read_text(encoding="utf-8") == _per_row_join(*blocks)
+
+
 @given(st.data())
 def test_datasets_read_back_bit_for_bit(data):
     dim = data.draw(st.integers(1, 2))
