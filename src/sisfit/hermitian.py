@@ -1,21 +1,12 @@
 """Deterministic eigendecomposition of complex Hermitian matrices.
 
-Wraps the NumPy Jacobi kernel (``kernels.jacobi_batch``), whose sweeps
-follow the parallel round-robin ordering of Brent & Luk, with validation,
-stable descending eigenvalue order, clamping of tiny negative eigenvalues,
-and a fixed eigenvector phase convention.  ``eig_hermitian_batch`` solves a
-whole stack of same-order matrices with one kernel call, which takes the
-symmetrized complex stack, writes nothing into it and returns the
-diagonalized stack and the eigenvectors as rows; every other step is an
-array operation over the stack, and ``eig_hermitian`` is a batch of one.
-The kernel uses only correctly rounded elementwise operations on each
-matrix's own entries and decides convergence on a sum added in sequential
-order, so the same input bits give the same output bits, whatever else is
-in the batch.  The convergence threshold is fixed: a matrix G has
-converged when its off-diagonal Frobenius norm is at most
-``EIG_TOL * ||G||_F``.  The values-only mode (``vectors=False``) carries
-no eigenvectors through the kernel and does no phase step; its
-eigenvalues are bit-identical to the full mode's.
+Wraps LAPACK's Hermitian eigensolver (``np.linalg.eigh``) with
+validation, stable descending eigenvalue order, clamping of tiny
+negative eigenvalues, and a fixed eigenvector phase convention, all array
+operations over a stack; ``eig_hermitian`` is a batch of one.  ``eigh``
+factors each matrix of a stack on its own, so a matrix gets the same bits
+alone as in any stack while the BLAS thread count is fixed, which every
+fit, spectrum and verify ensures with ``blas.one_blas_thread``.
 """
 
 from __future__ import annotations
@@ -23,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigh
 
 from .errors import ConvergenceError, ValidationError
-from .kernels import jacobi_batch
 
-EIG_TOL = 1e-13
-MAX_SWEEPS = 64
 MAX_ORDER = 256
 
 # eigenvalues at or below this fraction of the per-matrix maximum are
@@ -110,52 +99,54 @@ def _normalize_rows(w: np.ndarray) -> None:
     w[rows] = sub
 
 
+def _frobenius(h: np.ndarray) -> np.ndarray:
+    """||h_b||_F of every matrix of a complex (B, n, n) stack: the square
+    root of |h_ij|^2 added in row-major order, one ``np.add.accumulate``
+    per matrix.  No BLAS and no pairwise sum, so a matrix's norm does not
+    depend on the batch or on the thread count."""
+    sq = (h.real * h.real + h.imag * h.imag).reshape(h.shape[0], -1)
+    return np.sqrt(np.add.accumulate(sq, axis=1)[:, -1])
+
+
 def eig_hermitian_batch(g, *, vectors: bool = True) -> EigenSystem:
     """Eigendecomposition of every matrix of a (B, n, n) stack, with one
-    kernel call.
+    ``eigh`` call.
 
     Each matrix gets exactly the bits ``eig_hermitian`` gives it alone:
     the stack is validated and symmetrized as a whole (errors name the
-    first failing matrix), the convergence threshold ``EIG_TOL * ||g_b||_F``
-    is per matrix, and sorting, clamping and the phase step are array
-    operations that treat every matrix by itself.  ``vectors=False``
-    returns eigenvalues only.  Raises ``ConvergenceError`` if any matrix
-    does not converge.
+    first failing matrix), the clamp threshold is per matrix, and sorting,
+    clamping and the phase step are array operations that treat every
+    matrix by itself.  ``vectors=False`` returns eigenvalues only; it too
+    calls ``eigh``, since ``eigvalsh`` rounds them differently, and skips
+    the phase step.  Raises ``ConvergenceError`` if LAPACK does not
+    converge on some matrix.
     """
     arr = np.asarray(g)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {arr.shape}")
     h = _hermitian_stack(arr)
     n = h.shape[-1]
-    # np.linalg.norm per matrix: a stacked reduction may add in another
-    # order than its BLAS dot, and the threshold must not depend on the batch
-    normg = np.array([np.linalg.norm(x) for x in h], dtype=np.float64)
+    normg = _frobenius(h)
+    try:
+        lam, w = eigh(h)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge (order {n}): {exc}") from None
 
-    sweeps, a, w = jacobi_batch(h, EIG_TOL * normg, MAX_SWEEPS, vectors)
-    if (sweeps < 0).any():
-        raise ConvergenceError(
-            f"eigensolver did not reach tol={EIG_TOL:g} within {MAX_SWEEPS} sweeps "
-            f"(order {n})"
-        )
-
-    lam = np.diagonal(a, axis1=1, axis2=2).real
+    # eigh is ascending; a stable sort of -lam keeps its order among ties
     order = np.argsort(-lam, axis=1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=1)
     lam[(lam < 0.0) & (lam >= -NEG_CLAMP_REL * normg[:, None])] = 0.0
     if not vectors:
         return EigenSystem(eigenvalues=lam, vectors=None)
 
-    # row s of w is eigenvector s, so the phase step runs on contiguous rows
-    w = np.take_along_axis(w, order[:, :, None], axis=1)
+    # rows of w are eigenvectors, so the phase step runs on contiguous rows
+    w = np.take_along_axis(w.swapaxes(1, 2), order[:, :, None], axis=1)
     _normalize_rows(w.reshape(-1, n))
     return EigenSystem(eigenvalues=lam, vectors=np.ascontiguousarray(w.swapaxes(1, 2)))
 
 
 def eig_hermitian(g) -> EigenSystem:
     """Full eigendecomposition of a complex Hermitian matrix.
-
-    Sweeps stop once the off-diagonal Frobenius norm is at most
-    ``EIG_TOL * ||g||_F``, with the fixed ``EIG_TOL = 1e-13``.
 
     Parameters
     ----------
@@ -166,7 +157,8 @@ def eig_hermitian(g) -> EigenSystem:
     Returns
     -------
     EigenSystem
-        Eigenvalues descending (ties keep the kernel's diagonal order);
+        Eigenvalues descending (ties keep LAPACK's ascending order, so
+        ``np.eye(3)`` gives e1, e2, e3);
         eigenvalues in ``[-1e-10 * ||g||_F, 0)`` are clamped to zero.
         Eigenvector columns are unitary and phase-normalized.
     """

@@ -17,7 +17,9 @@ are the same squared singular values of a.  Its four stages
 a whole chunk of cells and return chunk arrays; no stage holds a record
 per cell.  The spectra do not depend on the rank: ``block_spectra`` runs
 the first two alone, values only, and ``error_at_rank`` reads the error
-at any rank from its result.
+at any rank from its result.  ``_fit_cells``, ``block_spectra`` and
+``project_onto`` hold ``blas.one_blas_thread``, so their bits do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ValidationError
 from .hermitian import RANK_REL_TOL, eig_hermitian_batch
 from .spectral import SpectralDataset, SpectralGrid, check_same_grid
@@ -75,14 +78,15 @@ def allocation_residual(lams, alloc) -> np.ndarray:
 
 # matrix elements per eigensolver call: one call solves up to
 # CHUNK_ELEMENTS // n**2 Gramians of order n (256 of order 8, 64 of order
-# 16), where per-call overhead is spread thin and the work array still
-# fits in cache.  A fixed constant, so no result depends on the machine.
+# 16), where per-call overhead is spread thin and a chunk's Gramians,
+# eigenvectors and generators still fit in cache.  A fixed constant, so
+# no result depends on the machine.
 CHUNK_ELEMENTS = 16384
 
 
 # ``_chunks`` never splits a cell, so this is the only split of one cell
 # larger than CHUNK_ELEMENTS (a large discrete fit is one cell): without it
-# one kernel call would hold every block Gramian of the whole dataset
+# one eigensolver call would hold every block Gramian of the whole dataset
 def _per_call(n: int) -> int:
     return max(1, CHUNK_ELEMENTS // (n * n))
 
@@ -118,7 +122,8 @@ def _gramians(fs: np.ndarray, blocks, sides) -> dict:
 
 def _eigensolve(fs: np.ndarray, blocks, vectors: bool):
     """Stage 2: eigendecompose the block Gramians of the stack ``fs`` (stage
-    1, ``_gramians``), one kernel call per ``_per_call`` of each order.
+    1, ``_gramians``), one ``eig_hermitian_batch`` call per ``_per_call``
+    of each order.
     Returns the block spectra, shape (cells, blocks, m), each padded with
     +0.0 records up to m, and, when ``vectors``, each block's eigenvector
     stack, shape (cells, n_b, n_b) (None for an empty block)."""
@@ -212,6 +217,7 @@ def _chunks(x: np.ndarray, blocks):
         yield slice(start, start + per), np.ascontiguousarray(x[start : start + per])
 
 
+@one_blas_thread
 def block_spectra(x: np.ndarray, blocks) -> np.ndarray:
     """The block spectra (cells, blocks, m) of the stack ``x`` (cells, m,
     columns), from one values-only pass; they serve every rank."""
@@ -225,6 +231,7 @@ def error_at_rank(lams: np.ndarray, rank: int, volume: float) -> float:
     return float(allocation_residual(lams, _select(lams, rank)[1]).sum()) * volume
 
 
+@one_blas_thread
 def _fit_cells(x: np.ndarray, blocks, rank: int):
     """Best ``rank`` block-supported generators for the rows of each cell
     matrix of the stack ``x``, shape (cells, m, columns), one ``_chunks``
@@ -316,6 +323,7 @@ def _project(x: np.ndarray, e: np.ndarray):
     return coef, proj, (r.real**2 + r.imag**2).sum(axis=-1)
 
 
+@one_blas_thread
 def project_onto(model: FittedModel, ds: SpectralDataset):
     """Orthogonal projection of every function onto the fitted space, all
     cells at once (one ``_project`` of the stacked cell matrices).

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
@@ -103,6 +104,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+@one_blas_thread
 def verify_model(model, data, partition: DiscretePartition | None = None) -> VerificationReport:
     """Run every check of the model's regime against ``data`` (a
     ``SpectralDataset``, or a ``DiscreteDataset`` with the model's

@@ -1,5 +1,7 @@
-"""The Jacobi eigensolver kernel for stacks of complex Hermitian matrices,
-in NumPy.
+"""A Jacobi eigensolver for stacks of complex Hermitian matrices, in
+NumPy: the tests' independent oracle for ``sisfit.hermitian``, which
+calls LAPACK.  ``test_kernels.py`` pins its arithmetic against a scalar
+reference and its output bits by a SHA-256 digest.
 
 ``jacobi_batch`` takes a complex stack of B matrices of one order n,
 writes nothing into it, and returns the diagonalized stack and the

@@ -1010,9 +1010,13 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     assert location in res.stderr, res.stderr
 
 
+def _eigh_that_does_not_converge(h):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def test_eigensolver_that_does_not_converge_is_a_usage_error(tmp_path, rng, monkeypatch, capsys):
     manifest = write_dataset(random_dataset(rng, cells=4, trunc=1, m=2), tmp_path / "data")
-    monkeypatch.setattr(hermitian, "MAX_SWEEPS", 0)
+    monkeypatch.setattr(hermitian, "eigh", _eigh_that_does_not_converge)
     argv = ["fit", "--regime", "sis", "--rank", "1", "--data", str(manifest), "--out", str(tmp_path / "model")]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: eigensolver did not reach")
+    assert capsys.readouterr().err.startswith("error: eigensolver did not converge")

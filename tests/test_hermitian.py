@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from sisfit import hermitian
+from sisfit.blas import one_blas_thread
 from sisfit.errors import ConvergenceError, ValidationError
 from sisfit.hermitian import (
     PHASE_TOL,
     EigenSystem,
+    _frobenius,
     _normalize_rows,
     eig_hermitian,
     eig_hermitian_batch,
 )
 
 from conftest import random_hermitian
+from jacobi import jacobi_batch
 from oracles import eig2_closed_form, eig3_closed_form, eig_lapack
 
 
@@ -142,27 +147,75 @@ def test_stacked_phase_step_matches_per_column_reference(rng):
         assert _normalize_row(v).tobytes() == ref
 
 
-def _mixed_stack(rng, n):
-    f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+def _low_rank(rng, n, r):
+    f = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     low = f @ f.conj().T
-    hs = [random_hermitian(rng, n), (low + low.conj().T) / 2.0, np.eye(n), np.zeros((n, n))]
+    return (low + low.conj().T) / 2.0
+
+
+def _mixed_stack(rng, n):
+    hs = [random_hermitian(rng, n), _low_rank(rng, n, 2), np.eye(n), np.zeros((n, n))]
     return np.stack(hs + [random_hermitian(rng, n, 1e-3) for _ in range(3)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 11])
+# eigh rounds by the BLAS thread count from order 104 on, so the stacks are
+# solved on one BLAS thread, as every fit solves them
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 11, 16, 49, 104, 256])
 def test_batch_equals_single_solves_bitwise(rng, n):
     hs = _mixed_stack(rng, n)
-    full = eig_hermitian_batch(hs)
-    rev = eig_hermitian_batch(hs[::-1])
-    vals = eig_hermitian_batch(hs, vectors=False)
+    with one_blas_thread:
+        full = eig_hermitian_batch(hs)
+        rev = eig_hermitian_batch(hs[::-1])
+        vals = eig_hermitian_batch(hs, vectors=False)
+        alone = [(eig_hermitian(h), eig_hermitian_batch(h[None], vectors=False)) for h in hs]
     assert vals.vectors is None and full.order == n
     last = hs.shape[0] - 1
-    for b, h in enumerate(hs):
-        one = eig_hermitian(h)
+    for b, (one, one_vals) in enumerate(alone):
         lam = one.eigenvalues.tobytes()
         assert lam == full.eigenvalues[b].tobytes() == rev.eigenvalues[last - b].tobytes()
-        assert lam == vals.eigenvalues[b].tobytes()
+        assert lam == vals.eigenvalues[b].tobytes() == one_vals.eigenvalues[0].tobytes()
         assert one.vectors.tobytes() == full.vectors[b].tobytes() == rev.vectors[last - b].tobytes()
+    # identity and zero matrices: eigh's tie order, e_1 .. e_n
+    assert np.array_equal(full.vectors[2], np.eye(n)) and np.array_equal(full.vectors[3], np.eye(n))
+
+
+def test_frobenius_norm_is_one_sequential_sum_per_matrix(rng):
+    hs = np.stack([random_hermitian(rng, 13, scale) for scale in (1e-3, 1.0, 1e3)] + [np.zeros((13, 13))])
+    norms = _frobenius(hs)
+    for b, h in enumerate(hs):
+        total = 0.0
+        for term in (h.real * h.real + h.imag * h.imag).ravel().tolist():
+            total += term
+        assert norms[b].tobytes() == np.float64(math.sqrt(total)).tobytes() == _frobenius(h[None])[0].tobytes()
+        assert abs(norms[b] - np.linalg.norm(h)) <= 1e-15 * norms[b]
+
+
+def _oracle(hs):
+    """Descending eigenvalues and phase-normalized eigenvector rows of the
+    Jacobi kernel, the solver ``eig_hermitian_batch`` replaced."""
+    thr = np.array([1e-13 * np.linalg.norm(h) for h in hs])
+    sweeps, a, v = jacobi_batch(hs, thr, 64)
+    assert (sweeps >= 0).all()
+    lam = np.diagonal(a, axis1=1, axis2=2).real
+    order = np.argsort(-lam, axis=1, kind="stable")
+    v = np.take_along_axis(v, order[:, :, None], axis=1)
+    _normalize_rows(v.reshape(-1, hs.shape[-1]))
+    return np.take_along_axis(lam, order, axis=1), v
+
+
+def test_solver_agrees_with_the_jacobi_oracle(rng):
+    for n in range(1, 50):
+        hs = np.stack([random_hermitian(rng, n), random_hermitian(rng, n, 1e3), _low_rank(rng, n, max(1, n // 2))])
+        es = eig_hermitian_batch(hs)
+        lam, rows = _oracle(hs)
+        for b, h in enumerate(hs):
+            scale = np.linalg.norm(h)
+            assert np.abs(es.eigenvalues[b] - lam[b]).max() <= 1e-12 * scale
+            # eigenvectors of eigenvalues at least 1e-3 * ||G||_F from every other
+            gaps = np.abs(lam[b][:, None] - lam[b][None, :]) + np.diag(np.full(n, np.inf))
+            apart = np.flatnonzero(gaps.min(axis=1) >= 1e-3 * scale)
+            assert n < 4 or apart.size, (n, b)
+            assert np.abs(es.vectors[b][:, apart].T - rows[b][apart]).max(initial=0.0) <= 1e-9
 
 
 def test_batch_validation_names_the_matrix():
@@ -209,6 +262,13 @@ def test_eigensystem_order_property():
 
 
 def test_no_sweeps_left_raises_convergence_error(monkeypatch):
-    monkeypatch.setattr(hermitian, "MAX_SWEEPS", 0)
-    with pytest.raises(ConvergenceError, match=r"within 0 sweeps \(order 2\)"):
+    # LAPACK's own failure, as ``eigh`` reports it, is a ConvergenceError
+    def eigh(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(hermitian, "eigh", eigh)
+    for vectors in (True, False):
+        with pytest.raises(ConvergenceError, match=r"^eigensolver did not converge \(order 2\)"):
+            eig_hermitian_batch(np.ones((1, 2, 2)), vectors=vectors)
+    with pytest.raises(ConvergenceError, match=r"^eigensolver did not converge \(order 2\)"):
         eig_hermitian([[1, 1], [1, 1]])

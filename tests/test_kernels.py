@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sisfit.kernels import jacobi_batch, round_robin_steps
+from jacobi import jacobi_batch, round_robin_steps
 
 from conftest import random_hermitian
 
