@@ -30,6 +30,30 @@ BRUTE_FORCE_GUARD = 10**6
 MAX_TABLE_SAMPLES = 2**24
 
 
+def _unique_rows(rows: np.ndarray):
+    """What ``np.unique(rows, axis=0, return_index=True,
+    return_inverse=True)`` returns for an (n, d) int64 array, the inverse
+    flat: the distinct rows in signed lexicographic order, the index of
+    each one's first occurrence, and the index of each row's among them.
+
+    One stable ``np.lexsort`` over the columns (the first column the
+    primary key) and an adjacent-row difference taken column by column:
+    some 5x faster than ``np.unique`` along an axis, which sorts the rows
+    as a structured dtype, on a few thousand rows of two columns."""
+    n, d = rows.shape
+    order = np.lexsort([rows[:, c] for c in reversed(range(d))])
+    ordered = rows[order]
+    new = np.zeros(n, dtype=bool)  # new[i]: ordered row i differs from row i - 1
+    new[:1] = True
+    for c in range(d):
+        col = ordered[:, c]
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[starts], order[starts], inverse
+
+
 @dataclass(eq=False)
 class DiscreteDataset:
     """m complex sequences over a shared finite support.
@@ -95,16 +119,18 @@ class DiscreteDataset:
         ``where(r)`` names row r in errors, and the first row of each
         support point in ``origin``.  ``source``, when given, names what
         set m (a table's largest index, or a model's rank), and m times the
-        support size must then stay within ``MAX_TABLE_SAMPLES``."""
+        support size must then stay within ``MAX_TABLE_SAMPLES``.  The
+        support and each row's column in it come from ``_unique_rows``
+        (one lexsort), and a repeated (j, column) is a duplicate sample."""
         located = bool(len(j))
         if not located:  # degenerate all-empty data: park a zero at the origin
             j, pos, vals = np.zeros(1, dtype=np.int64), np.zeros((1, dim), dtype=np.int64), np.zeros(1)
-        support, first, col = np.unique(pos, axis=0, return_index=True, return_inverse=True)
+        support, first, col = _unique_rows(pos)
         if source is not None and m * len(support) > MAX_TABLE_SAMPLES:
             raise ValidationError(
                 f"{source} gives {m} sequences on {len(support)} support points, more than {MAX_TABLE_SAMPLES} samples"
             )
-        flat = j * len(support) + col.reshape(-1)
+        flat = j * len(support) + col
         reject(repeats(flat), where, lambda r: f"duplicate sample for (j={j[r]}, position {tuple(pos[r].tolist())})")
         values = np.zeros(m * len(support), dtype=np.complex128)
         values[flat] = vals

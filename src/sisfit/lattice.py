@@ -118,24 +118,36 @@ def coset_of(k, lat: DualLattice):
     an ``int``, an array of vectors an int64 array of shape ``k.shape[:-1]``.
 
     Each vector is reduced into the section box one column of the Hermite
-    form at a time; a vector whose reduction could leave the int64 range
-    is rejected.
+    form at a time; a vector with a coordinate beyond ``limit`` in
+    absolute value, where the reduction could leave the int64 range, is
+    rejected.  The limit test, the reduction and the label (Horner steps
+    over diag(H)) all work on one 1-d coordinate array at a time, not by
+    reductions over the short last axis.
     """
     pts = np.asarray(k)
     if pts.shape[-1:] != (lat.dim,):
         raise ValidationError(f"expected integer vectors of dimension {lat.dim}, got shape {pts.shape}")
     pts = _as_int64(pts, "coset_of coordinates")
-    h = lat.hermite
+    h = lat.hermite.tolist()
     # step i adds at most |k|_max times column i, so |k|_max grows by at
     # most the factor 1 + max|H[:, i]|
-    limit = _INT64_MAX // math.prod(1 + int(np.abs(h[:, i]).max()) for i in range(lat.dim))
-    big = ((pts > limit) | (pts < -limit)).any(axis=-1)
+    limit = _INT64_MAX // math.prod(1 + max(abs(row[i]) for row in h) for i in range(lat.dim))
+    cols = [pts[..., c] for c in range(lat.dim)]
+    big = np.zeros(pts.shape[:-1], dtype=bool)
+    for col in cols:
+        big |= (col > limit) | (col < -limit)
     if big.any():
         v = tuple(pts[big][0].tolist())
         raise ValidationError(f"integer vector {v} too large to reduce in int64 (limit {limit})")
+    # H is lower triangular: step i changes the coordinates c >= i with H[c, i] != 0
     for i in range(lat.dim):
-        pts = pts - (pts[..., i] // h[i, i])[..., None] * h[:, i]
-    labels = np.ravel_multi_index(tuple(np.moveaxis(pts, -1, 0)), np.diag(h))
+        q = cols[i] // h[i][i]
+        for c in range(i, lat.dim):
+            if h[c][i]:
+                cols[c] = cols[c] - q * h[c][i]
+    labels = cols[0]
+    for c in range(1, lat.dim):
+        labels = labels * h[c][c] + cols[c]
     return int(labels) if pts.ndim == 1 else labels
 
 

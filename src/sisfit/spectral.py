@@ -27,6 +27,8 @@ from .table import (_json, one_row_per_key, read_c16, read_object, read_table, r
 PAYLOAD_BINARY = "binary-c64le"
 PAYLOAD_CSV = "csv"
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 _MANIFEST_KEYS = ("dim", "m", "cells_per_dim", "trunc_radius", "payload_path", "payload_format")
 
 
@@ -77,9 +79,14 @@ class SpectralGrid:
 
     def _outside(self, ks) -> np.ndarray:
         """Which integer vectors along the last axis of ``ks`` lie outside
-        the truncation box."""
+        the truncation box: one 1-d test per coordinate, not a reduction
+        over the short last axis."""
         n = self.trunc_radius
-        return ((ks < -n) | (ks > n)).any(axis=-1)
+        out = np.zeros(ks.shape[:-1], dtype=bool)
+        for c in range(ks.shape[-1]):
+            k = ks[..., c]
+            out |= (k < -n) | (k > n)
+        return out
 
     def translation_indices(self, ks) -> np.ndarray:
         """Index in ``translations`` of every integer vector along the last
@@ -91,12 +98,20 @@ class SpectralGrid:
         if outside.any():
             key = tuple(ks[outside][0].tolist())
             raise ValidationError(f"translation {key} outside the truncation box (radius {self.trunc_radius})")
+        if self.n_translations > _INT64_MAX:
+            raise ValidationError(f"grid has {self.n_translations} translations, more than an int64 index numbers")
         return self._ravel(ks)
 
     def _ravel(self, ks) -> np.ndarray:
-        """``translation_indices`` of int64 vectors known to lie in the box."""
+        """``translation_indices`` of int64 vectors known to lie in the
+        box, on a grid whose translations an int64 index numbers: Horner
+        steps over the coordinates, the first one the most significant."""
         n = self.trunc_radius
-        return np.ravel_multi_index(tuple(np.moveaxis(ks + n, -1, 0)), (2 * n + 1,) * self.dim)
+        side = 2 * n + 1
+        flat = ks[..., 0] + n
+        for c in range(1, self.dim):
+            flat = flat * side + (ks[..., c] + n)
+        return flat
 
 
 def _check_grid(dim: int, cells_per_dim: int, trunc_radius: int, source=None) -> None:
@@ -166,9 +181,9 @@ def synthesize(family: str, params, grid: SpectralGrid) -> SpectralDataset:
 
     Families (xi runs over sampling points, coordinatewise products):
 
-    - ``gaussian(sigma)``, sigma > 0: exp(-pi sigma^2 |xi|^2)
+    - ``gaussian(sigma)``, finite sigma > 0: exp(-pi sigma^2 |xi|^2)
     - ``bspline(n)``, integer n >= 0: prod_c (sin(pi xi_c) / (pi xi_c))^(n+1)
-    - ``boxcar(a)``, a > 0: prod_c sin(2 pi a xi_c) / (pi xi_c), value 2a at 0
+    - ``boxcar(a)``, finite a > 0: prod_c sin(2 pi a xi_c) / (pi xi_c), value 2a at 0
     """
     if family not in _FAMILY_PARAM:
         known = ", ".join(sorted(_FAMILY_PARAM))
@@ -181,20 +196,22 @@ def synthesize(family: str, params, grid: SpectralGrid) -> SpectralDataset:
     # evaluation points, shape (n_cells, n_translations, dim)
     xi = grid.cell_centers[:, None, :] + grid.translations[None, :, :]
 
+    # a non-finite parameter gets its family's message: inf would pass the
+    # sign tests (and give all-zero samples), and int() refuses inf and nan
     if family == "gaussian":
         sigma = float(p)
-        if sigma <= 0:
-            raise ValidationError(f"gaussian sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise ValidationError(f"gaussian sigma must be positive and finite, got {sigma}")
         vals = np.exp(-np.pi * sigma**2 * np.sum(xi**2, axis=2))
     elif family == "bspline":
-        if float(p) != int(p) or int(p) < 0:
+        if not math.isfinite(float(p)) or float(p) != int(p) or int(p) < 0:
             raise ValidationError(f"bspline order must be a nonnegative integer, got {p}")
         n = int(p)
         vals = np.prod(np.sinc(xi) ** (n + 1), axis=2)
     else:
         a = float(p)
-        if a <= 0:
-            raise ValidationError(f"boxcar halfwidth must be positive, got {a}")
+        if not 0 < a < math.inf:
+            raise ValidationError(f"boxcar halfwidth must be positive and finite, got {a}")
         vals = np.prod(2.0 * a * np.sinc(2.0 * a * xi), axis=2)
 
     return SpectralDataset(grid=grid, samples=vals[None, :, :].astype(np.complex128))

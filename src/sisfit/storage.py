@@ -254,8 +254,11 @@ def _load_selected(path: Path) -> list:
     slots 0..n-1."""
     lines, ints, lams, labels = array("q"), array("q"), array("d"), []
     for lineno, text in scan(path):
+        parts = text.split(",")
+        if len(parts) != 4:
+            raise ValidationError(f"{path}:{lineno}: inconsistent column count: expected 4 columns, got {len(parts)}")
+        slot, label, j, lam = parts
         try:
-            slot, label, j, lam = text.split(",")
             ints.extend([int(slot), int(j)])
             lams.append(float(lam))
         except (ValueError, OverflowError) as exc:

@@ -90,11 +90,18 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
     columns wide.  None also when loadtxt refuses the file, reads a
     non-finite value or reads fewer rows than the file has lines: loadtxt
     skips empty lines (and refuses whitespace-only ones), so a full count
-    means that row r is line r + 1."""
+    means that row r is line r + 1.
+
+    A file that is not plain is refused before its newlines are counted,
+    over a uint8 view of the bytes: several times faster than
+    ``bytes.count`` on a large table.  What is left is loadtxt's float
+    conversion, the floor of text ingest."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    newlines = raw.count(b"\n")
-    if newlines == len(raw) or raw.translate(None, _PLAIN):  # empty lines only: loadtxt would warn
+    if raw.translate(None, _PLAIN):
+        return None
+    newlines = int(np.count_nonzero(np.frombuffer(raw, np.uint8) == 10))
+    if newlines == len(raw):  # empty lines only: loadtxt would warn
         return None
     n_lines = newlines + (not raw.endswith(b"\n"))
     if dim is None:  # the first line sets it

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition
+from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition, _unique_rows
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import DualLattice, coset_of
@@ -357,10 +357,10 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
 
     # explicit projection residual over the union of supports
     # (columns in lexicographic order of the positions)
-    union, col = np.unique(np.concatenate([ds.support, model.support]), axis=0, return_inverse=True)
+    union, _, col = _unique_rows(np.concatenate([ds.support, model.support]))
     rows = np.zeros((ds.m + gens.shape[0], len(union)), dtype=np.complex128)
-    rows[: ds.m, col.reshape(-1)[: ds.n_points]] = ds.values
-    rows[ds.m :, col.reshape(-1)[ds.n_points :]] = gens
+    rows[: ds.m, col[: ds.n_points]] = ds.values
+    rows[ds.m :, col[ds.n_points :]] = gens
     coef, _, rr = _project(rows[None, : ds.m], rows[None, ds.m :])  # coef[0, j, s] = <f_j, g_s>
     total = float(rr.sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),

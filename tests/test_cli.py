@@ -217,6 +217,19 @@ def test_synth_on_a_grid_of_more_cells_than_int64_numbers_is_a_usage_error(tmp_p
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, message", [("--sigma", "gaussian sigma must be positive"),
+                                           ("--order", "bspline order must be a nonnegative integer"),
+                                           ("--halfwidth", "boxcar halfwidth must be positive")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_synth_with_a_non_finite_parameter_is_a_usage_error(tmp_path, capsys, flag, message, value):
+    family = {"--sigma": "gaussian", "--order": "bspline", "--halfwidth": "boxcar"}[flag]
+    argv = ["synth", "--family", family, flag, value, "--dim", "1", "--cells", "4", "--trunc", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_flag_consistency(tmp_path):
     data = tmp_path / "data"
     run_cli(
@@ -919,6 +932,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("residuals.csv", lambda p: p.write_bytes(b"0,\xff\n"), "residuals.csv:1: byte 0xff is not UTF-8"),
         ("model.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "model.json:1: byte 0xff is not UTF-8"),
         ("selected.csv", lambda p: p.write_bytes(b"0,\xff,0,1.0\n"), "selected.csv:1: byte 0xff is not UTF-8"),
+        # a selected.csv row is slot, label, in-block rank, eigenvalue
+        ("selected.csv", "0,a,0,1.0,5\n", "selected.csv:1: inconsistent column count: expected 4 columns, got 5"),
+        ("selected.csv", "0,a,0\n", "selected.csv:1: inconsistent column count: expected 4 columns, got 3"),
         ("dataset.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "dataset.json:1: byte 0xff is not UTF-8"),
         ("model.json", "[" * 100000, "model.json is not valid JSON: maximum recursion depth exceeded"),
         # column 1 of an eigencurves row is the cell's center, which must be the grid's
@@ -965,6 +981,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "pw-chosen-int64-overflow", "manifest-m-huge", "csv-nan", "generators-index-beyond-rank",
         "seqs-not-utf8", "seqs-int64-overflow-then-bad-token", "csv-int64-overflow-then-bad-token",
         "partition-not-utf8", "residuals-not-utf8", "model-json-not-utf8", "selected-not-utf8",
+        "selected-too-many-columns", "selected-too-few-columns",
         "manifest-not-utf8", "model-json-nested-too-deep", "eigencurves-center-not-a-number",
         "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
         "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sisfit.discrete import (
     BRUTE_FORCE_GUARD,
@@ -7,6 +9,7 @@ from sisfit.discrete import (
     DiscreteModel,
     DiscretePartition,
     _block_columns,
+    _unique_rows,
     brute_force_optimal,
     error_discrete,
     fit_discrete,
@@ -377,3 +380,30 @@ def test_block_support_names_each_stray_generator():
         "[block-support] generator 1: touches blocks [0, 1]",
         "[block-support] generator 2: position (5,) is not covered by the partition",
     ]
+
+
+_I64 = np.iinfo(np.int64)
+# a few values per coordinate, so that rows repeat, with both int64 ends
+_COORD = st.sampled_from([_I64.min, _I64.min + 1, -2, -1, 0, 1, 2, _I64.max - 1, _I64.max]) | st.integers(-3, 3)
+
+
+@given(data=st.data())
+def test_unique_rows_is_numpys_unique_along_axis_0(data):
+    d = data.draw(st.integers(1, 3))
+    rows = np.array(data.draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), max_size=40)),
+                    dtype=np.int64).reshape(-1, d)
+    want = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    got = _unique_rows(rows)
+    assert np.array_equal(got[0], want[0]) and got[0].dtype == np.int64 and got[0].shape == (len(want[0]), d)
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[2], want[2].reshape(-1)) and got[2].shape == (len(rows),)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unique_rows_of_no_rows_and_of_a_strided_view(d):
+    support, first, inverse = _unique_rows(np.zeros((0, d), dtype=np.int64))
+    assert support.shape == (0, d) and first.shape == inverse.shape == (0,)
+    # a table's position columns: a view with the sequence index column in front
+    table = np.array([[0, *([5] * d)], [1, *([-5] * d)], [2, *([5] * d)]], dtype=np.int64)
+    support, first, inverse = _unique_rows(table[:, 1:])
+    assert support.tolist() == [[-5] * d, [5] * d] and first.tolist() == [1, 0] and inverse.tolist() == [1, 0, 1]

@@ -218,6 +218,41 @@ def test_solver_agrees_with_the_jacobi_oracle(rng):
             assert np.abs(es.vectors[b][:, apart].T - rows[b][apart]).max(initial=0.0) <= 1e-9
 
 
+def _reference_solve(hs):
+    """``eig_hermitian_batch``'s eigenvalues and eigenvector rows with every
+    step always taken: the asymmetry test, the symmetrization and the norm
+    of each matrix for the clamp."""
+    adj = hs.conj().swapaxes(1, 2)
+    assert (np.abs(hs - adj).max(axis=(1, 2)) <= 1e-12 * np.abs(hs).max(axis=(1, 2))).all()
+    h = (hs + adj) / 2.0
+    lam, w = np.linalg.eigh(h)
+    order = np.argsort(-lam, axis=1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=1)
+    lam[(lam < 0.0) & (lam >= -hermitian.NEG_CLAMP_REL * _frobenius(h)[:, None])] = 0.0
+    rows = np.take_along_axis(w.swapaxes(1, 2), order[:, :, None], axis=1)
+    _normalize_rows(rows.reshape(-1, hs.shape[-1]))
+    return lam, rows
+
+
+def test_steps_taken_only_when_needed_keep_the_bits(rng):
+    n = 6
+    exact = np.stack([random_hermitian(rng, n), _low_rank(rng, n, 2), np.diag([3.0, 1.0, 0.0, -1e-20, -0.5, -2.0])])
+    assert (exact == exact.conj().swapaxes(1, 2)).all()
+    tilted = exact.astype(complex)
+    tilted[:, 0, 1] += 1e-15  # asymmetric within the tolerance, so symmetrized
+    positive = np.stack([random_hermitian(rng, n) + 8.0 * np.eye(n) for _ in range(3)])  # no eigenvalue below 0
+    tiny = np.stack([_low_rank(rng, n, 2), np.diag([3.0, 1.0, 0.0, -1e-20, 0.0, 0.0])])  # no large negative one
+    for hs in (exact, tilted, positive, tiny):
+        es = eig_hermitian_batch(hs)
+        lam, rows = _reference_solve(hs.astype(complex))
+        assert es.eigenvalues.tobytes() == lam.tobytes()
+        assert es.vectors.tobytes() == np.ascontiguousarray(rows.swapaxes(1, 2)).tobytes()
+        assert eig_hermitian_batch(hs, vectors=False).eigenvalues.tobytes() == lam.tobytes()
+    # a tiny negative is clamped, with or without a large one beside it, and a large one is kept
+    assert eig_hermitian_batch(exact[2:]).eigenvalues[0].tolist() == [3.0, 1.0, 0.0, 0.0, -0.5, -2.0]
+    assert eig_hermitian_batch(tiny[1:]).eigenvalues[0].tolist() == [3.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
 def test_batch_validation_names_the_matrix():
     good = np.stack([np.eye(2), np.eye(2)]).astype(complex)
     with pytest.raises(ValidationError, match="stack of square matrices"):

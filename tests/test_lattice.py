@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -189,3 +191,22 @@ def test_coset_of_arrays_match_vectors_and_membership(basis, data):
     for extreme in (np.iinfo(np.int64).max, np.iinfo(np.int64).min):
         with pytest.raises(ValidationError, match="too large"):
             coset_of(np.full((2, d), extreme), lat)
+
+
+@pytest.mark.parametrize("basis", [[[2]], [[-3]], [[2, 0], [0, 1]], [[2, 1], [0, 3]], [[1, 2, 0], [0, 2, 1], [3, 0, 1]]])
+def test_coset_of_takes_the_limit_and_refuses_one_beyond_in_any_coordinate(basis):
+    lat = make_dual_lattice(basis)
+    d = lat.dim
+    limit = np.iinfo(np.int64).max // math.prod(1 + int(np.abs(lat.hermite[:, i]).max()) for i in range(d))
+    for c in range(d):
+        for sign in (1, -1):
+            v = np.zeros(d, dtype=np.int64)
+            v[c] = sign * limit
+            lab = coset_of(v, lat)
+            assert _in_lattice(lat.basis, v - lat.section[lab])
+            assert coset_of(np.stack([v, -v, v]), lat).tolist() == [lab, coset_of(-v, lat), lab]
+            v[c] += sign
+            with pytest.raises(ValidationError, match=rf"too large to reduce in int64 \(limit {limit}\)"):
+                coset_of(v, lat)
+            with pytest.raises(ValidationError, match=rf"^integer vector {re.escape(str(tuple(v.tolist())))} "):
+                coset_of(np.stack([np.zeros(d, dtype=np.int64), v]), lat)

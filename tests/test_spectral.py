@@ -90,6 +90,50 @@ def test_synthesize_2d_separable():
     assert np.allclose(ds.samples[0], expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("family, message", [("gaussian", "gaussian sigma must be positive"),
+                                             ("bspline", "bspline order must be a nonnegative integer"),
+                                             ("boxcar", "boxcar halfwidth must be positive")])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_synthesize_refuses_a_non_finite_parameter(family, message, value):
+    grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        synthesize(family, [value], grid)
+
+
+def _old_outside(grid, ks):
+    n = grid.trunc_radius
+    return ((ks < -n) | (ks > n)).any(axis=-1)
+
+
+def _old_ravel(grid, ks):
+    n = grid.trunc_radius
+    return np.ravel_multi_index(tuple(np.moveaxis(ks + n, -1, 0)), (2 * n + 1,) * grid.dim)
+
+
+@pytest.mark.parametrize("dim, trunc", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2)])
+def test_box_test_and_index_are_the_axis_reductions_they_replace(rng, dim, trunc):
+    grid = SpectralGrid(dim=dim, cells_per_dim=2, trunc_radius=trunc)
+    i64 = np.iinfo(np.int64)
+    ends = np.array([i64.min, i64.min + 1, -trunc - 1, -trunc, 0, trunc, trunc + 1, i64.max], dtype=np.int64)
+    for shape in [(0,), (1,), (7,), (3, 5)]:
+        size = shape + (dim,)
+        ks = np.where(rng.random(size) < 0.3, rng.choice(ends, size=size), rng.integers(-trunc - 2, trunc + 3, size))
+        out = grid._outside(ks)
+        assert out.shape == shape and np.array_equal(out, _old_outside(grid, ks))
+        inbox = np.where(out[..., None], 0, ks)
+        flat = grid._ravel(inbox)
+        assert flat.dtype == np.int64 and np.array_equal(flat, _old_ravel(grid, inbox))
+    ks = grid.translations
+    assert not grid._outside(ks).any() and np.array_equal(grid.translation_indices(ks), np.arange(len(ks)))
+    assert [grid.translation_index(k) for k in ks] == list(range(len(ks)))
+
+
+def test_translation_index_on_a_grid_of_more_translations_than_int64_numbers_is_refused():
+    grid = SpectralGrid(dim=40, cells_per_dim=2, trunc_radius=1)  # 3^40 translations
+    with pytest.raises(ValidationError, match=f"^grid has {3**40} translations, more than an int64 index numbers$"):
+        grid.translation_index([0] * 40)
+
+
 def test_synthesize_validation():
     grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
     with pytest.raises(ValidationError):

@@ -162,3 +162,24 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             foreign += [(f.name, name) for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_no_row_reduction_idiom_over_short_int64_rows():
+    # np.unique along an axis sorts rows as a structured dtype, and
+    # ravel_multi_index over moveaxis builds a tuple of strided views: both
+    # several times slower on (n, d) int64 arrays than a lexsort over the
+    # columns or Horner steps over the coordinates
+    files = sorted((ROOT / "src" / "sisfit").glob("*.py"))
+    assert len(files) > 10
+    found = []
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func.split(".")[-1] == "unique" and any(k.arg == "axis" for k in node.keywords):
+                found.append((f.name, node.lineno, ast.unparse(node)))
+            elif func.split(".")[-1] == "ravel_multi_index" and node.args and re.match(
+                    r"tuple\((np|numpy)\.moveaxis\(", ast.unparse(node.args[0])):
+                found.append((f.name, node.lineno, ast.unparse(node)))
+    assert found == []
