@@ -10,4 +10,4 @@ class ValidationError(SisfitError):
 
 
 class ConvergenceError(SisfitError):
-    """An iterative routine exhausted its sweep budget."""
+    """LAPACK's Hermitian eigensolver reported that it did not converge."""

@@ -18,8 +18,6 @@ from numpy.linalg import LinAlgError, eigh
 
 from .errors import ConvergenceError, ValidationError
 
-MAX_ORDER = 256
-
 # eigenvalues at or below this fraction of the per-matrix maximum are
 # treated as numerically zero by rank decisions and generator scaling
 RANK_REL_TOL = 1e-10
@@ -49,13 +47,13 @@ class EigenSystem:
 def _hermitian_stack(arr: np.ndarray) -> np.ndarray:
     """Validate a (B, n, n) stack and return its Hermitian symmetrization.
 
-    Rejects orders outside 1..256, non-finite entries (reporting the
-    first offending position), and asymmetry larger than 1e-12 relative
-    to the largest entry magnitude; the errors of a stack of several name
-    the first failing matrix."""
+    Rejects order 0, non-finite entries (reporting the first offending
+    position), and asymmetry larger than 1e-12 relative to the largest
+    entry magnitude; the errors of a stack of several name the first
+    failing matrix.  Any larger order is taken."""
     n = arr.shape[-1]
-    if n < 1 or n > MAX_ORDER:
-        raise ValidationError(f"matrix order must be in 1..{MAX_ORDER}, got {n}")
+    if n < 1:
+        raise ValidationError(f"matrix order must be at least 1, got {n}")
     arr = arr.astype(np.complex128, copy=False)
 
     def which(b):
@@ -154,7 +152,7 @@ def eig_hermitian(g) -> EigenSystem:
     Parameters
     ----------
     g : array_like
-        Square Hermitian matrix, order 1..256.  Asymmetry up to 1e-12
+        Square Hermitian matrix of order at least 1.  Asymmetry up to 1e-12
         relative is symmetrized away; anything larger is rejected.
 
     Returns

@@ -152,7 +152,8 @@ def coset_of(k, lat: DualLattice):
 
 
 def parse_basis(text: str) -> np.ndarray:
-    """Parse a basis matrix written row-major like ``"2 0;0 1"``."""
+    """Parse a basis matrix written row-major like ``"2 0;0 1"``; every
+    entry must be an integer in the int64 range."""
     rows = [r.strip() for r in text.replace(",", " ").split(";")]
     rows = [r for r in rows if r]
     if not rows:
@@ -161,6 +162,9 @@ def parse_basis(text: str) -> np.ndarray:
         mat = [[int(tok) for tok in r.split()] for r in rows]
     except ValueError as exc:
         raise ValidationError(f"lattice basis entries must be integers: {exc}") from None
+    big = [x for r in mat for x in r if not -_INT64_MAX - 1 <= x <= _INT64_MAX]
+    if big:
+        raise ValidationError(f"lattice basis entry {big[0]} lies outside the int64 range")
     width = len(mat[0])
     if any(len(r) != width for r in mat) or width != len(mat):
         raise ValidationError("lattice basis must be a square matrix")

@@ -188,8 +188,9 @@ def _assemble(fs: np.ndarray, blocks, lams: np.ndarray, vecs, kept: np.ndarray) 
 _WHOLE_FIBER = (slice(None),)
 
 
-# block records (cells x blocks x functions) allowed beyond the samples; more would let a
-# lattice of many cosets size the block spectra, their sort and a loop over the blocks
+# block records (cells x blocks x functions), and zero-padded generator values (rank x
+# cells x columns), allowed beyond the samples; more would let a lattice of many cosets
+# size the block spectra, their sort and a loop over the blocks, or a rank the generators
 MAX_BLOCK_RECORDS = 2**24
 
 
@@ -251,8 +252,15 @@ def _fit_cells(x: np.ndarray, blocks, rank: int):
     ``allocation_residual``, and the block ``home`` and in-block rank
     ``block_ranks`` of each kept record (cells, rank).  Slots beyond the
     blocks * m records are zero, and -1 in ``home`` and ``block_ranks``.
+    A rank whose generators (rank x cells x columns values) exceed both
+    ``MAX_BLOCK_RECORDS`` and the samples is refused before any of them
+    is allocated.
     """
     ncells, m, n_cols = x.shape
+    padded, samples = rank * ncells * n_cols, ncells * m * n_cols
+    if padded > max(MAX_BLOCK_RECORDS, samples):
+        raise ValidationError(f"rank {rank} on {ncells} cells of {n_cols} columns makes {padded} generator values, "
+                              f"more than both {MAX_BLOCK_RECORDS} and the {samples} samples")
     t = min(rank, len(blocks) * m)
     eigenvalues = np.zeros((ncells, rank))
     generators = np.zeros((rank, ncells, n_cols), dtype=np.complex128)

@@ -184,6 +184,9 @@ def synthesize(family: str, params, grid: SpectralGrid) -> SpectralDataset:
     - ``gaussian(sigma)``, finite sigma > 0: exp(-pi sigma^2 |xi|^2)
     - ``bspline(n)``, integer n >= 0: prod_c (sin(pi xi_c) / (pi xi_c))^(n+1)
     - ``boxcar(a)``, finite a > 0: prod_c sin(2 pi a xi_c) / (pi xi_c), value 2a at 0
+
+    A grid whose evaluation points or samples take 2^63 bytes or more,
+    which NumPy cannot index, is refused before any array is built.
     """
     if family not in _FAMILY_PARAM:
         known = ", ".join(sorted(_FAMILY_PARAM))
@@ -193,7 +196,12 @@ def synthesize(family: str, params, grid: SpectralGrid) -> SpectralDataset:
         raise ValidationError(f"family {family!r} takes one parameter, got {len(params)}")
     p = params[0]
 
-    # evaluation points, shape (n_cells, n_translations, dim)
+    # evaluation points, shape (n_cells, n_translations, dim), and the
+    # samples, 16 bytes each: the larger must be an array NumPy can index
+    size = grid.n_cells * grid.n_translations * 8 * max(grid.dim, 2)
+    if size >= 2**63:
+        raise ValidationError(f"grid dim {grid.dim}, cells_per_dim {grid.cells_per_dim} and trunc_radius "
+                              f"{grid.trunc_radius} need an array of {size} bytes, more than NumPy can index")
     xi = grid.cell_centers[:, None, :] + grid.translations[None, :, :]
 
     # a non-finite parameter gets its family's message: inf would pass the
@@ -227,10 +235,11 @@ def total_energy(ds: SpectralDataset) -> float:
 def ingest(manifest_path) -> SpectralDataset:
     """Load a dataset from its JSON manifest.
 
-    The manifest must carry exactly the fields dim, m, cells_per_dim,
-    trunc_radius, payload_path and payload_format; payload_path is
-    resolved relative to the manifest.  Shape mismatches, non-finite
-    samples and malformed payloads are rejected with locations.
+    The manifest must carry the six fields dim, m, cells_per_dim,
+    trunc_radius, payload_path and payload_format; other fields are
+    ignored.  payload_path is resolved relative to the manifest.  Shape
+    mismatches, non-finite samples and malformed payloads are rejected
+    with locations.
     """
     fields = read_object(manifest_path)
     missing = [k for k in _MANIFEST_KEYS if k not in fields.fields]

@@ -98,6 +98,11 @@ def _save_pw(model: MultiTileModel, out: Path) -> None:
 
 
 def _save_discrete(model: DiscreteModel, out: Path) -> None:
+    # selected.csv is comma-separated, one record a line
+    for label in map(str, model.labels):
+        if "," in label or "\n" in label or "\r" in label:
+            raise ValidationError(f"partition label {label!r} holds a comma or a line break, "
+                                  f"which {SELECTED_CSV} cannot store")
     payload = {
         "regime": "discrete",
         "dim": model.dim,
@@ -120,7 +125,7 @@ def model_regime(model_dir) -> str:
 
 
 def _regime(meta: _Meta) -> str:
-    regime = meta.get("regime", _json(str), None)
+    regime = meta.get("regime", _json(str))
     if regime not in REGIMES:
         raise ValidationError(f"{meta.path}: unknown regime {regime!r}")
     return regime
@@ -149,7 +154,7 @@ def load_model(model_dir, grid: SpectralGrid | None = None):
 
 def _fixed(meta: _Meta, key: str, kind, value) -> None:
     """Refuse a field that holds other than the one ``value`` written."""
-    got = meta.get(key, _json(kind), value)
+    got = meta.get(key, _json(kind))
     if got != value:
         raise ValidationError(f"{meta.path}: field {key!r} must be {value!r}, got {got!r}")
 
@@ -285,7 +290,7 @@ def _load_discrete(mdir: Path, meta: _Meta):
         support=gen_ds.support,
         generators=gen_ds.values,
         selected=_load_selected(mdir / SELECTED_CSV),
-        allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)], []),
-        labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)], []),
+        allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)]),
+        labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)]),
         error=meta.get("error", _json(float)),
     )

@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-_REQUIRED = object()
-
 
 def _existing(path):
     if not os.path.isfile(path):
@@ -222,11 +220,9 @@ class _Meta:
         self.path = path
         self.fields = fields
 
-    def get(self, key: str, convert, default=_REQUIRED):
+    def get(self, key: str, convert):
         if key not in self.fields:
-            if default is _REQUIRED:
-                raise ValidationError(f"{self.path}: missing field {key!r}")
-            return default
+            raise ValidationError(f"{self.path}: missing field {key!r}")
         try:
             return convert(self.fields[key])
         except (KeyError, TypeError, ValueError) as exc:

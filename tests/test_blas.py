@@ -20,11 +20,12 @@ def _model_bytes(out):
     return files
 
 
-@pytest.mark.parametrize("m", [32, 64, 112])
+@pytest.mark.parametrize("m", [32, 64, 112, 300])
 def test_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, m):
     # 32 and 64 functions make the Gramian products and norms round by the
-    # thread count; 112 makes eigh's order-112 vectors do so as well
-    grid = SpectralGrid(dim=2, cells_per_dim=2, trunc_radius=6)
+    # thread count; 112 makes eigh's order-112 vectors do so as well, and
+    # 300 functions on 361 translations solve Gramians of order 300
+    grid = SpectralGrid(dim=2, cells_per_dim=2, trunc_radius=9 if m == 300 else 6)
     rng = np.random.default_rng(17)
     shape = (m, grid.n_cells, grid.n_translations)
     ds = SpectralDataset(grid=grid, samples=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

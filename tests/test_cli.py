@@ -16,7 +16,7 @@ from sisfit.extra import error_extra
 from sisfit.hermitian import eig_hermitian_batch
 from sisfit.lattice import make_dual_lattice
 from sisfit.sis import error_sis
-from sisfit.spectral import write_dataset
+from sisfit.spectral import SpectralDataset, SpectralGrid, write_dataset
 
 from conftest import random_dataset
 from test_extra import indicator_dataset
@@ -420,10 +420,11 @@ def test_compare_with_an_empty_regime_list_is_a_usage_error(tmp_path, rng, capsy
 
 def test_rank_beyond_memory_is_a_usage_error(tmp_path, rng, capsys):
     data, _ = _regime_input(tmp_path, rng, "sis")
-    # 10^12 generators of 4 cells and 3 translations: far more memory than any host has
+    # 10^12 generators of 4 cells and 3 translations: far more memory than any host has,
+    # refused before any is allocated
     assert cli.main(["fit", "--regime", "sis", "--data", data, "--rank", str(10**12), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert capsys.readouterr().err == ("error: rank 1000000000000 on 4 cells of 3 columns makes 12000000000000 "
+                                       "generator values, more than both 16777216 and the 36 samples\n")
 
 
 @pytest.mark.parametrize("regime,field,name", [
@@ -727,6 +728,14 @@ def _set_json(path, key, value):
     path.write_text(json.dumps(meta))
 
 
+def _drop_json(path, key):
+    import json
+
+    meta = json.loads(path.read_text())
+    del meta[key]
+    path.write_text(json.dumps(meta))
+
+
 def _set_grid(path, key, value):
     import json
 
@@ -973,6 +982,16 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
          "model.json: field 'dual_lattice': lattice basis has 10000000000 cosets, more than 1048576"),
         # the rank-1 model has one generator
         ("model.json", lambda p: _set_json(p, "n_generators", 2), "model.json: field 'n_generators' must be 1, got 2"),
+        # every model.json field is required
+        ("model.json", lambda p: _drop_json(p, "regime"), "model.json: missing field 'regime'"),
+        ("model.json", lambda p: _drop_json(p, "n_generators"), "model.json: missing field 'n_generators'"),
+        ("discrete:model.json", lambda p: _drop_json(p, "labels"), "model.json: missing field 'labels'"),
+        ("discrete:model.json", lambda p: _drop_json(p, "allocation"), "model.json: missing field 'allocation'"),
+        # a lattice basis entry beyond int64
+        ("part.txt", "lattice: 99999999999999999999\n",
+         "part.txt:1: lattice basis entry 99999999999999999999 lies outside the int64 range"),
+        ("extra:model.json", lambda p: _set_json(p, "dual_lattice", "99999999999999999999"),
+         "model.json: field 'dual_lattice': lattice basis entry 99999999999999999999 lies outside the int64 range"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -988,6 +1007,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "extra-model-trunc-huge", "extra-model-cells-huge", "pw-model-trunc-huge", "pw-model-cells-huge",
         "pw-model-box-beyond-grid", "discrete-model-rank-huge", "generators-bin-nan", "dataset-bin-nan",
         "partition-lattice-index-huge", "extra-model-lattice-index-huge", "model-n-generators-not-rank",
+        "model-without-regime", "model-without-n-generators", "discrete-model-without-labels",
+        "discrete-model-without-allocation", "partition-lattice-entry-beyond-int64",
+        "extra-model-lattice-entry-beyond-int64",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -1002,17 +1024,18 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     regime, _, name = name.rpartition(":")  # "pw:model.json" is the model.json of a pw fit
     regime = regime or ("pw" if name == "chosen.csv" else "sis")
     fit_sis = ("fit", "--regime", "sis", "--data", data / "dataset.json", "--rank", 1, "--out", tmp_path / "m")
-    if name in ("model.json", "chosen.csv", "residuals.csv", "eigencurves.csv", "generators.bin"):
+    if regime != "discrete" and name in ("model.json", "chosen.csv", "residuals.csv", "eigencurves.csv",
+                                         "generators.bin"):
         options = {"pw": ("--box", 1), "extra": ("--dual-lattice", "2")}.get(regime, ())
         fit = fit_sis[:2] + (regime,) + fit_sis[3:] + options
         assert run_cli(*fit).returncode == 0
         cmd = ("verify", "--model", tmp_path / "m", "--data", data / "dataset.json")
         path = tmp_path / "m" / name
-    elif name in ("seqs.txt", "part.txt", "generators.txt", "selected.csv"):
+    elif name in ("seqs.txt", "part.txt", "generators.txt", "selected.csv", "model.json"):
         cmd = ("fit", "--regime", "discrete", "--data", seqs, "--rank", 1, "--partition", part,
                "--out", tmp_path / "m")
         path = tmp_path / name
-        if name in ("generators.txt", "selected.csv"):
+        if name in ("generators.txt", "selected.csv", "model.json"):
             assert run_cli(*cmd).returncode == 0
             cmd, path = ("verify", "--model", tmp_path / "m", "--data", seqs), tmp_path / "m" / name
     else:
@@ -1037,3 +1060,83 @@ def test_eigensolver_that_does_not_converge_is_a_usage_error(tmp_path, rng, monk
     argv = ["fit", "--regime", "sis", "--rank", "1", "--data", str(manifest), "--out", str(tmp_path / "model")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: eigensolver did not converge")
+
+
+def test_fit_of_gramians_above_order_256_matches_a_per_cell_oracle(tmp_path, capsys):
+    # 300 functions on 361 translations: every fiber Gramian is solved on its 300 x 300 side
+    grid = SpectralGrid(dim=2, cells_per_dim=2, trunc_radius=9)
+    rng = np.random.default_rng(24)
+    shape = (300, grid.n_cells, grid.n_translations)
+    ds = SpectralDataset(grid=grid, samples=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    manifest = write_dataset(ds, tmp_path / "data")
+    assert cli.main(["fit", "--regime", "sis", "--rank", "5", "--data", str(manifest),
+                     "--out", str(tmp_path / "model")]) == 0
+    error = float(report_value(capsys.readouterr().out, "error"))
+    expect = 0.0
+    for g in range(grid.n_cells):
+        f = ds.samples[:, g, :]
+        expect += float(np.linalg.eigvalsh(f @ f.conj().T)[:-5].sum())
+    expect *= grid.cell_volume
+    assert abs(error - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("dim, trunc, message", [
+    (40, 1, "error: grid dim 40, cells_per_dim 2 and trunc_radius 1 need an array of "
+            "4277598252429994901708430712504320 bytes, more than NumPy can index\n"),
+    (1, 10**20, "error: grid dim 1, cells_per_dim 2 and trunc_radius 100000000000000000000 need an array of "
+                "6400000000000000000032 bytes, more than NumPy can index\n"),
+    # 2^56 bytes: an array NumPy can index, but more than any host can map
+    (1, 2**50, "error: Unable to allocate 16.0 PiB "),
+], ids=["dim-40", "trunc-10^20", "trunc-2^50"])
+def test_synth_of_a_grid_beyond_numpy_or_the_host_is_a_usage_error(tmp_path, capsys, dim, trunc, message):
+    argv = ["synth", "--family", "gaussian", "--sigma", "1", "--dim", str(dim), "--cells", "2", "--trunc", str(trunc),
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not any(tmp_path.iterdir())
+
+
+def test_lattice_entry_beyond_int64_is_a_usage_error(tmp_path, rng, capsys):
+    data, _ = _regime_input(tmp_path, rng, "sis")
+    for argv in (["fit", "--regime", "extra", "--rank", "1", "--out", str(tmp_path)],
+                 ["compare", "--regimes", "sis,extra", "--ranks", "1"]):
+        assert cli.main(argv + ["--data", data, "--dual-lattice", "99999999999999999999"]) == 2
+        assert capsys.readouterr().err == "error: lattice basis entry 99999999999999999999 lies outside the int64 range\n"
+
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    assert cli.main(["synth", "--family", "gaussian", "--sigma", "1", "--dim", "2", "--cells", "2", "--trunc", "1",
+                     "--out", str(out)]) == 0
+    return str(out / "dataset.json")
+
+
+# each command sets one integer flag to "{}"; the data are a 2-d grid of 2 cells per axis and radius 1
+_ONE_FLAG = {
+    "fit-sis-rank": ["fit", "--regime", "sis", "--rank", "{}"],
+    "fit-extra-rank": ["fit", "--regime", "extra", "--dual-lattice", "2 0;0 1", "--rank", "{}"],
+    "fit-pw-rank": ["fit", "--regime", "pw", "--box", "1", "--rank", "{}"],
+    "fit-pw-box": ["fit", "--regime", "pw", "--rank", "1", "--box", "{}"],
+    "compare-ranks": ["compare", "--regimes", "sis,extra,pw", "--dual-lattice", "2 0;0 1", "--ranks", "{}"],
+    "compare-boxes": ["compare", "--regimes", "pw", "--ranks", "1", "--boxes", "{}"],
+    **{f"fit-dual-lattice-{i}": ["fit", "--regime", "extra", "--rank", "1", "--dual-lattice",
+                                 "%s %s;%s %s" % tuple("{}" if j == i else e for j, e in enumerate("2001"))]
+       for i in range(4)},
+    "synth-dim": ["synth", "--dim", "{}", "--cells", "2", "--trunc", "1"],
+    "synth-cells": ["synth", "--dim", "2", "--cells", "{}", "--trunc", "1"],
+    "synth-trunc": ["synth", "--dim", "2", "--cells", "2", "--trunc", "{}"],
+}
+
+
+# no value between 2 and 2^63 - 1: a rank or grid of 2^20 to 2^40 could make
+# NumPy reserve or write gigabytes before it is refused
+@pytest.mark.parametrize("value", [-1, 0, 1, 2, 2**63 - 1, 2**63, 10**20])
+@pytest.mark.parametrize("command", list(_ONE_FLAG))
+def test_no_integer_flag_ends_in_a_traceback(tmp_path, small_manifest, command, value):
+    argv = [a.replace("{}", str(value)) for a in _ONE_FLAG[command]]
+    if argv[0] == "synth":
+        argv += ["--family", "gaussian", "--sigma", "1", "--out", str(tmp_path)]
+    else:
+        argv += ["--data", small_manifest] + (["--out", str(tmp_path)] if argv[0] == "fit" else [])
+    assert cli.main(argv) in (0, 1, 2)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from sisfit.discrete import (
 from sisfit.errors import ValidationError
 from sisfit.lattice import make_dual_lattice
 from sisfit.sis import _gramians
+from sisfit.storage import load_model, save_model
 from sisfit.verify import verify_model
 
 from oracles import projection_residual
@@ -224,6 +227,27 @@ def test_explicit_partition_labels():
     assert model.allocation == [1, 0]
 
 
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+def test_a_label_selected_csv_cannot_hold_is_refused_before_any_file(tmp_path, label):
+    part = DiscretePartition.from_mapping(1, {(0,): label, (1,): "plain"})
+    model = fit_discrete(DiscreteDataset.from_sequences(1, [{(0,): 2.0, (1,): 1.0}]), part, 1)
+    with pytest.raises(ValidationError, match=f"^partition label {re.escape(repr(label))} holds a comma or a line "
+                                              f"break, which selected.csv cannot store$"):
+        save_model(model, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_label_with_inner_spaces_round_trips(tmp_path):
+    part = DiscretePartition.from_mapping(1, {(0,): "left  block", (1,): " right\tblock "})
+    ds = DiscreteDataset.from_sequences(1, [{(0,): 2.0, (1,): 1.0}, {(1,): 3.0}])
+    model = fit_discrete(ds, part, 2)
+    save_model(model, tmp_path / "m")
+    back = load_model(tmp_path / "m")
+    assert [rec[1] for rec in model.selected] == [" right\tblock ", "left  block"]
+    assert back.labels == model.labels and back.selected == model.selected
+    assert verify_model(back, ds, part).passed
+
+
 def test_dataset_text_round_trip(tmp_path, rng):
     ds = random_instance(rng, m=2, npts=6)
     path = tmp_path / "seqs.txt"
@@ -247,8 +271,8 @@ def test_dataset_text_round_trip(tmp_path, rng):
 
 
 def test_three_hundred_sequences_round_trip_and_fit_through_the_cli(tmp_path, rng):
-    # more sequences than the eigensolver's order cap: every block Gramian
-    # is solved on its column side
+    # 300 sequences on 5 support points: every block Gramian is solved on
+    # its column side
     from test_cli import run_cli
 
     ds = random_instance(rng, m=300, npts=5)

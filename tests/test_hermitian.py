@@ -159,8 +159,8 @@ def _mixed_stack(rng, n):
 
 
 # eigh rounds by the BLAS thread count from order 104 on, so the stacks are
-# solved on one BLAS thread, as every fit solves them
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 11, 16, 49, 104, 256])
+# solved on one BLAS thread, as every fit solves them; no order is too large
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 11, 16, 49, 104, 256, 300])
 def test_batch_equals_single_solves_bitwise(rng, n):
     hs = _mixed_stack(rng, n)
     with one_blas_thread:
@@ -169,6 +169,8 @@ def test_batch_equals_single_solves_bitwise(rng, n):
         vals = eig_hermitian_batch(hs, vectors=False)
         alone = [(eig_hermitian(h), eig_hermitian_batch(h[None], vectors=False)) for h in hs]
     assert vals.vectors is None and full.order == n
+    for h, lam in zip(hs, full.eigenvalues):
+        assert np.abs(lam - np.linalg.eigvalsh(h)[::-1]).max() <= 1e-12 * max(1.0, np.linalg.norm(h))
     last = hs.shape[0] - 1
     for b, (one, one_vals) in enumerate(alone):
         lam = one.eigenvalues.tobytes()
@@ -270,10 +272,8 @@ def test_batch_validation_names_the_matrix():
 def test_hermitian_part_validation():
     with pytest.raises(ValidationError, match="stack of square matrices"):
         eig_hermitian_batch(np.zeros((1, 2, 3)))
-    with pytest.raises(ValidationError, match="order must be in 1..256"):
+    with pytest.raises(ValidationError, match=r"^matrix order must be at least 1, got 0$"):
         eig_hermitian_batch(np.zeros((1, 0, 0)))
-    with pytest.raises(ValidationError, match="order must be in 1..256"):
-        eig_hermitian_batch(np.zeros((1, 257, 257)))
     bad = np.eye(2, dtype=complex)
     bad[0, 1] = np.nan
     with pytest.raises(ValidationError, match=r"^non-finite entry at \(0, 1\)$"):

@@ -150,6 +150,16 @@ def test_basis_text_round_trip():
         parse_basis("")
 
 
+def test_basis_entries_take_the_int64_range_and_refuse_one_beyond():
+    top, bottom = 2**63 - 1, -(2**63)
+    assert parse_basis(f"{top}").tolist() == [[top]]
+    assert parse_basis(f"2 {bottom};0 1").tolist() == [[2, bottom], [0, 1]]
+    for text, entry in ((f"{top + 1}", top + 1), (f"2 0;{bottom - 1} 1", bottom - 1),
+                        ("99999999999999999999", 99999999999999999999)):
+        with pytest.raises(ValidationError, match=f"^lattice basis entry {entry} lies outside the int64 range$"):
+            parse_basis(text)
+
+
 def test_lattice_equality():
     a = make_dual_lattice([[2]])
     b = make_dual_lattice([[2]])

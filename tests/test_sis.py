@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sisfit import sis
+from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
 from sisfit.errors import ValidationError
 from sisfit.extra import fit_extra_invariant
-from sisfit.hermitian import MAX_ORDER, eig_hermitian
+from sisfit.hermitian import eig_hermitian
 from sisfit.lattice import coset_of, make_dual_lattice
 from sisfit.sis import (CHUNK_ELEMENTS, _fit_cells, _sides, allocation_residual, block_spectra, error_sis, fit_sis,
                         project_onto)
@@ -90,6 +92,30 @@ def test_rank_above_m_pads_with_zero_generators(rng):
     assert model.spectra.shape[0] == 4
     assert np.all(model.spectra[2:] == 0)
     assert abs(model.error) <= 1e-12
+
+
+def test_rank_is_refused_where_its_padded_generators_exceed_both_bounds(rng, monkeypatch):
+    # 3 functions on 4 cells of 3 columns: 36 samples, 12 generator values a rank
+    ds = random_dataset(rng, cells=4, trunc=1, m=3)
+    lat = make_dual_lattice([[2]])
+    seqs = DiscreteDataset.from_sequences(1, [{(0,): 1.0, (1,): 2.0}])
+    part = DiscretePartition.from_lattice(lat)
+    for bound, fits in ((60, 5), (1, 3)):  # the record bound above the samples, then below them
+        monkeypatch.setattr(sis, "MAX_BLOCK_RECORDS", bound)
+        model = fit_sis(ds, fits)
+        assert model.spectra.shape == (fits, 4, 3) and not model.spectra[3:].any()
+        beyond = 12 * (fits + 1)
+        for fit in (lambda r: fit_sis(ds, r), lambda r: fit_extra_invariant(ds, lat, r)):
+            with pytest.raises(ValidationError, match=f"^rank {fits + 1} on 4 cells of 3 columns makes {beyond} "
+                                                      f"generator values, more than both {bound} and the 36 samples$"):
+                fit(fits + 1)
+    monkeypatch.undo()
+    # refused before the generators are allocated; the sequences are one cell of 2 columns
+    for fit, values in ((lambda r: fit_sis(ds, r), 12), (lambda r: fit_extra_invariant(ds, lat, r), 12),
+                        (lambda r: fit_discrete(seqs, part, r), 2)):
+        for rank in (2**24 // values + 1, 2**63, 10**20):
+            with pytest.raises(ValidationError, match=f"^rank {rank} on "):
+                fit(rank)
 
 
 def test_project_onto_training_data(rng):
@@ -326,11 +352,9 @@ def test_cell_bits_do_not_depend_on_its_chunk_with_two_side_orders(rng):
                 assert value.tobytes() == other[name].tobytes(), name
 
 
-def test_more_functions_than_the_eigensolver_order_cap(rng):
+def test_more_functions_than_columns_fit_on_the_column_side(rng):
     # 300 functions on 5 columns: every Gramian is solved on its 5 x 5 side
-    m = 300
-    assert m > MAX_ORDER
-    ds = random_dataset(rng, dim=1, cells=4, trunc=2, m=m)
+    ds = random_dataset(rng, dim=1, cells=4, trunc=2, m=300)
     energy = total_energy(ds)
     lat = make_dual_lattice([[2]])
     labels = coset_of(ds.grid.translations, lat)

@@ -134,6 +134,17 @@ def test_translation_index_on_a_grid_of_more_translations_than_int64_numbers_is_
         grid.translation_index([0] * 40)
 
 
+@pytest.mark.parametrize("dim, cells, trunc", [(40, 2, 1), (1, 2, 10**20), (1, 2**58, 1)])
+def test_synthesize_refuses_a_grid_numpy_cannot_index_before_building_it(dim, cells, trunc):
+    grid = SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)
+    size = grid.n_cells * grid.n_translations * 8 * max(dim, 2)
+    assert size >= 2**63
+    message = f"^grid dim {dim}, cells_per_dim {cells} and trunc_radius {trunc} need an array of {size} bytes, "
+    with pytest.raises(ValidationError, match=message):
+        synthesize("gaussian", [1.0], grid)
+    assert "cell_centers" not in vars(grid) and "translations" not in vars(grid)
+
+
 def test_synthesize_validation():
     grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
     with pytest.raises(ValidationError):
