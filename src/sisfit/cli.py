@@ -89,13 +89,19 @@ def _require(args, flag: str, regime: str):
 def _load(args, regime: str):
     """The ``--data`` of ``regime``: (dataset, partition or None, energy,
     cell volume).  Discrete data are a sequence table and its
-    ``--partition``; every other regime reads a manifest."""
+    ``--partition``; every other regime reads a manifest.  Data whose
+    energy overflows float64 are refused here: their Gramians would too."""
     if regime == "discrete":
         ds = parse_discrete_dataset(args.data)
-        part = parse_partition(_require(args, "partition", regime), ds.dim)
-        return ds, part, float(ds.energies().sum()), 1.0
-    ds = ingest(args.data)
-    return ds, None, total_energy(ds), ds.grid.cell_volume
+        part, volume = parse_partition(_require(args, "partition", regime), ds.dim), 1.0
+    else:
+        ds = ingest(args.data)
+        part, volume = None, ds.grid.cell_volume
+    with np.errstate(over="ignore"):
+        energy = total_energy(ds) if part is None else float(ds.energies().sum())
+    if not np.isfinite(energy):
+        raise ValidationError(f"{args.data}: the energy of the samples overflows float64")
+    return ds, part, energy, volume
 
 
 # regime-specific flags of ``fit`` and ``compare``, and their regime

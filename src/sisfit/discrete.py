@@ -150,6 +150,10 @@ class DiscreteDataset:
         return (v.real**2 + v.imag**2).sum(axis=1)
 
 
+def _in_int64(key: tuple) -> bool:
+    return all(-(2**63) <= v < 2**63 for v in key)
+
+
 @dataclass(eq=False)
 class DiscretePartition:
     """Partition of Z^d into labeled blocks.
@@ -179,6 +183,8 @@ class DiscretePartition:
             key = tuple(int(x) for x in np.atleast_1d(pos))
             if len(key) != dim:
                 raise ValidationError(f"position {key} does not have dimension {dim}")
+            if not _in_int64(key):
+                raise ValidationError(f"position {key} outside the int64 range")
             clean[key] = label
         uniq = set(clean.values())
         try:
@@ -395,6 +401,8 @@ def parse_partition(path, dim: int) -> DiscretePartition:
             pos = tuple(int(tok) for tok in parts[:dim])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: bad position in line {ln!r}") from None
+        if not _in_int64(pos):
+            raise ValidationError(f"{path}:{lineno}: position {pos} outside the int64 range")
         if pos in mapping:
             raise ValidationError(f"{path}:{lineno}: position {pos} labeled twice")
         mapping[pos] = parts[dim]

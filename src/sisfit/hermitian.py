@@ -1,12 +1,15 @@
 """Deterministic eigendecomposition of complex Hermitian matrices.
 
-Wraps LAPACK's Hermitian eigensolver (``np.linalg.eigh``) with
-validation, stable descending eigenvalue order, clamping of tiny
-negative eigenvalues, and a fixed eigenvector phase convention, all array
-operations over a stack; ``eig_hermitian`` is a batch of one.  ``eigh``
-factors each matrix of a stack on its own, so a matrix gets the same bits
-alone as in any stack while the BLAS thread count is fixed, which every
-fit, spectrum and verify ensures with ``blas.one_blas_thread``.
+Wraps LAPACK's Hermitian eigensolver (``np.linalg.eigh``) with stable
+descending eigenvalue order, clamping of tiny negative eigenvalues, and a
+fixed eigenvector phase convention, all array operations over a stack.
+``eig_hermitian`` is the checked entry for one matrix: it validates and
+symmetrizes it, then solves it as a batch of one.  ``eig_hermitian_batch``
+takes stacks that are Hermitian already (the Gramians ``sis._gramians``
+forms) and checks only that they are finite.  ``eigh`` factors each
+matrix of a stack on its own, so a matrix gets the same bits alone as in
+any stack while the BLAS thread count is fixed, which every fit, spectrum
+and verify ensures with ``blas.one_blas_thread``.
 """
 
 from __future__ import annotations
@@ -44,38 +47,13 @@ class EigenSystem:
         return int(self.eigenvalues.shape[-1])
 
 
-def _hermitian_stack(arr: np.ndarray) -> np.ndarray:
-    """Validate a (B, n, n) stack and return its Hermitian symmetrization.
-
-    Rejects order 0, non-finite entries (reporting the first offending
-    position), and asymmetry larger than 1e-12 relative to the largest
-    entry magnitude; the errors of a stack of several name the first
-    failing matrix.  Any larger order is taken."""
-    n = arr.shape[-1]
-    if n < 1:
-        raise ValidationError(f"matrix order must be at least 1, got {n}")
-    arr = arr.astype(np.complex128, copy=False)
-
-    def which(b):
-        return f" (matrix {b} of the stack)" if arr.shape[0] > 1 else ""
-
-    finite = np.isfinite(arr)  # a complex entry is finite when both parts are
+def _check_finite(h: np.ndarray) -> None:
+    """Reject a non-finite entry of a matrix or a stack, naming the (row,
+    column) of the first."""
+    finite = np.isfinite(h)  # a complex entry is finite when both parts are
     if not finite.all():
-        b, i, j = np.argwhere(~finite)[0]
-        raise ValidationError(f"non-finite entry at ({i}, {j}){which(b)}")
-    adj = arr.conj().swapaxes(1, 2)
-    # an exactly Hermitian stack (every sisfit Gramian) has no asymmetry to measure
-    if not (arr == adj).all():
-        maxmag = np.abs(arr).max(axis=(1, 2))
-        asym = np.abs(arr - adj).max(axis=(1, 2))
-        bad = np.flatnonzero(asym > 1e-12 * maxmag)
-        if bad.size:
-            b = bad[0]
-            raise ValidationError(
-                f"matrix is not Hermitian: max asymmetry {asym[b]:.6e} "
-                f"exceeds 1e-12 relative to max entry magnitude {maxmag[b]:.6e}{which(b)}"
-            )
-    return (arr + adj) / 2.0
+        i, j = np.argwhere(~finite)[0][-2:]
+        raise ValidationError(f"non-finite entry at ({i}, {j})")
 
 
 def _normalize_rows(w: np.ndarray) -> None:
@@ -108,23 +86,20 @@ def _frobenius(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.accumulate(sq, axis=1)[:, -1])
 
 
-def eig_hermitian_batch(g, *, vectors: bool = True) -> EigenSystem:
-    """Eigendecomposition of every matrix of a (B, n, n) stack, with one
-    ``eigh`` call.
+def eig_hermitian_batch(h: np.ndarray, *, vectors: bool = True) -> EigenSystem:
+    """Eigendecomposition of every matrix of a complex (B, n, n) stack of
+    exactly Hermitian matrices of order n >= 1, with one ``eigh`` call.
 
+    Only finiteness is checked: huge samples overflow their Gramian.
     Each matrix gets exactly the bits ``eig_hermitian`` gives it alone:
-    the stack is validated and symmetrized as a whole (errors name the
-    first failing matrix), the clamp threshold is per matrix, and sorting,
-    clamping and the phase step are array operations that treat every
-    matrix by itself.  ``vectors=False`` returns eigenvalues only; it too
-    calls ``eigh``, since ``eigvalsh`` rounds them differently, and skips
-    the phase step.  Raises ``ConvergenceError`` if LAPACK does not
-    converge on some matrix.
+    the clamp threshold is per matrix, and sorting, clamping and the
+    phase step are array operations that treat every matrix by itself.
+    ``vectors=False`` returns eigenvalues only; it too calls ``eigh``,
+    since ``eigvalsh`` rounds them differently, and skips the phase step.
+    Raises ``ConvergenceError`` if LAPACK does not converge on some
+    matrix.
     """
-    arr = np.asarray(g)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValidationError(f"expected a stack of square matrices, got shape {arr.shape}")
-    h = _hermitian_stack(arr)
+    _check_finite(h)
     n = h.shape[-1]
     try:
         lam, w = eigh(h)
@@ -166,5 +141,14 @@ def eig_hermitian(g) -> EigenSystem:
     arr = np.asarray(g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    es = eig_hermitian_batch(arr[None])
+    if arr.shape[0] < 1:
+        raise ValidationError(f"matrix order must be at least 1, got {arr.shape[0]}")
+    arr = arr.astype(np.complex128, copy=False)
+    _check_finite(arr)
+    adj = arr.conj().T
+    asym, maxmag = np.abs(arr - adj).max(), np.abs(arr).max()
+    if asym > 1e-12 * maxmag:
+        raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.6e} "
+                              f"exceeds 1e-12 relative to max entry magnitude {maxmag:.6e}")
+    es = eig_hermitian_batch(((arr + adj) / 2.0)[None])
     return EigenSystem(eigenvalues=es.eigenvalues[0], vectors=es.vectors[0])

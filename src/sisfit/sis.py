@@ -102,11 +102,11 @@ def _sides(m: int, blocks, n_cols: int) -> list[int]:
 
 
 def _gramians(fs: np.ndarray, blocks, sides) -> dict:
-    """Stage 1: the symmetrized Gramian of every block of every cell
-    matrix of the stack ``fs``, a a^H of order m or a^H a of order c_b as
-    ``sides`` says, stacked by order: {order: (cells, blocks of that
-    order, n, n)}.  Empty blocks (order 0) have none.  One stacked
-    product per block, which BLAS rounds as it does each cell's alone."""
+    """Stage 1: the exactly Hermitian (G + G^H)/2 of the Gramian G of every
+    block of every cell matrix of the stack ``fs``, a a^H of order m or
+    a^H a of order c_b as ``sides`` says, stacked by order: {order: (cells,
+    blocks of that order, n, n)}.  Empty blocks (order 0) have none.  One
+    stacked product per block, which BLAS rounds as it does each cell's."""
     cells, m, _ = fs.shape
     out = {n: np.empty((cells, sides.count(n), n, n), dtype=np.complex128) for n in sorted(set(sides)) if n}
     at = dict.fromkeys(out, 0)
@@ -146,12 +146,11 @@ def _eigensolve(fs: np.ndarray, blocks, vectors: bool):
 def _select(lams: np.ndarray, rank: int):
     """Stage 3: the top-``rank`` records of every cell from its block
     spectra, shape (cells, blocks, m), as flat indices block * m +
-    in-block rank, whose order is the tie order (smaller block, then
-    smaller in-block rank), and the per-block allocation (cells,
-    blocks)."""
+    in-block rank, whose order is the tie order: a stable sort keeps
+    equal eigenvalues in flat index order (smaller block, then smaller
+    in-block rank).  Also the per-block allocation (cells, blocks)."""
     cells, nb, m = lams.shape
-    lam = lams.reshape(cells, -1)
-    kept = np.lexsort((np.broadcast_to(np.arange(nb * m), lam.shape), -lam))[:, :rank]
+    kept = np.argsort(-lams.reshape(cells, -1), axis=1, kind="stable")[:, :rank]
     return kept, (kept[:, :, None] // m == np.arange(nb)).sum(axis=1)
 
 

@@ -98,11 +98,16 @@ def _save_pw(model: MultiTileModel, out: Path) -> None:
 
 
 def _save_discrete(model: DiscreteModel, out: Path) -> None:
-    # selected.csv is comma-separated, one record a line
+    # selected.csv is UTF-8 text, comma-separated, one record a line
     for label in map(str, model.labels):
         if "," in label or "\n" in label or "\r" in label:
             raise ValidationError(f"partition label {label!r} holds a comma or a line break, "
                                   f"which {SELECTED_CSV} cannot store")
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"partition label {label!r} is not encodable as UTF-8, "
+                                  f"which {SELECTED_CSV} cannot store") from None
     payload = {
         "regime": "discrete",
         "dim": model.dim,

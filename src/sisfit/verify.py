@@ -235,6 +235,7 @@ def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLatti
                    f"{resid[g, s, i] / norm_cut[g, s, i]:.3e})", cell=int(g), generator=int(s))
 
 
+@one_blas_thread
 def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> VerificationReport:
     """Check that a model's generators respect the coset structure.
 
@@ -279,6 +280,7 @@ def _check_tiles(report: VerificationReport, model: MultiTileModel) -> None:
             report.add("orthonormal", "layer fibers are not exactly orthonormal", cell=int(g))
 
 
+@one_blas_thread
 def verify_multitile(model: MultiTileModel) -> VerificationReport:
     """Check the chosen sets: right count (``tile-count``), inside the
     box (``tile-box``), pairwise distinct (``tile-distinct``), and, when

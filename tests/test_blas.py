@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from sisfit import sis
+from sisfit import sis, verify
 from sisfit.blas import _calls, one_blas_thread
 from sisfit.errors import ConvergenceError
+from sisfit.lattice import make_dual_lattice, parse_basis
+from sisfit.multitile import fit_multitile
 from sisfit.sis import fit_sis
 from sisfit.spectral import SpectralDataset, SpectralGrid, write_dataset
 
@@ -78,6 +80,32 @@ def test_a_fit_restores_the_thread_count_also_when_it_raises(rng, monkeypatch, t
     with pytest.raises(ConvergenceError):
         fit_sis(ds, 1)
     assert seen == [1, 1] and _threads() == 2
+
+
+def test_the_public_verify_functions_restore_the_thread_count_also_when_they_raise(rng, monkeypatch,
+                                                                                  two_blas_threads):
+    ds = random_dataset(rng, cells=4, trunc=1, m=2)
+    lat = make_dual_lattice(parse_basis("2"))
+    plain, tiles = fit_sis(ds, 2), fit_multitile(ds, 2, 1)
+    for name, check in (("_project", lambda: verify.verify_extra_invariance(plain, lat)),
+                        ("_deviation", lambda: verify.verify_multitile(tiles))):
+        seen, real = [], getattr(verify, name)
+
+        def counted(*args, real=real, seen=seen):
+            seen.append(_threads())
+            return real(*args)
+
+        def failing(*args, seen=seen):
+            seen.append(_threads())
+            raise FloatingPointError("planted")
+
+        monkeypatch.setattr(verify, name, counted)
+        check()
+        assert seen == [1] and _threads() == 2, name
+        monkeypatch.setattr(verify, name, failing)
+        with pytest.raises(FloatingPointError):
+            check()
+        assert seen == [1, 1] and _threads() == 2, name
 
 
 def test_nested_holders_restore_the_count_once(two_blas_threads):

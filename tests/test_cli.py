@@ -992,6 +992,9 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
          "part.txt:1: lattice basis entry 99999999999999999999 lies outside the int64 range"),
         ("extra:model.json", lambda p: _set_json(p, "dual_lattice", "99999999999999999999"),
          "model.json: field 'dual_lattice': lattice basis entry 99999999999999999999 lies outside the int64 range"),
+        # an explicit position beyond int64, which no data position can match
+        ("part.txt", "0, a\n1, b\n99999999999999999999, c\n",
+         "part.txt:3: position (99999999999999999999,) outside the int64 range"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -1009,7 +1012,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "partition-lattice-index-huge", "extra-model-lattice-index-huge", "model-n-generators-not-rank",
         "model-without-regime", "model-without-n-generators", "discrete-model-without-labels",
         "discrete-model-without-allocation", "partition-lattice-entry-beyond-int64",
-        "extra-model-lattice-entry-beyond-int64",
+        "extra-model-lattice-entry-beyond-int64", "partition-position-beyond-int64",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -1048,6 +1051,31 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
     assert res.returncode == 2, res.stdout
     assert "Traceback" not in res.stderr
     assert location in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
+def test_data_whose_energy_overflows_are_refused_where_they_are_read(tmp_path, regime):
+    # one sample of 1e160 squares beyond float64, and so do its Gramians
+    if regime == "discrete":
+        model, _ = _fitted_discrete_model(tmp_path)
+        data = tmp_path / "huge.txt"
+        data.write_text("0,0,1e160,0.0\n1,1,1.0,0.0\n")
+        flags = ("--partition", tmp_path / "part.txt")
+    else:
+        model, _ = _fitted_model(tmp_path, regime)
+        grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
+        samples = np.zeros((1, grid.n_cells, grid.n_translations), dtype=complex)
+        samples[0, 0, 0] = 1e160
+        data = write_dataset(SpectralDataset(grid=grid, samples=samples), tmp_path / "huge")
+        flags = {"sis": (), "extra": ("--dual-lattice", "2"), "pw": ("--box", "1")}[regime]
+    compare_flags = ("--boxes", "1") if regime == "pw" else flags
+    for cmd in (("fit", "--regime", regime, "--rank", 1, *flags, "--out", tmp_path / "m"),
+                ("compare", "--regimes", regime, "--ranks", 1, *compare_flags),
+                ("verify", "--model", model)):
+        res = run_cli(*cmd, "--data", data)
+        assert res.returncode == 2, res.stdout
+        assert res.stdout == (f"regime: {regime}\n" if cmd[0] == "verify" else "")
+        assert res.stderr == f"error: {data}: the energy of the samples overflows float64\n"  # no Warning
 
 
 def _eigh_that_does_not_converge(h):

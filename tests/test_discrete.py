@@ -77,6 +77,14 @@ def test_from_sequences_rejects_positions_beyond_int64():
         DiscreteDataset.from_sequences(2, [{(0, 0): 1.0}, {(0, -(2**63) - 1): 1.0}])
 
 
+def test_partition_positions_beyond_int64_are_refused():
+    for key in ((10**20,), (2**63,), (0, -(2**63) - 1)):
+        with pytest.raises(ValidationError, match=rf"^position {re.escape(str(key))} outside the int64 range$"):
+            DiscretePartition.from_mapping(len(key), {key: "far", (0,) * len(key): "near"})
+    edge = ((2**63 - 1,), (-(2**63),))
+    assert list(DiscretePartition.from_mapping(1, dict.fromkeys(edge, "a")).mapping) == list(edge)
+
+
 def test_block_gramian_matches_naive(rng):
     ds = random_instance(rng, m=3)
     part = parity_partition()
@@ -227,12 +235,16 @@ def test_explicit_partition_labels():
     assert model.allocation == [1, 0]
 
 
-@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+_UNSTORABLE = {"a,b": "holds a comma or a line break", "a\nb": "holds a comma or a line break",
+               "a\rb": "holds a comma or a line break", "a\udcff": "is not encodable as UTF-8"}
+
+
+@pytest.mark.parametrize("label", list(_UNSTORABLE))
 def test_a_label_selected_csv_cannot_hold_is_refused_before_any_file(tmp_path, label):
     part = DiscretePartition.from_mapping(1, {(0,): label, (1,): "plain"})
     model = fit_discrete(DiscreteDataset.from_sequences(1, [{(0,): 2.0, (1,): 1.0}]), part, 1)
-    with pytest.raises(ValidationError, match=f"^partition label {re.escape(repr(label))} holds a comma or a line "
-                                              f"break, which selected.csv cannot store$"):
+    with pytest.raises(ValidationError, match=f"^partition label {re.escape(repr(label))} {_UNSTORABLE[label]}, "
+                                              f"which selected.csv cannot store$"):
         save_model(model, tmp_path)
     assert not any(tmp_path.iterdir())
 

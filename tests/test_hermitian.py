@@ -221,9 +221,10 @@ def test_solver_agrees_with_the_jacobi_oracle(rng):
 
 
 def _reference_solve(hs):
-    """``eig_hermitian_batch``'s eigenvalues and eigenvector rows with every
-    step always taken: the asymmetry test, the symmetrization and the norm
-    of each matrix for the clamp."""
+    """The eigenvalues and eigenvector rows of ``eig_hermitian`` on each
+    matrix, and of ``eig_hermitian_batch`` on an exactly Hermitian stack,
+    with every step always taken: the asymmetry test, the symmetrization
+    and the norm of each matrix for the clamp."""
     adj = hs.conj().swapaxes(1, 2)
     assert (np.abs(hs - adj).max(axis=(1, 2)) <= 1e-12 * np.abs(hs).max(axis=(1, 2))).all()
     h = (hs + adj) / 2.0
@@ -244,42 +245,45 @@ def test_steps_taken_only_when_needed_keep_the_bits(rng):
     tilted[:, 0, 1] += 1e-15  # asymmetric within the tolerance, so symmetrized
     positive = np.stack([random_hermitian(rng, n) + 8.0 * np.eye(n) for _ in range(3)])  # no eigenvalue below 0
     tiny = np.stack([_low_rank(rng, n, 2), np.diag([3.0, 1.0, 0.0, -1e-20, 0.0, 0.0])])  # no large negative one
-    for hs in (exact, tilted, positive, tiny):
+    for hs in (exact, positive, tiny):
         es = eig_hermitian_batch(hs)
         lam, rows = _reference_solve(hs.astype(complex))
         assert es.eigenvalues.tobytes() == lam.tobytes()
         assert es.vectors.tobytes() == np.ascontiguousarray(rows.swapaxes(1, 2)).tobytes()
         assert eig_hermitian_batch(hs, vectors=False).eigenvalues.tobytes() == lam.tobytes()
+    # only the one-matrix entry symmetrizes; the batch takes Hermitian stacks
+    lam, rows = _reference_solve(tilted)
+    for b, h in enumerate(tilted):
+        es = eig_hermitian(h)
+        assert es.eigenvalues.tobytes() == lam[b].tobytes()
+        assert es.vectors.tobytes() == np.ascontiguousarray(rows[b].T).tobytes()
     # a tiny negative is clamped, with or without a large one beside it, and a large one is kept
     assert eig_hermitian_batch(exact[2:]).eigenvalues[0].tolist() == [3.0, 1.0, 0.0, 0.0, -0.5, -2.0]
     assert eig_hermitian_batch(tiny[1:]).eigenvalues[0].tolist() == [3.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def test_batch_validation_names_the_matrix():
-    good = np.stack([np.eye(2), np.eye(2)]).astype(complex)
-    with pytest.raises(ValidationError, match="stack of square matrices"):
-        eig_hermitian_batch(np.eye(2))
-    bad = good.copy()
+def test_batch_checks_only_that_the_stack_is_finite():
+    bad = np.stack([np.eye(2), np.eye(2)]).astype(complex)
     bad[1, 0, 1] = np.inf
-    with pytest.raises(ValidationError, match=r"\(0, 1\) \(matrix 1 of the stack\)"):
-        eig_hermitian_batch(bad)
-    bad = good.copy()
-    bad[1, 0, 1] = 1.0
-    with pytest.raises(ValidationError, match=r"not Hermitian.*\(matrix 1 of the stack\)"):
+    with pytest.raises(ValidationError, match=r"^non-finite entry at \(0, 1\)$"):
         eig_hermitian_batch(bad)
 
 
 def test_hermitian_part_validation():
-    with pytest.raises(ValidationError, match="stack of square matrices"):
-        eig_hermitian_batch(np.zeros((1, 2, 3)))
+    with pytest.raises(ValidationError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        eig_hermitian(np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match=r"^expected a square matrix, got shape \(1, 2, 2\)$"):
+        eig_hermitian(np.eye(2)[None])
     with pytest.raises(ValidationError, match=r"^matrix order must be at least 1, got 0$"):
-        eig_hermitian_batch(np.zeros((1, 0, 0)))
-    bad = np.eye(2, dtype=complex)
-    bad[0, 1] = np.nan
-    with pytest.raises(ValidationError, match=r"^non-finite entry at \(0, 1\)$"):
-        eig_hermitian_batch(bad[None])
-    with pytest.raises(ValidationError, match="asymmetry"):
-        eig_hermitian_batch(np.array([[[1.0, 2.0], [1.0, 1.0]]]))
+        eig_hermitian(np.zeros((0, 0)))
+    for i, j, value in ((0, 1, np.nan), (1, 0, np.inf)):  # named before the symmetrization spreads it
+        bad = np.eye(2, dtype=complex)
+        bad[i, j] = value
+        with pytest.raises(ValidationError, match=rf"^non-finite entry at \({i}, {j}\)$"):
+            eig_hermitian(bad)
+    with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: max asymmetry 1\.000000e\+00 exceeds "
+                                              r"1e-12 relative to max entry magnitude 2\.000000e\+00$"):
+        eig_hermitian(np.array([[1.0, 2.0], [1.0, 1.0]]))
 
 
 def test_eig_tol_validation():

@@ -396,3 +396,41 @@ def test_allocation_residual_equals_sequential_float_loop(data):
         # bit for bit, the sign of zero and infinities included
         assert got[c].tobytes() == np.float64(want).tobytes(), (lams[c], alloc[c], got[c], want)
         assert allocation_residual(lams[c], alloc[c]).tobytes() == got[c].tobytes()
+
+
+@given(st.data())
+def test_select_keeps_the_lexsort_tie_order(data):
+    # tie-heavy spectra: the sampled values repeat, signed zeros and subnormals included
+    cells, nb, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    lams = np.array(data.draw(st.lists(_SPECTRUM_VALUES, min_size=cells * nb * m, max_size=cells * nb * m)))
+    lams = lams.reshape(cells, nb, m)
+    rank = data.draw(st.integers(0, nb * m + 1))
+    kept, alloc = sis._select(lams, rank)
+    lam = lams.reshape(cells, -1)
+    want = np.lexsort((np.broadcast_to(np.arange(nb * m), lam.shape), -lam))[:, :rank]
+    assert kept.tobytes() == want.tobytes()
+    assert np.array_equal(alloc, [[np.sum(row // m == b) for b in range(nb)] for row in want])
+
+
+@given(st.data())
+def test_gramians_are_exactly_hermitian_on_both_sides(data):
+    # eig_hermitian_batch takes the Gramians as they are: each must equal
+    # its adjoint, so that symmetrizing it again would change no bit
+    cells, m, n_cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+    fs = scale * (rng.standard_normal((cells, m, n_cols)) + 1j * rng.standard_normal((cells, m, n_cols)))
+    if data.draw(st.booleans()):
+        blocks = sis._WHOLE_FIBER
+    else:
+        nb = data.draw(st.integers(1, 4))
+        labels = np.array(data.draw(st.lists(st.integers(0, nb - 1), min_size=n_cols, max_size=n_cols)))
+        blocks = [np.flatnonzero(labels == b) for b in range(nb)]
+    sides = _sides(m, blocks, n_cols)
+    stacks = sis._gramians(fs, blocks, sides)
+    assert sorted(stacks) == sorted(set(sides) - {0})
+    for n, stack in stacks.items():
+        adj = stack.conj().swapaxes(-1, -2)
+        assert stack.shape == (cells, sides.count(n), n, n) and np.array_equal(stack, adj)
+        assert ((stack + adj) / 2.0).tobytes() == stack.tobytes()
+

@@ -183,3 +183,19 @@ def test_no_row_reduction_idiom_over_short_int64_rows():
                     r"tuple\((np|numpy)\.moveaxis\(", ast.unparse(node.args[0])):
                 found.append((f.name, node.lineno, ast.unparse(node)))
     assert found == []
+
+
+def test_only_sis_calls_the_stack_solver():
+    # eig_hermitian_batch checks only finiteness: it takes the exactly
+    # Hermitian stacks sis._gramians forms, and every other caller goes
+    # through the checked eig_hermitian
+    files = sorted((ROOT / "src" / "sisfit").glob("*.py"))
+    assert len(files) > 10
+    users = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "eig_hermitian_batch" for a in node.names):
+                users.add(f.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "eig_hermitian_batch":
+                users.add(f.name)
+    assert users == {"sis.py"}
