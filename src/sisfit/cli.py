@@ -90,7 +90,8 @@ def _load(args, regime: str):
     """The ``--data`` of ``regime``: (dataset, partition or None, energy,
     cell volume).  Discrete data are a sequence table and its
     ``--partition``; every other regime reads a manifest.  Data whose
-    energy overflows float64 are refused here: their Gramians would too."""
+    energy without the cell volume overflows float64 are refused here:
+    that energy bounds every Gramian entry and eigenvalue of a fit."""
     if regime == "discrete":
         ds = parse_discrete_dataset(args.data)
         part, volume = parse_partition(_require(args, "partition", regime), ds.dim), 1.0
@@ -99,7 +100,7 @@ def _load(args, regime: str):
         part, volume = None, ds.grid.cell_volume
     with np.errstate(over="ignore"):
         energy = total_energy(ds) if part is None else float(ds.energies().sum())
-    if not np.isfinite(energy):
+    if not np.isfinite(energy / volume):
         raise ValidationError(f"{args.data}: the energy of the samples overflows float64")
     return ds, part, energy, volume
 

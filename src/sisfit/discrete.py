@@ -236,17 +236,28 @@ def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
 @dataclass(eq=False)
 class DiscreteModel:
     """Fitted discrete subspace: ``generators[s]`` lives on ``support``
-    and is supported on a single block; ``selected`` lists the kept
-    records as (eigenvalue, label, in-block rank)."""
+    and is supported on a single block.  The records are ``_fit_cells``'s
+    for one cell, (1, rank) arrays: slot s keeps ``eigenvalues[0, s]`` in block
+    ``labels[home_blocks[0, s]]`` at in-block rank ``block_ranks[0, s]``,
+    -1 in both on padded slots.  ``allocation`` holds the per-block
+    counts, which ``verify`` compares with the records; ``selected`` lists
+    the records as (eigenvalue, label, in-block rank)."""
 
     dim: int
     rank: int
     support: np.ndarray
     generators: np.ndarray
-    selected: list
+    eigenvalues: np.ndarray
+    home_blocks: np.ndarray
+    block_ranks: np.ndarray
     allocation: list
     labels: list
     error: float
+
+    @property
+    def selected(self) -> list:
+        records = zip(self.eigenvalues[0].tolist(), self.home_blocks[0].tolist(), self.block_ranks[0].tolist())
+        return [(lam, self.labels[b], j) for lam, b, j in records if b >= 0]
 
 
 def fit_discrete(
@@ -267,17 +278,9 @@ def fit_discrete(
     """
     rank = _check_rank(rank)
     lam, gens, resid, home, ranks = _fit_cells(ds.values[None], _block_columns(ds, part), rank)
-    kept = home[0] >= 0
-    return DiscreteModel(
-        dim=ds.dim,
-        rank=rank,
-        support=ds.support.copy(),
-        generators=gens[:, 0],
-        selected=list(zip(lam[0, kept].tolist(), [part.labels[b] for b in home[0, kept]], ranks[0, kept].tolist())),
-        allocation=np.bincount(home[0, kept], minlength=part.n_blocks).tolist(),
-        labels=list(part.labels),
-        error=float(resid[0]),
-    )
+    return DiscreteModel(dim=ds.dim, rank=rank, support=ds.support.copy(), generators=gens[:, 0], eigenvalues=lam,
+                         home_blocks=home, block_ranks=ranks, labels=list(part.labels), error=float(resid[0]),
+                         allocation=np.bincount(home[home >= 0], minlength=part.n_blocks).tolist())
 
 
 def spectra_discrete(ds: DiscreteDataset, part: DiscretePartition) -> np.ndarray:

@@ -102,11 +102,14 @@ def _sides(m: int, blocks, n_cols: int) -> list[int]:
 
 
 def _gramians(fs: np.ndarray, blocks, sides) -> dict:
-    """Stage 1: the exactly Hermitian (G + G^H)/2 of the Gramian G of every
+    """Stage 1: the exactly Hermitian G/2 + G^H/2 of the Gramian G of every
     block of every cell matrix of the stack ``fs``, a a^H of order m or
     a^H a of order c_b as ``sides`` says, stacked by order: {order: (cells,
     blocks of that order, n, n)}.  Empty blocks (order 0) have none.  One
-    stacked product per block, which BLAS rounds as it does each cell's."""
+    stacked product per block, which BLAS rounds as it does each cell's.
+    Halving first keeps an entry near the float64 maximum finite; in the
+    normal range it gives the bits of (G + G^H)/2, and on subnormal
+    entries it rounds each half (to even)."""
     cells, m, _ = fs.shape
     out = {n: np.empty((cells, sides.count(n), n, n), dtype=np.complex128) for n in sorted(set(sides)) if n}
     at = dict.fromkeys(out, 0)
@@ -115,7 +118,8 @@ def _gramians(fs: np.ndarray, blocks, sides) -> dict:
             continue
         a = fs[:, :, cols]
         gm = a @ a.conj().swapaxes(1, 2) if n == m else a.conj().swapaxes(1, 2) @ a
-        out[n][:, at[n]] = (gm + gm.conj().swapaxes(1, 2)) / 2.0
+        gm /= 2.0
+        out[n][:, at[n]] = gm + gm.conj().swapaxes(1, 2)
         at[n] += 1
     return out
 

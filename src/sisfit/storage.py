@@ -258,28 +258,32 @@ def _load_pw(mdir: Path, meta: _Meta, data: SpectralGrid | None) -> MultiTileMod
     )
 
 
-def _load_selected(path: Path) -> list:
-    """The ``slot,label,in-block rank,eigenvalue`` rows of ``selected.csv``
-    as (eigenvalue, label, in-block rank) records, in the order of the
-    slots 0..n-1."""
-    lines, ints, lams, labels = array("q"), array("q"), array("d"), []
+def _load_selected(path: Path, rank: int, labels: list):
+    """The ``slot,label,in-block rank,eigenvalue`` rows of ``selected.csv``,
+    slots 0..n-1 with n <= ``rank``, as the (1, rank) eigenvalue, home
+    block and in-block rank arrays of ``DiscreteModel``; slots n.. are
+    0.0, -1 and -1, and a label not in ``labels`` is block len(labels)."""
+    block = {lab: b for b, lab in enumerate(labels)}
+    lines, ints, lams = array("q"), array("q"), array("d")  # ints: slot, home block, in-block rank
     for lineno, text in scan(path):
         parts = text.split(",")
         if len(parts) != 4:
             raise ValidationError(f"{path}:{lineno}: inconsistent column count: expected 4 columns, got {len(parts)}")
+        if len(lines) == rank:
+            raise ValidationError(f"{path}:{lineno}: more rows than the model's rank {rank}")
         slot, label, j, lam = parts
         try:
-            ints.extend([int(slot), int(j)])
+            ints.extend([int(slot), block.get(label, len(labels)), int(j)])
             lams.append(float(lam))
         except (ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         lines.append(lineno)
-        labels.append(label)
-    lines, lams = np.frombuffer(lines, dtype=np.int64), np.frombuffer(lams)
-    ints = np.frombuffer(ints, dtype=np.int64).reshape(len(lines), 2)  # slot, in-block rank
+    lines, ints, lams = np.frombuffer(lines, dtype=np.int64), np.frombuffer(ints, dtype=np.int64), np.frombuffer(lams)
     reject(~np.isfinite(lams), lambda r: f"{path}:{lines[r]}", lambda r: f"non-finite value {lams[r]}")
-    rows = one_row_per_key(path, lines, (ints[:, 0],), (len(lines),), "slot")
-    return [(float(lams[r]), labels[r], int(ints[r, 1])) for r in rows]
+    rows = one_row_per_key(path, lines, (ints[::3],), (len(lines),), "slot")
+    table, eigenvalues = np.full((rank, 3), -1, dtype=np.int64), np.zeros((1, rank))
+    table[: len(rows)], eigenvalues[0, : len(rows)] = ints.reshape(-1, 3)[rows], lams[rows]
+    return eigenvalues, table[None, :, 1], table[None, :, 2]
 
 
 def _load_discrete(mdir: Path, meta: _Meta):
@@ -289,13 +293,8 @@ def _load_discrete(mdir: Path, meta: _Meta):
     # zero sequence, and a model without any keeps one point at the origin
     _fixed(meta, "payload_generators", str, GENERATORS_TXT)
     gen_ds = _read_sequences(mdir / GENERATORS_TXT, dim, rank)
-    return DiscreteModel(
-        dim=dim,
-        rank=rank,
-        support=gen_ds.support,
-        generators=gen_ds.values,
-        selected=_load_selected(mdir / SELECTED_CSV),
-        allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)]),
-        labels=meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)]),
-        error=meta.get("error", _json(float)),
-    )
+    labels = meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)])
+    eigenvalues, home, ranks = _load_selected(mdir / SELECTED_CSV, rank, labels)
+    return DiscreteModel(dim=dim, rank=rank, support=gen_ds.support, generators=gen_ds.values, eigenvalues=eigenvalues,
+                         home_blocks=home, block_ranks=ranks, labels=labels, error=meta.get("error", _json(float)),
+                         allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)]))

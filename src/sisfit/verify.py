@@ -14,6 +14,10 @@ Every check runs over all cells at once; only loops that report violations
 visit cells.  ``sis._project``, ``_deviation`` and ``_misnumbered`` are the
 one projection, orthonormality test and block-numbering rule; ``coset-span``
 keeps the stacked SVD basis above lstsq's cutoff eps * max(T, r) * sigma_max.
+``_check_homes`` is the one check of the home block and in-block rank
+records that extra and discrete fits share (``coset-support``,
+``block-support``); ``block-support`` adds only the label list and the
+stored ``allocation``.
 
 Tolerances are 1e-8 relative: to 1 + the total energy for totals, to
 1 + the cell energy (without the cell volume) for per-cell values.  A
@@ -188,28 +192,40 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
         _check_cosets(report, model, model.lattice)
 
 
+def _check_homes(report: VerificationReport, check: str, samples: np.ndarray, blocks: np.ndarray, home, ranks,
+                 n_blocks: int, points: np.ndarray, place: str, noun: str, per_cell: bool = True) -> None:
+    """``coset-support`` (extra) or ``block-support`` (discrete): the
+    samples of each generator, ``samples`` (generators, cells, columns),
+    are finite and exactly zero off its home block, ``blocks`` giving the
+    block of each column (-1, uncovered, is no home, the padded -1
+    included); then ``_misnumbered`` on the (cells, generators) ``home``
+    and ``ranks``.  Violations name a column as the ``place``
+    ``points[k]``, a block as a ``noun``, and the cell when ``per_cell``."""
+    report.checks.append(check)
+    home, ranks = np.asarray(home), np.asarray(ranks)
+    if home.shape != ranks.shape or home.T.shape != samples.shape[:2]:
+        raise ValidationError(f"home {noun} table shape {home.shape} does not match the generator array")
+    # bad[s, g, k]: generator s at cell g is nonzero off its home block, or not finite
+    bad = ((samples != 0) & ((blocks != home.T[:, :, None]) | (blocks < 0))) | ~np.isfinite(samples)
+    for s, g in np.argwhere(bad.any(axis=2)):
+        k = np.argmax(bad[s, g])
+        at, z = tuple(points[k].tolist()), samples[s, g, k]
+        what = (f"nonzero sample at {place} {at} ({noun} {blocks[k]}) outside home {noun} {home[g, s]}"
+                if np.isfinite(z) else f"non-finite sample {z} at {place} {at}")
+        report.add(check, what, cell=int(g) if per_cell else None, generator=int(s))
+    for g in np.flatnonzero(_misnumbered(home, ranks, n_blocks)):
+        report.add(check, f"in-block ranks {ranks[g].tolist()} of home {noun}s {home[g].tolist()} "
+                   f"do not run 0..count-1", cell=int(g) if per_cell else None)
+
+
 def _check_cosets(report: VerificationReport, model: FittedModel, lat: DualLattice) -> None:
     grid = model.grid
     labels = coset_of(grid.translations, lat)
     fibers = _fibers(model)
 
     if hasattr(model, "home_cosets"):
-        report.checks.append("coset-support")
-        home, ranks = np.asarray(model.home_cosets), np.asarray(model.block_ranks)
-        if home.shape != ranks.shape or home.shape != fibers.shape[:2]:
-            raise ValidationError(f"home coset table shape {home.shape} does not match the generator array")
-        # bad[s, g, k]: generator s at cell g is nonzero off its home coset, or not finite
-        spectra = fibers.transpose(1, 0, 2)
-        bad = ((spectra != 0) & (labels != home.T[:, :, None])) | ~np.isfinite(spectra)
-        for s, g in np.argwhere(bad.any(axis=2)):
-            ki = np.argmax(bad[s, g])
-            k, z = tuple(grid.translations[ki].tolist()), spectra[s, g, ki]
-            what = (f"nonzero sample at translation {k} (coset {labels[ki]}) outside home coset {home[g, s]}"
-                    if np.isfinite(z) else f"non-finite sample {z} at translation {k}")
-            report.add("coset-support", what, cell=int(g), generator=int(s))
-        for g in np.flatnonzero(_misnumbered(home, ranks, lat.index)):
-            report.add("coset-support", f"in-block ranks {ranks[g].tolist()} of home cosets "
-                       f"{home[g].tolist()} do not run 0..count-1", cell=int(g))
+        _check_homes(report, "coset-support", fibers.transpose(1, 0, 2), labels, model.home_cosets,
+                     model.block_ranks, lat.index, grid.translations, "translation", "coset")
         return
 
     report.checks += ["coset-support", "coset-span"]
@@ -312,28 +328,6 @@ def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDat
     _close(report, "tail", tail, model.tail, tol, f"recomputed tail {tail!r} vs stored {model.tail!r}")
 
 
-def _check_selection(report: VerificationReport, model: DiscreteModel, part: DiscretePartition) -> None:
-    """``block-support`` of the kept records, by counting: the model's
-    labels are the partition's, there are at most ``rank`` records, the
-    in-block ranks of each label run 0..count-1 (``_misnumbered``, a
-    label outside the partition counting as block ``n_blocks``), and
-    ``allocation`` holds the counts."""
-    labels = [str(lab) for lab in part.labels]
-    index = {lab: b for b, lab in enumerate(labels)}
-    picked = sorted((str(lab), j) for _, lab, j in model.selected)
-    counts = [sum(lab == other for other, _ in picked) for lab in labels]
-    block, rank = np.array([(index.get(lab, len(labels)), j) for lab, j in picked], np.int64).reshape(-1, 2).T[:, None]
-    if [str(lab) for lab in model.labels] != labels:
-        report.add("block-support", f"labels {model.labels} differ from the partition's {labels}")
-    if len(picked) > model.rank:
-        report.add("block-support", f"{len(picked)} selected records, more than rank {model.rank}")
-    if _misnumbered(block, rank, len(labels))[0]:
-        report.add("block-support", f"selected (label, in-block rank) pairs {picked} do not number "
-                   f"the records of each partition label {labels} from 0")
-    if list(model.allocation) != counts:
-        report.add("block-support", f"allocation {list(model.allocation)} differs from the selected counts {counts}")
-
-
 def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: DiscreteDataset,
                     part: DiscretePartition) -> None:
     if ds.dim != model.dim:
@@ -344,18 +338,15 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
     dev = float(_deviation(gens[None])[0])
     _close(report, "orthonormal", dev, 0.0, TOL, f"generator Gramian deviates by {dev:.3e}")
 
-    report.checks.append("block-support")
-    nonzero = gens != 0
-    blocks = part._block_indices(model.support)
-    uncovered = nonzero & (blocks < 0)
-    mixed = nonzero & (blocks != blocks[np.argmax(nonzero, axis=1)][:, None])
-    for s in np.flatnonzero((uncovered | mixed).any(axis=1)):
-        if uncovered[s].any():
-            key = tuple(model.support[np.argmax(uncovered[s])].tolist())
-            report.add("block-support", f"position {key} is not covered by the partition", generator=int(s))
-        else:
-            report.add("block-support", f"touches blocks {np.unique(blocks[nonzero[s]]).tolist()}", generator=int(s))
-    _check_selection(report, model, part)
+    _check_homes(report, "block-support", gens[:, None], part._block_indices(model.support), model.home_blocks,
+                 model.block_ranks, part.n_blocks, model.support, "position", "block", per_cell=False)
+    labels = [str(lab) for lab in part.labels]
+    if [str(lab) for lab in model.labels] != labels:
+        report.add("block-support", f"labels {model.labels} differ from the partition's {labels}")
+    home = np.asarray(model.home_blocks)
+    counts = np.bincount(home[(home >= 0) & (home < part.n_blocks)], minlength=part.n_blocks).tolist()
+    if list(model.allocation) != counts:
+        report.add("block-support", f"allocation {list(model.allocation)} differs from the record counts {counts}")
 
     # explicit projection residual over the union of supports
     # (columns in lexicographic order of the positions)
@@ -370,7 +361,7 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
 
     # the kept eigenvalue of slot s is the energy of the data along g_s
     report.checks.append("eigenvalues")
-    lams = np.array([lam for lam, _, _ in model.selected[: gens.shape[0]]], dtype=np.float64)
-    along = (coef[0].real**2 + coef[0].imag**2).sum(axis=0)[: len(lams)]
+    lams = np.asarray(model.eigenvalues)[0]
+    along = (coef[0].real**2 + coef[0].imag**2).sum(axis=0)
     for s in np.flatnonzero(~(np.abs(lams - along) <= TOL * (1.0 + energy))):
         report.add("eigenvalues", f"eigenvalue {float(lams[s])!r}, expected {float(along[s])!r}", generator=int(s))

@@ -808,8 +808,17 @@ def _scale_generator_value(path):
 
 def _set_eigenvalue(path, value=99.0):
     # slot 0 keeps the even block's eigenvalue 1.25
-    slot, label, j, _ = path.read_text().split(",")
-    path.write_text(f"{slot},{label},{j},{value!r}\n")
+    lines = path.read_text().splitlines()
+    slot, label, j, _ = lines[0].split(",")
+    lines[0] = f"{slot},{label},{j},{value!r}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _swap_selected_labels(path):
+    # slots 0 and 1 keep the even and the odd block: swapped, each generator
+    # sits off its home block, while the counts and numbering still hold
+    (s0, a, j0, lam0), (s1, b, j1, lam1) = (line.split(",") for line in path.read_text().splitlines())
+    path.write_text(f"{s0},{b},{j0},{lam0}\n{s1},{a},{j1},{lam1}\n")
 
 
 def _value_in_other_block(path):
@@ -819,7 +828,7 @@ def _value_in_other_block(path):
         fh.write("0,1,1e-12,0.0\n")
 
 
-def _fitted_discrete_model(tmp_path):
+def _fitted_discrete_model(tmp_path, rank=1):
     seqs = tmp_path / "seqs.txt"
     seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n0,2,0.5,0.0\n")
     part = tmp_path / "part.txt"
@@ -827,7 +836,7 @@ def _fitted_discrete_model(tmp_path):
     model = tmp_path / "model"
     res = run_cli(
         "fit", "--regime", "discrete", "--data", seqs,
-        "--rank", 1, "--partition", part, "--out", model,
+        "--rank", rank, "--partition", part, "--out", model,
     )
     assert res.returncode == 0, res.stderr
     return model, seqs
@@ -853,12 +862,13 @@ def _fitted_discrete_model(tmp_path):
         ("discrete", "generators.txt", _value_in_other_block, "block-support", "block-support"),
         ("discrete", "selected.csv", _foreign_selection, "block-support, eigenvalues", "block-support"),
         ("discrete", "selected.csv", _set_eigenvalue, "eigenvalues", "eigenvalues"),
+        ("discrete", "selected.csv", _swap_selected_labels, "block-support", "block-support"),
         ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
     ],
 )
 def test_verify_names_each_failed_check(tmp_path, regime, name, tamper, failed, violation):
     if regime == "discrete":
-        model, data = _fitted_discrete_model(tmp_path)
+        model, data = _fitted_discrete_model(tmp_path, rank=2)
     else:
         model, data = _fitted_model(tmp_path, regime, rank=2)
     res = run_cli("verify", "--model", model, "--data", data)
@@ -880,6 +890,12 @@ def _duplicate_row(path):
     path.write_text("\n".join(lines[:1] + lines[:1] + lines[2:]) + "\n")
 
 
+def _append_next_slot(path):
+    # a well-formed record in the slot after the last, beyond the model's rank
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [f"{len(lines)},1,0,0.5"]) + "\n")
+
+
 @pytest.mark.parametrize(
     "regime,name,edit",
     [
@@ -887,7 +903,7 @@ def _duplicate_row(path):
         for regime, name in (("sis", "eigencurves.csv"), ("extra", "home_cosets.csv"), ("pw", "chosen.csv"))
         for edit in (Path.unlink, _drop_row, _duplicate_row)
     ]
-    + [("discrete", "selected.csv", edit) for edit in (Path.unlink, _duplicate_row)]
+    + [("discrete", "selected.csv", edit) for edit in (Path.unlink, _duplicate_row, _append_next_slot)]
     + [("discrete", "generators.txt", Path.unlink)],
 )
 def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
@@ -944,6 +960,8 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # a selected.csv row is slot, label, in-block rank, eigenvalue
         ("selected.csv", "0,a,0,1.0,5\n", "selected.csv:1: inconsistent column count: expected 4 columns, got 5"),
         ("selected.csv", "0,a,0\n", "selected.csv:1: inconsistent column count: expected 4 columns, got 3"),
+        # the rank-1 model keeps one record
+        ("selected.csv", "0,a,0,1.0\n1,b,0,1.0\n", "selected.csv:2: more rows than the model's rank 1"),
         ("dataset.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "dataset.json:1: byte 0xff is not UTF-8"),
         ("model.json", "[" * 100000, "model.json is not valid JSON: maximum recursion depth exceeded"),
         # column 1 of an eigencurves row is the cell's center, which must be the grid's
@@ -1003,7 +1021,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "pw-chosen-int64-overflow", "manifest-m-huge", "csv-nan", "generators-index-beyond-rank",
         "seqs-not-utf8", "seqs-int64-overflow-then-bad-token", "csv-int64-overflow-then-bad-token",
         "partition-not-utf8", "residuals-not-utf8", "model-json-not-utf8", "selected-not-utf8",
-        "selected-too-many-columns", "selected-too-few-columns",
+        "selected-too-many-columns", "selected-too-few-columns", "selected-beyond-rank",
         "manifest-not-utf8", "model-json-nested-too-deep", "eigencurves-center-not-a-number",
         "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
         "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",
@@ -1055,27 +1073,49 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
 
 @pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
 def test_data_whose_energy_overflows_are_refused_where_they_are_read(tmp_path, regime):
-    # one sample of 1e160 squares beyond float64, and so do its Gramians
     if regime == "discrete":
         model, _ = _fitted_discrete_model(tmp_path)
-        data = tmp_path / "huge.txt"
-        data.write_text("0,0,1e160,0.0\n1,1,1.0,0.0\n")
         flags = ("--partition", tmp_path / "part.txt")
     else:
         model, _ = _fitted_model(tmp_path, regime)
-        grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
-        samples = np.zeros((1, grid.n_cells, grid.n_translations), dtype=complex)
-        samples[0, 0, 0] = 1e160
-        data = write_dataset(SpectralDataset(grid=grid, samples=samples), tmp_path / "huge")
         flags = {"sis": (), "extra": ("--dual-lattice", "2"), "pw": ("--box", "1")}[regime]
     compare_flags = ("--boxes", "1") if regime == "pw" else flags
-    for cmd in (("fit", "--regime", regime, "--rank", 1, *flags, "--out", tmp_path / "m"),
-                ("compare", "--regimes", regime, "--ranks", 1, *compare_flags),
-                ("verify", "--model", model)):
-        res = run_cli(*cmd, "--data", data)
-        assert res.returncode == 2, res.stdout
-        assert res.stdout == (f"regime: {regime}\n" if cmd[0] == "verify" else "")
-        assert res.stderr == f"error: {data}: the energy of the samples overflows float64\n"  # no Warning
+    # one sample of 1e160 squares beyond float64; two functions of 1e154 at
+    # the same sample have an energy of 2e308 without the cell volume (1/4),
+    # and so has the eigenvalue of their Gramian
+    for functions, value in ((1, 1e160), (2, 1e154)):
+        if regime == "discrete":
+            data = tmp_path / f"huge{functions}.txt"
+            data.write_text("".join(f"{j},0,{value!r},0.0\n" for j in range(functions)) + f"{functions},1,1.0,0.0\n")
+        else:
+            grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
+            samples = np.zeros((functions, grid.n_cells, grid.n_translations), dtype=complex)
+            samples[:, 0, 0] = value
+            data = write_dataset(SpectralDataset(grid=grid, samples=samples), tmp_path / f"huge{functions}")
+        for cmd in (("fit", "--regime", regime, "--rank", 1, *flags, "--out", tmp_path / "m"),
+                    ("compare", "--regimes", regime, "--ranks", 1, *compare_flags),
+                    ("verify", "--model", model)):
+            res = run_cli(*cmd, "--data", data)
+            assert res.returncode == 2, res.stdout
+            assert res.stdout == (f"regime: {regime}\n" if cmd[0] == "verify" else "")
+            assert res.stderr == f"error: {data}: the energy of the samples overflows float64\n"  # no Warning
+
+
+@pytest.mark.parametrize("regime,flags", [("sis", ()), ("extra", ("--dual-lattice", "2"))])
+def test_one_sample_whose_gramian_nears_the_float64_maximum_fits_and_verifies(tmp_path, regime, flags):
+    # |1e154|^2 = 1e308 is finite, but doubles to inf if the Gramian is
+    # symmetrized as (G + G^H)/2
+    grid = SpectralGrid(dim=1, cells_per_dim=4, trunc_radius=1)
+    samples = np.zeros((1, grid.n_cells, grid.n_translations), dtype=complex)
+    samples[0, 0, 0] = 1e154
+    data = write_dataset(SpectralDataset(grid=grid, samples=samples), tmp_path / "near", payload_format="csv")
+    res = run_cli("fit", "--regime", regime, "--rank", 1, *flags, "--data", data, "--out", tmp_path / "m")
+    assert (res.returncode, res.stderr) == (0, ""), res.stdout
+    assert report_value(res.stdout, "error") == "0.0"
+    res = run_cli("verify", "--model", tmp_path / "m", "--data", data)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.endswith("result: pass\n")
+    assert "1e+308" in (tmp_path / "m" / "eigencurves.csv").read_text()
 
 
 def _eigh_that_does_not_converge(h):

@@ -409,12 +409,13 @@ def test_block_support_names_each_stray_generator():
     # generator 0 stays in block a, 1 touches a and b, 2 sits at the uncovered position 5
     gens = np.array([[1, 0, 0, 0], [0.6, 0.8, 0, 0], [0, 0, 0, 1]], dtype=complex)
     model = DiscreteModel(dim=1, rank=3, support=np.array([[0], [1], [2], [5]]), generators=gens,
-                          selected=[(1.0, "a", 0), (0.5, "a", 1), (0.1, "b", 0)], allocation=[2, 1],
-                          labels=["a", "b"], error=0.0)
+                          eigenvalues=np.array([[1.0, 0.5, 0.1]]), home_blocks=np.array([[0, 0, 1]]),
+                          block_ranks=np.array([[0, 1, 0]]), allocation=[2, 1], labels=["a", "b"], error=0.0)
+    assert model.selected == [(1.0, "a", 0), (0.5, "a", 1), (0.1, "b", 0)]
     report = verify_model(model, ds, part)
     assert [str(v) for v in report.violations_of("block-support")] == [
-        "[block-support] generator 1: touches blocks [0, 1]",
-        "[block-support] generator 2: position (5,) is not covered by the partition",
+        "[block-support] generator 1: nonzero sample at position (1,) (block 1) outside home block 0",
+        "[block-support] generator 2: nonzero sample at position (5,) (block -1) outside home block 1",
     ]
 
 

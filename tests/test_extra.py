@@ -358,11 +358,9 @@ def test_discrete_fit_of_one_cell_equals_extra_fit(rng, dim, trunc, basis):
     for g in range(ds.grid.n_cells):
         cell = DiscreteDataset(dim=dim, support=kk, values=ds.samples[:, g, :].copy())
         dm = fit_discrete(cell, part, rank)
-        lam, labels, j = (np.array(col) for col in zip(*dm.selected))
-        t = lam.shape[0]
-        assert _bits(lam) == _bits(em.eigenvalues[g, :t])
-        assert labels.tolist() == em.home_cosets[g, :t].tolist()
-        assert j.tolist() == em.block_ranks[g, :t].tolist()
+        assert _bits(dm.eigenvalues) == _bits(em.eigenvalues[g : g + 1])
+        assert _bits(dm.home_blocks) == _bits(em.home_cosets[g : g + 1])
+        assert _bits(dm.block_ranks) == _bits(em.block_ranks[g : g + 1])
         assert _bits(np.float64(dm.error)) == _bits(em.residuals[g])
         assert _bits(dm.generators) == _bits(em.spectra[:, g, :])
 

@@ -434,3 +434,22 @@ def test_gramians_are_exactly_hermitian_on_both_sides(data):
         assert stack.shape == (cells, sides.count(n), n, n) and np.array_equal(stack, adj)
         assert ((stack + adj) / 2.0).tobytes() == stack.tobytes()
 
+
+
+@pytest.mark.parametrize(
+    "row,entry",
+    [
+        # |1e154|^2 = 1e308: (G + G^H)/2 would overflow to inf on the way
+        ([1e154], 1e308),
+        # 2^-537 squares to one unit of the smallest subnormal, 2^-1074; each
+        # half of a subnormal entry rounds to even: one unit halves to 0, and
+        # three units to two, so the entry reads 0 and 4 units where
+        # (G + G^H)/2 gives 1 and 3
+        ([2.0**-537], 0.0),
+        ([2.0**-537] * 3, 4 * 2.0**-1074),
+    ],
+)
+def test_gramians_halve_each_entry_before_adding_its_adjoint(row, entry):
+    fs = np.array([[row]], dtype=complex)  # one cell, one function
+    stacks = sis._gramians(fs, sis._WHOLE_FIBER, [1])
+    assert stacks[1].shape == (1, 1, 1, 1) and stacks[1][0, 0, 0, 0] == entry

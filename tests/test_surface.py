@@ -199,3 +199,15 @@ def test_only_sis_calls_the_stack_solver():
             elif isinstance(node, ast.Attribute) and node.attr == "eig_hermitian_batch":
                 users.add(f.name)
     assert users == {"sis.py"}
+
+
+def test_only_the_home_block_check_numbers_records():
+    # coset-support (extra) and block-support (discrete) share one
+    # home-block check, the one caller of the block-numbering rule
+    callers = []
+    for f in sorted((ROOT / "src" / "sisfit").glob("*.py")):
+        for fn in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(f.name, fn.name) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_misnumbered"]
+    assert callers == [("verify.py", "_check_homes")]
