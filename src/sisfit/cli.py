@@ -23,7 +23,7 @@ from .discrete import fit_discrete, parse_discrete_dataset, parse_partition, spe
 from .errors import SisfitError, ValidationError
 from .extra import fit_extra_invariant, spectra_extra
 from .lattice import make_dual_lattice, parse_basis
-from .multitile import fit_multitile
+from .multitile import fit_multitile, sweep_multitile
 from .sis import error_at_rank, fit_sis, spectra_sis
 from .spectral import (
     _FAMILY_PARAM,
@@ -200,12 +200,9 @@ def cmd_compare(args) -> int:
         if regime == "pw":
             boxes = _ranks(args.boxes) if args.boxes else [ds.grid.trunc_radius]
             errs = []
-            for r in ranks:
-                totals = []
-                for b in boxes:
-                    mt = fit_multitile(ds, r, b)
-                    rows.append(("pw", r, b, mt.error, mt.tail, mt.error + mt.tail))
-                    totals.append(mt.error + mt.tail)
+            for r, fits in zip(ranks, sweep_multitile(ds, ranks, boxes)):  # one sort per box serves every rank
+                totals = [e + t for e, t in fits]
+                rows += [("pw", r, b, e, t, tot) for b, (e, t), tot in zip(boxes, fits, totals)]
                 _check_monotone(f"pw rank {r}: total", "box", boxes, totals, energy, defects)
                 errs.append(totals[-1])
         else:  # one values-only spectrum pass serves every rank

@@ -241,7 +241,10 @@ class DiscreteModel:
     ``labels[home_blocks[0, s]]`` at in-block rank ``block_ranks[0, s]``,
     -1 in both on padded slots.  ``allocation`` holds the per-block
     counts, which ``verify`` compares with the records; ``selected`` lists
-    the records as (eigenvalue, label, in-block rank)."""
+    the records as (eigenvalue, label, in-block rank).  A loaded
+    ``selected.csv`` may name labels that ``labels`` does not hold: home
+    block ``len(labels) + i`` is then ``foreign_labels[i]``, and such a
+    model fails ``verify``'s block-support."""
 
     dim: int
     rank: int
@@ -253,11 +256,13 @@ class DiscreteModel:
     allocation: list
     labels: list
     error: float
+    foreign_labels: list = field(default_factory=list)
 
     @property
     def selected(self) -> list:
+        labels = self.labels + self.foreign_labels
         records = zip(self.eigenvalues[0].tolist(), self.home_blocks[0].tolist(), self.block_ranks[0].tolist())
-        return [(lam, self.labels[b], j) for lam, b, j in records if b >= 0]
+        return [(lam, labels[b], j) for lam, b, j in records if b >= 0]
 
 
 def fit_discrete(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,14 +76,18 @@ class DualLattice:
     ``hermite`` is the lower-triangular Hermite form H of the basis.
     ``section`` holds one representative per coset, the points of the box
     prod([0, H_ii)) in lexicographic order; coset labels are the row
-    indices into it.
+    indices into it.  It is built when first read: no fit or check needs
+    it, and at 2^20 cosets it takes 16 MiB.
     """
 
     dim: int
     basis: np.ndarray
     index: int
-    section: np.ndarray
     hermite: np.ndarray
+
+    @cached_property
+    def section(self) -> np.ndarray:
+        return np.stack(np.unravel_index(np.arange(self.index), np.diag(self.hermite)), axis=-1).astype(np.int64)
 
     def __eq__(self, other):
         return (
@@ -104,12 +109,10 @@ def make_dual_lattice(basis) -> DualLattice:
         raise ValidationError(f"lattice basis must be a nonempty square matrix, got shape {b.shape}")
     b = _as_int64(b, "lattice basis entries")
     h = _hermite_form(b)
-    diag = np.diag(h)
-    index = math.prod(int(x) for x in diag)
+    index = math.prod(int(x) for x in np.diag(h))
     if index > MAX_LATTICE_INDEX:
         raise ValidationError(f"lattice basis has {index} cosets, more than {MAX_LATTICE_INDEX}")
-    section = np.stack(np.unravel_index(np.arange(index), diag), axis=-1).astype(np.int64)
-    return DualLattice(dim=b.shape[0], basis=b, index=index, section=section, hermite=h)
+    return DualLattice(dim=b.shape[0], basis=b, index=index, hermite=h)
 
 
 def coset_of(k, lat: DualLattice):

@@ -54,6 +54,27 @@ def _weights(ds: SpectralDataset) -> np.ndarray:
     return (s.real**2 + s.imag**2).sum(axis=0)
 
 
+def _sorted_box(grid: SpectralGrid, w_all: np.ndarray, box: int):
+    """The in-box translations of the box of radius ``box``, their
+    weights (cells, in-box) out of ``w_all``, each cell's order of them
+    from heaviest to lightest, and the quadrature tail outside the box."""
+    kk = grid.translations
+    inbox = np.flatnonzero(np.abs(kk).max(axis=1) <= box)
+    w_in = w_all[:, inbox]
+    # stable argsort on negated weights: ties keep lexicographic order,
+    # and sorting the picked indices sorts the picks lexicographically,
+    # because in-box translations are already lexicographically sorted
+    order = np.argsort(-w_in, axis=1, kind="stable")
+    tail = float(np.delete(w_all, inbox, axis=1).sum()) * grid.cell_volume
+    return kk[inbox], w_in, order, tail
+
+
+def _residuals(w_in: np.ndarray, order: np.ndarray, rank: int) -> np.ndarray:
+    """Per cell, the weight of the in-box translations after its ``rank``
+    heaviest, added in ``order``."""
+    return np.take_along_axis(w_in, order[:, rank:], axis=1).sum(axis=1)
+
+
 def fit_multitile(ds: SpectralDataset, rank: int, box_radius: int) -> MultiTileModel:
     """Pick, per cell, the ``rank`` heaviest translations in the box.
 
@@ -64,31 +85,37 @@ def fit_multitile(ds: SpectralDataset, rank: int, box_radius: int) -> MultiTileM
     """
     rank = _check_rank(rank)
     box = _check_box(ds.grid, rank, box_radius)
-    kk = ds.grid.translations
-    inbox = np.flatnonzero(np.abs(kk).max(axis=1) <= box)
-    k_in = kk[inbox]
-
-    w_all = _weights(ds)
-    w_in = w_all[:, inbox]
-    w_out = np.delete(w_all, inbox, axis=1)
-
-    # stable argsort on negated weights: ties keep lexicographic order,
-    # and sorting the picked indices sorts the picks lexicographically,
-    # because in-box translations are already lexicographically sorted
-    order = np.argsort(-w_in, axis=1, kind="stable")
-    chosen = k_in[np.sort(order[:, :rank], axis=1)]
-    residuals = np.take_along_axis(w_in, order[:, rank:], axis=1).sum(axis=1)
-    error = float(residuals.sum()) * ds.grid.cell_volume
-    tail = float(w_out.sum()) * ds.grid.cell_volume
+    k_in, w_in, order, tail = _sorted_box(ds.grid, _weights(ds), box)
+    residuals = _residuals(w_in, order, rank)
     return MultiTileModel(
         grid=ds.grid,
         rank=rank,
         box_radius=box,
-        chosen=chosen,
+        chosen=k_in[np.sort(order[:, :rank], axis=1)],
         residuals=residuals,
-        error=error,
+        error=float(residuals.sum()) * ds.grid.cell_volume,
         tail=tail,
     )
+
+
+def sweep_multitile(ds: SpectralDataset, ranks, box_radii) -> list[list[tuple[float, float]]]:
+    """``(fit_multitile(ds, r, b).error, fit_multitile(ds, r, b).tail)``
+    for each rank r of ``ranks`` (one list each) and each box radius b of
+    ``box_radii``, bit for bit, from one weight pass and one sort per
+    distinct radius: the error at every rank is read off the same order.
+    A bad pair raises ``fit_multitile``'s ValidationError; the pairs are
+    checked rank by rank, each rank's radii in turn, before any work."""
+    checked = []
+    for r in ranks:
+        r = _check_rank(r)
+        checked.append((r, [_check_box(ds.grid, r, b) for b in box_radii]))
+    w_all, volume, fits = _weights(ds), ds.grid.cell_volume, {}
+    distinct = dict.fromkeys(r for r, _ in checked)
+    for b in dict.fromkeys(b for _, radii in checked for b in radii):
+        _, w_in, order, tail = _sorted_box(ds.grid, w_all, b)
+        for r in distinct:
+            fits[r, b] = (float(_residuals(w_in, order, r).sum()) * volume, tail)
+    return [[fits[r, b] for b in radii] for r, radii in checked]
 
 
 def multitile_spectra(model: MultiTileModel) -> np.ndarray:
@@ -109,8 +136,4 @@ def error_multitile_series(ds: SpectralDataset, rank: int, box_radii) -> list[fl
         raise ValidationError("box_radii must not be empty")
     if any(b2 <= b1 for b1, b2 in zip(radii, radii[1:])):
         raise ValidationError(f"box radii must be strictly increasing, got {radii}")
-    out = []
-    for b in radii:
-        model = fit_multitile(ds, rank, b)
-        out.append(model.error + model.tail)
-    return out
+    return [error + tail for error, tail in sweep_multitile(ds, [rank], radii)[0]]

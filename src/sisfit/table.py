@@ -80,6 +80,8 @@ def read_table(path, lead: int, floats: int, dim: int | None = 0):
 # loadtxt takes "1.5\x1f", which float() refuses)
 _PLAIN = b"0123456789+-.eE, \t\n"
 
+_BLOCK = 1 << 16  # bytes the plain check of ``_loadtxt_table`` reads at a time
+
 
 def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
     """``read_table`` of a plain file from one structured ``np.loadtxt``
@@ -90,24 +92,33 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
     skips empty lines (and refuses whitespace-only ones), so a full count
     means that row r is line r + 1.
 
-    A file that is not plain is refused before its newlines are counted,
-    over a uint8 view of the bytes: several times faster than
-    ``bytes.count`` on a large table.  What is left is loadtxt's float
-    conversion, the floor of text ingest."""
+    The check is one pass over ``_BLOCK``-byte blocks, so that no copy
+    of the file is held: per block, the ``translate`` test for plain
+    bytes, the newline count over a uint8 view (several times faster
+    than ``bytes.count``) and, for ``dim=None``, the commas of the first
+    line.  The integer and float columns are returned as views into
+    loadtxt's rows, not copied.  What is left beside loadtxt's parse, the
+    floor of text ingest, is the ``translate`` test."""
+    size = newlines = commas = 0
+    first, last = dim is None, b""  # first: the first line is still being read
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw.translate(None, _PLAIN):
+        while block := fh.read(_BLOCK):
+            if block.translate(None, _PLAIN):
+                return None
+            size += len(block)
+            newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
+            if first:
+                end = block.find(b"\n")
+                commas += block.count(b",", 0, end if end >= 0 else len(block))
+                first = end < 0
+            last = block[-1:]
+    if newlines == size:  # empty lines only: loadtxt would warn
         return None
-    newlines = int(np.count_nonzero(np.frombuffer(raw, np.uint8) == 10))
-    if newlines == len(raw):  # empty lines only: loadtxt would warn
-        return None
-    n_lines = newlines + (not raw.endswith(b"\n"))
+    n_lines = newlines + (last != b"\n")
     if dim is None:  # the first line sets it
-        end = raw.find(b"\n")
-        dim = raw.count(b",", 0, end if end >= 0 else len(raw)) + 1 - lead - floats
+        dim = commas + 1 - lead - floats
         if dim < 1:
             return None
-    del raw  # loadtxt reads the file in chunks: hold no copy of it meanwhile
     fields = [("i", np.int64, (lead + dim,)), ("f", np.float64, (floats,))]
     try:
         rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, ndmin=1, encoding="ascii")
@@ -115,10 +126,9 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
         return None
     if len(rows) != n_lines:  # loadtxt skipped an empty line
         return None
-    ints, values = np.ascontiguousarray(rows["i"]), np.ascontiguousarray(rows["f"])
-    if not np.isfinite(values).all():
+    if not np.isfinite(rows["f"]).all():
         return None
-    return np.arange(1, len(rows) + 1, dtype=np.int64), ints, values
+    return np.arange(1, len(rows) + 1, dtype=np.int64), rows["i"], rows["f"]
 
 
 def _scan_table(path, lead: int, floats: int, dim: int | None):

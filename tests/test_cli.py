@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from sisfit.discrete import error_discrete, parse_discrete_dataset, parse_partit
 from sisfit.extra import error_extra
 from sisfit.hermitian import eig_hermitian_batch
 from sisfit.lattice import make_dual_lattice
+from sisfit.multitile import fit_multitile
 from sisfit.sis import error_sis
 from sisfit.spectral import SpectralDataset, SpectralGrid, write_dataset
 
@@ -345,13 +345,44 @@ def test_compare_checks_boxes_in_increasing_order(tmp_path, rng, capsys):
 
 def test_compare_monotonicity_defect_messages(tmp_path, rng, monkeypatch, capsys):
     manifest = write_dataset(random_dataset(rng), tmp_path / "data")
-    monkeypatch.setattr(cli, "fit_multitile", lambda ds, r, b: SimpleNamespace(error=float(r + b), tail=0.5))
+    monkeypatch.setattr(cli, "sweep_multitile",
+                        lambda ds, ranks, boxes: [[(float(r + b), 0.5) for b in boxes] for r in ranks])
     assert cli.main(["compare", "--data", str(manifest), "--regimes", "pw", "--ranks", "1,2", "--boxes", "1,2"]) == 1
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("defect:")] == [
         "defect: pw rank 1: total grows from box 1 to 2 (2.5 -> 3.5)",
         "defect: pw rank 2: total grows from box 1 to 2 (3.5 -> 4.5)",
         "defect: pw: error grows from rank 1 to 2 (3.5 -> 4.5)",
     ]
+
+
+def test_compare_pw_rows_are_the_fits_bit_for_bit(tmp_path, rng, capsys):
+    ds = random_dataset(rng, dim=1, cells=8, trunc=3, m=5)
+    manifest, table = write_dataset(ds, tmp_path / "data"), tmp_path / "table.csv"
+    assert cli.main(["compare", "--data", str(manifest), "--regimes", "pw", "--ranks", "3,1,3", "--boxes", "3,1,2,2",
+                     "--out", str(table)]) == 0
+    fits = [(r, b, fit_multitile(ds, r, b)) for r in (3, 1, 3) for b in (3, 1, 2, 2)]
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{'pw':<9} {r:>4} {b:>4} {m.error!r:>24} {m.tail!r:>24} {m.error + m.tail!r:>24}" for r, b, m in fits]
+    assert table.read_text().splitlines()[1:] == [
+        f"pw,{r},{b},{m.error!r},{m.tail!r},{m.error + m.tail!r}" for r, b, m in fits]
+
+
+def test_compare_sorts_each_pw_box_once_whatever_the_ranks(tmp_path, rng, monkeypatch):
+    manifest = write_dataset(random_dataset(rng, dim=1, cells=8, trunc=3, m=5), tmp_path / "data")
+    dims, argsort = [], np.argsort
+
+    def counted(a, *args, **kwargs):
+        dims.append(np.ndim(a))  # the per-cell sort of a box is the one 2-d argsort
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    made = []
+    for ranks in ("1", "1,2,3"):
+        dims.clear()
+        assert cli.main(["compare", "--data", str(manifest), "--regimes", "pw", "--ranks", ranks,
+                         "--boxes", "2,1,2"]) == 0
+        made.append(dims.count(2))
+    assert made == [2, 2]
 
 
 # the report keys of ``fit`` before ``model_dir`` and ``timing_seconds``

@@ -444,3 +444,24 @@ def test_unique_rows_of_no_rows_and_of_a_strided_view(d):
     table = np.array([[0, *([5] * d)], [1, *([-5] * d)], [2, *([5] * d)]], dtype=np.int64)
     support, first, inverse = _unique_rows(table[:, 1:])
     assert support.tolist() == [[-5] * d, [5] * d] and first.tolist() == [1, 0] and inverse.tolist() == [1, 0, 1]
+
+
+def test_a_selected_label_outside_the_labels_loads_and_saves_as_itself(rng, tmp_path):
+    # rank 2 on 4 sequences over 9 points, parity blocks; the first record
+    # of selected.csv then names a label the model's labels do not hold
+    values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    ds = DiscreteDataset.from_sequences(1, [{(i,): v for i, v in enumerate(row)} for row in values])
+    save_model(fit_discrete(ds, parity_partition(), 2), tmp_path / "m")
+    selected = tmp_path / "m" / "selected.csv"
+    lines = selected.read_text().splitlines()
+    slot, label, rest = lines[0].split(",", 2)
+    lines[0] = f"{slot},zz,{rest}"
+    selected.write_text("\n".join(lines) + "\n")
+
+    model = load_model(tmp_path / "m")
+    assert [label for _, label, _ in model.selected] == ["zz", lines[1].split(",")[1]]
+    assert model.labels == ["0", "1"] and model.home_blocks[0, 0] == len(model.labels)
+    save_model(model, tmp_path / "again")
+    assert (tmp_path / "again" / "selected.csv").read_bytes() == selected.read_bytes()
+    assert load_model(tmp_path / "again").selected == model.selected
+    assert "block-support" in verify_model(model, ds, parity_partition()).failed

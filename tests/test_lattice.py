@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -129,6 +130,20 @@ def test_index_above_the_bound_is_refused_before_the_section():
                          ([[10**10]], 10**10), ([[3**39, 0], [0, 3**39]], 3**78)):
         with pytest.raises(ValidationError, match=f"^lattice basis has {index} cosets, more than 1048576$"):
             make_dual_lattice(basis)
+
+
+def test_the_section_is_built_when_first_read():
+    # at the 2^20-coset cap the section is 16 MiB; no fit needs it
+    tracemalloc.start()
+    try:
+        lat = make_dual_lattice([[1024, 0], [0, 1024]])
+        built = tracemalloc.get_traced_memory()[1]
+        section = lat.section
+    finally:
+        tracemalloc.stop()
+    assert built < 2**20
+    assert section.shape == (2**20, 2) and lat.section is section
+    assert section[[0, 1, 1024, -1]].tolist() == [[0, 0], [0, 1], [1, 0], [1023, 1023]]
 
 
 def test_float_integer_inputs_accepted():

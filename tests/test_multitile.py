@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sisfit.errors import ValidationError
-from sisfit.multitile import MultiTileModel, error_multitile_series, fit_multitile, multitile_spectra
+from sisfit.multitile import (MultiTileModel, error_multitile_series, fit_multitile, multitile_spectra,
+                              sweep_multitile)
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.storage import load_model, save_model
 from sisfit.verify import verify_multitile
@@ -169,6 +170,23 @@ def test_series_monotone(rng):
         error_multitile_series(ds, 2, [2, 1])
     with pytest.raises(ValidationError):
         error_multitile_series(ds, 2, [])
+
+
+def test_sweep_refuses_the_first_bad_pair_rank_by_rank(rng):
+    ds = random_dataset(rng, dim=1, m=2, cells=4, trunc=3)
+    # (2, 5) fails before (9, 1): the pairs go rank by rank, as fits would
+    for ranks, boxes in (([2, 9], [1, 5]), ([9, 2], [1, 5]), ([1, 0], [2]), ([2], [1, 2.5])):
+        first = None
+        for r, b in ((r, b) for r in ranks for b in boxes):
+            try:
+                fit_multitile(ds, r, b)
+            except ValidationError as exc:
+                first = str(exc)
+                break
+        with pytest.raises(ValidationError, match=f"^{re.escape(first)}$"):
+            sweep_multitile(ds, ranks, boxes)
+    assert sweep_multitile(ds, [3, 1], [3, 1]) == [
+        [(m.error, m.tail) for m in (fit_multitile(ds, r, 3), fit_multitile(ds, r, 1))] for r in (3, 1)]
 
 
 def test_chosen_rows_sorted(rng):

@@ -201,6 +201,15 @@ def test_only_sis_calls_the_stack_solver():
     assert users == {"sis.py"}
 
 
+def test_compare_never_fits_a_pw_model():
+    # compare reads every pw row from sweep_multitile, which sorts each box
+    # once for all ranks; a fit_multitile per (rank, box) sorts it per rank
+    tree = ast.parse((ROOT / "src" / "sisfit" / "cli.py").read_text(encoding="utf-8"))
+    compare = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "cmd_compare")
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(compare)}
+    assert "sweep_multitile" in names and "fit_multitile" not in names
+
+
 def test_only_the_home_block_check_numbers_records():
     # coset-support (extra) and block-support (discrete) share one
     # home-block check, the one caller of the block-numbering rule

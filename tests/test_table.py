@@ -10,6 +10,7 @@ import os
 import re
 import stat
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -209,18 +210,20 @@ def _table_text(rows, ints, edits):
     return "".join(map(str.__add__, lines, ends))
 
 
+def _outcome(read, path, *args):
+    """The dtypes, shapes and bits of ``read(path, *args)``, or the text
+    of the ValidationError it raises."""
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in read(path, *args)]
+    except ValidationError as exc:
+        return str(exc)
+
+
 def _same_as_scanner(path, text, *args):
     """``read_table`` of ``text`` returns the scanner's bits, dtypes and
     shapes, or raises its ValidationError text."""
-
-    def outcome(read):
-        try:
-            return [(a.dtype, a.shape, a.tobytes()) for a in read(path, *args)]
-        except ValidationError as exc:
-            return str(exc)
-
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert outcome(read_table) == outcome(table._scan_table), (text, args)
+    assert _outcome(read_table, path, *args) == _outcome(table._scan_table, path, *args), (text, args)
 
 
 def test_each_edit_reads_as_the_scanner(tmp_path):
@@ -340,6 +343,49 @@ def test_empty_lines_read_as_the_scanner_without_a_warning(tmp_path, text):
         got = read_table(path, 2, 2)
     want = table._scan_table(path, 2, 2, 0)
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+# (text, dim, whether the loadtxt path reads it): each case at every
+# block size up to its length, so every byte falls on a block boundary once
+_BLOCK_CASES = [
+    ("0,1,0.5,1\n1,2,1.5,2x", 1, False),  # a non-plain byte, in the last block
+    ("0,1,0.5,1\n\n1,2,1.5,2\n", 1, False),  # an empty line: at block size 10 its \n\n is split
+    ("0,1,2,0.5,1\n1,2,3,1.5,2\n", None, True),  # the first line sets dim, over several blocks
+    ("0,1,0.5,1\n1,2,1.5,2", 1, True),  # no trailing newline
+    ("", 1, False),
+    ("", None, False),
+    ("\n\n\n", 1, False),
+]
+
+
+@pytest.mark.parametrize("text,dim,plain", _BLOCK_CASES)
+def test_the_block_pass_reads_as_the_scanner(tmp_path, monkeypatch, text, dim, plain):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    want = _outcome(table._scan_table, path, 1, 2, dim)
+    for block in range(1, len(text) + 2):
+        monkeypatch.setattr(table, "_BLOCK", block)
+        assert (table._loadtxt_table(path, 1, 2, dim) is not None) == plain, block
+        assert _outcome(read_table, path, 1, 2, dim) == want, block
+
+
+def test_the_plain_check_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    # no copy of the file and no file-sized mask: a 2 MB plain table is
+    # checked within a few blocks of memory (loadtxt itself stubbed out)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"0,1,0.5,1\n" * 200_000)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("not parsed here")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    tracemalloc.start()
+    try:
+        assert table._loadtxt_table(path, 1, 2, 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table._BLOCK
 
 
 def _fitted(regime, rng):
