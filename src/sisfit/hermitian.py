@@ -3,13 +3,14 @@
 Wraps LAPACK's Hermitian eigensolver (``np.linalg.eigh``) with stable
 descending eigenvalue order, clamping of tiny negative eigenvalues, and a
 fixed eigenvector phase convention, all array operations over a stack.
-``eig_hermitian`` is the checked entry for one matrix: it validates and
-symmetrizes it, then solves it as a batch of one.  ``eig_hermitian_batch``
-takes stacks that are Hermitian already (the Gramians ``sis._gramians``
-forms) and checks only that they are finite.  ``eigh`` factors each
-matrix of a stack on its own, so a matrix gets the same bits alone as in
-any stack while the BLAS thread count is fixed, which every fit, spectrum
-and verify ensures with ``blas.one_blas_thread``.
+``eig_hermitian`` is the checked entry for one matrix: it validates it and
+takes its ``hermitian_part``, then solves it as a batch of one.
+``eig_hermitian_batch`` takes stacks that are Hermitian already (the
+``hermitian_part`` Gramians of ``sis._gramians``) and checks only that
+they are finite.  ``eigh`` factors each matrix of a stack on its own, so
+a matrix gets the same bits alone as in any stack while the BLAS thread
+count is fixed, which every fit, spectrum and verify ensures with
+``blas.one_blas_thread``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ConvergenceError, ValidationError
 # treated as numerically zero by rank decisions and generator scaling
 RANK_REL_TOL = 1e-10
 
-# eigenvalues in [-NEG_CLAMP_REL * ||G||_F, 0) are rounding noise on a
+# eigenvalues in [-NEG_CLAMP_REL * max|lambda|, 0) are rounding noise on a
 # positive semidefinite input and are clamped to zero
 NEG_CLAMP_REL = 1e-10
 
@@ -77,13 +78,13 @@ def _normalize_rows(w: np.ndarray) -> None:
     w[rows] = sub
 
 
-def _frobenius(h: np.ndarray) -> np.ndarray:
-    """||h_b||_F of every matrix of a complex (B, n, n) stack: the square
-    root of |h_ij|^2 added in row-major order, one ``np.add.accumulate``
-    per matrix.  No BLAS and no pairwise sum, so a matrix's norm does not
-    depend on the batch or on the thread count."""
-    sq = (h.real * h.real + h.imag * h.imag).reshape(h.shape[0], -1)
-    return np.sqrt(np.add.accumulate(sq, axis=1)[:, -1])
+def hermitian_part(g: np.ndarray) -> np.ndarray:
+    """G/2 + G^H/2 of a complex matrix or stack ``g``, which is halved in
+    place.  Halving first keeps an entry near the float64 maximum finite;
+    in the normal range it gives the bits of (G + G^H)/2, and on subnormal
+    entries it rounds each half (to even)."""
+    g /= 2.0
+    return g + g.conj().swapaxes(-1, -2)
 
 
 def eig_hermitian_batch(h: np.ndarray, *, vectors: bool = True) -> EigenSystem:
@@ -92,8 +93,9 @@ def eig_hermitian_batch(h: np.ndarray, *, vectors: bool = True) -> EigenSystem:
 
     Only finiteness is checked: huge samples overflow their Gramian.
     Each matrix gets exactly the bits ``eig_hermitian`` gives it alone:
-    the clamp threshold is per matrix, and sorting, clamping and the
-    phase step are array operations that treat every matrix by itself.
+    eigenvalues in [-1e-10 * max|lambda|, 0) of the matrix are clamped to
+    zero, and sorting, clamping and the phase step are array operations
+    that treat every matrix by itself.
     ``vectors=False`` returns eigenvalues only; it too calls ``eigh``,
     since ``eigvalsh`` rounds them differently, and skips the phase step.
     Raises ``ConvergenceError`` if LAPACK does not converge on some
@@ -109,9 +111,9 @@ def eig_hermitian_batch(h: np.ndarray, *, vectors: bool = True) -> EigenSystem:
     # eigh is ascending; a stable sort of -lam keeps its order among ties
     order = np.argsort(-lam, axis=1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=1)
-    negative = lam < 0.0
-    if negative.any():  # the norm only sets the clamp threshold
-        lam[negative & (lam >= -NEG_CLAMP_REL * _frobenius(h)[:, None])] = 0.0
+    # sorted descending, the largest |lambda| is the first or the last
+    scale = np.maximum(lam[:, :1], -lam[:, -1:])
+    lam[(lam < 0.0) & (lam >= -NEG_CLAMP_REL * scale)] = 0.0
     if not vectors:
         return EigenSystem(eigenvalues=lam, vectors=None)
 
@@ -135,7 +137,7 @@ def eig_hermitian(g) -> EigenSystem:
     EigenSystem
         Eigenvalues descending (ties keep LAPACK's ascending order, so
         ``np.eye(3)`` gives e1, e2, e3);
-        eigenvalues in ``[-1e-10 * ||g||_F, 0)`` are clamped to zero.
+        eigenvalues in ``[-1e-10 * max|lambda|, 0)`` are clamped to zero.
         Eigenvector columns are unitary and phase-normalized.
     """
     arr = np.asarray(g)
@@ -143,12 +145,15 @@ def eig_hermitian(g) -> EigenSystem:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValidationError(f"matrix order must be at least 1, got {arr.shape[0]}")
-    arr = arr.astype(np.complex128, copy=False)
+    arr = np.array(arr, dtype=np.complex128)  # a copy, which hermitian_part halves
     _check_finite(arr)
-    adj = arr.conj().T
-    asym, maxmag = np.abs(arr - adj).max(), np.abs(arr).max()
+    maxmag = np.abs(arr).max()
+    h = hermitian_part(arr)
+    # the asymmetry from the halves, |a/2 - b/2| * 2 as a Python float: the
+    # bits of |a - b| in the normal range, and no overflow warning near the maximum
+    asym = 2.0 * float(np.abs(arr - arr.conj().T).max())
     if asym > 1e-12 * maxmag:
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.6e} "
                               f"exceeds 1e-12 relative to max entry magnitude {maxmag:.6e}")
-    es = eig_hermitian_batch(((arr + adj) / 2.0)[None])
+    es = eig_hermitian_batch(h[None])
     return EigenSystem(eigenvalues=es.eigenvalues[0], vectors=es.vectors[0])

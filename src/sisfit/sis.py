@@ -30,7 +30,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .errors import ValidationError
-from .hermitian import RANK_REL_TOL, eig_hermitian_batch
+from .hermitian import RANK_REL_TOL, eig_hermitian_batch, hermitian_part
 from .spectral import SpectralDataset, SpectralGrid, check_same_grid
 
 
@@ -76,19 +76,12 @@ def allocation_residual(lams, alloc) -> np.ndarray:
     return np.add.accumulate(np.concatenate([np.zeros(tail.shape[:-1] + (1,)), tail], axis=-1), axis=-1)[..., -1]
 
 
-# matrix elements per eigensolver call: one call solves up to
+# Gramian matrix elements per chunk of cells: a chunk solves up to
 # CHUNK_ELEMENTS // n**2 Gramians of order n (256 of order 8, 64 of order
 # 16), where per-call overhead is spread thin and a chunk's Gramians,
-# eigenvectors and generators still fit in cache.  A fixed constant, so
-# no result depends on the machine.
+# eigenvectors and generators still fit in cache.  A cell above it is a
+# chunk of its own.  A fixed constant, so no result depends on the machine.
 CHUNK_ELEMENTS = 16384
-
-
-# ``_chunks`` never splits a cell, so this is the only split of one cell
-# larger than CHUNK_ELEMENTS (a large discrete fit is one cell): without it
-# one eigensolver call would hold every block Gramian of the whole dataset
-def _per_call(n: int) -> int:
-    return max(1, CHUNK_ELEMENTS // (n * n))
 
 
 def _sides(m: int, blocks, n_cols: int) -> list[int]:
@@ -106,10 +99,8 @@ def _gramians(fs: np.ndarray, blocks, sides) -> dict:
     block of every cell matrix of the stack ``fs``, a a^H of order m or
     a^H a of order c_b as ``sides`` says, stacked by order: {order: (cells,
     blocks of that order, n, n)}.  Empty blocks (order 0) have none.  One
-    stacked product per block, which BLAS rounds as it does each cell's.
-    Halving first keeps an entry near the float64 maximum finite; in the
-    normal range it gives the bits of (G + G^H)/2, and on subnormal
-    entries it rounds each half (to even)."""
+    stacked product per block, which BLAS rounds as it does each cell's,
+    and one ``hermitian_part``."""
     cells, m, _ = fs.shape
     out = {n: np.empty((cells, sides.count(n), n, n), dtype=np.complex128) for n in sorted(set(sides)) if n}
     at = dict.fromkeys(out, 0)
@@ -118,16 +109,14 @@ def _gramians(fs: np.ndarray, blocks, sides) -> dict:
             continue
         a = fs[:, :, cols]
         gm = a @ a.conj().swapaxes(1, 2) if n == m else a.conj().swapaxes(1, 2) @ a
-        gm /= 2.0
-        out[n][:, at[n]] = gm + gm.conj().swapaxes(1, 2)
+        out[n][:, at[n]] = hermitian_part(gm)
         at[n] += 1
     return out
 
 
 def _eigensolve(fs: np.ndarray, blocks, vectors: bool):
     """Stage 2: eigendecompose the block Gramians of the stack ``fs`` (stage
-    1, ``_gramians``), one ``eig_hermitian_batch`` call per ``_per_call``
-    of each order.
+    1, ``_gramians``), one ``eig_hermitian_batch`` call per order.
     Returns the block spectra, shape (cells, blocks, m), each padded with
     +0.0 records up to m, and, when ``vectors``, each block's eigenvector
     stack, shape (cells, n_b, n_b) (None for an empty block)."""
@@ -137,11 +126,10 @@ def _eigensolve(fs: np.ndarray, blocks, vectors: bool):
     vecs = [None] * len(sides) if vectors else None
     for n, stack in _gramians(fs, blocks, sides).items():
         bs = [b for b, k in enumerate(sides) if k == n]
-        flat, per = stack.reshape(-1, n, n), _per_call(n)
-        parts = [eig_hermitian_batch(flat[i : i + per], vectors=vectors) for i in range(0, flat.shape[0], per)]
-        lams[:, bs, :n] = np.concatenate([p.eigenvalues for p in parts]).reshape(n_cells, len(bs), n)
+        es = eig_hermitian_batch(stack.reshape(-1, n, n), vectors=vectors)
+        lams[:, bs, :n] = es.eigenvalues.reshape(n_cells, len(bs), n)
         if vectors:
-            v = np.concatenate([p.vectors for p in parts]).reshape(n_cells, len(bs), n, n)
+            v = es.vectors.reshape(n_cells, len(bs), n, n)
             for i, b in enumerate(bs):
                 vecs[b] = v[:, i]
     return lams, vecs
@@ -158,20 +146,18 @@ def _select(lams: np.ndarray, rank: int):
     return kept, (kept[:, :, None] // m == np.arange(nb)).sum(axis=1)
 
 
-def _assemble(fs: np.ndarray, blocks, lams: np.ndarray, vecs, kept: np.ndarray) -> np.ndarray:
+def _assemble(fs: np.ndarray, blocks, vecs, lam: np.ndarray, block: np.ndarray, in_block: np.ndarray) -> np.ndarray:
     """Stage 4: the generator of every kept record on its block, shape
-    (cells, records, columns), or zero when lambda is numerically zero (at
-    most 1e-10 of the cell's largest eigenvalue).  An eigenvector u of
-    a a^H gives lambda^(-1/2) u^H a; an eigenvector w of a^H a gives w^H,
-    which is the same generator, since lambda^(-1/2) u^H a = w^H for
+    (cells, records, columns), from the kept eigenvalues ``lam`` (cells,
+    records, descending) and the ``block`` and in-block rank ``in_block``
+    of each record, or zero when lambda is numerically zero (at most 1e-10
+    of the cell's largest eigenvalue, its first record).  An eigenvector u
+    of a a^H gives lambda^(-1/2) u^H a; an eigenvector w of a^H a gives
+    w^H, which is the same generator, since lambda^(-1/2) u^H a = w^H for
     u = lambda^(-1/2) a w."""
-    cells, m, n_cols = fs.shape
-    lam = lams.reshape(cells, -1)
-    lmax = lam.max(axis=1, initial=0.0)[:, None]
-    lam = np.take_along_axis(lam, kept, axis=1)
-    block, in_block = np.divmod(kept, m)
-    live = (lam > RANK_REL_TOL * lmax) & (lam > 0.0)
-    generators = np.zeros(kept.shape + (n_cols,), dtype=np.complex128)
+    m, n_cols = fs.shape[1:]
+    live = (lam > RANK_REL_TOL * lam[:, :1]) & (lam > 0.0)
+    generators = np.zeros(lam.shape + (n_cols,), dtype=np.complex128)
     for b, cols in enumerate(blocks):
         c, s = np.nonzero(live & (block == b))
         if not c.size:
@@ -268,15 +254,15 @@ def _fit_cells(x: np.ndarray, blocks, rank: int):
     eigenvalues = np.zeros((ncells, rank))
     generators = np.zeros((rank, ncells, n_cols), dtype=np.complex128)
     residuals = np.zeros(ncells)
-    kept = np.zeros((ncells, t), dtype=np.int64)
+    home, block_ranks = np.full((2, ncells, rank), -1, dtype=np.int64)
     for cells, fs in _chunks(x, blocks):
         lams, vecs = _eigensolve(fs, blocks, vectors=True)
-        kept[cells], allocation = _select(lams, rank)
+        kept, allocation = _select(lams, rank)
         residuals[cells] = allocation_residual(lams, allocation)
-        eigenvalues[cells, :t] = np.take_along_axis(lams.reshape(fs.shape[0], -1), kept[cells], axis=1)
-        generators[:t, cells] = _assemble(fs, blocks, lams, vecs, kept[cells]).transpose(1, 0, 2)
-    home, block_ranks = np.full((2, ncells, rank), -1, dtype=np.int64)
-    home[:, :t], block_ranks[:, :t] = np.divmod(kept, m)
+        lam = eigenvalues[cells, :t] = np.take_along_axis(lams.reshape(fs.shape[0], -1), kept, axis=1)
+        block, in_block = np.divmod(kept, m)
+        home[cells, :t], block_ranks[cells, :t] = block, in_block
+        generators[:t, cells] = _assemble(fs, blocks, vecs, lam, block, in_block).transpose(1, 0, 2)
     return eigenvalues, generators, residuals, home, block_ranks
 
 

@@ -1179,6 +1179,20 @@ def test_fit_of_gramians_above_order_256_matches_a_per_cell_oracle(tmp_path, cap
     assert abs(error - expect) <= 1e-12 * expect
 
 
+def test_a_rank_deficient_gramian_near_the_float64_maximum_fits_without_a_warning(tmp_path):
+    # Gramian entries of about 1e306 whose third eigenvalue is rounding noise
+    # below zero: the squares of a Frobenius norm for its clamp overflowed, but
+    # the eigenvalues that scale the clamp now do not
+    grid = SpectralGrid(dim=1, cells_per_dim=2, trunc_radius=1)
+    rng = np.random.default_rng(1)
+    samples = np.zeros((3, grid.n_cells, grid.n_translations), dtype=complex)
+    samples[:2, 0] = 1e153 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    samples[2] = samples[0]
+    data = write_dataset(SpectralDataset(grid=grid, samples=samples), tmp_path / "near")
+    res = run_cli("fit", "--regime", "sis", "--rank", 1, "--data", data, "--out", tmp_path / "m")
+    assert (res.returncode, res.stderr) == (0, ""), res.stdout
+
+
 @pytest.mark.parametrize("dim, trunc, message", [
     (40, 1, "error: grid dim 40, cells_per_dim 2 and trunc_radius 1 need an array of "
             "4277598252429994901708430712504320 bytes, more than NumPy can index\n"),

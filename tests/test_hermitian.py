@@ -1,4 +1,4 @@
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from sisfit.errors import ConvergenceError, ValidationError
 from sisfit.hermitian import (
     PHASE_TOL,
     EigenSystem,
-    _frobenius,
     _normalize_rows,
     eig_hermitian,
     eig_hermitian_batch,
@@ -181,17 +180,6 @@ def test_batch_equals_single_solves_bitwise(rng, n):
     assert np.array_equal(full.vectors[2], np.eye(n)) and np.array_equal(full.vectors[3], np.eye(n))
 
 
-def test_frobenius_norm_is_one_sequential_sum_per_matrix(rng):
-    hs = np.stack([random_hermitian(rng, 13, scale) for scale in (1e-3, 1.0, 1e3)] + [np.zeros((13, 13))])
-    norms = _frobenius(hs)
-    for b, h in enumerate(hs):
-        total = 0.0
-        for term in (h.real * h.real + h.imag * h.imag).ravel().tolist():
-            total += term
-        assert norms[b].tobytes() == np.float64(math.sqrt(total)).tobytes() == _frobenius(h[None])[0].tobytes()
-        assert abs(norms[b] - np.linalg.norm(h)) <= 1e-15 * norms[b]
-
-
 def _oracle(hs):
     """Descending eigenvalues and phase-normalized eigenvector rows of the
     Jacobi kernel, the solver ``eig_hermitian_batch`` replaced."""
@@ -224,14 +212,13 @@ def _reference_solve(hs):
     """The eigenvalues and eigenvector rows of ``eig_hermitian`` on each
     matrix, and of ``eig_hermitian_batch`` on an exactly Hermitian stack,
     with every step always taken: the asymmetry test, the symmetrization
-    and the norm of each matrix for the clamp."""
+    and the clamp relative to the largest |eigenvalue| of each matrix."""
     adj = hs.conj().swapaxes(1, 2)
     assert (np.abs(hs - adj).max(axis=(1, 2)) <= 1e-12 * np.abs(hs).max(axis=(1, 2))).all()
-    h = (hs + adj) / 2.0
-    lam, w = np.linalg.eigh(h)
+    lam, w = np.linalg.eigh(hs / 2.0 + adj / 2.0)
     order = np.argsort(-lam, axis=1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=1)
-    lam[(lam < 0.0) & (lam >= -hermitian.NEG_CLAMP_REL * _frobenius(h)[:, None])] = 0.0
+    lam[(lam < 0.0) & (lam >= -hermitian.NEG_CLAMP_REL * np.abs(lam).max(axis=1, keepdims=True))] = 0.0
     rows = np.take_along_axis(w.swapaxes(1, 2), order[:, :, None], axis=1)
     _normalize_rows(rows.reshape(-1, hs.shape[-1]))
     return lam, rows
@@ -260,6 +247,30 @@ def test_steps_taken_only_when_needed_keep_the_bits(rng):
     # a tiny negative is clamped, with or without a large one beside it, and a large one is kept
     assert eig_hermitian_batch(exact[2:]).eigenvalues[0].tolist() == [3.0, 1.0, 0.0, 0.0, -0.5, -2.0]
     assert eig_hermitian_batch(tiny[1:]).eigenvalues[0].tolist() == [3.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_the_clamp_is_relative_to_the_largest_eigenvalue_magnitude():
+    # ||G||_F = 2 here, so a Frobenius-scaled clamp took -1.5e-10 for noise;
+    # 1e-10 * max|lambda| clamps -0.5e-10 only
+    lam = eig_hermitian(np.diag([1.0, 1.0, 1.0, 1.0, -0.5e-10, -1.5e-10])).eigenvalues
+    assert lam.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, -1.5e-10]
+    # the Frobenius norm of this matrix overflows to inf, which clamped every negative eigenvalue
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eig_hermitian(np.diag([1e200, -1e200])).eigenvalues.tolist() == [1e200, -1e200]
+        assert eig_hermitian_batch(np.diag([1e200, -1e200]).astype(complex)[None]).eigenvalues.tolist() == [[1e200, -1e200]]
+
+
+def test_entries_near_the_float64_maximum_neither_warn_nor_overflow():
+    # (G + G^H)/2 doubles 1.5e308 to inf on the way, and the asymmetry
+    # |a - b| of the second matrix overflows; both are taken from the halves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = eig_hermitian([[1.5e308]])
+        assert es.eigenvalues.tolist() == [1.5e308] and es.vectors.tolist() == [[1.0]]
+        with pytest.raises(ValidationError, match=r"^matrix is not Hermitian: max asymmetry inf exceeds 1e-12 "
+                                                  r"relative to max entry magnitude 1\.000000e\+308$"):
+            eig_hermitian([[0.0, 1e308], [-1e308, 0.0]])
 
 
 def test_batch_checks_only_that_the_stack_is_finite():

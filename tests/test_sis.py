@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sisfit import sis
-from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
+from sisfit.discrete import DiscreteDataset, DiscretePartition, _block_columns, fit_discrete
 from sisfit.errors import ValidationError
 from sisfit.extra import fit_extra_invariant
 from sisfit.hermitian import eig_hermitian
@@ -277,6 +278,29 @@ def test_fits_across_chunk_boundaries_equal_per_cell_reference(rng):
                 assert model.residuals[g] == residual and np.signbit(model.residuals[g]) == np.signbit(residual)
                 if len(blocks) > 1:
                     assert model.home_cosets[g, :t].tolist() == home.tolist()
+
+
+def test_a_one_cell_fit_larger_than_a_chunk_makes_one_call_per_order(rng, monkeypatch):
+    # 80 x 60 positions in the 300 cosets of the lattice (20, 0), (0, 15):
+    # one cell of 300 order-8 block Gramians, more than the 256 of a chunk
+    support = np.array(list(itertools.product(range(80), range(60))))
+    ds = DiscreteDataset(dim=2, support=support,
+                         values=rng.standard_normal((8, 4800)) + 1j * rng.standard_normal((8, 4800)))
+    part = DiscretePartition.from_lattice(make_dual_lattice([[20, 0], [0, 15]]))
+    assert CHUNK_ELEMENTS // (8 * 8) == 256 and part.n_blocks == 300
+    shapes, solve = [], sis.eig_hermitian_batch
+
+    def counted(h, **kwargs):
+        shapes.append(h.shape)
+        return solve(h, **kwargs)
+
+    monkeypatch.setattr(sis, "eig_hermitian_batch", counted)
+    model = fit_discrete(ds, part, 40)
+    assert shapes == [(300, 8, 8)]
+    lam, gens, residual, home = _reference_cell(ds.values, _block_columns(ds, part), 40)
+    assert model.eigenvalues[0].tobytes() == lam.tobytes()
+    assert model.generators.tobytes() == gens.tobytes()
+    assert model.error == residual and model.home_blocks[0].tolist() == home.tolist()
 
 
 @pytest.mark.parametrize("m, c", [(7, 3), (5, 5), (3, 8), (9, 1)])
