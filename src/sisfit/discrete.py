@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .lattice import DualLattice, coset_of, make_dual_lattice, parse_basis
 from .sis import _check_rank, _column_blocks, _fit_cells, allocation_residual, block_spectra, error_at_rank
-from .table import read_table, reject, repeats, scan, write_table
+from .table import parse_row, read_table, reject, repeats, scan, split_row, write_table
 
 BRUTE_FORCE_GUARD = 10**6
 
@@ -99,13 +99,10 @@ class DiscreteDataset:
         js, pos, vals = array("q"), array("q"), []
         for j, seq in enumerate(sequences):
             for p, val in seq.items() if isinstance(seq, dict) else seq:
-                key = tuple(int(x) for x in np.atleast_1d(p))
-                if len(key) != dim:
-                    raise ValidationError(f"sequence {j}: position {key} does not have dimension {dim}")
                 try:
-                    pos.extend(key)
-                except OverflowError:
-                    raise ValidationError(f"sequence {j}: position {key} outside the int64 range") from None
+                    pos.extend(_position(p, dim))
+                except ValidationError as exc:
+                    raise ValidationError(f"sequence {j}: {exc}") from None
                 js.append(j)
                 vals.append(complex(val))
         return cls._from_rows(dim, len(sequences), np.frombuffer(js, dtype=np.int64),
@@ -150,8 +147,15 @@ class DiscreteDataset:
         return (v.real**2 + v.imag**2).sum(axis=1)
 
 
-def _in_int64(key: tuple) -> bool:
-    return all(-(2**63) <= v < 2**63 for v in key)
+def _position(p, dim: int) -> tuple:
+    """Library position ``p`` (an integer or a sequence of them) as a
+    tuple of ``dim`` int64 integers."""
+    key = tuple(int(x) for x in np.atleast_1d(p))
+    if len(key) != dim:
+        raise ValidationError(f"position {key} does not have dimension {dim}")
+    if not all(-(2**63) <= v < 2**63 for v in key):
+        raise ValidationError(f"position {key} outside the int64 range")
+    return key
 
 
 @dataclass(eq=False)
@@ -178,15 +182,8 @@ class DiscretePartition:
     def from_mapping(cls, dim: int, mapping: dict) -> "DiscretePartition":
         if not mapping:
             raise ValidationError("explicit partition mapping must not be empty")
-        clean = {}
-        for pos, label in mapping.items():
-            key = tuple(int(x) for x in np.atleast_1d(pos))
-            if len(key) != dim:
-                raise ValidationError(f"position {key} does not have dimension {dim}")
-            if not _in_int64(key):
-                raise ValidationError(f"position {key} outside the int64 range")
-            clean[key] = label
-        uniq = set(clean.values())
+        clean = {_position(pos, dim): label for pos, label in mapping.items()}
+        uniq = dict.fromkeys(clean.values())  # first-seen order, so that ties under key=str are deterministic
         try:
             labels = sorted(uniq)
         except TypeError:
@@ -384,8 +381,8 @@ def parse_partition(path, dim: int) -> DiscretePartition:
 
     A single line ``lattice: <basis>`` (basis row-major, rows separated
     by ';') selects the coset partition of that lattice.  Otherwise each
-    line is ``p_1, ..., p_d, label`` and the mapping must later cover
-    every support position it is used with.
+    line is ``p_1, ..., p_d, label`` (``split_row`` and ``parse_row``), and
+    the mapping must later cover every support position it is used with.
     """
     lines = list(scan(path))
     if not lines:
@@ -401,19 +398,10 @@ def parse_partition(path, dim: int) -> DiscretePartition:
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lines[0][0]}: {exc}") from None
     mapping = {}
-    for lineno, ln in lines:
-        parts = [tok.strip() for tok in ln.split(",")]
-        if len(parts) != dim + 1:
-            raise ValidationError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(parts)}")
-        try:
-            pos = tuple(int(tok) for tok in parts[:dim])
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: bad position in line {ln!r}") from None
-        if not _in_int64(pos):
-            raise ValidationError(f"{path}:{lineno}: position {pos} outside the int64 range")
+    for lineno, text in lines:
+        *pos, label = split_row(path, lineno, text, dim + 1)
+        pos = tuple(parse_row(path, lineno, pos, (), 0)[0])
         if pos in mapping:
             raise ValidationError(f"{path}:{lineno}: position {pos} labeled twice")
-        mapping[pos] = parts[dim]
-    part = DiscretePartition.from_mapping(dim, mapping)
-    part.source = str(path)
-    return part
+        mapping[pos] = label.strip()
+    return DiscretePartition(dim=dim, labels=sorted(set(mapping.values())), mapping=mapping, source=str(path))

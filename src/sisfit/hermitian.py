@@ -138,7 +138,8 @@ def eig_hermitian(g) -> EigenSystem:
         Eigenvalues descending (ties keep LAPACK's ascending order, so
         ``np.eye(3)`` gives e1, e2, e3);
         eigenvalues in ``[-1e-10 * max|lambda|, 0)`` are clamped to zero.
-        Eigenvector columns are unitary and phase-normalized.
+        Eigenvector columns are unitary and phase-normalized.  An
+        eigenvalue beyond the float64 range raises ValidationError.
     """
     arr = np.asarray(g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -156,4 +157,6 @@ def eig_hermitian(g) -> EigenSystem:
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.6e} "
                               f"exceeds 1e-12 relative to max entry magnitude {maxmag:.6e}")
     es = eig_hermitian_batch(h[None])
+    if not (np.isfinite(es.eigenvalues).all() and np.isfinite(es.vectors).all()):
+        raise ValidationError(f"eigenvalues beyond the float64 range: the solve gave {es.eigenvalues[0].tolist()}")
     return EigenSystem(eigenvalues=es.eigenvalues[0], vectors=es.vectors[0])

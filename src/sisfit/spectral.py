@@ -27,10 +27,6 @@ from .table import (_json, one_row_per_key, read_c16, read_object, read_table, r
 PAYLOAD_BINARY = "binary-c64le"
 PAYLOAD_CSV = "csv"
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-_MANIFEST_KEYS = ("dim", "m", "cells_per_dim", "trunc_radius", "payload_path", "payload_format")
-
 
 @dataclass
 class SpectralGrid:
@@ -98,7 +94,7 @@ class SpectralGrid:
         if outside.any():
             key = tuple(ks[outside][0].tolist())
             raise ValidationError(f"translation {key} outside the truncation box (radius {self.trunc_radius})")
-        if self.n_translations > _INT64_MAX:
+        if self.n_translations >= 2**63:
             raise ValidationError(f"grid has {self.n_translations} translations, more than an int64 index numbers")
         return self._ravel(ks)
 
@@ -236,16 +232,13 @@ def ingest(manifest_path) -> SpectralDataset:
     """Load a dataset from its JSON manifest.
 
     The manifest must carry the six fields dim, m, cells_per_dim,
-    trunc_radius, payload_path and payload_format; other fields are
-    ignored.  payload_path is resolved relative to the manifest.  Shape
-    mismatches, non-finite samples and malformed payloads are rejected
-    with locations.
+    trunc_radius, payload_path and payload_format, each read by
+    ``_Meta.get``, which names a missing one; other fields are ignored.
+    payload_path is resolved relative to the manifest.  Shape mismatches,
+    non-finite samples and malformed payloads are rejected with locations.
     """
     fields = read_object(manifest_path)
-    missing = [k for k in _MANIFEST_KEYS if k not in fields.fields]
-    if missing:
-        raise ValidationError(f"manifest {fields.path} missing fields: {', '.join(missing)}")
-    dim, m, cells, trunc = (fields.get(k, _json(int)) for k in _MANIFEST_KEYS[:4])
+    dim, m, cells, trunc = (fields.get(k, _json(int)) for k in ("dim", "m", "cells_per_dim", "trunc_radius"))
     if m < 1:
         raise ValidationError(f"manifest m must be at least 1, got {m}")
     _check_grid(dim, cells, trunc, fields.path)

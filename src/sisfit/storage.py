@@ -21,8 +21,8 @@ from .lattice import format_basis, make_dual_lattice, parse_basis
 from .multitile import MultiTileModel, _check_box
 from .sis import FittedModel
 from .spectral import SpectralGrid, _check_grid, _check_payload_holds_grid
-from .table import (_existing, _json, _Meta, create, one_row_per_key, read_c16, read_object, read_table, reject,
-                    scan, write_c16, write_object, write_table)
+from .table import (_existing, _json, _Meta, create, one_row_per_key, parse_row, read_c16, read_object, read_table,
+                    reject, scan, split_row, write_c16, write_object, write_table)
 
 # the regimes, one model layout each
 REGIMES = ("sis", "extra", "pw", "discrete")
@@ -98,22 +98,28 @@ def _save_pw(model: MultiTileModel, out: Path) -> None:
 
 
 def _save_discrete(model: DiscreteModel, out: Path) -> None:
-    # selected.csv is UTF-8 text, comma-separated, one record a line
-    for label in map(str, model.labels):
-        if "," in label or "\n" in label or "\r" in label:
-            raise ValidationError(f"partition label {label!r} holds a comma or a line break, "
+    # selected.csv is UTF-8 text, comma-separated, one record a line, a label by its text
+    texts = {}
+    for label in model.labels:
+        text = str(label)
+        if "," in text or "\n" in text or "\r" in text:
+            raise ValidationError(f"partition label {text!r} holds a comma or a line break, "
                                   f"which {SELECTED_CSV} cannot store")
         try:
-            label.encode("utf-8")
+            text.encode("utf-8")
         except UnicodeEncodeError:
-            raise ValidationError(f"partition label {label!r} is not encodable as UTF-8, "
+            raise ValidationError(f"partition label {text!r} is not encodable as UTF-8, "
                                   f"which {SELECTED_CSV} cannot store") from None
+        if text in texts:
+            raise ValidationError(f"partition labels {texts[text]!r} and {label!r} both read {text!r}, "
+                                  f"which {SELECTED_CSV} cannot tell apart")
+        texts[text] = label
     payload = {
         "regime": "discrete",
         "dim": model.dim,
         "rank": model.rank,
         "error": model.error,
-        "labels": [str(lab) for lab in model.labels],
+        "labels": list(texts),
         "allocation": [int(a) for a in model.allocation],
         "payload_generators": GENERATORS_TXT,
     }
@@ -263,27 +269,22 @@ def _load_selected(path: Path, rank: int, labels: list):
     slots 0..n-1 with n <= ``rank``, as the (1, rank) eigenvalue, home
     block and in-block rank arrays of ``DiscreteModel``, and its foreign
     labels; slots n.. are 0.0, -1 and -1, and the i-th distinct label
-    not in ``labels`` is block len(labels) + i."""
+    not in ``labels`` is block len(labels) + i.  ``split_row`` and
+    ``parse_row`` read each line; slot and in-block rank are indices."""
     block, foreign = {lab: b for b, lab in enumerate(labels)}, []
     lines, ints, lams = array("q"), array("q"), array("d")  # ints: slot, home block, in-block rank
     for lineno, text in scan(path):
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"{path}:{lineno}: inconsistent column count: expected 4 columns, got {len(parts)}")
+        slot, label, j, lam = split_row(path, lineno, text, 4)
         if len(lines) == rank:
             raise ValidationError(f"{path}:{lineno}: more rows than the model's rank {rank}")
-        slot, label, j, lam = parts
-        try:
-            if label not in block:
-                block[label] = len(labels) + len(foreign)
-                foreign.append(label)
-            ints.extend([int(slot), block[label], int(j)])
-            lams.append(float(lam))
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        (slot, j), (lam,) = parse_row(path, lineno, (slot, j), (lam,), 2)
+        if label not in block:
+            block[label] = len(labels) + len(foreign)
+            foreign.append(label)
+        ints.extend([slot, block[label], j])
+        lams.append(lam)
         lines.append(lineno)
     lines, ints, lams = np.frombuffer(lines, dtype=np.int64), np.frombuffer(ints, dtype=np.int64), np.frombuffer(lams)
-    reject(~np.isfinite(lams), lambda r: f"{path}:{lines[r]}", lambda r: f"non-finite value {lams[r]}")
     rows = one_row_per_key(path, lines, (ints[::3],), (len(lines),), "slot")
     table, eigenvalues = np.full((rank, 3), -1, dtype=np.int64), np.zeros((1, rank))
     table[: len(rows)], eigenvalues[0, : len(rows)] = ints.reshape(-1, 3)[rows], lams[rows]

@@ -63,8 +63,9 @@ def read_table(path, lead: int, floats: int, dim: int | None = 0):
     """The data lines of ``path`` as (line numbers, int64 array of the
     ``lead + dim`` integer columns, float64 array of the ``floats`` columns
     after them); ``dim=None`` lets the first data line set it (at least 1).
-    A wrong column count, a token that does not parse, an integer beyond
-    int64 or a non-finite value raises ValidationError at ``path:line``.
+    The first line that ``split_row`` or ``parse_row`` refuses (a wrong
+    column count, a bad token, an integer beyond int64 or a non-finite
+    value) raises ValidationError at ``path:line``.
 
     A plain file is parsed by one ``np.loadtxt`` call (see
     ``_loadtxt_table``); every other file, and every file that call
@@ -132,33 +133,48 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
 
 
 def _scan_table(path, lead: int, floats: int, dim: int | None):
-    """``read_table`` line by line over ``scan``."""
+    """``read_table`` over ``scan``, line by line through ``split_row`` and ``parse_row``."""
     width = None if dim is None else lead + dim + floats
     lines, ints, vals = array("q"), array("q"), array("d")
     for lineno, text in scan(path):
-        parts = text.split(",")
-        width = width or max(len(parts), lead + 1 + floats)  # unfixed: the first data line sets it
-        if len(parts) != width:
-            raise ValidationError(f"{path}:{lineno}: inconsistent column count: "
-                                  f"expected {width} columns, got {len(parts)}")
-        try:
-            row = list(map(int, parts[: width - floats]))
-            for tok in parts[width - floats :]:
-                vals.append(float(tok))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        try:
-            ints.extend(row)
-        except OverflowError:
-            c = next(c for c, v in enumerate(row) if not -(2**63) <= v < 2**63)
-            what = f"index {row[c]}" if c < lead else f"position {tuple(row[lead:])}"
-            raise ValidationError(f"{path}:{lineno}: {what} outside the int64 range") from None
+        width = width or max(text.count(",") + 1, lead + 1 + floats)  # unfixed: the first data line sets it
+        parts = split_row(path, lineno, text, width)
+        row, values = parse_row(path, lineno, parts[: width - floats], parts[width - floats :], lead)
+        ints.extend(row)
+        vals.extend(values)
         lines.append(lineno)
     lines = np.frombuffer(lines, dtype=np.int64)
-    values = np.frombuffer(vals, dtype=np.float64).reshape(len(lines), floats)
-    bad = ~np.isfinite(values)
-    reject(bad.any(axis=1), lambda r: f"{path}:{lines[r]}", lambda r: f"non-finite value {values[r][bad[r]][0]}")
-    return lines, np.frombuffer(ints, dtype=np.int64).reshape(len(lines), width - floats if width else lead), values
+    return (lines, np.frombuffer(ints, dtype=np.int64).reshape(len(lines), width - floats if width else lead),
+            np.frombuffer(vals, dtype=np.float64).reshape(len(lines), floats))
+
+
+def split_row(path, lineno: int, text: str, width: int) -> list:
+    """The ``width`` comma-separated fields of data line ``lineno`` of
+    ``path``; another count raises ValidationError at ``path:lineno``."""
+    parts = text.split(",")
+    if len(parts) != width:
+        raise ValidationError(f"{path}:{lineno}: inconsistent column count: "
+                              f"expected {width} columns, got {len(parts)}")
+    return parts
+
+
+def parse_row(path, lineno: int, ints, floats, lead: int):
+    """The int64 integers of the tokens ``ints`` and the finite floats of
+    the tokens ``floats`` of line ``lineno`` of ``path``.  Raises at that
+    line on a token that does not parse (Python's message), else on the
+    first integer beyond int64 (``index N`` among the first ``lead``, else
+    the ``position`` after them), else on the first non-finite value."""
+    try:
+        row, values = list(map(int, ints)), list(map(float, floats))
+    except ValueError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    if row and not (-(2**63) <= min(row) and max(row) < 2**63):
+        c = next(c for c, v in enumerate(row) if not -(2**63) <= v < 2**63)
+        what = f"index {row[c]}" if c < lead else f"position {tuple(row[lead:])}"
+        raise ValidationError(f"{path}:{lineno}: {what} outside the int64 range")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{path}:{lineno}: non-finite value {next(v for v in values if not math.isfinite(v))}")
+    return row, values
 
 
 def reject(bad: np.ndarray, where, what) -> None:
@@ -206,18 +222,16 @@ def one_row_per_key(path, lines: np.ndarray, keys: tuple, sizes: tuple, what: st
     return rows
 
 
-_WRITE_CHUNK = 4096  # rows formatted by one % call; keeps memory flat
+_WRITE_CHUNK = 4096  # rows converted and formatted at a time; keeps memory flat
 
 
 def write_table(path, *blocks: np.ndarray) -> None:
     """Write one comma-separated line per row of the 2-d ``blocks`` put
     side by side, each value as its ``repr``."""
-    table = np.concatenate([b.astype(object) for b in blocks], axis=1)
-    rows, cols = table.shape
-    line = ",".join(["%r"] * cols) + "\n"
+    line = ",".join(["%r"] * sum(b.shape[1] for b in blocks)) + "\n"
     with create(path) as fh:
-        for start in range(0, rows, _WRITE_CHUNK):
-            chunk = table[start : start + _WRITE_CHUNK]
+        for start in range(0, len(blocks[0]), _WRITE_CHUNK):
+            chunk = np.concatenate([b[start : start + _WRITE_CHUNK].astype(object) for b in blocks], axis=1)
             fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 

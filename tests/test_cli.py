@@ -16,7 +16,7 @@ from sisfit.hermitian import eig_hermitian_batch
 from sisfit.lattice import make_dual_lattice
 from sisfit.multitile import fit_multitile
 from sisfit.sis import error_sis
-from sisfit.spectral import SpectralDataset, SpectralGrid, write_dataset
+from sisfit.spectral import SpectralDataset, SpectralGrid, ingest, write_dataset
 
 from conftest import random_dataset
 from test_extra import indicator_dataset
@@ -353,6 +353,18 @@ def test_compare_monotonicity_defect_messages(tmp_path, rng, monkeypatch, capsys
         "defect: pw rank 2: total grows from box 1 to 2 (3.5 -> 4.5)",
         "defect: pw: error grows from rank 1 to 2 (3.5 -> 4.5)",
     ]
+
+
+def test_compare_reports_an_extra_error_below_the_unconstrained_one(tmp_path, rng, monkeypatch, capsys):
+    manifest, table = write_dataset(random_dataset(rng), tmp_path / "data"), tmp_path / "table.csv"
+    monkeypatch.setattr(cli, "spectra_extra", lambda ds, lat: np.zeros((ds.grid.n_cells, 1, ds.m)))
+    assert cli.main(["compare", "--data", str(manifest), "--regimes", "sis,extra", "--ranks", "1",
+                     "--dual-lattice", "2", "--out", str(table)]) == 1
+    es = error_sis(ingest(manifest), 1)
+    defect = f"rank 1: extra-invariant error 0.0 below unconstrained error {es!r}"
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("defect:")] == [
+        f"defect: {defect}"]
+    assert table.read_text().splitlines()[-1] == f"# defect: {defect}"
 
 
 def test_compare_pw_rows_are_the_fits_bit_for_bit(tmp_path, rng, capsys):
@@ -960,8 +972,8 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # column 2 of a row is its translation; -5 lies outside the radius-1 box
         ("dataset.csv", lambda p: _tamper_csv(p, 1, 2, "-5"), "dataset.csv:2: translation (-5,)"),
         ("model.json", lambda p: _set_json(p, "rank", 2.5), "model.json: malformed field 'rank'"),
-        ("part.txt", "0, a, b\n1, b\n", "part.txt:1: expected 2 columns"),
-        ("part.txt", "0, a\nx, b\n", "part.txt:2: bad position"),
+        ("part.txt", "0, a, b\n1, b\n", "part.txt:1: inconsistent column count: expected 2 columns, got 3"),
+        ("part.txt", "0, a\nx, b\n", "part.txt:2: invalid literal for int() with base 10: 'x'"),
         ("part.txt", "0, a\n1, b\n0, c\n", "part.txt:3: position (0,) labeled twice"),
         ("seqs.txt", "0,0,1.0,0.0\n1,1,1.0,0.0\n0,0,2.0,0.0\n", "seqs.txt:3: duplicate sample"),
         ("seqs.txt", "0,100000000000000000000,1.0,0.0\n", "seqs.txt:1: position (100000000000000000000,)"),
@@ -1044,6 +1056,11 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # an explicit position beyond int64, which no data position can match
         ("part.txt", "0, a\n1, b\n99999999999999999999, c\n",
          "part.txt:3: position (99999999999999999999,) outside the int64 range"),
+        # a selected.csv slot and in-block rank are indices, its eigenvalue a finite float
+        ("selected.csv", "0,a,x,1.0\n", "selected.csv:1: invalid literal for int() with base 10: 'x'"),
+        ("selected.csv", "99999999999999999999,a,0,1.0\n",
+         "selected.csv:1: index 99999999999999999999 outside the int64 range"),
+        ("selected.csv", "0,a,0,nan\n", "selected.csv:1: non-finite value nan"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -1062,6 +1079,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "model-without-regime", "model-without-n-generators", "discrete-model-without-labels",
         "discrete-model-without-allocation", "partition-lattice-entry-beyond-int64",
         "extra-model-lattice-entry-beyond-int64", "partition-position-beyond-int64",
+        "selected-token-not-an-int", "selected-int64-overflow", "selected-nan",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -1130,6 +1148,22 @@ def test_data_whose_energy_overflows_are_refused_where_they_are_read(tmp_path, r
             assert res.returncode == 2, res.stdout
             assert res.stdout == (f"regime: {regime}\n" if cmd[0] == "verify" else "")
             assert res.stderr == f"error: {data}: the energy of the samples overflows float64\n"  # no Warning
+
+
+@pytest.mark.parametrize("regime,flags", [("sis", ()), ("extra", ("--dual-lattice", "2"))])
+def test_a_cell_whose_energy_nears_the_float64_maximum_fits_and_verifies(tmp_path, regime, flags):
+    # cell 0 holds an energy of about 1.12e308 over two functions (the cell
+    # volume, 1/2, aside): allocation_residual sums eigenvalues near the
+    # float64 maximum, and _assemble scales by lambda^(-1/2) of one
+    grid = SpectralGrid(dim=1, cells_per_dim=2, trunc_radius=1)
+    samples = np.zeros((2, grid.n_cells, grid.n_translations), dtype=complex)
+    samples[0, 0, :2] = 0.9e154, 0.45e154
+    samples[1, 0, 1:] = 0.27e154, 0.18e154
+    data = write_dataset(SpectralDataset(grid=grid, samples=samples), tmp_path / "near")
+    res = run_cli("fit", "--regime", regime, "--rank", 1, *flags, "--data", data, "--out", tmp_path / "m")
+    assert (res.returncode, res.stderr) == (0, ""), res.stdout
+    res = run_cli("verify", "--model", tmp_path / "m", "--data", data)
+    assert (res.returncode, res.stderr) == (0, ""), res.stdout
 
 
 @pytest.mark.parametrize("regime,flags", [("sis", ()), ("extra", ("--dual-lattice", "2"))])

@@ -1,10 +1,15 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sisfit
 from sisfit.discrete import (
     BRUTE_FORCE_GUARD,
     DiscreteDataset,
@@ -247,6 +252,31 @@ def test_a_label_selected_csv_cannot_hold_is_refused_before_any_file(tmp_path, l
                                               f"which selected.csv cannot store$"):
         save_model(model, tmp_path)
     assert not any(tmp_path.iterdir())
+
+
+def test_two_labels_of_the_same_text_are_refused_before_any_file(tmp_path):
+    # 1 and "1" do not sort together: the labels are sorted by their text,
+    # ties in the order first seen, and selected.csv, which names a label
+    # by its text, could not tell them apart
+    part = DiscretePartition.from_mapping(1, {(0,): 1, (1,): "1"})
+    assert part.labels == [1, "1"]
+    model = fit_discrete(DiscreteDataset.from_sequences(1, [{(0,): 2.0}, {(1,): 1.0}]), part, 2)
+    assert model.allocation == [1, 1]
+    with pytest.raises(ValidationError, match="^partition labels 1 and '1' both read '1', "
+                                              "which selected.csv cannot tell apart$"):
+        save_model(model, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_labels_of_the_same_text_keep_their_first_seen_order_under_every_hash_seed():
+    # a set orders 1 and "1" by the string hash, which PYTHONHASHSEED
+    # changes from process to process
+    code = "from sisfit.discrete import DiscretePartition as P; print(P.from_mapping(1, {(0,): 1, (1,): '1'}).labels)"
+    env = dict(os.environ, PYTHONPATH=str(Path(sisfit.__file__).resolve().parents[1]))
+    for seed in range(8):
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(env, PYTHONHASHSEED=str(seed)))
+        assert (res.stdout, res.stderr) == ("[1, '1']\n", "")
 
 
 def test_a_label_with_inner_spaces_round_trips(tmp_path):

@@ -273,6 +273,18 @@ def test_entries_near_the_float64_maximum_neither_warn_nor_overflow():
             eig_hermitian([[0.0, 1e308], [-1e308, 0.0]])
 
 
+def test_an_eigenvalue_beyond_the_float64_maximum_is_refused():
+    # finite Hermitian inputs whose solve leaves float64: the first has the
+    # eigenvalue 2e308, the second overflows inside LAPACK to nan
+    big = 1.5e308 + 1.5e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, got in (([[1e308, 1e308], [1e308, 1e308]], r"\[inf, 0\.0\]"), ([[0, big], [big.conjugate(), 0]],
+                                                                              r"\[nan, nan\]")):
+            with pytest.raises(ValidationError, match=rf"^eigenvalues beyond the float64 range: the solve gave {got}$"):
+                eig_hermitian(g)
+
+
 def test_batch_checks_only_that_the_stack_is_finite():
     bad = np.stack([np.eye(2), np.eye(2)]).astype(complex)
     bad[1, 0, 1] = np.inf

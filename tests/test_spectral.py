@@ -285,7 +285,7 @@ def test_ingest_manifest_errors(tmp_path, rng):
     bad = dict(meta)
     del bad["m"]
     (tmp_path / "m1.json").write_text(json.dumps(bad))
-    with pytest.raises(ValidationError, match="missing fields"):
+    with pytest.raises(ValidationError, match="m1.json: missing field 'm'"):
         ingest(tmp_path / "m1.json")
 
     bad = dict(meta, cells_per_dim=5)

@@ -210,6 +210,25 @@ def test_compare_never_fits_a_pw_model():
     assert "sweep_multitile" in names and "fit_multitile" not in names
 
 
+def test_only_the_table_module_splits_scanned_lines_on_commas():
+    # the row rule (column count, tokens, int64 range, finiteness) has one
+    # owner: a reader of ``scan`` lines splits them with table.split_row
+    found = []
+    for f in sorted((ROOT / "src" / "sisfit").glob("*.py")):
+        if f.name == "table.py":
+            continue
+        for fn in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            if not any(getattr(c.func, "id", getattr(c.func, "attr", None)) == "scan" for c in calls):
+                continue
+            found += [(f.name, fn.name, c.lineno) for c in calls if isinstance(c.func, ast.Attribute)
+                      and c.func.attr == "split" and c.args and isinstance(c.args[0], ast.Constant)
+                      and c.args[0].value == ","]
+    assert found == []
+
+
 def test_only_the_home_block_check_numbers_records():
     # coset-support (extra) and block-support (discrete) share one
     # home-block check, the one caller of the block-numbering rule

@@ -44,6 +44,35 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
 
 
+def test_write_table_memory_stays_below_the_file_size(tmp_path):
+    # each chunk's slice is converted, not the whole table at once
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-(2**63), 2**63 - 1, size=(200_000, 3), endpoint=True)
+    floats = rng.standard_normal((200_000, 2))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_table(path, ints, floats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+def test_the_first_bad_line_is_named_whatever_its_fault(tmp_path):
+    # a comment makes the table take the line scanner; each line is
+    # checked in full before the next, so a non-finite value on line 2
+    # is named before a bad token on line 3
+    path = tmp_path / "t.csv"
+    path.write_text("# j,g,k,re,im\n0,0,0,nan,0.0\n0,1,x,1.0,0.0\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: non-finite value nan$"):
+        read_table(path, 2, 2, 1)
+    path.write_text("# j,g,k,re,im\n0,0,0,1.0,0.0\n0,1,99999999999999999999,inf,0.0\n0,1,0,1.0\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: position \\(99999999999999999999,\\) "
+                                              "outside the int64 range$"):
+        read_table(path, 2, 2, 1)
+
+
 @given(st.data())
 def test_rows_read_back_bit_for_bit(data):
     lead, dim = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
