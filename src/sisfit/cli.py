@@ -87,22 +87,19 @@ def _require(args, flag: str, regime: str):
 
 
 def _load(args, regime: str):
-    """The ``--data`` of ``regime``: (dataset, partition or None, energy,
-    cell volume).  Discrete data are a sequence table and its
-    ``--partition``; every other regime reads a manifest.  Data whose
-    energy without the cell volume overflows float64 are refused here:
-    that energy bounds every Gramian entry and eigenvalue of a fit."""
-    if regime == "discrete":
-        ds = parse_discrete_dataset(args.data)
-        part, volume = parse_partition(_require(args, "partition", regime), ds.dim), 1.0
-    else:
-        ds = ingest(args.data)
-        part, volume = None, ds.grid.cell_volume
+    """The ``--data`` of ``regime``: (dataset, energy, cell volume).
+    Discrete data are a sequence table, whose partition the caller reads;
+    every other regime reads a manifest.  Data whose energy without the
+    cell volume overflows float64 are refused here: that energy bounds
+    every Gramian entry and eigenvalue of a fit."""
+    discrete = regime == "discrete"
+    ds = parse_discrete_dataset(args.data) if discrete else ingest(args.data)
+    volume = 1.0 if discrete else ds.grid.cell_volume
     with np.errstate(over="ignore"):
-        energy = total_energy(ds) if part is None else float(ds.energies().sum())
+        energy = float(ds.energies().sum()) if discrete else total_energy(ds)
     if not np.isfinite(energy / volume):
         raise ValidationError(f"{args.data}: the energy of the samples overflows float64")
-    return ds, part, energy, volume
+    return ds, energy, volume
 
 
 # regime-specific flags of ``fit`` and ``compare``, and their regime
@@ -121,9 +118,10 @@ def cmd_fit(args) -> int:
     regime = args.regime
     _check_fit_flags(args, [regime])
     t0 = time.perf_counter()
-    ds, part, energy, _ = _load(args, regime)
+    ds, energy, _ = _load(args, regime)
     pairs = [("regime", regime), ("rank", args.rank)]
     if regime == "discrete":
+        part = parse_partition(_require(args, "partition", regime), ds.dim)
         model = fit_discrete(ds, part, args.rank)
         pairs += [("dim", ds.dim), ("sequences", ds.m), ("support_points", ds.n_points), ("blocks", part.n_blocks),
                   ("allocation", " ".join(str(a) for a in model.allocation))]
@@ -162,10 +160,16 @@ def cmd_verify(args) -> int:
     regime = storage.model_regime(args.model)
     print(f"regime: {regime}")
     # the data first: a model's grid is checked against theirs before it
-    # sizes anything; a discrete model keeps its partition next to it
-    args.partition = str(Path(args.model) / storage.PARTITION_TXT)
-    ds, part, _, _ = _load(args, regime)
-    report = verify_model(storage.load_model(args.model, None if regime == "discrete" else ds.grid), ds, part)
+    # sizes anything, and a discrete model's dimension before the
+    # partition kept next to it is read
+    ds = _load(args, regime)[0]
+    model, part = storage.load_model(args.model, None if regime == "discrete" else ds.grid), None
+    if regime == "discrete":
+        if model.dim != ds.dim:
+            raise ValidationError(f"{Path(args.model) / storage.MODEL_JSON}: field 'dim' is {model.dim}, "
+                                  f"but the data's is {ds.dim}")
+        part = parse_partition(Path(args.model) / storage.PARTITION_TXT, ds.dim)
+    report = verify_model(model, ds, part)
     for check in report.checks:
         print(f"{check}: {'FAIL' if check in report.failed else 'ok'}")
         for v in report.violations_of(check)[:8]:
@@ -193,7 +197,7 @@ def cmd_compare(args) -> int:
 
     rows = []  # (regime, rank, box or "", error, tail or "", total)
     defects = []
-    ds, part, energy, volume = _load(args, "discrete" if "discrete" in regimes else "sis")
+    ds, energy, volume = _load(args, "discrete" if "discrete" in regimes else "sis")
 
     by_regime: dict[str, list[float]] = {}
     for regime in regimes:
@@ -211,7 +215,7 @@ def cmd_compare(args) -> int:
             elif regime == "extra":
                 lams = spectra_extra(ds, make_dual_lattice(parse_basis(_require(args, "dual-lattice", "extra"))))
             else:
-                lams = spectra_discrete(ds, part)
+                lams = spectra_discrete(ds, parse_partition(_require(args, "partition", regime), ds.dim))
             errs = [error_at_rank(lams, r, volume) for r in ranks]
             rows += [(regime, r, "", e, "", e) for r, e in zip(ranks, errs)]
         by_regime[regime] = errs

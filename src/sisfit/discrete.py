@@ -180,15 +180,12 @@ class DiscretePartition:
 
     @classmethod
     def from_mapping(cls, dim: int, mapping: dict) -> "DiscretePartition":
+        """The explicit partition of ``mapping`` {position: label} (``_explicit``):
+        ``{(0,): "a", 0: "b"}`` is refused as ``key 0: position (0,) labeled twice``."""
         if not mapping:
             raise ValidationError("explicit partition mapping must not be empty")
-        clean = {_position(pos, dim): label for pos, label in mapping.items()}
-        uniq = dict.fromkeys(clean.values())  # first-seen order, so that ties under key=str are deterministic
-        try:
-            labels = sorted(uniq)
-        except TypeError:
-            labels = sorted(uniq, key=str)
-        return cls(dim=dim, labels=labels, mapping=clean)
+        return _explicit(dim, ((key, _position(key, dim), label) for key, label in mapping.items()),
+                         lambda key: f"key {key!r}")
 
     @property
     def n_blocks(self) -> int:
@@ -215,6 +212,24 @@ class DiscretePartition:
         where = {pos: block[lab] for pos, lab in self.mapping.items()}
         idx = [where.get(key, -1) for key in map(tuple, pts.reshape(-1, self.dim).tolist())]
         return np.array(idx, dtype=np.int64).reshape(pts.shape[:-1])
+
+
+def _explicit(dim: int, entries, where, source: str | None = None) -> DiscretePartition:
+    """The explicit partition of ``entries``, (key, position, label) triples
+    in order, for both constructors: a position given twice raises ``"{where(key)}:
+    position (...) labeled twice"`` at its second key, and the labels are sorted,
+    by their text where they do not compare, those of one text in first-seen order."""
+    mapping = {}
+    for key, pos, label in entries:
+        if pos in mapping:
+            raise ValidationError(f"{where(key)}: position {pos} labeled twice")
+        mapping[pos] = label
+    uniq = dict.fromkeys(mapping.values())  # first-seen order, so that ties under key=str are deterministic
+    try:
+        labels = sorted(uniq)
+    except TypeError:
+        labels = sorted(uniq, key=str)
+    return DiscretePartition(dim=dim, labels=labels, mapping=mapping, source=source)
 
 
 def _block_columns(ds: DiscreteDataset, part: DiscretePartition):
@@ -341,17 +356,19 @@ def brute_force_optimal(
 
 def parse_discrete_dataset(path) -> DiscreteDataset:
     """Read sequences from a text table: ``j, p_1, ..., p_d, re, im`` per
-    line, comments starting with '#'.  The dimension is inferred from the
-    column count and must be consistent; sequence indices start at 0, and
-    the number of sequences times the number of support points is at most
-    ``MAX_TABLE_SAMPLES`` (2^24)."""
+    line, comments starting with '#'.  The first data line's column count
+    sets d (at least 1), and every data line must have d + 3 columns;
+    sequence indices start at 0, and the number of sequences times the
+    number of support points is at most ``MAX_TABLE_SAMPLES`` (2^24)."""
     return _read_sequences(path)
 
 
 def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> DiscreteDataset:
-    """``parse_discrete_dataset``; a ``dim`` fixes the dimension, and a
-    ``rank`` the number of sequences (a table without data lines is then
-    ``rank`` zero sequences)."""
+    """``parse_discrete_dataset``; a ``dim`` fixes the dimension, else the
+    first data line's commas less two set it (at least 1), and a ``rank``
+    the number of sequences (a table without data lines is then ``rank`` zero sequences)."""
+    if dim is None:  # a file without data lines reads as d = 1, and is refused below
+        dim = max(next(scan(path), (0, ""))[1].count(",") - 2, 1)
     lines, ints, vals = read_table(path, 1, 2, dim)
     if rank is None and not len(lines):
         raise ValidationError(f"{path}: no data lines")
@@ -364,8 +381,7 @@ def _read_sequences(path, dim: int | None = None, rank: int | None = None) -> Di
     else:
         reject(j >= rank, at, lambda r: f"sequence index {j[r]} exceeds {rank - 1} (the model has rank {rank})")
         m, source = rank, f"{path}: the model's rank {rank}"
-    return DiscreteDataset._from_rows(ints.shape[1] - 1, m, j, ints[:, 1:], vals.view(np.complex128)[:, 0], at,
-                                      source)
+    return DiscreteDataset._from_rows(dim, m, j, ints[:, 1:], vals.view(np.complex128)[:, 0], at, source)
 
 
 def write_discrete_sequences(support: np.ndarray, values: np.ndarray, path) -> None:
@@ -381,8 +397,9 @@ def parse_partition(path, dim: int) -> DiscretePartition:
 
     A single line ``lattice: <basis>`` (basis row-major, rows separated
     by ';') selects the coset partition of that lattice.  Otherwise each
-    line is ``p_1, ..., p_d, label`` (``split_row`` and ``parse_row``), and
-    the mapping must later cover every support position it is used with.
+    line is ``p_1, ..., p_d, label`` (``split_row`` and ``parse_row``), read
+    in line order by ``_explicit``, which refuses a repeated position at its
+    second line; the mapping must later cover every support position it is used with.
     """
     lines = list(scan(path))
     if not lines:
@@ -397,11 +414,6 @@ def parse_partition(path, dim: int) -> DiscretePartition:
             return DiscretePartition.from_lattice(make_dual_lattice(basis))
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lines[0][0]}: {exc}") from None
-    mapping = {}
-    for lineno, text in lines:
-        *pos, label = split_row(path, lineno, text, dim + 1)
-        pos = tuple(parse_row(path, lineno, pos, (), 0)[0])
-        if pos in mapping:
-            raise ValidationError(f"{path}:{lineno}: position {pos} labeled twice")
-        mapping[pos] = label.strip()
-    return DiscretePartition(dim=dim, labels=sorted(set(mapping.values())), mapping=mapping, source=str(path))
+    rows = ((lineno, split_row(path, lineno, text, dim + 1)) for lineno, text in lines)
+    entries = ((lineno, tuple(parse_row(path, lineno, row[:-1], (), 0)[0]), row[-1].strip()) for lineno, row in rows)
+    return _explicit(dim, entries, lambda lineno: f"{path}:{lineno}", str(path))

@@ -240,15 +240,15 @@ def ingest(manifest_path) -> SpectralDataset:
     fields = read_object(manifest_path)
     dim, m, cells, trunc = (fields.get(k, _json(int)) for k in ("dim", "m", "cells_per_dim", "trunc_radius"))
     if m < 1:
-        raise ValidationError(f"manifest m must be at least 1, got {m}")
+        raise ValidationError(f"{fields.path}: field 'm' must be at least 1, got {m}")
     _check_grid(dim, cells, trunc, fields.path)
 
     payload = fields.path.parent / fields.get("payload_path", _json(str))
     fmt = fields.get("payload_format", _json(str))
     if not payload.is_file():
-        raise ValidationError(f"payload not found: {payload}")
+        raise ValidationError(f"{fields.path}: field 'payload_path': payload not found: {payload}")
     if fmt not in (PAYLOAD_BINARY, PAYLOAD_CSV):
-        raise ValidationError(f"unknown payload format {fmt!r}")
+        raise ValidationError(f"{fields.path}: unknown payload format {fmt!r}")
     # a sample takes 16 bytes in binary and more than one in a CSV row
     _check_payload_holds_grid(fields.path, dim, cells, trunc, payload, 16 if fmt == PAYLOAD_BINARY else 1)
     grid = SpectralGrid(dim=dim, cells_per_dim=cells, trunc_radius=trunc)

@@ -59,10 +59,10 @@ def scan(path):
                 yield lineno, text
 
 
-def read_table(path, lead: int, floats: int, dim: int | None = 0):
+def read_table(path, lead: int, floats: int, dim: int = 0):
     """The data lines of ``path`` as (line numbers, int64 array of the
     ``lead + dim`` integer columns, float64 array of the ``floats`` columns
-    after them); ``dim=None`` lets the first data line set it (at least 1).
+    after them): every line has those ``lead + dim + floats`` columns.
     The first line that ``split_row`` or ``parse_row`` refuses (a wrong
     column count, a bad token, an integer beyond int64 or a non-finite
     value) raises ValidationError at ``path:line``.
@@ -84,42 +84,31 @@ _PLAIN = b"0123456789+-.eE, \t\n"
 _BLOCK = 1 << 16  # bytes the plain check of ``_loadtxt_table`` reads at a time
 
 
-def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
+def _loadtxt_table(path, lead: int, floats: int, dim: int):
     """``read_table`` of a plain file from one structured ``np.loadtxt``
-    call, or None.  Plain: only bytes of ``_PLAIN``, not only newlines
-    and, for ``dim=None``, a first line at least ``lead + 1 + floats``
-    columns wide.  None also when loadtxt refuses the file, reads a
-    non-finite value or reads fewer rows than the file has lines: loadtxt
-    skips empty lines (and refuses whitespace-only ones), so a full count
-    means that row r is line r + 1.
+    call, or None.  Plain: only bytes of ``_PLAIN``, and not only
+    newlines.  None also when loadtxt refuses the file, reads a non-finite
+    value or reads fewer rows than the file has lines: loadtxt skips empty
+    lines (and refuses whitespace-only ones), so a full count means that
+    row r is line r + 1.
 
     The check is one pass over ``_BLOCK``-byte blocks, so that no copy
     of the file is held: per block, the ``translate`` test for plain
-    bytes, the newline count over a uint8 view (several times faster
-    than ``bytes.count``) and, for ``dim=None``, the commas of the first
-    line.  The integer and float columns are returned as views into
-    loadtxt's rows, not copied.  What is left beside loadtxt's parse, the
-    floor of text ingest, is the ``translate`` test."""
-    size = newlines = commas = 0
-    first, last = dim is None, b""  # first: the first line is still being read
+    bytes and the newline count over a uint8 view (several times faster
+    than ``bytes.count``).  The integer and float columns are returned as
+    views into loadtxt's rows, not copied.  What is left beside loadtxt's
+    parse, the floor of text ingest, is the ``translate`` test."""
+    size, newlines, last = 0, 0, b""
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK):
             if block.translate(None, _PLAIN):
                 return None
             size += len(block)
             newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
-            if first:
-                end = block.find(b"\n")
-                commas += block.count(b",", 0, end if end >= 0 else len(block))
-                first = end < 0
             last = block[-1:]
     if newlines == size:  # empty lines only: loadtxt would warn
         return None
     n_lines = newlines + (last != b"\n")
-    if dim is None:  # the first line sets it
-        dim = commas + 1 - lead - floats
-        if dim < 1:
-            return None
     fields = [("i", np.int64, (lead + dim,)), ("f", np.float64, (floats,))]
     try:
         rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, ndmin=1, encoding="ascii")
@@ -132,19 +121,17 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int | None):
     return np.arange(1, len(rows) + 1, dtype=np.int64), rows["i"], rows["f"]
 
 
-def _scan_table(path, lead: int, floats: int, dim: int | None):
+def _scan_table(path, lead: int, floats: int, dim: int):
     """``read_table`` over ``scan``, line by line through ``split_row`` and ``parse_row``."""
-    width = None if dim is None else lead + dim + floats
     lines, ints, vals = array("q"), array("q"), array("d")
     for lineno, text in scan(path):
-        width = width or max(text.count(",") + 1, lead + 1 + floats)  # unfixed: the first data line sets it
-        parts = split_row(path, lineno, text, width)
-        row, values = parse_row(path, lineno, parts[: width - floats], parts[width - floats :], lead)
+        parts = split_row(path, lineno, text, lead + dim + floats)
+        row, values = parse_row(path, lineno, parts[: lead + dim], parts[lead + dim :], lead)
         ints.extend(row)
         vals.extend(values)
         lines.append(lineno)
     lines = np.frombuffer(lines, dtype=np.int64)
-    return (lines, np.frombuffer(ints, dtype=np.int64).reshape(len(lines), width - floats if width else lead),
+    return (lines, np.frombuffer(ints, dtype=np.int64).reshape(len(lines), lead + dim),
             np.frombuffer(vals, dtype=np.float64).reshape(len(lines), floats))
 
 

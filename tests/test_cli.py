@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -459,6 +460,18 @@ def test_compare_with_an_empty_regime_list_is_a_usage_error(tmp_path, rng, capsy
         assert cli.main(["compare", "--data", path, "--regimes", regimes, "--ranks", "1", "--out", str(table)]) == 2
         assert capsys.readouterr() == ("", "error: empty regime list\n")
         assert not table.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--ranks", "1,x", "expected a comma-separated integer list, got '1,x'"),
+    ("--ranks", ",", "empty integer list"),
+    ("--regimes", "sis,foo", "unknown regime 'foo' (known: discrete, extra, pw, sis)"),
+])
+def test_compare_with_a_malformed_list_is_a_usage_error(tmp_path, rng, capsys, flag, value, message):
+    data, _ = _regime_input(tmp_path, rng, "sis")
+    argv = dict({"--data": data, "--regimes": "sis", "--ranks": "1"}, **{flag: value})
+    assert cli.main(["compare", *(a for pair in argv.items() for a in pair)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_rank_beyond_memory_is_a_usage_error(tmp_path, rng, capsys):
@@ -1061,6 +1074,10 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("selected.csv", "99999999999999999999,a,0,1.0\n",
          "selected.csv:1: index 99999999999999999999 outside the int64 range"),
         ("selected.csv", "0,a,0,nan\n", "selected.csv:1: non-finite value nan"),
+        ("model.json", lambda p: _set_json(p, "regime", "foo"), "model.json: unknown regime 'foo'"),
+        ("model.json", lambda p: _set_json(p, "rank", 0),
+         "model.json: malformed field 'rank': ValueError('expected a positive integer, got 0')"),
+        ("dataset.json", "[1, 2]\n", "dataset.json: expected a JSON object"),
     ],
     ids=[
         "manifest-dim-string", "manifest-m-bool", "manifest-m-float", "manifest-payload-null",
@@ -1079,7 +1096,8 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "model-without-regime", "model-without-n-generators", "discrete-model-without-labels",
         "discrete-model-without-allocation", "partition-lattice-entry-beyond-int64",
         "extra-model-lattice-entry-beyond-int64", "partition-position-beyond-int64",
-        "selected-token-not-an-int", "selected-int64-overflow", "selected-nan",
+        "selected-token-not-an-int", "selected-int64-overflow", "selected-nan", "model-regime-unknown",
+        "model-rank-zero", "manifest-json-array",
     ],
 )
 def test_malformed_input_names_file_and_location(tmp_path, name, edit, location):
@@ -1185,6 +1203,48 @@ def test_one_sample_whose_gramian_nears_the_float64_maximum_fits_and_verifies(tm
 
 def _eigh_that_does_not_converge(h):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("partition", ["lattice: 2\n", "0, a\n1, b\n"])
+def test_verify_of_data_of_another_dimension_names_the_model_field(tmp_path, capsys, partition):
+    # the model's own partition is not to blame: its dimension is checked
+    # against the data's before that file is read
+    seqs, seqs2, part = tmp_path / "seqs.txt", tmp_path / "seqs2.txt", tmp_path / "part.txt"
+    seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n")
+    seqs2.write_text("0,0,0,1.0,0.0\n1,1,0,1.0,0.0\n")
+    part.write_text(partition)
+    model = tmp_path / "m"
+    assert cli.main(["fit", "--regime", "discrete", "--data", str(seqs), "--rank", "1", "--partition", str(part),
+                     "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--model", str(model), "--data", str(seqs2)]) == 2
+    assert capsys.readouterr() == ("regime: discrete\n",
+                                   f"error: {model / 'model.json'}: field 'dim' is 1, but the data's is 2\n")
+    assert cli.main(["verify", "--model", str(model), "--data", str(seqs)]) == 0
+
+
+_MANIFEST_VALUES = [0, -1, 2.5, "1", True, None, 2**63, 10**30, "", [], {}]
+
+
+def test_every_manifest_field_mutation_exits_2_naming_the_manifest(tmp_path, capsys):
+    # each of the six fields set to each value above, or dropped: fit exits 2 with one line naming the
+    # manifest, or naming the payload where its size is what does not match the manifest's m
+    manifest = write_dataset(random_dataset(np.random.default_rng(3), cells=4, trunc=1, m=1), tmp_path / "data")
+    meta = json.loads(manifest.read_text())
+    assert len(meta) == 6
+    payload = manifest.parent / meta["payload_path"]
+    named = {}
+    for key in meta:
+        for value in [*_MANIFEST_VALUES, "drop"]:
+            bad = {k: (value if k == key else v) for k, v in meta.items() if not (k == key and value == "drop")}
+            manifest.write_text(json.dumps(bad))
+            fit = ["fit", "--regime", "sis", "--data", str(manifest), "--rank", "1", "--out", str(tmp_path / "m")]
+            assert cli.main(fit) == 2, (key, value)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (key, value, err)
+            named[key, repr(value)] = next(f for f in (manifest, payload) if err.startswith(f"error: {f}"))
+    assert len(named) == 72
+    assert {k for k, f in named.items() if f == payload} == {("m", repr(2**63)), ("m", repr(10**30))}
 
 
 def test_eigensolver_that_does_not_converge_is_a_usage_error(tmp_path, rng, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from sisfit.discrete import (
     DiscreteModel,
     DiscretePartition,
     _block_columns,
+    _read_sequences,
     _unique_rows,
     brute_force_optimal,
     error_discrete,
@@ -357,6 +358,66 @@ def test_parse_dataset_errors(tmp_path):
     p.write_text("0,0,nan,0.0\n")
     with pytest.raises(ValidationError, match="non-finite"):
         parse_discrete_dataset(p)
+
+
+def _sequences_or_error(read, path):
+    """The dimension and the support and value bits of ``read(path)``, or
+    the text of the ValidationError it raises."""
+    try:
+        ds = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return ds.dim, ds.support.tobytes(), ds.values.view(np.uint64).tobytes()
+
+
+# (file bytes, the dimension its first data line sets, a message the read raises or None)
+_FIRST_LINES = [
+    # first lines of 2 to 6 columns: j, k - 3 positions, re, im (the last k of them)
+    *((",".join((["0"] + ["1"] * (k - 3) + ["1.5", "-0.0"])[-k:]).encode() + b"\n"
+       + ",".join((["1"] + ["-2"] * (k - 3) + ["5e-324", "2.0"])[-k:]).encode() + b"\n", max(k - 3, 1),
+       None if k > 3 else f":1: inconsistent column count: expected 4 columns, got {k}") for k in range(2, 7)),
+    (b"# j,n_1,n_2,re,im\n0,1,2,1.5,0.0\n", 2, None),
+    (b"\n  \n0,1,2,3,1.5,0.0\n1,0,0,0,1.0,2.0\n", 3, None),
+    (b"0,1.5,0.0\n0,1,2,1.5,0.0\n", 1, ":1: inconsistent column count: expected 4 columns, got 3"),
+    (b"0,1,2,1.5,0.0\n0,1,1.5,0.0\n", 2, ":2: inconsistent column count: expected 5 columns, got 4"),
+    (b"", 1, ": no data lines"),
+    (b"# only a comment\n\n", 1, ": no data lines"),
+    (b"0,1,\xff,0.0\n", 1, ":1: byte 0xff is not UTF-8"),
+    (b"0,1,1.5,0.0\n1,2,2.5,0.0\n1,3,\xff,0.0\n", 1, ":3: byte 0xff is not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("raw,dim,message", _FIRST_LINES, ids=[
+    "2-columns", "3-columns", "4-columns", "5-columns", "6-columns", "comment-first", "blank-first", "narrow-first",
+    "narrow-second", "empty", "comments-only", "not-utf8-on-line-1", "not-utf8-on-line-3"])
+def test_the_first_data_line_sets_the_dimension_as_a_read_at_that_dimension(tmp_path, raw, dim, message):
+    # parse_discrete_dataset takes d from the first data line's commas;
+    # the table is then read at d, with the bits and the errors of a read
+    # told d, whichever of the loadtxt path and the scanner reads it
+    path = tmp_path / "seqs.txt"
+    path.write_bytes(raw)
+    got = _sequences_or_error(parse_discrete_dataset, path)
+    assert got == _sequences_or_error(lambda p: _read_sequences(p, dim), path)
+    if message is None:
+        assert got[0] == dim
+    else:
+        assert got == f"{path}{message}"
+
+
+def test_a_position_given_twice_is_refused_by_both_constructors(tmp_path):
+    # one rule: the second entry of a position is named, and no label is dropped
+    with pytest.raises(ValidationError, match=r"^key 0: position \(0,\) labeled twice$"):
+        DiscretePartition.from_mapping(1, {(0,): "a", 0: "b", (1,): "c"})
+    with pytest.raises(ValidationError, match=r"^key range\(1, 3\): position \(1, 2\) labeled twice$"):
+        DiscretePartition.from_mapping(2, {(1, 2): "a", range(1, 3): "b"})
+    p = tmp_path / "part.txt"
+    p.write_text("0, a\n1, b\n0, c\n")
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}:3: position \(0,\) labeled twice$"):
+        parse_partition(p, 1)
+    # labels in the same order from both: sorted, those of one text first seen first
+    p.write_text("2, b\n0, a\n1, b\n")
+    assert parse_partition(p, 1).labels == DiscretePartition.from_mapping(1, {2: "b", 0: "a", 1: "b"}).labels == [
+        "a", "b"]
 
 
 def test_uncovered_position_names_data_line_and_partition_file(tmp_path):

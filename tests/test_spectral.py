@@ -295,8 +295,15 @@ def test_ingest_manifest_errors(tmp_path, rng):
 
     bad = dict(meta, payload_format="parquet")
     (tmp_path / "m3.json").write_text(json.dumps(bad))
-    with pytest.raises(ValidationError, match="payload format"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path / 'm3.json'))}: unknown payload format "
+                                              "'parquet'$"):
         ingest(tmp_path / "m3.json")
+
+    bad = dict(meta, m=0)
+    (tmp_path / "m0.json").write_text(json.dumps(bad))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path / 'm0.json'))}: field 'm' must be at least "
+                                              "1, got 0$"):
+        ingest(tmp_path / "m0.json")
 
     bad = dict(meta, m=2)  # payload now too short
     (tmp_path / "m4.json").write_text(json.dumps(bad))
@@ -309,7 +316,8 @@ def test_ingest_manifest_errors(tmp_path, rng):
 
     bad = dict(meta, payload_path="gone.bin")
     (tmp_path / "m6.json").write_text(json.dumps(bad))
-    with pytest.raises(ValidationError, match="payload not found"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path / 'm6.json'))}: field 'payload_path': "
+                                              f"payload not found: {re.escape(str(tmp_path / 'gone.bin'))}$"):
         ingest(tmp_path / "m6.json")
 
 

@@ -239,3 +239,39 @@ def test_only_the_home_block_check_numbers_records():
                 callers += [(f.name, fn.name) for node in ast.walk(fn) if isinstance(node, ast.Call)
                             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_misnumbered"]
     assert callers == [("verify.py", "_check_homes")]
+
+
+def _functions():
+    """(file name, function node) of every function of ``src/sisfit``."""
+    for f in sorted((ROOT / "src" / "sisfit").glob("*.py")):
+        for fn in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                yield f.name, fn
+
+
+def test_the_table_readers_take_a_fixed_layout():
+    # no reader of a table lets its first line set the dimension: that
+    # rule belongs to the sequence table that needs it
+    readers = {fn.name: fn for name, fn in _functions() if name == "table.py"
+               and fn.name in ("read_table", "_loadtxt_table", "_scan_table")}
+    assert len(readers) == 3
+    loose = []
+    for fn in readers.values():
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        defaults = fn.args.defaults + [d for d in fn.args.kw_defaults if d is not None]
+        loose += [(fn.name, ast.unparse(d)) for d in defaults if isinstance(d, ast.Constant) and d.value is None]
+        loose += [(fn.name, a.arg) for a in args if a.annotation is not None
+                  and re.search(r"\b(None|Optional)\b", ast.unparse(a.annotation))]
+    assert loose == []
+
+
+def test_one_function_builds_every_explicit_partition():
+    # the duplicate-position rule and the label order have one owner,
+    # which both explicit constructors call
+    builders = []
+    for name, fn in _functions():
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("DiscretePartition", "cls")
+                    and (any(k.arg == "mapping" for k in node.keywords) or len(node.args) >= 4)):
+                builders.append((name, fn.name))
+    assert builders == [("discrete.py", "_explicit")]

@@ -259,9 +259,9 @@ def test_each_edit_reads_as_the_scanner(tmp_path):
     rows = [["0", "-1", "0.5", "-0.0"], ["1", "9223372036854775807", "5e-324", "1e+16"],
             ["-9223372036854775808", "2", "-1.25", "7.0"]]
     # one row too, where an edit reaches every line
-    cases = itertools.product(EDITS, range(3), range(4), (1, None), (rows, rows[:1]))
-    for i, (edit, r, c, dim, table_rows) in enumerate(cases):
-        _same_as_scanner(tmp_path / f"t{i}.csv", _table_text(table_rows, 2, [(*edit, r, c)]), 1, 2, dim)
+    cases = itertools.product(EDITS, range(3), range(4), (rows, rows[:1]))
+    for i, (edit, r, c, table_rows) in enumerate(cases):
+        _same_as_scanner(tmp_path / f"t{i}.csv", _table_text(table_rows, 2, [(*edit, r, c)]), 1, 2, 1)
     _same_as_scanner(tmp_path / "plain.csv", _table_text(rows, 2, []), 1, 2, 1)
     assert table._loadtxt_table(tmp_path / "plain.csv", 1, 2, 1) is not None
 
@@ -269,16 +269,13 @@ def test_each_edit_reads_as_the_scanner(tmp_path):
 @given(st.data())
 def test_loadtxt_path_reads_as_the_scanner(data):
     lead, floats, dim = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-    fixed = data.draw(st.booleans())  # else the first line sets dim
-    if not fixed:
-        dim = max(dim, 1)
     ints, n = lead + dim, data.draw(st.integers(1, 5))
     rows = [[str(v) for v in data.draw(st.lists(INT64, min_size=ints, max_size=ints))]
             + [repr(x) for x in data.draw(st.lists(FLOATS, min_size=floats, max_size=floats))]
             for _ in range(n)]
     where = st.integers(0, 10**6)
     edits = data.draw(st.lists(st.tuples(st.sampled_from(EDITS), where, where), max_size=3))
-    args = (lead, floats, dim if fixed else None)
+    args = (lead, floats, dim)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         _same_as_scanner(path, _table_text(rows, ints, [(*e, r, c) for e, r, c in edits]), *args)
@@ -379,10 +376,9 @@ def test_empty_lines_read_as_the_scanner_without_a_warning(tmp_path, text):
 _BLOCK_CASES = [
     ("0,1,0.5,1\n1,2,1.5,2x", 1, False),  # a non-plain byte, in the last block
     ("0,1,0.5,1\n\n1,2,1.5,2\n", 1, False),  # an empty line: at block size 10 its \n\n is split
-    ("0,1,2,0.5,1\n1,2,3,1.5,2\n", None, True),  # the first line sets dim, over several blocks
+    ("0,1,2,0.5,1\n1,2,3,1.5,2\n", 2, True),  # two position columns, over several blocks
     ("0,1,0.5,1\n1,2,1.5,2", 1, True),  # no trailing newline
     ("", 1, False),
-    ("", None, False),
     ("\n\n\n", 1, False),
 ]
 

@@ -4,14 +4,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sisfit.discrete import DiscreteDataset, DiscretePartition, fit_discrete
+from sisfit.errors import ValidationError
 from sisfit.extra import fit_extra_invariant
 from sisfit.lattice import make_dual_lattice
 from sisfit.multitile import fit_multitile
 from sisfit.sis import FittedModel, fit_sis
+from sisfit.storage import save_model
 from sisfit.verify import (MAX_REPORTED_VIOLATIONS, VerificationReport, Violation, _misnumbered,
                            verify_extra_invariance, verify_model)
 
@@ -156,3 +159,17 @@ def test_coset_span_memory_does_not_grow_with_the_lattice_index(rng):
     assert [v.detail for v in report.violations_of("coset-support")] == ["support touches cosets [0, 1, 65535]"] * 4
     span = [v.detail.split(" cut")[0] for v in report.violations_of("coset-span") if v.cell == 0]
     assert span == ["coset 0", "coset 1", "coset 65535"]
+
+
+def _discrete_fit():
+    ds = DiscreteDataset.from_sequences(1, [{(0,): 1.0}, {(1,): 2.0}])
+    return fit_discrete(ds, DiscretePartition.from_mapping(1, {0: "a", 1: "b"}), 1), ds
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda d: verify_model(*_discrete_fit()), "verifying a discrete model needs its partition"),
+    (lambda d: save_model(object(), d), "cannot serialize object of type object"),
+], ids=["verify-discrete-without-partition", "save-unknown-model"])
+def test_library_calls_without_what_they_need_are_refused(tmp_path, call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
