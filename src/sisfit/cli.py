@@ -51,13 +51,14 @@ def _out_dir(args) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _ranks(text: str) -> list[int]:
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of ``text``, the value of ``flag``; errors name the flag."""
     try:
         vals = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValidationError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise ValidationError(f"{flag}: expected a comma-separated integer list, got {text!r}") from None
     if not vals:
-        raise ValidationError("empty integer list")
+        raise ValidationError(f"{flag}: empty integer list")
     return vals
 
 
@@ -191,9 +192,10 @@ def cmd_compare(args) -> int:
     if "discrete" in regimes and len(regimes) > 1:
         raise ValidationError("discrete data cannot be compared with spectral regimes")
     _check_fit_flags(args, regimes)
-    ranks = _ranks(args.ranks)
+    ranks = _int_list(args.ranks, "--ranks")
     if any(r < 1 for r in ranks):
         raise ValidationError(f"ranks must be positive, got {ranks}")
+    boxes = _int_list(args.boxes, "--boxes") if args.boxes else None  # both lists before any data are read
 
     rows = []  # (regime, rank, box or "", error, tail or "", total)
     defects = []
@@ -202,7 +204,7 @@ def cmd_compare(args) -> int:
     by_regime: dict[str, list[float]] = {}
     for regime in regimes:
         if regime == "pw":
-            boxes = _ranks(args.boxes) if args.boxes else [ds.grid.trunc_radius]
+            boxes = boxes or [ds.grid.trunc_radius]
             errs = []
             for r, fits in zip(ranks, sweep_multitile(ds, ranks, boxes)):  # one sort per box serves every rank
                 totals = [e + t for e, t in fits]

@@ -217,14 +217,20 @@ class DiscretePartition:
 def _explicit(dim: int, entries, where, source: str | None = None) -> DiscretePartition:
     """The explicit partition of ``entries``, (key, position, label) triples
     in order, for both constructors: a position given twice raises ``"{where(key)}:
-    position (...) labeled twice"`` at its second key, and the labels are sorted,
-    by their text where they do not compare, those of one text in first-seen order."""
-    mapping = {}
+    position (...) labeled twice"`` at its second key, and a label equal to an
+    earlier one of another type or text (``1``, ``True``, ``1.0``; ``0.0``, ``-0.0``)
+    raises at its key, naming both.  The labels are sorted, by their text where
+    they do not compare, those of one text in first-seen order."""
+    # uniq: the first of each label, in first-seen order, so that ties under key=str are deterministic
+    mapping, uniq = {}, {}
     for key, pos, label in entries:
         if pos in mapping:
             raise ValidationError(f"{where(key)}: position {pos} labeled twice")
         mapping[pos] = label
-    uniq = dict.fromkeys(mapping.values())  # first-seen order, so that ties under key=str are deterministic
+        first = uniq.setdefault(label, label)
+        if type(first) is not type(label) or str(first) != str(label):
+            raise ValidationError(f"{where(key)}: labels {first!r} and {label!r} compare equal "
+                                  "but are different values")
     try:
         labels = sorted(uniq)
     except TypeError:

@@ -5,13 +5,15 @@ the comma-separated numeric tables: sample tables (``j,g,k_1,...,k_d,re,im``
 CSV payloads, ``j,n_1,...,n_d,re,im`` discrete tables) and a model's
 tables.  A plain table (ASCII digits, signs, points, exponents, commas,
 spaces, tabs and newlines, no blank line) is parsed by one ``np.loadtxt``
-call; any other table, or one that call refuses or reads a non-finite value
-from, is read again over ``scan``, which gives the same values and raises
-the located messages.  ``read_object`` reads a JSON object and ``read_c16``
-little-endian complex doubles.  Errors are ValidationErrors naming the
-file, and the line where there is one.  ``write_table`` writes values with
-``repr``, so that they read back bit for bit.  Every writer opens its file
-with ``create``, which replaces a regular file or symlink already there
+call, from the lines already read when the file is one 64 KiB block (a
+model's tables), else from its path; any other table, or one that call
+refuses or reads a non-finite value from, is read again over ``scan``,
+which gives the same values and raises the located messages.
+``read_object`` reads a JSON object and ``read_c16`` little-endian
+complex doubles.  Errors are ValidationErrors naming the file, and the
+line where there is one.  ``write_table`` writes values with ``repr``, so
+that they read back bit for bit.  Every writer opens its file with
+``create``, which replaces a regular file or symlink already there
 rather than truncating it.
 """
 
@@ -95,9 +97,15 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int):
     The check is one pass over ``_BLOCK``-byte blocks, so that no copy
     of the file is held: per block, the ``translate`` test for plain
     bytes and the newline count over a uint8 view (several times faster
-    than ``bytes.count``).  The integer and float columns are returned as
-    views into loadtxt's rows, not copied.  What is left beside loadtxt's
-    parse, the floor of text ingest, is the ``translate`` test."""
+    than ``bytes.count``).  A file of one block is then parsed from the
+    lines of that block (``\\n`` is the only line break a plain file
+    holds): the same tokenizer and values, without a second open and
+    NumPy's path lookup, which cost more than the parse of a small table.
+    A longer file is parsed from its path, which keeps memory at one
+    block and is faster than a list of its lines.  The integer and float
+    columns are returned as views into loadtxt's rows, not copied.  What
+    is left beside loadtxt's parse, the floor of text ingest, is the
+    ``translate`` test."""
     size, newlines, last = 0, 0, b""
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK):
@@ -105,13 +113,14 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int):
                 return None
             size += len(block)
             newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
-            last = block[-1:]
+            last = block
     if newlines == size:  # empty lines only: loadtxt would warn
         return None
-    n_lines = newlines + (last != b"\n")
+    n_lines = newlines + (not last.endswith(b"\n"))
+    source = last.decode("ascii").splitlines() if size <= _BLOCK else path
     fields = [("i", np.int64, (lead + dim,)), ("f", np.float64, (floats,))]
     try:
-        rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+        rows = np.loadtxt(source, dtype=fields, delimiter=",", comments=None, ndmin=1, encoding="ascii")
     except (ValueError, OverflowError):
         return None
     if len(rows) != n_lines:  # loadtxt skipped an empty line

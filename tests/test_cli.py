@@ -471,7 +471,18 @@ def test_compare_with_a_malformed_list_is_a_usage_error(tmp_path, rng, capsys, f
     data, _ = _regime_input(tmp_path, rng, "sis")
     argv = dict({"--data": data, "--regimes": "sis", "--ranks": "1"}, **{flag: value})
     assert cli.main(["compare", *(a for pair in argv.items() for a in pair)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    named = "" if flag == "--regimes" else f"{flag}: "  # an integer list's error names its flag
+    assert capsys.readouterr() == ("", f"error: {named}{message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--ranks", "--boxes"])
+@pytest.mark.parametrize("value,message", [("1,x", "expected a comma-separated integer list, got '1,x'"),
+                                           (",", "empty integer list")])
+def test_compare_refuses_a_malformed_list_by_its_flag_before_reading_data(tmp_path, capsys, flag, value, message):
+    argv = dict({"--data": str(tmp_path / "absent.json"), "--regimes": "pw", "--ranks": "1", "--boxes": "1"},
+                **{flag: value})
+    assert cli.main(["compare", *(a for pair in argv.items() for a in pair)]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag}: {message}\n")
 
 
 def test_rank_beyond_memory_is_a_usage_error(tmp_path, rng, capsys):

@@ -420,6 +420,19 @@ def test_a_position_given_twice_is_refused_by_both_constructors(tmp_path):
         "a", "b"]
 
 
+@pytest.mark.parametrize("mapping,message", [
+    ({0: 1, 1: True, 2: 1.0}, "key 1: labels 1 and True compare equal but are different values"),
+    ({0: "a", 1: 1.0, 2: 1}, "key 2: labels 1.0 and 1 compare equal but are different values"),
+    ({0: 0.0, 1: -0.0}, "key 1: labels 0.0 and -0.0 compare equal but are different values"),
+])
+def test_labels_that_compare_equal_but_differ_are_refused(mapping, message):
+    # one block per label: folding True and 1.0 into label 1 would lose them
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DiscretePartition.from_mapping(1, mapping)
+    # an equal label of the same type and text, another object or not, is the same block
+    assert DiscretePartition.from_mapping(1, {0: 300, 1: int("300"), 2: 300}).labels == [300]
+
+
 def test_uncovered_position_names_data_line_and_partition_file(tmp_path):
     seqs, part_path = tmp_path / "seqs.txt", tmp_path / "part.txt"
     seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n2,5,1.0,0.0\n")

@@ -275,3 +275,17 @@ def test_one_function_builds_every_explicit_partition():
                     and (any(k.arg == "mapping" for k in node.keywords) or len(node.args) >= 4)):
                 builders.append((name, fn.name))
     assert builders == [("discrete.py", "_explicit")]
+
+
+def _loadtxt_calls(tree) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "loadtxt"]
+
+
+def test_only_the_plain_table_reader_calls_loadtxt():
+    # text parsing has one owner: every other table goes through the
+    # located line scanner
+    files = sorted((ROOT / "src" / "sisfit").glob("*.py"))
+    calls = sum(len(_loadtxt_calls(ast.parse(f.read_text(encoding="utf-8")))) for f in files)
+    owners = [(name, fn.name) for name, fn in _functions() for _ in _loadtxt_calls(fn)]
+    assert calls == 1 and owners == [("table.py", "_loadtxt_table")]

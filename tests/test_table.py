@@ -413,6 +413,63 @@ def test_the_plain_check_holds_one_block_at_a_time(tmp_path, monkeypatch):
     assert peak < 4 * table._BLOCK
 
 
+def _sized_table(size: int, last: str) -> str:
+    """A table of ``size`` bytes, ``0,1,0.5,1`` rows ending in the line
+    ``last``: zeros after the first row's 0.5 make up the size."""
+    body = size - len(last)
+    return "0,1,0.5" + "0" * (body % 10) + ",1\n" + "0,1,0.5,1\n" * (body // 10 - 1) + last
+
+
+# (last line, whether the loadtxt path reads the table): a plain table,
+# one without a final newline, and faults that only the scanner locates
+_SIZED_LAST_LINES = [("1,2,1.5,2\n", True), ("1,2,1.5,2", True), ("1,2,1.5\n", False),
+                     (f"1,{2**63},1.5,2\n", False), ("1,2,1e400,2\n", False), ("\n1,2,1.5,2\n", False),
+                     ("1,2,1.5,2\n \n", False)]
+
+
+@pytest.mark.parametrize("last,plain", _SIZED_LAST_LINES)
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_a_table_at_the_block_size_reads_as_the_scanner(tmp_path, monkeypatch, extra, last, plain):
+    # a table of at most one block is parsed from the block already read
+    # (loadtxt gets its lines), a longer one from its path: the same bits
+    # and the same errors either way
+    path = tmp_path / "t.csv"
+    path.write_text(_sized_table(table._BLOCK + extra, last))
+    assert path.stat().st_size == table._BLOCK + extra
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert (table._loadtxt_table(path, 1, 2, 1) is not None) == plain
+    assert type(sources[0]) is (list if extra <= 0 else type(path))
+    assert _outcome(read_table, path, 1, 2, 1) == _outcome(table._scan_table, path, 1, 2, 1)
+
+
+def test_loading_a_model_opens_each_table_once(tmp_path, rng, monkeypatch):
+    # every table of an extra model is at most one block: each is opened
+    # once, for the plain check, and parsed from what that read
+    save_model(_fitted("extra", rng), tmp_path)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loadtxt opened a file by its path")
+
+    monkeypatch.setattr(table, "open", counting_open, raising=False)
+    monkeypatch.setattr(np.lib._datasource, "open", refuse)
+    load_model(tmp_path)
+    tables = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert tables == ["eigencurves.csv", "home_cosets.csv", "residuals.csv"]
+    assert sorted(name for name in opened if name.endswith(".csv")) == tables
+
+
 def _fitted(regime, rng):
     if regime == "discrete":
         values = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
