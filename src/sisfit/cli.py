@@ -35,7 +35,7 @@ from .spectral import (
     total_energy,
     write_dataset,
 )
-from .table import copy_file, create
+from .table import copy_file, create, read_object
 from .verify import verify_model
 from . import storage
 
@@ -158,13 +158,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    regime = storage.model_regime(args.model)
+    meta = read_object(Path(args.model) / storage.MODEL_JSON)  # parsed here only: the loader takes it
+    regime = storage._regime(meta)
     print(f"regime: {regime}")
     # the data first: a model's grid is checked against theirs before it
     # sizes anything, and a discrete model's dimension before the
     # partition kept next to it is read
     ds = _load(args, regime)[0]
-    model, part = storage.load_model(args.model, None if regime == "discrete" else ds.grid), None
+    model, part = storage.load_model(meta, None if regime == "discrete" else ds.grid), None
     if regime == "discrete":
         if model.dim != ds.dim:
             raise ValidationError(f"{Path(args.model) / storage.MODEL_JSON}: field 'dim' is {model.dim}, "

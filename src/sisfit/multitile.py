@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .sis import _check_rank
-from .spectral import SpectralDataset, SpectralGrid
+from .spectral import SpectralDataset, SpectralGrid, _squares
 
 
 @dataclass(eq=False)
@@ -50,8 +50,7 @@ def _check_box(grid: SpectralGrid, rank: int, box_radius: int) -> int:
 
 
 def _weights(ds: SpectralDataset) -> np.ndarray:
-    s = ds.samples
-    return (s.real**2 + s.imag**2).sum(axis=0)
+    return _squares(ds).sum(axis=0)
 
 
 def _sorted_box(grid: SpectralGrid, w_all: np.ndarray, box: int):

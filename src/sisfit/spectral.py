@@ -221,11 +221,20 @@ def synthesize(family: str, params, grid: SpectralGrid) -> SpectralDataset:
     return SpectralDataset(grid=grid, samples=vals[None, :, :].astype(np.complex128))
 
 
+def _squares(ds: SpectralDataset) -> np.ndarray:
+    """The squared sample magnitudes (m, cells, translations), spelled once:
+    ``total_energy``, ``multitile._weights`` and ``verify`` reduce them."""
+    return ds.samples.real**2 + ds.samples.imag**2
+
+
+def _energy(squares: np.ndarray, volume: float) -> float:
+    return float((squares.sum(axis=(1, 2)) * volume).sum())
+
+
 def total_energy(ds: SpectralDataset) -> float:
     """Quadrature energy of the dataset: each function's sum of squared
     sample magnitudes times the cell volume, summed over the functions."""
-    s = ds.samples
-    return float(((s.real**2 + s.imag**2).sum(axis=(1, 2)) * ds.grid.cell_volume).sum())
+    return _energy(_squares(ds), ds.grid.cell_volume)
 
 
 def ingest(manifest_path) -> SpectralDataset:

@@ -130,11 +130,6 @@ def _save_discrete(model: DiscreteModel, out: Path) -> None:
             fh.write(f"{s},{label},{j},{float(lam)!r}\n")
 
 
-def model_regime(model_dir) -> str:
-    """The regime named by the model's ``model.json``."""
-    return _regime(read_object(Path(model_dir) / MODEL_JSON))
-
-
 def _regime(meta: _Meta) -> str:
     regime = meta.get("regime", _json(str))
     if regime not in REGIMES:
@@ -152,10 +147,10 @@ def load_model(model_dir, grid: SpectralGrid | None = None):
     ValidationError naming the file (and the line, for a malformed row).
     ``grid``, when given, is the grid of the data the model is checked
     against; a model on a grid must be on that one (see ``_load_grid``).
+    ``model_dir`` may be its ``model.json`` already read (``read_object``).
     """
-    mdir = Path(model_dir)
-    meta = read_object(mdir / MODEL_JSON)
-    regime = _regime(meta)
+    meta = model_dir if isinstance(model_dir, _Meta) else read_object(Path(model_dir) / MODEL_JSON)
+    mdir, regime = meta.path.parent, _regime(meta)
     if regime == "discrete":
         return _load_discrete(mdir, meta)
     if regime == "pw":

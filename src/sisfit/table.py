@@ -301,7 +301,7 @@ def read_c16(path, shape: tuple) -> np.ndarray:
 
 def write_c16(path, values: np.ndarray) -> None:
     with create(path, "wb") as fh:
-        np.asarray(values).astype("<c16").tofile(fh)
+        np.ascontiguousarray(values, dtype="<c16").tofile(fh)
 
 
 def create(path, mode: str = "w"):

@@ -35,9 +35,9 @@ from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition, _unique
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import DualLattice, coset_of
-from .multitile import MultiTileModel, _weights, multitile_spectra
+from .multitile import MultiTileModel, multitile_spectra
 from .sis import FittedModel, _fibers, _project
-from .spectral import SpectralDataset, check_same_grid, total_energy
+from .spectral import SpectralDataset, _energy, _squares, check_same_grid
 
 MAX_REPORTED_VIOLATIONS = 64
 
@@ -163,7 +163,8 @@ def _cells_close(report: VerificationReport, check: str, got, want, tol, what: s
 
 def _check_spectral(report: VerificationReport, model: FittedModel, ds: SpectralDataset) -> None:
     check_same_grid(model.grid, ds.grid)
-    energy = total_energy(ds)
+    squares = _squares(ds)  # one pass: the energy and cell_energy below are total_energy's and _weights'
+    energy, cell_energy = _energy(squares, ds.grid.cell_volume), squares.sum(axis=0).sum(axis=1)
 
     fibers = _fibers(model)
     report.checks.append("parseval")
@@ -179,7 +180,6 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
            f"projection residual {total!r} vs stored error {model.error!r}")
 
-    cell_energy = _weights(ds).sum(axis=1)
     tol = TOL * (1.0 + cell_energy)
     _cells_close(report, "cell-residuals", model.residuals, cell_resid, tol, "stored residual")
     # kept plus discarded eigenvalues add up to the Gramian trace; the
@@ -309,10 +309,10 @@ def verify_multitile(model: MultiTileModel) -> VerificationReport:
 
 def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDataset) -> None:
     check_same_grid(model.grid, ds.grid)
-    energy = total_energy(ds)
+    squares = _squares(ds)
+    energy, w_all = _energy(squares, ds.grid.cell_volume), squares.sum(axis=0)
     _check_tiles(report, model)
 
-    w_all = _weights(ds)
     inbox = np.abs(ds.grid.translations).max(axis=1) <= model.box_radius
     ingrid = ~ds.grid._outside(model.chosen)  # a pick outside the grid keeps nothing
     picks = ds.grid.translation_indices(np.where(ingrid[..., None], model.chosen, 0))

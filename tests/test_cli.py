@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import io
 import json
 import os
 import re
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import sisfit
-from sisfit import cli, hermitian
+from sisfit import cli, hermitian, verify
 from sisfit.discrete import error_discrete, parse_discrete_dataset, parse_partition, write_discrete_sequences
 from sisfit.extra import error_extra
 from sisfit.hermitian import eig_hermitian_batch
@@ -687,15 +689,21 @@ def test_verify_takes_no_solver_flags(tmp_path, flag):
             assert res.returncode == 2 and "unrecognized arguments" in res.stderr
 
 
-def _fitted_model(tmp_path, regime, rank=1):
+def run_in_process(*args):
+    """``run_cli`` through ``cli.main`` in this process; output goes to the
+    test's capture, so only the exit code is returned."""
+    return subprocess.CompletedProcess(args, cli.main([str(a) for a in args]), "", "")
+
+
+def _fitted_model(tmp_path, regime, rank=1, run=run_cli):
     data = tmp_path / "data"
-    run_cli(
+    run(
         "synth", "--family", "gaussian", "--sigma", 1, "--dim", 1,
         "--cells", 4, "--trunc", 1, "--out", data,
     )
     flags = {"sis": (), "extra": ("--dual-lattice", "2"), "pw": ("--box", "1")}[regime]
     model = tmp_path / "model"
-    res = run_cli(
+    res = run(
         "fit", "--regime", regime, "--data", data / "dataset.json",
         "--rank", rank, *flags, "--out", model,
     )
@@ -895,13 +903,13 @@ def _value_in_other_block(path):
         fh.write("0,1,1e-12,0.0\n")
 
 
-def _fitted_discrete_model(tmp_path, rank=1):
+def _fitted_discrete_model(tmp_path, rank=1, run=run_cli):
     seqs = tmp_path / "seqs.txt"
     seqs.write_text("0,0,1.0,0.0\n1,1,1.0,0.0\n0,2,0.5,0.0\n")
     part = tmp_path / "part.txt"
     part.write_text("lattice: 2\n")
     model = tmp_path / "model"
-    res = run_cli(
+    res = run(
         "fit", "--regime", "discrete", "--data", seqs,
         "--rank", rank, "--partition", part, "--out", model,
     )
@@ -909,7 +917,7 @@ def _fitted_discrete_model(tmp_path, rank=1):
     return model, seqs
 
 
-@pytest.mark.parametrize(
+_TAMPERED = (
     "regime,name,tamper,failed,violation",
     [
         ("sis", "generators.bin", _scale_first_nonzero,
@@ -933,6 +941,9 @@ def _fitted_discrete_model(tmp_path, rank=1):
         ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
     ],
 )
+
+
+@pytest.mark.parametrize(*_TAMPERED)
 def test_verify_names_each_failed_check(tmp_path, regime, name, tamper, failed, violation):
     if regime == "discrete":
         model, data = _fitted_discrete_model(tmp_path, rank=2)
@@ -945,6 +956,57 @@ def test_verify_names_each_failed_check(tmp_path, regime, name, tamper, failed, 
     assert res.returncode == 1, res.stdout + res.stderr
     assert f"result: FAIL ({failed})\n" in res.stdout
     assert f"violation: [{violation}" in res.stdout
+
+
+def _fitted_in_process(tmp_path, regime):
+    if regime == "discrete":
+        return _fitted_discrete_model(tmp_path, rank=2, run=run_in_process)
+    return _fitted_model(tmp_path, regime, rank=2, run=run_in_process)
+
+
+def _project_out_of_place(x, e):
+    coef = x @ e.conj().swapaxes(-1, -2)
+    proj = coef @ e
+    r = x - proj
+    return coef, proj, (r.real**2 + r.imag**2).sum(axis=-1)
+
+
+@pytest.mark.parametrize(*_TAMPERED)
+def test_verify_output_is_that_of_the_out_of_place_residuals(tmp_path, monkeypatch, capsys, regime, name, tamper,
+                                                             failed, violation):
+    # the residuals squared in place print every value of a failed check
+    # as the out-of-place r.real**2 + r.imag**2 does, byte for byte
+    model, data = _fitted_in_process(tmp_path, regime)
+    tamper(model / name)
+    argv = ["verify", "--model", str(model), "--data", str(data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"result: FAIL ({failed})\n" in out
+    monkeypatch.setattr(verify, "_project", _project_out_of_place)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
+def test_verify_reads_model_json_once(tmp_path, monkeypatch, capsys, regime):
+    # cmd_verify parses model.json for the regime and hands it to the
+    # loader, which reads it no more
+    model, data = _fitted_in_process(tmp_path, regime)
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    capsys.readouterr()
+    assert cli.main(["verify", "--model", str(model), "--data", str(data)]) == 0
+    assert capsys.readouterr().out.endswith("result: pass\n")
+    assert [p for p in opened if p.name == "model.json"] == [model / "model.json"]
+    assert model / "residuals.csv" in opened or regime == "discrete"
 
 
 def _drop_row(path):

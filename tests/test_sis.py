@@ -477,3 +477,35 @@ def test_gramians_halve_each_entry_before_adding_its_adjoint(row, entry):
     fs = np.array([[row]], dtype=complex)  # one cell, one function
     stacks = sis._gramians(fs, sis._WHOLE_FIBER, [1])
     assert stacks[1].shape == (1, 1, 1, 1) and stacks[1][0, 0, 0, 0] == entry
+
+
+@pytest.mark.parametrize("cells,m,records,cols", [(1, 1, 1, 1), (5, 3, 2, 7), (12, 8, 6, 49), (3, 16, 9, 13)])
+def test_projection_residuals_are_the_out_of_place_sums_bit_for_bit(rng, cells, m, records, cols):
+    # _project squares the residual in place of its imaginary parts; the
+    # sums keep the bits of (r.real**2 + r.imag**2).sum(-1), also where a
+    # NaN generator row (which verify meets in a damaged model) spreads
+    x = rng.standard_normal((cells, m, cols)) + 1j * rng.standard_normal((cells, m, cols))
+    e = rng.standard_normal((cells, records, cols)) + 1j * rng.standard_normal((cells, records, cols))
+    e[:, -1] *= rng.random((cells, 1)) < 0.5  # some cells with a zero row
+    e[0, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        coef, proj, rr = sis._project(x, e)
+        r = x - (x @ e.conj().swapaxes(-1, -2)) @ e
+        want = (r.real**2 + r.imag**2).sum(-1)
+    assert rr.shape == (cells, m) and np.isnan(rr[0]).all()
+    assert rr.tobytes() == want.tobytes()
+    assert coef.tobytes() == (x @ e.conj().swapaxes(-1, -2)).tobytes() and proj.tobytes() == (coef @ e).tobytes()
+
+
+def test_a_cells_bits_do_not_depend_on_the_cell_count(rng):
+    # the samples of a dataset of n cells, taken cell by cell, are a view
+    # whose strides follow n; _chunks copies each chunk contiguous, since
+    # BLAS rounds the one-column Gramians a^H a of such a view otherwise
+    f = rng.standard_normal((16, 40, 1)) + 1j * rng.standard_normal((16, 40, 1))
+    for m in range(5, 17):
+        fits = [_fit_cells(np.ascontiguousarray(f[:m, :n]).transpose(1, 0, 2), sis._WHOLE_FIBER, 1) for n in (1, 7, 40)]
+        spectra = [block_spectra(np.ascontiguousarray(f[:m, :n]).transpose(1, 0, 2), sis._WHOLE_FIBER) for n in (1, 7)]
+        for lam, gens, resid, _, _ in fits[1:]:
+            assert lam[:1].tobytes() == fits[0][0].tobytes() and resid[:1].tobytes() == fits[0][2].tobytes()
+            assert gens[:, :1].tobytes() == fits[0][1].tobytes()
+        assert spectra[1][:1].tobytes() == spectra[0].tobytes()

@@ -6,11 +6,14 @@ import pytest
 
 from sisfit.errors import ValidationError
 from sisfit.sis import _gramians
+from sisfit.multitile import _weights
 from sisfit.spectral import (
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
     SpectralDataset,
     SpectralGrid,
+    _energy,
+    _squares,
     ingest,
     synthesize,
     total_energy,
@@ -351,3 +354,19 @@ def test_csv_comments_and_blanks(tmp_path, rng):
     payload.write_text("# header\n\n" + payload.read_text())
     back = ingest(manifest)
     assert np.array_equal(back.samples, ds.samples)
+
+
+@pytest.mark.parametrize("dim,cells,trunc,m", [(1, 8, 2, 3), (1, 16, 6, 16), (2, 6, 3, 8), (2, 4, 1, 1)])
+def test_the_shared_squares_give_the_energy_and_weights_bit_for_bit(rng, dim, cells, trunc, m):
+    # total_energy and multitile._weights reduce _squares, and so does
+    # verify, which forms the squares once for both: every reduction keeps
+    # the bits of its own s.real**2 + s.imag**2
+    ds = random_dataset(rng, dim=dim, cells=cells, trunc=trunc, m=m, scale=1e3)
+    s, volume = ds.samples, ds.grid.cell_volume
+    own = s.real**2 + s.imag**2
+    squares = _squares(ds)
+    assert squares.tobytes() == own.tobytes()
+    energy = float((own.sum(axis=(1, 2)) * volume).sum())
+    assert total_energy(ds) == _energy(squares, volume) == energy
+    assert _weights(ds).tobytes() == squares.sum(axis=0).tobytes() == own.sum(axis=0).tobytes()
+    assert _weights(ds).sum(axis=1).tobytes() == squares.sum(axis=0).sum(axis=1).tobytes()

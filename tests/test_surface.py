@@ -289,3 +289,59 @@ def test_only_the_plain_table_reader_calls_loadtxt():
     calls = sum(len(_loadtxt_calls(ast.parse(f.read_text(encoding="utf-8")))) for f in files)
     owners = [(name, fn.name) for name, fn in _functions() for _ in _loadtxt_calls(fn)]
     assert calls == 1 and owners == [("table.py", "_loadtxt_table")]
+
+
+def _reads(expr, names: set) -> bool:
+    """Whether ``expr`` reads a ``.samples`` attribute or one of ``names``."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "samples" or isinstance(n, ast.Name) and n.id in names
+               for n in ast.walk(expr))
+
+
+def _sample_squares(tree) -> set:
+    """The functions of ``tree`` that square the samples of a dataset:
+    ``x ** 2`` or ``square(x)`` where x reads ``.samples``, directly or
+    through names bound to what does."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        binds = [(t.id, node.value) for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)]
+        aliases, size = set(), -1
+        while len(aliases) != size:
+            size = len(aliases)
+            aliases |= {name for name, value in binds if _reads(value, aliases)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2":
+                squared = [node.left]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "square":
+                squared = node.args[:1]
+            else:
+                squared = []
+            if any(_reads(x, aliases) for x in squared):
+                found.add(fn.name)
+    return found
+
+
+def test_only_spectral_squares_the_samples():
+    # the sample squares have one spelling, which every energy and weight
+    # reduces; the lint sees the spellings it replaced
+    spelled = {"s = ds.samples\nw = (s.real**2 + s.imag**2).sum(axis=0)", "e = (np.abs(ds.samples) ** 2).sum()",
+               "t = ds.samples.transpose(1, 0, 2)\nsq = np.square(t.imag)"}
+    for body in spelled:
+        assert _sample_squares(ast.parse("def f(ds):\n" + "".join(f"    {ln}\n" for ln in body.splitlines()))) == {"f"}
+    owners = {(f.name, name) for f in sorted((ROOT / "src" / "sisfit").glob("*.py"))
+              for name in _sample_squares(ast.parse(f.read_text(encoding="utf-8")))}
+    assert owners == {("spectral.py", "_squares")}
+
+
+def test_verify_forms_the_sample_squares_once_per_check():
+    # a check takes its energy and its cell or translation weights from one
+    # _squares, not from total_energy and multitile._weights, which square anew
+    tree = ast.parse((ROOT / "src" / "sisfit" / "verify.py").read_text(encoding="utf-8"))
+    names = [getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    assert "total_energy" not in names and "_weights" not in names
+    calls = {fn.name: sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_squares" for n in ast.walk(fn))
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert {name: n for name, n in calls.items() if n} == {"_check_spectral": 1, "_check_pw": 1}

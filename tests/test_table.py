@@ -580,3 +580,16 @@ def test_a_replaced_file_keeps_its_permission_bits(tmp_path):
     path.chmod(0o640)
     assert not _written_in_place(path)
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "big-endian", "real"])
+def test_write_c16_writes_the_bytes_of_a_converted_copy(tmp_path, rng, layout):
+    # write_c16 converts only what is not little-endian complex128 already;
+    # the file holds the bytes of np.asarray(values).astype("<c16") in C order
+    values = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    values = {"contiguous": values, "transposed": values.transpose(2, 0, 1),
+              "big-endian": values.astype(">c16"), "real": values.real}[layout]
+    table.write_c16(tmp_path / "v.bin", values)
+    assert (tmp_path / "v.bin").read_bytes() == np.asarray(values).astype("<c16").tobytes()
+    read = table.read_c16(tmp_path / "v.bin", values.shape)
+    assert read.tobytes() == np.asarray(values, dtype=np.complex128).tobytes()
