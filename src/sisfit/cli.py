@@ -20,13 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .discrete import fit_discrete, parse_discrete_dataset, parse_partition, spectra_discrete
-from .errors import SisfitError, ValidationError
+from .errors import EnergyOverflow, SisfitError, ValidationError
 from .extra import fit_extra_invariant, spectra_extra
 from .lattice import make_dual_lattice, parse_basis
 from .multitile import fit_multitile, sweep_multitile
 from .sis import error_at_rank, fit_sis, spectra_sis
 from .spectral import (
     _FAMILY_PARAM,
+    _finite_energy,
     PAYLOAD_BINARY,
     PAYLOAD_CSV,
     SpectralGrid,
@@ -87,20 +88,23 @@ def _require(args, flag: str, regime: str):
     return val
 
 
+def _data(args, regime: str):
+    """The ``--data`` of ``regime``: a sequence table for discrete data,
+    whose partition the caller reads, else a manifest."""
+    return parse_discrete_dataset(args.data) if regime == "discrete" else ingest(args.data)
+
+
 def _load(args, regime: str):
-    """The ``--data`` of ``regime``: (dataset, energy, cell volume).
-    Discrete data are a sequence table, whose partition the caller reads;
-    every other regime reads a manifest.  Data whose energy without the
-    cell volume overflows float64 are refused here: that energy bounds
-    every Gramian entry and eigenvalue of a fit."""
+    """The ``--data`` of ``regime``: (dataset, energy, cell volume).  Data
+    whose energy overflows float64 are refused here (``_finite_energy``);
+    ``verify`` refuses them where its checks form the squares, so that it
+    forms them once."""
     discrete = regime == "discrete"
-    ds = parse_discrete_dataset(args.data) if discrete else ingest(args.data)
+    ds = _data(args, regime)
     volume = 1.0 if discrete else ds.grid.cell_volume
     with np.errstate(over="ignore"):
         energy = float(ds.energies().sum()) if discrete else total_energy(ds)
-    if not np.isfinite(energy / volume):
-        raise ValidationError(f"{args.data}: the energy of the samples overflows float64")
-    return ds, energy, volume
+    return ds, _finite_energy(energy, volume), volume
 
 
 # regime-specific flags of ``fit`` and ``compare``, and their regime
@@ -164,7 +168,7 @@ def cmd_verify(args) -> int:
     # the data first: a model's grid is checked against theirs before it
     # sizes anything, and a discrete model's dimension before the
     # partition kept next to it is read
-    ds = _load(args, regime)[0]
+    ds = _data(args, regime)
     model, part = storage.load_model(meta, None if regime == "discrete" else ds.grid), None
     if regime == "discrete":
         if model.dim != ds.dim:
@@ -322,6 +326,9 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         return globals()[f"cmd_{args.command}"](args)
+    except EnergyOverflow as exc:  # raised where the squares are formed, which know no file
+        print(f"error: {args.data}: {exc}", file=sys.stderr)
+        return 2
     except (SisfitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

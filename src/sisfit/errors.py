@@ -9,5 +9,9 @@ class ValidationError(SisfitError):
     """An input failed a documented precondition."""
 
 
+class EnergyOverflow(ValidationError):
+    """The energy of the samples, without the cell volume, overflows float64."""
+
+
 class ConvergenceError(SisfitError):
     """LAPACK's Hermitian eigensolver reported that it did not converge."""

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .table import (_json, one_row_per_key, read_c16, read_object, read_table, reject, write_c16,
+from .errors import EnergyOverflow, ValidationError
+from .table import (_json, in_key_order, one_row_per_key, read_c16, read_object, read_table, reject, write_c16,
                     write_object, write_table)
 
 PAYLOAD_BINARY = "binary-c64le"
@@ -231,6 +231,15 @@ def _energy(squares: np.ndarray, volume: float) -> float:
     return float((squares.sum(axis=(1, 2)) * volume).sum())
 
 
+def _finite_energy(energy: float, volume: float) -> float:
+    """``energy``, refused when without the cell ``volume`` it overflows
+    float64: that energy bounds every Gramian entry and eigenvalue of a
+    fit.  The caller forms it under ``np.errstate(over="ignore")``."""
+    if not np.isfinite(energy / volume):
+        raise EnergyOverflow("the energy of the samples overflows float64")
+    return energy
+
+
 def total_energy(ds: SpectralDataset) -> float:
     """Quadrature energy of the dataset: each function's sum of squared
     sample magnitudes times the cell volume, summed over the functions."""
@@ -288,8 +297,21 @@ def _check_payload_holds_grid(manifest: Path, dim: int, cells: int, trunc: int, 
 
 
 def _read_csv_payload(payload: Path, grid: SpectralGrid, shape: tuple) -> np.ndarray:
+    """The samples of a CSV payload, one ``j,g,k_1,...,k_d,re,im`` row each.
+
+    A payload whose rows are in sample order (``write_dataset`` writes
+    them so) is accepted by one broadcast compare of each key column:
+    ``j`` and ``g`` by ``in_key_order``, each translation column against
+    that column of ``grid.translations``, which also proves the box
+    test.  Its values are then one contiguous copy of their column view.
+    Any other row order takes the general path: the box test, the sample
+    count, and ``one_row_per_key`` over (j, g, translation index), whose
+    rows gather the values."""
     lines, ints, vals = read_table(payload, 2, 2, grid.dim)
     k = ints[:, 2:]
+    if in_key_order((ints[:, 0], ints[:, 1]), shape) and all(
+            (k[:, c].reshape(shape) == grid.translations[:, c]).all() for c in range(grid.dim)):
+        return np.ascontiguousarray(vals.view(np.complex128).reshape(shape))
     reject(grid._outside(k), lambda r: f"{payload}:{lines[r]}",
            lambda r: f"translation {tuple(k[r].tolist())} outside the truncation box (radius {grid.trunc_radius})")
     # checked first: with at least as many lines as samples, the sample index fits int64

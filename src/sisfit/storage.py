@@ -282,7 +282,7 @@ def _load_selected(path: Path, rank: int, labels: list):
     lines, ints, lams = np.frombuffer(lines, dtype=np.int64), np.frombuffer(ints, dtype=np.int64), np.frombuffer(lams)
     rows = one_row_per_key(path, lines, (ints[::3],), (len(lines),), "slot")
     table, eigenvalues = np.full((rank, 3), -1, dtype=np.int64), np.zeros((1, rank))
-    table[: len(rows)], eigenvalues[0, : len(rows)] = ints.reshape(-1, 3)[rows], lams[rows]
+    table[: len(lines)], eigenvalues[0, : len(lines)] = ints.reshape(-1, 3)[rows], lams[rows]
     return eigenvalues, table[None, :, 1], table[None, :, 2], foreign
 
 

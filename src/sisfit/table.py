@@ -9,6 +9,8 @@ call, from the lines already read when the file is one 64 KiB block (a
 model's tables), else from its path; any other table, or one that call
 refuses or reads a non-finite value from, is read again over ``scan``,
 which gives the same values and raises the located messages.
+``one_row_per_key`` is the one rule of a keyed table (one row per key),
+which takes rows already in key order by one compare per key column.
 ``read_object`` reads a JSON object and ``read_c16`` little-endian
 complex doubles.  Errors are ValidationErrors naming the file, and the
 line where there is one.  ``write_table`` writes values with ``repr``, so
@@ -125,7 +127,7 @@ def _loadtxt_table(path, lead: int, floats: int, dim: int):
         return None
     if len(rows) != n_lines:  # loadtxt skipped an empty line
         return None
-    if not np.isfinite(rows["f"]).all():
+    if not all(np.isfinite(rows["f"][:, c]).all() for c in range(floats)):  # a column at a time: 1-d loops
         return None
     return np.arange(1, len(rows) + 1, dtype=np.int64), rows["i"], rows["f"]
 
@@ -191,14 +193,40 @@ def repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def one_row_per_key(path, lines: np.ndarray, keys: tuple, sizes: tuple, what: str) -> np.ndarray:
+def in_key_order(columns, sizes: tuple) -> bool:
+    """Whether the rows count through the entries of an array of shape
+    ``sizes`` in row-major order, each once, by the key columns
+    ``columns`` of its first axes: every column has prod(sizes) entries,
+    and column c, reshaped to ``sizes``, holds its index along axis c.
+    One broadcast compare per column against an ``arange``; no flat key
+    index is formed."""
+    total = math.prod(sizes)
+    if any(len(column) != total for column in columns):  # before an arange is sized
+        return False
+    for c, (column, n) in enumerate(zip(columns, sizes)):
+        counts = np.arange(n).reshape((n,) + (1,) * (len(sizes) - c - 1))  # broadcast over the later axes
+        if not (column.reshape(sizes) == counts).all():
+            return False
+    return True
+
+
+def one_row_per_key(path, lines: np.ndarray, keys: tuple, sizes: tuple, what: str):
     """The rows, in key order, of a table of ``path`` with exactly one row
     for each key: row r, at line ``lines[r]``, has the key
     ``(keys[0][r], keys[1][r], ...)``, whose entry c runs over
     0..sizes[c]-1.  A key out of range, or repeated when none is missing,
     raises ValidationError at its line; missing keys raise
     ``"{path}: expected one row for each {what} ..."``.
+
+    A table whose rows are in key order already (``in_key_order``, the
+    tables sisfit writes) gives ``slice(None)``, so that the caller takes
+    views of its columns rather than a gather.  Any other row order takes
+    the general path: the range test, then a flat key index whose counts
+    find the missing and the repeated keys, and the index array of the
+    rows in key order.
     """
+    if in_key_order(keys, sizes):
+        return slice(None)
     at = lambda r: f"{path}:{lines[r]}"  # noqa: E731
     key = lambda r: tuple(int(c[r]) for c in keys) if len(keys) > 1 else int(keys[0][r])  # noqa: E731
     span = " x ".join(f"0..{n - 1}" for n in sizes)

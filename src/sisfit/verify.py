@@ -37,7 +37,7 @@ from .extra import ExtraInvariantModel
 from .lattice import DualLattice, coset_of
 from .multitile import MultiTileModel, multitile_spectra
 from .sis import FittedModel, _fibers, _project
-from .spectral import SpectralDataset, _energy, _squares, check_same_grid
+from .spectral import SpectralDataset, _energy, _finite_energy, _squares, check_same_grid
 
 MAX_REPORTED_VIOLATIONS = 64
 
@@ -163,8 +163,10 @@ def _cells_close(report: VerificationReport, check: str, got, want, tol, what: s
 
 def _check_spectral(report: VerificationReport, model: FittedModel, ds: SpectralDataset) -> None:
     check_same_grid(model.grid, ds.grid)
-    squares = _squares(ds)  # one pass: the energy and cell_energy below are total_energy's and _weights'
-    energy, cell_energy = _energy(squares, ds.grid.cell_volume), squares.sum(axis=0).sum(axis=1)
+    with np.errstate(over="ignore"):  # data whose energy overflows are refused here, before any use
+        squares = _squares(ds)  # one pass: the energy and cell_energy below are total_energy's and _weights'
+        energy = _finite_energy(_energy(squares, ds.grid.cell_volume), ds.grid.cell_volume)
+    cell_energy = squares.sum(axis=0).sum(axis=1)
 
     fibers = _fibers(model)
     report.checks.append("parseval")
@@ -309,8 +311,10 @@ def verify_multitile(model: MultiTileModel) -> VerificationReport:
 
 def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDataset) -> None:
     check_same_grid(model.grid, ds.grid)
-    squares = _squares(ds)
-    energy, w_all = _energy(squares, ds.grid.cell_volume), squares.sum(axis=0)
+    with np.errstate(over="ignore"):  # as in _check_spectral
+        squares = _squares(ds)
+        energy = _finite_energy(_energy(squares, ds.grid.cell_volume), ds.grid.cell_volume)
+    w_all = squares.sum(axis=0)
     _check_tiles(report, model)
 
     inbox = np.abs(ds.grid.translations).max(axis=1) <= model.box_radius
@@ -332,7 +336,8 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
                     part: DiscretePartition) -> None:
     if ds.dim != model.dim:
         raise ValidationError(f"data dimension {ds.dim} does not match model dimension {model.dim}")
-    energy = float(ds.energies().sum())
+    with np.errstate(over="ignore"):  # as in _check_spectral, without a cell volume
+        energy = _finite_energy(float(ds.energies().sum()), 1.0)
     gens = model.generators
 
     dev = float(_deviation(gens[None])[0])

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import sisfit
-from sisfit import cli, hermitian, verify
-from sisfit.discrete import error_discrete, parse_discrete_dataset, parse_partition, write_discrete_sequences
+from sisfit import cli, hermitian, spectral, verify
+from sisfit.discrete import (DiscreteDataset, error_discrete, parse_discrete_dataset, parse_partition,
+                             write_discrete_sequences)
 from sisfit.extra import error_extra
 from sisfit.hermitian import eig_hermitian_batch
 from sisfit.lattice import make_dual_lattice
@@ -1007,6 +1008,28 @@ def test_verify_reads_model_json_once(tmp_path, monkeypatch, capsys, regime):
     assert capsys.readouterr().out.endswith("result: pass\n")
     assert [p for p in opened if p.name == "model.json"] == [model / "model.json"]
     assert model / "residuals.csv" in opened or regime == "discrete"
+
+
+@pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
+def test_one_verify_squares_the_samples_once(tmp_path, monkeypatch, capsys, regime):
+    # the overflow refusal of verify takes the energy of the squares its
+    # check forms, where fit and compare square the samples in cli._load
+    model, data = _fitted_in_process(tmp_path, regime)
+    passes = []
+
+    def counted(square):
+        def counting(ds):
+            passes.append(square.__name__)
+            return square(ds)
+        return counting
+
+    monkeypatch.setattr(spectral, "_squares", counted(spectral._squares))
+    monkeypatch.setattr(verify, "_squares", spectral._squares)
+    monkeypatch.setattr(DiscreteDataset, "energies", counted(DiscreteDataset.energies))
+    capsys.readouterr()
+    assert cli.main(["verify", "--model", str(model), "--data", str(data)]) == 0
+    assert capsys.readouterr().out.endswith("result: pass\n")
+    assert passes == ["energies" if regime == "discrete" else "_squares"]
 
 
 def _drop_row(path):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sisfit import spectral
 from sisfit.errors import ValidationError
 from sisfit.sis import _gramians
 from sisfit.multitile import _weights
@@ -19,6 +20,7 @@ from sisfit.spectral import (
     total_energy,
     write_dataset,
 )
+from sisfit.table import one_row_per_key
 
 from conftest import random_dataset
 from oracles import gramian_naive
@@ -370,3 +372,81 @@ def test_the_shared_squares_give_the_energy_and_weights_bit_for_bit(rng, dim, ce
     assert total_energy(ds) == _energy(squares, volume) == energy
     assert _weights(ds).tobytes() == squares.sum(axis=0).tobytes() == own.sum(axis=0).tobytes()
     assert _weights(ds).sum(axis=1).tobytes() == squares.sum(axis=0).sum(axis=1).tobytes()
+
+
+def _shuffled(lines, fixed, rng):
+    """``lines`` with every line but those at the indices ``fixed`` moved
+    by one random permutation."""
+    free = [i for i in range(len(lines)) if i not in fixed]
+    out = list(lines)
+    for i, j in zip(free, rng.permutation(free)):
+        out[i] = lines[j]
+    return out
+
+
+def _ingest_lines(manifest, payload, lines):
+    payload.write_text("".join(ln + "\n" for ln in lines))
+    return ingest(manifest)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_shuffled_payload_reads_back_as_the_ordered_one(tmp_path, rng, monkeypatch, dim):
+    # rows in sample order are taken by one compare per key column, any
+    # other order by one_row_per_key's general path: the same samples
+    ds = random_dataset(rng, dim=dim, cells=4, trunc=2, m=3)
+    manifest = write_dataset(ds, tmp_path, payload_format=PAYLOAD_CSV, stem="c")
+    payload = tmp_path / "c.csv"
+    lines = payload.read_text().splitlines()
+    general = []
+    monkeypatch.setattr(spectral, "one_row_per_key", lambda *a: general.append(a) or one_row_per_key(*a))
+    ordered = ingest(manifest)
+    assert general == []
+    # the last order swaps two translations of one (function, cell): only
+    # the translation columns are out of order
+    for order in (lines[::-1], _shuffled(lines, (), rng), lines[1:] + lines[:1], [lines[1], lines[0], *lines[2:]]):
+        back = _ingest_lines(manifest, payload, order)
+        assert back.samples.tobytes() == ordered.samples.tobytes() == ds.samples.tobytes()
+        assert back.samples.flags.c_contiguous and ordered.samples.flags.c_contiguous
+    assert len(general) == 4
+
+
+def _faulty(lines, fault):
+    """``lines`` with one ``fault`` at index 5, and the indices of the
+    lines it touches: those a shuffle of the other rows keeps in place."""
+    lines = list(lines)
+    if fault == "duplicate":
+        return lines + [lines[5]], {5, len(lines)}
+    if fault == "missing":
+        return lines[:5] + lines[6:], set()
+    fields = lines[5].split(",")
+    col, value = {"translation": (2, "3"), "function": (0, "2"), "cell": (1, "-1")}[fault]
+    fields[col] = value
+    lines[5] = ",".join(fields)
+    return lines, {5}
+
+
+# index 5 of the 12 rows of a d = 1 payload of 2 functions, 2 cells and 3
+# translations is (j, g, translation index) (0, 1, 2), at line 6
+_PAYLOAD_FAULTS = {
+    "duplicate": r"c\.csv:13: duplicate row for \(function, cell, translation index\) \(0, 1, 2\)$",
+    "missing": r"^payload .*c\.csv has 11 samples, expected 12$",
+    "translation": r"c\.csv:6: translation \(3,\) outside the truncation box \(radius 1\)$",
+    "function": r"c\.csv:6: \(function, cell, translation index\) \(2, 1, 2\) outside 0\.\.1 x 0\.\.1 x 0\.\.2$",
+    "cell": r"c\.csv:6: \(function, cell, translation index\) \(0, -1, 2\) outside 0\.\.1 x 0\.\.1 x 0\.\.2$",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PAYLOAD_FAULTS))
+def test_a_payload_error_reads_the_same_in_any_row_order(tmp_path, rng, fault):
+    # the in-order check never takes a faulty payload: each fault gets the
+    # located message of the general path, whatever the order of the rest
+    ds = random_dataset(rng, dim=1, cells=2, trunc=1, m=2)
+    manifest = write_dataset(ds, tmp_path, payload_format=PAYLOAD_CSV, stem="c")
+    payload = tmp_path / "c.csv"
+    lines, fixed = _faulty(payload.read_text().splitlines(), fault)
+    messages = []
+    for order in (lines, _shuffled(lines, fixed, rng)):
+        with pytest.raises(ValidationError, match=_PAYLOAD_FAULTS[fault]) as exc:
+            _ingest_lines(manifest, payload, order)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

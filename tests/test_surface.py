@@ -345,3 +345,35 @@ def test_verify_forms_the_sample_squares_once_per_check():
     calls = {fn.name: sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_squares" for n in ast.walk(fn))
              for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
     assert {name: n for name, n in calls.items() if n} == {"_check_spectral": 1, "_check_pw": 1}
+
+
+def _flat_key_calls(tree) -> set:
+    """(function, callee) of each ``ravel_multi_index`` or ``bincount``
+    call in the functions of ``tree``."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            callees = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            found |= {(fn.name, callee) for callee in callees & {"ravel_multi_index", "bincount"}}
+    return found
+
+
+def test_only_one_row_per_key_builds_a_flat_key_index():
+    # the keyed-table rule has one owner, whose in-order check runs first:
+    # a second reader that built its own flat key index would bypass it
+    planted = {"flat = np.ravel_multi_index(keys, sizes)", "counts = np.bincount(ints[:, 0], minlength=n)"}
+    for body in planted:
+        assert _flat_key_calls(ast.parse(f"def _cell_rows(path, ints, keys, sizes, n):\n    {body}\n")) != set()
+    calls = {(f.name, *call) for f in sorted((ROOT / "src" / "sisfit").glob("*.py"))
+             for call in _flat_key_calls(ast.parse(f.read_text(encoding="utf-8")))}
+    assert calls == {
+        ("table.py", "one_row_per_key", "ravel_multi_index"),
+        ("table.py", "one_row_per_key", "bincount"),
+        # the repeat finder of one_row_per_key and of the discrete sequence
+        # table, whose rows are any subset of its keys
+        ("table.py", "repeats", "bincount"),
+        # the record count of each home block: no table key
+        ("discrete.py", "fit_discrete", "bincount"),
+        ("verify.py", "_check_discrete", "bincount"),
+    }

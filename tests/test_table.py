@@ -134,6 +134,28 @@ def test_datasets_read_back_bit_for_bit(data):
     assert np.array_equal(_bits(back_discrete.values), _bits(discrete.values))
 
 
+@given(st.data())
+def test_a_shuffled_payload_reads_back_bit_for_bit(data):
+    # a payload in sample order is taken by one compare per key column, any
+    # other order by the general path of one_row_per_key: the same bits
+    dim = data.draw(st.integers(1, 2))
+    grid = SpectralGrid(dim=dim, cells_per_dim=2, trunc_radius=1)
+    shape = (data.draw(st.integers(1, 2)), grid.n_cells, grid.n_translations)
+    size = int(np.prod(shape))
+    parts = data.draw(st.lists(FLOATS, min_size=2 * size, max_size=2 * size))
+    ds = SpectralDataset(grid=grid, samples=np.array(parts).view(np.complex128).reshape(shape))
+    order = data.draw(st.permutations(range(size)))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_dataset(ds, tmp, payload_format=PAYLOAD_CSV)
+        ordered = ingest(manifest)
+        payload = Path(tmp) / "dataset.csv"
+        lines = payload.read_text().splitlines()
+        payload.write_text("".join(lines[i] + "\n" for i in order))
+        shuffled = ingest(manifest)
+    assert np.array_equal(_bits(ordered.samples), _bits(ds.samples))
+    assert np.array_equal(_bits(shuffled.samples), _bits(ds.samples))
+
+
 def _edit(lines, i, kind, col):
     """Apply one fault to data line i (0-based); the 1-based line it is
     reported at."""
@@ -485,6 +507,33 @@ def _fitted(regime, rng):
 
 def _contents(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("regime,name", [("sis", "residuals.csv"), ("sis", "eigencurves.csv"),
+                                         ("extra", "home_cosets.csv"), ("pw", "chosen.csv"),
+                                         ("discrete", "selected.csv")])
+def test_a_model_table_with_its_rows_reversed_loads_the_same_model(tmp_path, rng, regime, name):
+    # a keyed table in key order is taken by one compare per key column;
+    # reversed, it takes the general path of one_row_per_key to the same model
+    save_model(_fitted(regime, rng), tmp_path / "model")
+    save_model(load_model(tmp_path / "model"), tmp_path / "ordered")
+    path = tmp_path / "model" / name
+    lines = path.read_text().splitlines()
+    assert len(lines) > 1
+    path.write_text("".join(ln + "\n" for ln in lines[::-1]))
+    save_model(load_model(tmp_path / "model"), tmp_path / "reversed")
+    assert _contents(tmp_path / "reversed") == _contents(tmp_path / "ordered")
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_duplicate_model_row_is_named_in_any_row_order(tmp_path, rng, reverse):
+    save_model(_fitted("sis", rng), tmp_path)
+    path = tmp_path / RESIDUALS_CSV
+    lines = path.read_text().splitlines()
+    rest = lines[1:][::-1] if reverse else lines[1:]
+    path.write_text("".join(ln + "\n" for ln in [lines[0], *rest, lines[0]]))
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:{len(lines) + 1}: duplicate row for cell 0") + "$"):
+        load_model(tmp_path)
 
 
 @pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])

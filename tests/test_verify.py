@@ -173,3 +173,22 @@ def _discrete_fit():
 def test_library_calls_without_what_they_need_are_refused(tmp_path, call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("regime", ["sis", "pw", "discrete"])
+def test_verify_model_refuses_data_whose_energy_overflows(rng, regime):
+    # the check forms the squares once, and refuses them before any use
+    # (a sample of 1e160 squares beyond float64)
+    if regime == "discrete":
+        ds = DiscreteDataset.from_sequences(1, [{(0,): 1.0, (1,): 0.5}])
+        part = DiscretePartition.from_lattice(make_dual_lattice([[2]]))
+        model, huge = fit_discrete(ds, part, 1), DiscreteDataset.from_sequences(1, [{(0,): 1e160, (1,): 0.5}])
+    else:
+        ds, part = random_dataset(rng, cells=4, trunc=1, m=2), None
+        model = fit_sis(ds, 1) if regime == "sis" else fit_multitile(ds, 1, 1)
+        samples = ds.samples.copy()
+        samples[0, 0, 0] = 1e160
+        huge = type(ds)(grid=ds.grid, samples=samples)
+    assert verify_model(model, ds, part).passed
+    with pytest.raises(ValidationError, match="^the energy of the samples overflows float64$"):
+        verify_model(model, huge, part)
