@@ -18,10 +18,10 @@ from .errors import ConvergenceError, SisfitError, ValidationError
 from .extra import ExtraInvariantModel, error_extra, fit_extra_invariant
 from .hermitian import EigenSystem, eig_hermitian
 from .lattice import DualLattice, coset_of, make_dual_lattice
-from .multitile import MultiTileModel, error_multitile_series, fit_multitile
+from .multitile import MultiTileModel, fit_multitile
 from .sis import FittedModel, error_sis, fit_sis, project_onto
 from .spectral import SpectralDataset, SpectralGrid, ingest, synthesize
-from .verify import verify_extra_invariance, verify_model, verify_multitile
+from .verify import verify_extra_invariance, verify_model
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "eig_hermitian",
     "error_discrete",
     "error_extra",
-    "error_multitile_series",
     "error_sis",
     "fit_discrete",
     "fit_extra_invariant",
@@ -56,5 +55,4 @@ __all__ = [
     "synthesize",
     "verify_extra_invariance",
     "verify_model",
-    "verify_multitile",
 ]

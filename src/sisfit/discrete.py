@@ -162,7 +162,7 @@ def _position(p, dim: int) -> tuple:
 class DiscretePartition:
     """Partition of Z^d into labeled blocks.
 
-    Either the cosets of an integer lattice (labels are section indices)
+    Either the cosets of an integer lattice (labels are coset labels)
     or an explicit position-to-label mapping, in which case only mapped
     positions are covered.  ``labels`` is sorted and fixes block order;
     ``source`` names the file it was read from, if any.
@@ -191,21 +191,10 @@ class DiscretePartition:
     def n_blocks(self) -> int:
         return len(self.labels)
 
-    def label_index(self, pos):
-        """Block index of every position along the last axis of ``pos``,
-        shape (..., dim): an ``int`` for one position, an int64 array for
-        several.  Explicit partitions reject uncovered positions."""
-        pts = np.atleast_1d(np.asarray(pos, dtype=np.int64))
-        if pts.shape[-1] != self.dim:
-            raise ValidationError(f"expected positions of dimension {self.dim}, got shape {pts.shape}")
-        idx = self._block_indices(pts)
-        if (idx < 0).any():
-            raise ValidationError(f"position {tuple(pts[idx < 0][0].tolist())} is not covered by the partition")
-        return int(idx) if pts.ndim == 1 else idx
-
     def _block_indices(self, pts: np.ndarray) -> np.ndarray:
-        """``label_index`` of int64 positions, shape (..., dim), with -1
-        for positions an explicit partition does not cover."""
+        """Block index of every int64 position along the last axis of
+        ``pts``, shape (..., dim), -1 where an explicit partition does not
+        cover it."""
         if self.lattice is not None:
             return np.asarray(coset_of(pts, self.lattice))
         block = {lab: i for i, lab in enumerate(self.labels)}
@@ -259,10 +248,7 @@ class DiscreteModel:
     ``labels[home_blocks[0, s]]`` at in-block rank ``block_ranks[0, s]``,
     -1 in both on padded slots.  ``allocation`` holds the per-block
     counts, which ``verify`` compares with the records; ``selected`` lists
-    the records as (eigenvalue, label, in-block rank).  A loaded
-    ``selected.csv`` may name labels that ``labels`` does not hold: home
-    block ``len(labels) + i`` is then ``foreign_labels[i]``, and such a
-    model fails ``verify``'s block-support."""
+    the records as (eigenvalue, label, in-block rank)."""
 
     dim: int
     rank: int
@@ -274,13 +260,11 @@ class DiscreteModel:
     allocation: list
     labels: list
     error: float
-    foreign_labels: list = field(default_factory=list)
 
     @property
     def selected(self) -> list:
-        labels = self.labels + self.foreign_labels
         records = zip(self.eigenvalues[0].tolist(), self.home_blocks[0].tolist(), self.block_ranks[0].tolist())
-        return [(lam, labels[b], j) for lam, b, j in records if b >= 0]
+        return [(lam, self.labels[b], j) for lam, b, j in records if b >= 0]
 
 
 def fit_discrete(

@@ -43,10 +43,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     vectors: np.ndarray | None
 
-    @property
-    def order(self) -> int:
-        return int(self.eigenvalues.shape[-1])
-
 
 def _check_finite(h: np.ndarray) -> None:
     """Reject a non-finite entry of a matrix or a stack, naming the (row,

@@ -1,17 +1,16 @@
 """Integer lattices used to prescribe extra invariance.
 
 A lattice M* = B Z^d (B an integer matrix with nonzero determinant)
-partitions Z^d into |det B| cosets.  Coset bookkeeping is exact: the
-section comes from a column-style Hermite normal form H, and a vector's
-coset is found by reducing it into the box prod([0, H_ii)) with integer
-column operations, so no float ever decides a coset.
+partitions Z^d into |det B| cosets.  Coset bookkeeping is exact: a
+vector's coset is found by reducing it into the box prod([0, H_ii)) of a
+column-style Hermite normal form H with integer column operations, so no
+float ever decides a coset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from .errors import ValidationError
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# cosets a lattice may have: its section and every per-coset list are sized
-# by the index, so a large determinant must not reach them
+# cosets a lattice may have: every per-coset list is sized by the index,
+# so a large determinant must not reach one
 MAX_LATTICE_INDEX = 2**20
 
 
@@ -71,23 +70,18 @@ def _hermite_form(basis: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class DualLattice:
-    """Sublattice B Z^d of Z^d with its coset section.
+    """Sublattice B Z^d of Z^d.
 
-    ``hermite`` is the lower-triangular Hermite form H of the basis.
-    ``section`` holds one representative per coset, the points of the box
-    prod([0, H_ii)) in lexicographic order; coset labels are the row
-    indices into it.  It is built when first read: no fit or check needs
-    it, and at 2^20 cosets it takes 16 MiB.
+    ``hermite`` is the lower-triangular Hermite form H of the basis.  The
+    points of the box prod([0, H_ii)) are one representative per coset,
+    and a coset's label is its representative's index in the box's
+    lexicographic order.
     """
 
     dim: int
     basis: np.ndarray
     index: int
     hermite: np.ndarray
-
-    @cached_property
-    def section(self) -> np.ndarray:
-        return np.stack(np.unravel_index(np.arange(self.index), np.diag(self.hermite)), axis=-1).astype(np.int64)
 
     def __eq__(self, other):
         return (
@@ -116,15 +110,15 @@ def make_dual_lattice(basis) -> DualLattice:
 
 
 def coset_of(k, lat: DualLattice):
-    """Coset labels (indices into ``lat.section``) of the integer vectors
-    along the last axis of ``k``, shape (..., dim).  A single vector gives
-    an ``int``, an array of vectors an int64 array of shape ``k.shape[:-1]``.
+    """Coset labels (see ``DualLattice``) of the integer vectors along the
+    last axis of ``k``, shape (..., dim).  A single vector gives an
+    ``int``, an array of vectors an int64 array of shape ``k.shape[:-1]``.
 
-    Each vector is reduced into the section box one column of the Hermite
-    form at a time; a vector with a coordinate beyond ``limit`` in
-    absolute value, where the reduction could leave the int64 range, is
-    rejected.  The limit test, the reduction and the label (Horner steps
-    over diag(H)) all work on one 1-d coordinate array at a time, not by
+    Each vector is reduced into the box prod([0, H_ii)) one column of H
+    at a time; a vector with a coordinate beyond ``limit`` in absolute
+    value, where the reduction could leave the int64 range, is rejected.
+    The limit test, the reduction and the label (Horner steps over
+    diag(H)) all work on one 1-d coordinate array at a time, not by
     reductions over the short last axis.
     """
     pts = np.asarray(k)

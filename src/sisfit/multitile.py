@@ -126,13 +126,3 @@ def multitile_spectra(model: MultiTileModel) -> np.ndarray:
     spectra[np.arange(model.rank)[None, :], np.arange(ncells)[:, None], ki] = 1.0
     return spectra
 
-
-def error_multitile_series(ds: SpectralDataset, rank: int, box_radii) -> list[float]:
-    """Total unreachable energy (error plus out-of-box tail) for an
-    increasing sequence of box radii.  Non-increasing in the radius."""
-    radii = [int(b) for b in box_radii]
-    if not radii:
-        raise ValidationError("box_radii must not be empty")
-    if any(b2 <= b1 for b1, b2 in zip(radii, radii[1:])):
-        raise ValidationError(f"box radii must be strictly increasing, got {radii}")
-    return [error + tail for error, tail in sweep_multitile(ds, [rank], radii)[0]]

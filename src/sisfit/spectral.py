@@ -68,11 +68,6 @@ class SpectralGrid:
     def n_translations(self) -> int:
         return (2 * int(self.trunc_radius) + 1) ** int(self.dim)
 
-    def translation_index(self, k) -> int:
-        """Index of integer vector ``k`` in ``translations``; rejects
-        vectors outside the truncation box."""
-        return int(self.translation_indices(np.asarray(k).ravel()))
-
     def _outside(self, ks) -> np.ndarray:
         """Which integer vectors along the last axis of ``ks`` lie outside
         the truncation box: one 1-d test per coordinate, not a reduction

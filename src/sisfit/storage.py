@@ -262,11 +262,10 @@ def _load_pw(mdir: Path, meta: _Meta, data: SpectralGrid | None) -> MultiTileMod
 def _load_selected(path: Path, rank: int, labels: list):
     """The ``slot,label,in-block rank,eigenvalue`` rows of ``selected.csv``,
     slots 0..n-1 with n <= ``rank``, as the (1, rank) eigenvalue, home
-    block and in-block rank arrays of ``DiscreteModel``, and its foreign
-    labels; slots n.. are 0.0, -1 and -1, and the i-th distinct label
-    not in ``labels`` is block len(labels) + i.  ``split_row`` and
-    ``parse_row`` read each line; slot and in-block rank are indices."""
-    block, foreign = {lab: b for b, lab in enumerate(labels)}, []
+    block and in-block rank arrays of ``DiscreteModel``; slots n.. are
+    0.0, -1 and -1, and a label must be one of ``labels``.  ``split_row``
+    and ``parse_row`` read each line; slot and in-block rank are indices."""
+    block = {lab: b for b, lab in enumerate(labels)}
     lines, ints, lams = array("q"), array("q"), array("d")  # ints: slot, home block, in-block rank
     for lineno, text in scan(path):
         slot, label, j, lam = split_row(path, lineno, text, 4)
@@ -274,8 +273,7 @@ def _load_selected(path: Path, rank: int, labels: list):
             raise ValidationError(f"{path}:{lineno}: more rows than the model's rank {rank}")
         (slot, j), (lam,) = parse_row(path, lineno, (slot, j), (lam,), 2)
         if label not in block:
-            block[label] = len(labels) + len(foreign)
-            foreign.append(label)
+            raise ValidationError(f"{path}:{lineno}: label {label!r} is not one of {MODEL_JSON}'s labels")
         ints.extend([slot, block[label], j])
         lams.append(lam)
         lines.append(lineno)
@@ -283,7 +281,7 @@ def _load_selected(path: Path, rank: int, labels: list):
     rows = one_row_per_key(path, lines, (ints[::3],), (len(lines),), "slot")
     table, eigenvalues = np.full((rank, 3), -1, dtype=np.int64), np.zeros((1, rank))
     table[: len(lines)], eigenvalues[0, : len(lines)] = ints.reshape(-1, 3)[rows], lams[rows]
-    return eigenvalues, table[None, :, 1], table[None, :, 2], foreign
+    return eigenvalues, table[None, :, 1], table[None, :, 2]
 
 
 def _load_discrete(mdir: Path, meta: _Meta):
@@ -294,8 +292,7 @@ def _load_discrete(mdir: Path, meta: _Meta):
     _fixed(meta, "payload_generators", str, GENERATORS_TXT)
     gen_ds = _read_sequences(mdir / GENERATORS_TXT, dim, rank)
     labels = meta.get("labels", lambda a: [_json(str)(x) for x in _json(list)(a)])
-    eigenvalues, home, ranks, foreign = _load_selected(mdir / SELECTED_CSV, rank, labels)
+    eigenvalues, home, ranks = _load_selected(mdir / SELECTED_CSV, rank, labels)
     return DiscreteModel(dim=dim, rank=rank, support=gen_ds.support, generators=gen_ds.values, eigenvalues=eigenvalues,
                          home_blocks=home, block_ranks=ranks, labels=labels, error=meta.get("error", _json(float)),
-                         allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)]),
-                         foreign_labels=foreign)
+                         allocation=meta.get("allocation", lambda a: [_json(int)(x) for x in _json(list)(a)]))

@@ -12,7 +12,9 @@ checks of a model's regime and returns one ``VerificationReport``:
 
 Every check runs over all cells at once; only loops that report violations
 visit cells.  ``sis._project``, ``_deviation`` and ``_misnumbered`` are the
-one projection, orthonormality test and block-numbering rule; ``coset-span``
+one projection, orthonormality test and block-numbering rule, and
+``_check_eigenvalues`` the one test of each kept eigenvalue against the
+projection coefficients (in ``eigencurves`` and ``eigenvalues``); ``coset-span``
 keeps the stacked SVD basis above lstsq's cutoff eps * max(T, r) * sigma_max.
 ``_check_homes`` is the one check of the home block and in-block rank
 records that extra and discrete fits share (``coset-support``,
@@ -176,7 +178,7 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
 
     # project_onto's sums, without the projected dataset, which would refuse a NaN
     with np.errstate(invalid="ignore"):
-        rr = _project(ds.samples.transpose(1, 0, 2), fibers)[2]
+        coef, _, rr = _project(ds.samples.transpose(1, 0, 2), fibers)
     cell_resid = rr.sum(axis=1)
     total = float((rr.sum(axis=0) * ds.grid.cell_volume).sum())
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
@@ -186,12 +188,33 @@ def _check_spectral(report: VerificationReport, model: FittedModel, ds: Spectral
     _cells_close(report, "cell-residuals", model.residuals, cell_resid, tol, "stored residual")
     # kept plus discarded eigenvalues add up to the Gramian trace; the
     # discarded part is taken from the projection, not from residuals.csv,
-    # so that a wrong residual fails cell-residuals alone
+    # so that a wrong residual fails cell-residuals alone; and each kept
+    # eigenvalue is the energy of the data along its generator
     _cells_close(report, "eigencurves", model.eigenvalues.sum(axis=1) + cell_resid, cell_energy, tol,
                  "eigenvalue sum plus projection residual")
+    _check_eigenvalues(report, "eigencurves", model.eigenvalues, coef, tol)
 
     if isinstance(model, ExtraInvariantModel):
         _check_cosets(report, model, model.lattice)
+
+
+def _check_eigenvalues(report: VerificationReport, check: str, lams: np.ndarray, coef: np.ndarray, tol,
+                       per_cell: bool = True) -> None:
+    """Violations of ``check`` where a kept eigenvalue ``lams[g, s]`` is not
+    the energy of the data along generator s at cell g, the sum over j of
+    |coef[g, j, s]|^2 (``_project``'s coefficients), within ``tol[g]``, or
+    where a cell's eigenvalues do not descend; the cell is named when
+    ``per_cell``."""
+    with np.errstate(invalid="ignore"):  # as in the projection: a non-finite coefficient fails the check
+        along = (coef.real**2 + coef.imag**2).sum(axis=1)
+    if np.shape(lams) != along.shape:
+        raise ValidationError(f"eigenvalue table shape {np.shape(lams)} does not match the generator array")
+    for g, s in np.argwhere(~(np.abs(lams - along) <= tol[:, None])):
+        report.add(check, f"eigenvalue {float(lams[g, s])!r}, expected {float(along[g, s])!r}",
+                   cell=int(g) if per_cell else None, generator=int(s))
+    for g, s in np.argwhere(~(lams[:, :-1] >= lams[:, 1:])):
+        report.add(check, f"eigenvalue {float(lams[g, s + 1])!r} exceeds the one before, {float(lams[g, s])!r}",
+                   cell=int(g) if per_cell else None, generator=int(s) + 1)
 
 
 def _check_homes(report: VerificationReport, check: str, samples: np.ndarray, blocks: np.ndarray, home, ranks,
@@ -298,17 +321,6 @@ def _check_tiles(report: VerificationReport, model: MultiTileModel) -> None:
             report.add("orthonormal", "layer fibers are not exactly orthonormal", cell=int(g))
 
 
-@one_blas_thread
-def verify_multitile(model: MultiTileModel) -> VerificationReport:
-    """Check the chosen sets: right count (``tile-count``), inside the
-    box (``tile-box``), pairwise distinct (``tile-distinct``), and, when
-    those pass, one-hot generators exactly orthonormal per cell
-    (``orthonormal``)."""
-    report = VerificationReport()
-    _check_tiles(report, model)
-    return report
-
-
 def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDataset) -> None:
     check_same_grid(model.grid, ds.grid)
     with np.errstate(over="ignore"):  # as in _check_spectral
@@ -364,9 +376,6 @@ def _check_discrete(report: VerificationReport, model: DiscreteModel, ds: Discre
     _close(report, "residual-identity", total, model.error, TOL * (1.0 + energy),
            f"projection residual {total!r} vs stored {model.error!r}")
 
-    # the kept eigenvalue of slot s is the energy of the data along g_s
     report.checks.append("eigenvalues")
-    lams = np.asarray(model.eigenvalues)[0]
-    along = (coef[0].real**2 + coef[0].imag**2).sum(axis=0)
-    for s in np.flatnonzero(~(np.abs(lams - along) <= TOL * (1.0 + energy))):
-        report.add("eigenvalues", f"eigenvalue {float(lams[s])!r}, expected {float(along[s])!r}", generator=int(s))
+    _check_eigenvalues(report, "eigenvalues", np.asarray(model.eigenvalues), coef, np.array([TOL * (1.0 + energy)]),
+                       per_cell=False)

@@ -62,11 +62,18 @@ def gramian_naive(fibers: np.ndarray) -> np.ndarray:
     return g
 
 
+def section(lat) -> np.ndarray:
+    """One representative per coset of ``lat``, row ``coset_of``'s label:
+    the points of the box prod([0, H_ii)) of its Hermite form, in
+    lexicographic order."""
+    return np.stack(np.unravel_index(np.arange(lat.index), np.diag(lat.hermite)), axis=-1).astype(np.int64)
+
+
 def weight(ds, g: int, k) -> float:
     """Total sample energy of all functions at cell g, translation k."""
     if not (0 <= g < ds.grid.n_cells):
         raise ValidationError(f"cell index {g} out of range 0..{ds.grid.n_cells - 1}")
-    ki = ds.grid.translation_index(k)
+    ki = int(ds.grid.translation_indices(k))
     col = ds.samples[:, g, ki]
     return float(np.sum(col.real**2 + col.imag**2))
 

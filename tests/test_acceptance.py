@@ -24,7 +24,7 @@ from sisfit.lattice import make_dual_lattice
 from sisfit.multitile import fit_multitile
 from sisfit.sis import error_sis, fit_sis
 from sisfit.spectral import SpectralDataset, SpectralGrid, total_energy, write_dataset
-from sisfit.verify import verify_multitile
+from sisfit.verify import verify_model
 
 from oracles import eig2_closed_form, eig3_closed_form, weight
 from test_extra import indicator_dataset
@@ -230,7 +230,7 @@ def test_criterion_7_multitile_validity_and_optimality(capfd):
             cap = (2 * box + 1) ** dim
             rank = int(rng.integers(1, min(cap, 4) + 1))
             model = fit_multitile(ds, rank, box)
-            assert verify_multitile(model).passed
+            assert verify_model(model, ds).passed
             if cap <= 9 and rank <= 4:
                 w = (ds.samples.real**2 + ds.samples.imag**2).sum(axis=0)
                 kk = ds.grid.translations

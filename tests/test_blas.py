@@ -88,7 +88,7 @@ def test_the_public_verify_functions_restore_the_thread_count_also_when_they_rai
     lat = make_dual_lattice(parse_basis("2"))
     plain, tiles = fit_sis(ds, 2), fit_multitile(ds, 2, 1)
     for name, check in (("_project", lambda: verify.verify_extra_invariance(plain, lat)),
-                        ("_deviation", lambda: verify.verify_multitile(tiles))):
+                        ("_deviation", lambda: verify.verify_model(tiles, ds))):
         seen, real = [], getattr(verify, name)
 
         def counted(*args, real=real, seen=seen):

@@ -854,6 +854,23 @@ def _set_block_ranks(path, rank=5):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _shift_eigenvalues(path, delta=0.125):
+    # cell 0's two kept eigenvalues moved by -delta and +delta: their sum,
+    # all that the eigenvalue-sum test sees, holds
+    lines = path.read_text().splitlines()
+    g, center, a, b = lines[0].split(",")
+    lines[0] = f"{g},{center},{float(a) - delta!r},{float(b) + delta!r}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _swap_eigenvalues(path):
+    # cell 0's two kept eigenvalues in ascending order, with the same sum
+    lines = path.read_text().splitlines()
+    g, center, a, b = lines[0].split(",")
+    lines[0] = f"{g},{center},{b},{a}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _foreign_selection(path):
     path.write_text("0,zz,9,123.0\n")
     _set_json(path.parent / "model.json", "allocation", [9, 9])
@@ -924,11 +941,14 @@ _TAMPERED = (
         ("sis", "generators.bin", _scale_first_nonzero,
          "parseval, residual-identity, cell-residuals, eigencurves", "parseval"),
         ("sis", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
+        ("sis", "eigencurves.csv", _shift_eigenvalues, "eigencurves", "eigencurves"),
+        ("sis", "eigencurves.csv", _swap_eigenvalues, "eigencurves", "eigencurves"),
         ("extra", "generators.bin", _scale_first_nonzero,
          "parseval, residual-identity, cell-residuals, eigencurves", "parseval"),
         ("extra", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
         ("extra", "home_cosets.csv", _shift_home_coset, "coset-support", "coset-support"),
         ("extra", "home_cosets.csv", _set_block_ranks, "coset-support", "coset-support"),
+        ("extra", "eigencurves.csv", _shift_eigenvalues, "eigencurves", "eigencurves"),
         ("pw", "chosen.csv", _duplicate_pick, "tile-distinct, residual-identity, cell-residuals", "tile-distinct"),
         ("pw", "chosen.csv", _pick_outside_grid, "tile-box, residual-identity, cell-residuals", "tile-box"),
         ("pw", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
@@ -936,7 +956,6 @@ _TAMPERED = (
         ("discrete", "generators.txt", _scale_generator_value,
          "orthonormal, residual-identity, eigenvalues", "orthonormal"),
         ("discrete", "generators.txt", _value_in_other_block, "block-support", "block-support"),
-        ("discrete", "selected.csv", _foreign_selection, "block-support, eigenvalues", "block-support"),
         ("discrete", "selected.csv", _set_eigenvalue, "eigenvalues", "eigenvalues"),
         ("discrete", "selected.csv", _swap_selected_labels, "block-support", "block-support"),
         ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
@@ -1114,6 +1133,8 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         ("selected.csv", "0,a,0\n", "selected.csv:1: inconsistent column count: expected 4 columns, got 3"),
         # the rank-1 model keeps one record
         ("selected.csv", "0,a,0,1.0\n1,b,0,1.0\n", "selected.csv:2: more rows than the model's rank 1"),
+        # a label that model.json's labels do not hold
+        ("selected.csv", _foreign_selection, "selected.csv:1: label 'zz' is not one of model.json's labels"),
         ("dataset.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "dataset.json:1: byte 0xff is not UTF-8"),
         ("model.json", "[" * 100000, "model.json is not valid JSON: maximum recursion depth exceeded"),
         # column 1 of an eigencurves row is the cell's center, which must be the grid's
@@ -1182,7 +1203,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         "pw-chosen-int64-overflow", "manifest-m-huge", "csv-nan", "generators-index-beyond-rank",
         "seqs-not-utf8", "seqs-int64-overflow-then-bad-token", "csv-int64-overflow-then-bad-token",
         "partition-not-utf8", "residuals-not-utf8", "model-json-not-utf8", "selected-not-utf8",
-        "selected-too-many-columns", "selected-too-few-columns", "selected-beyond-rank",
+        "selected-too-many-columns", "selected-too-few-columns", "selected-beyond-rank", "selected-foreign-label",
         "manifest-not-utf8", "model-json-nested-too-deep", "eigencurves-center-not-a-number",
         "eigencurves-center-off-grid", "manifest-trunc-huge", "manifest-trunc-huge-empty-binary",
         "seqs-position-not-in-partition", "sis-model-trunc-huge", "sis-model-cells-huge",

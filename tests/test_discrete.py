@@ -227,10 +227,9 @@ def test_explicit_partition_labels():
     mapping = {(0,): "left", (1,): "right", (2,): "left"}
     part = DiscretePartition.from_mapping(1, mapping)
     assert part.labels == ["left", "right"]
-    assert part.label_index((0,)) == 0
-    assert part.label_index((1,)) == 1
+    assert part._block_indices(np.array([[0], [1], [5]])).tolist() == [0, 1, -1]
     with pytest.raises(ValidationError, match="not covered"):
-        part.label_index((5,))
+        fit_discrete(DiscreteDataset.from_sequences(1, [{(5,): 1.0}]), part, 1)
     with pytest.raises(ValidationError):
         DiscretePartition.from_mapping(1, {})
 
@@ -459,7 +458,7 @@ def test_parse_partition_lattice_and_explicit(tmp_path):
     p.write_text("0, a\n1, b\n")
     part = parse_partition(p, 1)
     assert part.labels == ["a", "b"]
-    assert part.label_index((0,)) == 0
+    assert part._block_indices(np.array([[0]])).tolist() == [0]
 
     p.write_text("lattice: 2 0;0 1\n")
     with pytest.raises(ValidationError, match="dimension"):
@@ -550,22 +549,18 @@ def test_unique_rows_of_no_rows_and_of_a_strided_view(d):
     assert support.tolist() == [[-5] * d, [5] * d] and first.tolist() == [1, 0] and inverse.tolist() == [1, 0, 1]
 
 
-def test_a_selected_label_outside_the_labels_loads_and_saves_as_itself(rng, tmp_path):
-    # rank 2 on 4 sequences over 9 points, parity blocks; the first record
+def test_a_selected_label_outside_the_labels_is_refused_at_load(rng, tmp_path):
+    # rank 2 on 4 sequences over 9 points, parity blocks; the second record
     # of selected.csv then names a label the model's labels do not hold
     values = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
     ds = DiscreteDataset.from_sequences(1, [{(i,): v for i, v in enumerate(row)} for row in values])
     save_model(fit_discrete(ds, parity_partition(), 2), tmp_path / "m")
+    assert load_model(tmp_path / "m").labels == ["0", "1"]
     selected = tmp_path / "m" / "selected.csv"
     lines = selected.read_text().splitlines()
-    slot, label, rest = lines[0].split(",", 2)
-    lines[0] = f"{slot},zz,{rest}"
+    slot, label, rest = lines[1].split(",", 2)
+    lines[1] = f"{slot},zz,{rest}"
     selected.write_text("\n".join(lines) + "\n")
-
-    model = load_model(tmp_path / "m")
-    assert [label for _, label, _ in model.selected] == ["zz", lines[1].split(",")[1]]
-    assert model.labels == ["0", "1"] and model.home_blocks[0, 0] == len(model.labels)
-    save_model(model, tmp_path / "again")
-    assert (tmp_path / "again" / "selected.csv").read_bytes() == selected.read_bytes()
-    assert load_model(tmp_path / "again").selected == model.selected
-    assert "block-support" in verify_model(model, ds, parity_partition()).failed
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(selected))}:2: label 'zz' is not one of "
+                                              "model.json's labels$"):
+        load_model(tmp_path / "m")

@@ -8,7 +8,6 @@ from sisfit.blas import one_blas_thread
 from sisfit.errors import ConvergenceError, ValidationError
 from sisfit.hermitian import (
     PHASE_TOL,
-    EigenSystem,
     _normalize_rows,
     eig_hermitian,
     eig_hermitian_batch,
@@ -167,7 +166,7 @@ def test_batch_equals_single_solves_bitwise(rng, n):
         rev = eig_hermitian_batch(hs[::-1])
         vals = eig_hermitian_batch(hs, vectors=False)
         alone = [(eig_hermitian(h), eig_hermitian_batch(h[None], vectors=False)) for h in hs]
-    assert vals.vectors is None and full.order == n
+    assert vals.vectors is None and full.eigenvalues.shape == (len(hs), n)
     for h, lam in zip(hs, full.eigenvalues):
         assert np.abs(lam - np.linalg.eigvalsh(h)[::-1]).max() <= 1e-12 * max(1.0, np.linalg.norm(h))
     last = hs.shape[0] - 1
@@ -316,11 +315,6 @@ def test_eig_tol_validation():
             solve(g, tol=1e-3)
         with pytest.raises(TypeError):
             solve(g, 1e-3)
-
-
-def test_eigensystem_order_property():
-    es = EigenSystem(eigenvalues=np.zeros(4), vectors=np.eye(4, dtype=complex))
-    assert es.order == 4
 
 
 def test_no_sweeps_left_raises_convergence_error(monkeypatch):

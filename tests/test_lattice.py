@@ -17,6 +17,8 @@ from sisfit.lattice import (
     parse_basis,
 )
 
+from oracles import section
+
 
 def _in_lattice(basis, v):
     """Exact rational membership test: v in basis @ Z^d."""
@@ -40,7 +42,7 @@ def _in_lattice(basis, v):
 def test_mod2_line():
     lat = make_dual_lattice([[2]])
     assert lat.index == 2
-    assert np.array_equal(lat.section, [[0], [1]])
+    assert np.array_equal(section(lat), [[0], [1]])
     assert coset_of(np.array([7]), lat) == 1
     assert coset_of(np.array([-4]), lat) == 0
 
@@ -48,7 +50,7 @@ def test_mod2_line():
 def test_diag_2_1():
     lat = make_dual_lattice(np.diag([2, 1]))
     assert lat.index == 2
-    assert np.array_equal(lat.section, [[0, 0], [1, 0]])
+    assert np.array_equal(section(lat), [[0, 0], [1, 0]])
     assert coset_of(np.array([3, 5]), lat) == 1
 
 
@@ -56,13 +58,14 @@ def test_skew_basis_against_membership_oracle():
     basis = np.array([[1, 1], [-1, 1]])
     lat = make_dual_lattice(basis)
     assert lat.index == 2
-    assert tuple(lat.section[0]) == (0, 0)
+    reps = section(lat)
+    assert tuple(reps[0]) == (0, 0)
     # brute-force residue classification of a box of Z^2 points
     for k in product(range(-4, 5), repeat=2):
         claimed = [
             sigma
             for sigma in range(lat.index)
-            if _in_lattice(basis, np.array(k) - lat.section[sigma])
+            if _in_lattice(basis, np.array(k) - reps[sigma])
         ]
         assert len(claimed) == 1
         assert coset_of(np.array(k), lat) == claimed[0]
@@ -81,7 +84,7 @@ def test_skew_basis_against_membership_oracle():
 def test_partition_property(basis):
     basis = np.array(basis)
     lat = make_dual_lattice(basis)
-    d = lat.dim
+    d, reps = lat.dim, section(lat)
     labels = set()
     for k in product(range(-10, 11), repeat=d):
         lab = coset_of(np.array(k), lat)
@@ -91,7 +94,7 @@ def test_partition_property(basis):
         hits = [
             s
             for s in range(lat.index)
-            if _in_lattice(basis, np.array(k) - lat.section[s])
+            if _in_lattice(basis, np.array(k) - reps[s])
         ]
         assert hits == [lab]
     assert len(labels) == lat.index
@@ -99,13 +102,14 @@ def test_partition_property(basis):
 
 def test_section_self_labels():
     lat = make_dual_lattice([[2, 1], [0, 3]])
+    reps = section(lat)
     for i in range(lat.index):
-        assert coset_of(lat.section[i], lat) == i
+        assert coset_of(reps[i], lat) == i
 
 
 def test_section_sorted_unique():
     lat = make_dual_lattice([[2, 0], [0, 3]])
-    rows = [tuple(int(x) for x in r) for r in lat.section]
+    rows = [tuple(int(x) for x in r) for r in section(lat)]
     assert rows == sorted(set(rows))
     assert lat.index == 6
 
@@ -125,7 +129,7 @@ def test_rejections():
 
 
 def test_index_above_the_bound_is_refused_before_the_section():
-    assert make_dual_lattice([[2**20]]).section.shape == (2**20, 1)
+    assert section(make_dual_lattice([[2**20]])).shape == (2**20, 1)
     for basis, index in (([[2**20 + 1]], 2**20 + 1), ([[1024, 0], [0, 1025]], 1024 * 1025),
                          ([[10**10]], 10**10), ([[3**39, 0], [0, 3**39]], 3**78)):
         with pytest.raises(ValidationError, match=f"^lattice basis has {index} cosets, more than 1048576$"):
@@ -133,17 +137,18 @@ def test_index_above_the_bound_is_refused_before_the_section():
 
 
 def test_the_section_is_built_when_first_read():
-    # at the 2^20-coset cap the section is 16 MiB; no fit needs it
+    # at the 2^20-coset cap a section is 16 MiB; no fit needs one, and a
+    # lattice keeps none
     tracemalloc.start()
     try:
         lat = make_dual_lattice([[1024, 0], [0, 1024]])
         built = tracemalloc.get_traced_memory()[1]
-        section = lat.section
     finally:
         tracemalloc.stop()
     assert built < 2**20
-    assert section.shape == (2**20, 2) and lat.section is section
-    assert section[[0, 1, 1024, -1]].tolist() == [[0, 0], [0, 1], [1, 0], [1023, 1023]]
+    reps = section(lat)
+    assert reps.shape == (2**20, 2)
+    assert reps[[0, 1, 1024, -1]].tolist() == [[0, 0], [0, 1], [1, 0], [1023, 1023]]
 
 
 def test_float_integer_inputs_accepted():
@@ -201,11 +206,11 @@ def test_coset_of_arrays_match_vectors_and_membership(basis, data):
     pts = np.array(data.draw(st.lists(vec, min_size=1, max_size=12)), dtype=np.int64)
     labels = coset_of(pts, lat)
     assert labels.shape == pts.shape[:1] and labels.dtype == np.int64
-    singles = [coset_of(p, lat) for p in pts]
+    singles, reps = [coset_of(p, lat) for p in pts], section(lat)
     assert all(type(lab) is int for lab in singles)
     assert labels.tolist() == singles
     for p, lab in zip(pts, singles):
-        assert _in_lattice(basis, p - lat.section[lab])
+        assert _in_lattice(basis, p - reps[lab])
     # adding a lattice vector B z keeps every label
     z = np.array(data.draw(vec))
     shifted = pts + basis @ z
@@ -228,7 +233,7 @@ def test_coset_of_takes_the_limit_and_refuses_one_beyond_in_any_coordinate(basis
             v = np.zeros(d, dtype=np.int64)
             v[c] = sign * limit
             lab = coset_of(v, lat)
-            assert _in_lattice(lat.basis, v - lat.section[lab])
+            assert _in_lattice(lat.basis, v - section(lat)[lab])
             assert coset_of(np.stack([v, -v, v]), lat).tolist() == [lab, coset_of(-v, lat), lab]
             v[c] += sign
             with pytest.raises(ValidationError, match=rf"too large to reduce in int64 \(limit {limit}\)"):

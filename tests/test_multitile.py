@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from sisfit.errors import ValidationError
-from sisfit.multitile import (MultiTileModel, error_multitile_series, fit_multitile, multitile_spectra,
-                              sweep_multitile)
+from sisfit.multitile import MultiTileModel, fit_multitile, multitile_spectra, sweep_multitile
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.storage import load_model, save_model
-from sisfit.verify import verify_multitile
+from sisfit.verify import verify_model
 
 from conftest import random_dataset
 from oracles import weight
@@ -27,7 +26,7 @@ def test_weight_values(rng):
     multi = random_dataset(rng, m=3, cells=4)
     for g in (0, 2):
         for k in (-1, 0, 1):
-            ki = multi.grid.translation_index((k,))
+            ki = int(multi.grid.translation_indices((k,)))
             naive = sum(abs(multi.samples[j, g, ki]) ** 2 for j in range(3))
             assert weight(multi, g, (k,)) == pytest.approx(naive, rel=1e-12)
 
@@ -128,7 +127,7 @@ def test_one_hot_spectra_orthonormal(rng):
 def test_verify_passes_and_catches_corruption(rng):
     ds = random_dataset(rng, m=2, cells=4, trunc=1)
     model = fit_multitile(ds, 2, 1)
-    assert verify_multitile(model).passed
+    assert verify_model(model, ds).passed
 
     dup = MultiTileModel(
         grid=model.grid,
@@ -140,7 +139,7 @@ def test_verify_passes_and_catches_corruption(rng):
         tail=model.tail,
     )
     dup.chosen[1, 1] = dup.chosen[1, 0]
-    report = verify_multitile(dup)
+    report = verify_model(dup, ds)
     assert not report.passed
     assert any(v.check == "tile-distinct" and v.cell == 1 for v in report.violations)
 
@@ -154,7 +153,7 @@ def test_verify_passes_and_catches_corruption(rng):
         tail=model.tail,
     )
     out.chosen[2, 0] = 5
-    report = verify_multitile(out)
+    report = verify_model(out, ds)
     assert not report.passed
     assert any(v.check == "tile-box" and v.cell == 2 for v in report.violations)
 
@@ -162,14 +161,10 @@ def test_verify_passes_and_catches_corruption(rng):
 def test_series_monotone(rng):
     ds = random_dataset(rng, m=2, cells=4, trunc=2)
     energy = total_energy(ds)
-    series = error_multitile_series(ds, 2, [1, 2])
+    series = [error + tail for error, tail in sweep_multitile(ds, [2], [1, 2])[0]]
     assert series[1] <= series[0] + 1e-12 * energy
     model = fit_multitile(ds, 2, 1)
     assert series[0] == model.error + model.tail
-    with pytest.raises(ValidationError):
-        error_multitile_series(ds, 2, [2, 1])
-    with pytest.raises(ValidationError):
-        error_multitile_series(ds, 2, [])
 
 
 def test_sweep_refuses_the_first_bad_pair_rank_by_rank(rng):

@@ -231,7 +231,7 @@ def _reference_cell(f, blocks, rank):
         a = f[:, cols]
         gm = a.conj().T @ a if a.shape[1] < m else a @ a.conj().T
         es = eig_hermitian((gm + gm.conj().T) / 2.0)
-        lams.append(np.concatenate([es.eigenvalues, np.zeros(m - es.order)]))
+        lams.append(np.concatenate([es.eigenvalues, np.zeros(m - len(es.eigenvalues))]))
         vecs.append(es.vectors)
     lam = np.concatenate(lams)
     block = np.repeat(np.arange(len(lams)), m)

@@ -34,11 +34,11 @@ def test_grid_layout():
     assert np.all(grid.cell_centers >= -0.5) and np.all(grid.cell_centers < 0.5)
     rows = [tuple(int(x) for x in k) for k in grid.translations]
     assert rows == sorted(set(rows))
-    assert grid.translation_index((0, 0)) == 4
+    assert grid.translation_indices((0, 0)) == 4
     with pytest.raises(ValidationError):
-        grid.translation_index((2, 0))
+        grid.translation_indices((2, 0))
     with pytest.raises(ValidationError):
-        grid.translation_index((0,))
+        grid.translation_indices((0,))
 
 
 def test_grid_validation():
@@ -130,13 +130,13 @@ def test_box_test_and_index_are_the_axis_reductions_they_replace(rng, dim, trunc
         assert flat.dtype == np.int64 and np.array_equal(flat, _old_ravel(grid, inbox))
     ks = grid.translations
     assert not grid._outside(ks).any() and np.array_equal(grid.translation_indices(ks), np.arange(len(ks)))
-    assert [grid.translation_index(k) for k in ks] == list(range(len(ks)))
+    assert [int(grid.translation_indices(k)) for k in ks] == list(range(len(ks)))
 
 
 def test_translation_index_on_a_grid_of_more_translations_than_int64_numbers_is_refused():
     grid = SpectralGrid(dim=40, cells_per_dim=2, trunc_radius=1)  # 3^40 translations
     with pytest.raises(ValidationError, match=f"^grid has {3**40} translations, more than an int64 index numbers$"):
-        grid.translation_index([0] * 40)
+        grid.translation_indices([0] * 40)
 
 
 @pytest.mark.parametrize("dim, cells, trunc", [(40, 2, 1), (1, 2, 10**20), (1, 2**58, 1)])

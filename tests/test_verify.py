@@ -142,6 +142,24 @@ def test_infinite_generator_sample_fails_without_a_warning(rng):
         assert 1 in {v.cell for v in coset_report.violations}
 
 
+def test_each_kept_eigenvalue_is_checked_and_each_cell_descends(rng):
+    ds = random_dataset(rng, m=3, cells=4, trunc=2)
+    fit = fit_sis(ds, 2)
+
+    def with_records(eigenvalues, spectra):
+        return FittedModel(grid=fit.grid, rank=spectra.shape[0], eigenvalues=eigenvalues, spectra=spectra,
+                           residuals=fit.residuals, error=fit.error)
+
+    # the two records swapped together: each value is still its generator's
+    # energy, and only the order fails
+    report = verify_model(with_records(fit.eigenvalues[:, ::-1].copy(), fit.spectra[::-1].copy()), ds)
+    assert report.failed == ["eigencurves"]
+    assert [(v.cell, v.generator) for v in report.violations] == [(g, 1) for g in range(4)]
+    assert re.fullmatch(r"eigenvalue \S+ exceeds the one before, \S+", report.violations[0].detail)
+    with pytest.raises(ValidationError, match=r"^eigenvalue table shape \(4, 1\) does not match the generator array$"):
+        verify_model(with_records(fit.eigenvalues[:, :1].copy(), fit.spectra), ds)
+
+
 def test_coset_span_memory_does_not_grow_with_the_lattice_index(rng):
     # 4 cells of the translations -1, 0, 1, which lie in 3 of the 2^16
     # cosets: 65535, 0 and 1
