@@ -872,8 +872,17 @@ def _swap_eigenvalues(path):
 
 
 def _foreign_selection(path):
+    # slot 0's even-block generator recorded in block 'zz', a label that
+    # model.json holds, at in-block rank 9 with eigenvalue 123.0: it loads,
+    # and verify flags the block and the eigenvalue
     path.write_text("0,zz,9,123.0\n")
     _set_json(path.parent / "model.json", "allocation", [9, 9])
+    _set_json(path.parent / "model.json", "labels", ["q", "zz"])
+
+
+def _unknown_label(path):
+    # the same row, with a label that model.json's labels do not hold
+    _foreign_selection(path)
     _set_json(path.parent / "model.json", "labels", ["q"])
 
 
@@ -956,6 +965,7 @@ _TAMPERED = (
         ("discrete", "generators.txt", _scale_generator_value,
          "orthonormal, residual-identity, eigenvalues", "orthonormal"),
         ("discrete", "generators.txt", _value_in_other_block, "block-support", "block-support"),
+        ("discrete", "selected.csv", _foreign_selection, "block-support, eigenvalues", "block-support"),
         ("discrete", "selected.csv", _set_eigenvalue, "eigenvalues", "eigenvalues"),
         ("discrete", "selected.csv", _swap_selected_labels, "block-support", "block-support"),
         ("discrete", "model.json", lambda p: _set_json(p, "error", 5.0), "residual-identity", "residual-identity"),
@@ -1134,7 +1144,7 @@ def test_incomplete_model_table_is_usage_error(tmp_path, regime, name, edit):
         # the rank-1 model keeps one record
         ("selected.csv", "0,a,0,1.0\n1,b,0,1.0\n", "selected.csv:2: more rows than the model's rank 1"),
         # a label that model.json's labels do not hold
-        ("selected.csv", _foreign_selection, "selected.csv:1: label 'zz' is not one of model.json's labels"),
+        ("selected.csv", _unknown_label, "selected.csv:1: label 'zz' is not one of model.json's labels"),
         ("dataset.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "dataset.json:1: byte 0xff is not UTF-8"),
         ("model.json", "[" * 100000, "model.json is not valid JSON: maximum recursion depth exceeded"),
         # column 1 of an eigencurves row is the cell's center, which must be the grid's
