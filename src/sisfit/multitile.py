@@ -4,8 +4,10 @@ Here the fitted object is a set picked per cell: among the translations
 inside a centered box, keep the ``rank`` with the largest sample energy.
 The chosen set tiles the line/space ``rank`` times and splits into
 ``rank`` single-tile layers; its generators are one-hot fibers, hence
-exactly orthonormal.  Energy at in-grid translations outside the box is
-beyond reach of any choice and is reported separately as ``tail``.
+exactly orthonormal once a cell's picks are distinct and lie in a box the
+grid holds (``_check_box``), so no code builds them.  Energy at in-grid
+translations outside the box is beyond reach of any choice and is
+reported separately as ``tail``.
 """
 
 from __future__ import annotations
@@ -115,14 +117,3 @@ def sweep_multitile(ds: SpectralDataset, ranks, box_radii) -> list[list[tuple[fl
         for r in distinct:
             fits[r, b] = (float(_residuals(w_in, order, r).sum()) * volume, tail)
     return [[fits[r, b] for b in radii] for r, radii in checked]
-
-
-def multitile_spectra(model: MultiTileModel) -> np.ndarray:
-    """One-hot generator fibers of the layers, shape (rank, cells,
-    translations).  Exactly orthonormal per cell."""
-    ncells = model.grid.n_cells
-    spectra = np.zeros((model.rank, ncells, model.grid.n_translations), dtype=np.complex128)
-    ki = model.grid.translation_indices(model.chosen)
-    spectra[np.arange(model.rank)[None, :], np.arange(ncells)[:, None], ki] = 1.0
-    return spectra
-

@@ -6,13 +6,17 @@ checks of a model's regime and returns one ``VerificationReport``:
 - ``sis``: ``parseval``, ``residual-identity``, ``cell-residuals``,
   ``eigencurves``; ``extra`` adds ``coset-support``;
 - ``pw``: ``tile-count``, ``tile-box``, ``tile-distinct``,
-  ``orthonormal``, ``residual-identity``, ``cell-residuals``, ``tail``;
+  ``orthonormal``, ``residual-identity``, ``cell-residuals``, ``tail``,
+  in a box the grid holds (``multitile._check_box`` refuses others);
+  ``orthonormal`` is the verdict of the three tile checks, and no
+  generator fiber is built;
 - ``discrete``: ``orthonormal``, ``block-support``, ``residual-identity``,
   ``eigenvalues``.
 
 Every check runs over all cells at once; only loops that report violations
 visit cells.  ``sis._project``, ``_deviation`` and ``_misnumbered`` are the
-one projection, orthonormality test and block-numbering rule, and
+one projection, orthonormality test (of ``parseval`` and the discrete
+``orthonormal``) and block-numbering rule, and
 ``_check_eigenvalues`` the one test of each kept eigenvalue against the
 projection coefficients (in ``eigencurves`` and ``eigenvalues``); ``coset-span``
 keeps the stacked SVD basis above lstsq's cutoff eps * max(T, r) * sigma_max.
@@ -37,7 +41,7 @@ from .discrete import DiscreteDataset, DiscreteModel, DiscretePartition, _unique
 from .errors import ValidationError
 from .extra import ExtraInvariantModel
 from .lattice import DualLattice, coset_of
-from .multitile import MultiTileModel, multitile_spectra
+from .multitile import MultiTileModel, _check_box
 from .sis import FittedModel, _fibers, _project
 from .spectral import SpectralDataset, _energy, _finite_energy, _squares, check_same_grid
 
@@ -296,12 +300,13 @@ def verify_extra_invariance(model: FittedModel, lat: DualLattice) -> Verificatio
 
 
 def _check_tiles(report: VerificationReport, model: MultiTileModel) -> None:
-    chosen = np.asarray(model.chosen)
-    ncells, box = model.grid.n_cells, model.box_radius
+    box = _check_box(model.grid, model.rank, model.box_radius)  # the fit's and the loader's box rule
+    chosen, ncells = np.asarray(model.chosen), model.grid.n_cells
     if chosen.ndim != 3 or chosen.shape[0] != ncells or chosen.shape[2] != model.grid.dim:
         raise ValidationError(f"chosen array shape {chosen.shape} does not match the grid")
+    # "orthonormal" is the verdict of the three tile checks: one-hot rows at
+    # distinct picks in a box the grid holds have the identity as Gram matrix
     report.checks += ["tile-count", "tile-box", "tile-distinct", "orthonormal"]
-    before = report.n_violations
     if chosen.shape[1] != model.rank:
         for g in range(ncells):
             report.add("tile-count", f"{chosen.shape[1]} translations, expected {model.rank}", cell=g)
@@ -313,12 +318,6 @@ def _check_tiles(report: VerificationReport, model: MultiTileModel) -> None:
     for g in np.flatnonzero(same.sum(axis=2).max(axis=1, initial=0) > 1):
         v = tuple(int(x) for x in chosen[g, np.flatnonzero(same[g].sum(axis=1) > 1)[0]])
         report.add("tile-distinct", f"translation {v} chosen more than once", cell=int(g))
-
-    # one-hot fibers of distinct in-grid picks; skipped when a pick failed
-    if report.n_violations == before:
-        # every one-hot row is nonzero, so a zero deviation is gram == eye
-        for g in np.flatnonzero(_deviation(multitile_spectra(model).transpose(1, 0, 2)) != 0.0):
-            report.add("orthonormal", "layer fibers are not exactly orthonormal", cell=int(g))
 
 
 def _check_pw(report: VerificationReport, model: MultiTileModel, ds: SpectralDataset) -> None:

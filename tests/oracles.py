@@ -78,6 +78,16 @@ def weight(ds, g: int, k) -> float:
     return float(np.sum(col.real**2 + col.imag**2))
 
 
+def one_hot(model) -> np.ndarray:
+    """The generator fibers of a multi-tile model, shape (rank, cells,
+    translations): layer s is 1 at cell g's s-th pick and 0 elsewhere."""
+    spectra = np.zeros((model.rank, model.grid.n_cells, model.grid.n_translations), dtype=np.complex128)
+    for g in range(model.grid.n_cells):
+        for s in range(model.rank):
+            spectra[s, g, int(model.grid.translation_indices(model.chosen[g, s]))] = 1.0
+    return spectra
+
+
 def projection_residual(x: np.ndarray, span_rows: np.ndarray, rtol: float = 1e-12) -> float:
     """Squared residual of projecting the rows of ``x`` onto the row
     space of ``span_rows``, via an SVD basis."""

@@ -82,13 +82,13 @@ def test_a_fit_restores_the_thread_count_also_when_it_raises(rng, monkeypatch, t
     assert seen == [1, 1] and _threads() == 2
 
 
-def test_the_public_verify_functions_restore_the_thread_count_also_when_they_raise(rng, monkeypatch,
-                                                                                  two_blas_threads):
+def test_the_public_verify_functions_restore_the_thread_count_also_when_they_raise(rng, two_blas_threads):
     ds = random_dataset(rng, cells=4, trunc=1, m=2)
     lat = make_dual_lattice(parse_basis("2"))
     plain, tiles = fit_sis(ds, 2), fit_multitile(ds, 2, 1)
     for name, check in (("_project", lambda: verify.verify_extra_invariance(plain, lat)),
-                        ("_deviation", lambda: verify.verify_model(tiles, ds))):
+                        ("_deviation", lambda: verify.verify_model(plain, ds)),
+                        ("_check_tiles", lambda: verify.verify_model(tiles, ds))):
         seen, real = [], getattr(verify, name)
 
         def counted(*args, real=real, seen=seen):
@@ -99,13 +99,14 @@ def test_the_public_verify_functions_restore_the_thread_count_also_when_they_rai
             seen.append(_threads())
             raise FloatingPointError("planted")
 
-        monkeypatch.setattr(verify, name, counted)
-        check()
-        assert seen == [1] and _threads() == 2, name
-        monkeypatch.setattr(verify, name, failing)
-        with pytest.raises(FloatingPointError):
+        with pytest.MonkeyPatch.context() as patch:  # undone before the next case, which may call it too
+            patch.setattr(verify, name, counted)
             check()
-        assert seen == [1, 1] and _threads() == 2, name
+            assert seen == [1] and _threads() == 2, name
+            patch.setattr(verify, name, failing)
+            with pytest.raises(FloatingPointError):
+                check()
+            assert seen == [1, 1] and _threads() == 2, name
 
 
 def test_nested_holders_restore_the_count_once(two_blas_threads):

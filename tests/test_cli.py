@@ -1,11 +1,13 @@
 import argparse
 import builtins
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -690,10 +692,26 @@ def test_verify_takes_no_solver_flags(tmp_path, flag):
             assert res.returncode == 2 and "unrecognized arguments" in res.stderr
 
 
-def run_in_process(*args):
-    """``run_cli`` through ``cli.main`` in this process; output goes to the
-    test's capture, so only the exit code is returned."""
-    return subprocess.CompletedProcess(args, cli.main([str(a) for a in args]), "", "")
+def run_in_process(*args, env_extra=None, cwd=None):
+    """``run_cli`` through ``cli.main`` in this process: stdout and stderr
+    captured, ``SystemExit`` as the exit code, any other exception as its
+    traceback with exit code 1; ``env_extra`` and ``cwd`` hold for the call
+    only.  A test of the process environment (``OPENBLAS_*``, ``OMP_*``,
+    ``PYTHONHASHSEED``) needs ``run_cli``: this process has read it already."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for key, value in (env_extra or {}).items():
+            patch.setenv(key, value)
+        if cwd is not None:
+            patch.chdir(cwd)
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def _fitted_model(tmp_path, regime, rank=1, run=run_cli):
@@ -1268,10 +1286,10 @@ def test_malformed_input_names_file_and_location(tmp_path, name, edit, location)
 @pytest.mark.parametrize("regime", ["sis", "extra", "pw", "discrete"])
 def test_data_whose_energy_overflows_are_refused_where_they_are_read(tmp_path, regime):
     if regime == "discrete":
-        model, _ = _fitted_discrete_model(tmp_path)
+        model, _ = _fitted_discrete_model(tmp_path, run=run_in_process)
         flags = ("--partition", tmp_path / "part.txt")
     else:
-        model, _ = _fitted_model(tmp_path, regime)
+        model, _ = _fitted_model(tmp_path, regime, run=run_in_process)
         flags = {"sis": (), "extra": ("--dual-lattice", "2"), "pw": ("--box", "1")}[regime]
     compare_flags = ("--boxes", "1") if regime == "pw" else flags
     # one sample of 1e160 squares beyond float64; two functions of 1e154 at
@@ -1289,7 +1307,7 @@ def test_data_whose_energy_overflows_are_refused_where_they_are_read(tmp_path, r
         for cmd in (("fit", "--regime", regime, "--rank", 1, *flags, "--out", tmp_path / "m"),
                     ("compare", "--regimes", regime, "--ranks", 1, *compare_flags),
                     ("verify", "--model", model)):
-            res = run_cli(*cmd, "--data", data)
+            res = run_in_process(*cmd, "--data", data)
             assert res.returncode == 2, res.stdout
             assert res.stdout == (f"regime: {regime}\n" if cmd[0] == "verify" else "")
             assert res.stderr == f"error: {data}: the energy of the samples overflows float64\n"  # no Warning

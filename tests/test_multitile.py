@@ -1,18 +1,19 @@
 import json
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sisfit.errors import ValidationError
-from sisfit.multitile import MultiTileModel, fit_multitile, multitile_spectra, sweep_multitile
+from sisfit.multitile import MultiTileModel, fit_multitile, sweep_multitile
 from sisfit.spectral import SpectralDataset, SpectralGrid, synthesize, total_energy
 from sisfit.storage import load_model, save_model
 from sisfit.verify import verify_model
 
 from conftest import random_dataset
-from oracles import weight
+from oracles import one_hot, weight
 
 
 def test_weight_values(rng):
@@ -82,7 +83,7 @@ def test_error_and_tail_decomposition(rng):
     assert model.error == pytest.approx(expect_err, rel=1e-10, abs=1e-15)
     assert model.tail == pytest.approx(expect_tail, rel=1e-12)
     # error + tail equals the full projection residual onto one-hot fibers
-    spectra = multitile_spectra(model)
+    spectra = one_hot(model)
     resid = 0.0
     for g in range(4):
         x = ds.samples[:, g, :]
@@ -117,7 +118,7 @@ def test_gaussian_layers_are_constant():
 def test_one_hot_spectra_orthonormal(rng):
     ds = random_dataset(rng, m=2, cells=4, trunc=1)
     model = fit_multitile(ds, 2, 1)
-    spectra = multitile_spectra(model)
+    spectra = one_hot(model)
     eye = np.eye(2, dtype=complex)
     for g in range(4):
         e = spectra[:, g, :]
@@ -156,6 +157,18 @@ def test_verify_passes_and_catches_corruption(rng):
     report = verify_model(out, ds)
     assert not report.passed
     assert any(v.check == "tile-box" and v.cell == 2 for v in report.violations)
+
+
+@pytest.mark.parametrize("beyond_grid", [False, True])
+def test_verify_refuses_a_box_the_grid_cannot_hold(rng, beyond_grid):
+    # a box of radius 2 holds the whole grid, so the fit's picks, residuals
+    # and tail are also those of radius 3
+    ds = random_dataset(rng, m=2, cells=4, trunc=2)
+    model = replace(fit_multitile(ds, 2, 2), box_radius=3)
+    if beyond_grid:
+        model.chosen[0, 1] = 3  # in the box, outside the grid
+    with pytest.raises(ValidationError, match="^box radius 3 exceeds the grid truncation radius 2$"):
+        verify_model(model, ds)
 
 
 def test_series_monotone(rng):
